@@ -10,6 +10,12 @@ assert that they agree.  On a finite carrier the first two classes
 coincide, so ``classify`` can only ever report a convexity witness, never
 an interval-only one — the code keeps the extra rung anyway.
 
+A :class:`FuzzyInterval` is stored with its *endpoint chain*: the sorted
+thresholds and, per threshold, the ``(lo, hi)`` element indices of that
+cut.  The constructor builds the chain in the same pass that validates
+the argument, so every cut is computed once per interval;
+``cut_interval``, ``endpoint_functions`` and ``join`` read the chain.
+
 Meet of fuzzy intervals is the pointwise minimum (which provably keeps
 every cut an interval).  Join is *not* the pointwise maximum: it is
 reconstructed from the per-grade hulls of the operand cuts, the smallest
@@ -18,13 +24,14 @@ fuzzy interval above both operands.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import NotAFuzzyInterval
 from .fuzzysets import (GRADE_ONE, GRADE_ZERO, FuzzySet, _require_same_lattice,
-                        format_grade)
+                        as_grade, format_grade)
 from .intervals import CrispInterval
 from .lattice import Element, FiniteLattice, format_element, iter_bits
 
@@ -121,24 +128,54 @@ def is_fuzzy_convex_sublattice(m: FuzzySet) -> bool:
     return by_points
 
 
+def _endpoint_chain(m: FuzzySet):
+    """The endpoint chain of ``m`` and the first cut that is not an interval.
+
+    Returns ``(thresholds, ends, witness)``.  ``thresholds`` are the
+    thresholds of ``m`` ascending; ``ends[r]`` holds the ``(lo, hi)``
+    element indices of the greatest lower and least upper bound of the cut
+    at ``thresholds[r]``, or ``(None, None)`` when that cut is empty.
+    ``witness`` is ``(p, z)`` for the lowest threshold ``p`` whose cut
+    omits an element between its bounds, ``z`` the lowest such element
+    index, else None.  One pass: bucket the elements by grade, then grow
+    the cuts from the top threshold down.
+    """
+    lat = m.lattice
+    members: dict = {GRADE_ZERO: [], GRADE_ONE: []}  # grade -> element indices
+    for i, v in enumerate(m.values):
+        members.setdefault(v, []).append(i)
+    thresholds = tuple(sorted(members))
+    ends = [(None, None)] * len(thresholds)
+    witness = None
+    cut = 0
+    lo, hi = lat.index(lat.top), lat.index(lat.bottom)  # bounds of the empty cut
+    for r in range(len(thresholds) - 1, -1, -1):  # cuts grow downward
+        level = members[thresholds[r]]
+        if level:
+            lo = lat.meet_index(lo, lat.meet_indices(level))
+            hi = lat.join_index(hi, lat.join_indices(level))
+            for i in level:
+                cut |= 1 << i
+        if cut:
+            ends[r] = (lo, hi)
+            outside = lat.between_mask(lo, hi) & ~cut
+            if outside:  # keep the lowest failing threshold
+                witness = (thresholds[r], next(iter_bits(outside)))
+    return thresholds, tuple(ends), witness
+
+
 def interval_cut_violation(m: FuzzySet):
     """First (p, z) where the p-cut omits z between its own inf and sup.
 
     Direct route: a cut is a closed interval exactly when it contains
-    everything between its greatest lower and least upper bound.
+    everything between its greatest lower and least upper bound.  This is
+    the check the :class:`FuzzyInterval` constructor runs.
     """
-    lat = m.lattice
-    for p in m.thresholds():
-        mask = m.cut_mask(p)
-        if not mask:
-            continue
-        bits = list(iter_bits(mask))
-        lo = lat.meet_indices(bits)
-        hi = lat.join_indices(bits)
-        outside = lat.between_mask(lo, hi) & ~mask
-        if outside:
-            return (p, lat.elements[next(iter_bits(outside))])
-    return None
+    witness = _endpoint_chain(m)[2]
+    if witness is None:
+        return None
+    p, z = witness
+    return (p, m.lattice.elements[z])
 
 
 def interval_endpoint_violation(m: FuzzySet):
@@ -220,20 +257,27 @@ class EndpointFunctions:
 class FuzzyInterval:
     """A fuzzy set validated so that every cut is a crisp closed interval.
 
-    The constructor re-validates unconditionally, so operation results are
-    checked the moment they are built.
+    The constructor validates unconditionally, so operation results are
+    checked the moment they are built.  Validation computes the endpoints
+    of every cut, and the constructor keeps them as the endpoint chain:
+    ``_thresholds`` ascending and ``_ends[r]``, the ``(lo, hi)`` element
+    indices of the cut at ``_thresholds[r]`` (``(None, None)`` when the
+    cut is empty).  ``cut_interval``, ``endpoint_functions`` and ``join``
+    read the chain instead of cutting the fuzzy set again.
     """
 
-    __slots__ = ("fuzzy",)
+    __slots__ = ("fuzzy", "_thresholds", "_ends")
 
     def __init__(self, fuzzy: FuzzySet):
-        witness = interval_cut_violation(fuzzy)
+        thresholds, ends, witness = _endpoint_chain(fuzzy)
         if witness is not None:
             p, z = witness
             raise NotAFuzzyInterval(
                 f"cut at {format_grade(p)} is not a closed interval: it omits "
-                f"{format_element(z)} between its bounds")
+                f"{format_element(fuzzy.lattice.elements[z])} between its bounds")
         self.fuzzy = fuzzy
+        self._thresholds = thresholds
+        self._ends = ends
 
     @classmethod
     def from_interval(cls, interval: CrispInterval) -> "FuzzyInterval":
@@ -256,34 +300,33 @@ class FuzzyInterval:
         return self.fuzzy(element)
 
     def thresholds(self) -> tuple[Fraction, ...]:
-        return self.fuzzy.thresholds()
+        return self._thresholds
 
     def cut(self, p) -> frozenset:
         return self.fuzzy.cut(p)
 
+    def cut_endpoints(self, p) -> tuple[int | None, int | None]:
+        """``(lo, hi)`` element indices of the p-cut, ``(None, None)`` if empty.
+
+        Read off the endpoint chain: a grade strictly between two
+        thresholds cuts like the next threshold up.
+        """
+        return self._ends[bisect_left(self._thresholds, as_grade(p))]
+
     def cut_interval(self, p) -> CrispInterval:
         """The p-cut as a crisp interval."""
-        mask = self.fuzzy.cut_mask(p)
-        lat = self.lattice
-        if not mask:
-            return CrispInterval._from_indices(lat, None, None)
-        bits = list(iter_bits(mask))
-        return CrispInterval._from_indices(lat, lat.meet_indices(bits), lat.join_indices(bits))
+        return CrispInterval._from_indices(self.lattice, *self.cut_endpoints(p))
 
     def endpoint_functions(self) -> EndpointFunctions:
-        lat = self.lattice
+        elements = self.lattice.elements
         lower: dict = {}
         upper: dict = {}
-        for p in self.thresholds():
-            mask = self.fuzzy.cut_mask(p)
-            if mask:
-                bits = list(iter_bits(mask))
-                lower[p] = lat.elements[lat.meet_indices(bits)]
-                upper[p] = lat.elements[lat.join_indices(bits)]
+        for p, (lo, hi) in zip(self._thresholds, self._ends):
+            if lo is None:
+                lower[p], upper[p] = self.lattice.top, self.lattice.bottom
             else:
-                lower[p] = lat.top
-                upper[p] = lat.bottom
-        return EndpointFunctions(self.thresholds(), lower, upper)
+                lower[p], upper[p] = elements[lo], elements[hi]
+        return EndpointFunctions(self._thresholds, lower, upper)
 
     def leq(self, other: "FuzzyInterval") -> bool:
         return self.fuzzy.leq(other.fuzzy)
@@ -302,10 +345,27 @@ class FuzzyInterval:
         """
         lat = _require_same_lattice(self.lattice, other.lattice)
         values = [GRADE_ZERO] * len(lat.elements)
-        for p in sorted({*self.thresholds(), *other.thresholds()}):
-            hull = self.cut_interval(p) | other.cut_interval(p)
-            for i in iter_bits(hull.members_mask()):
-                values[i] = p
+        ta, ea, tb, eb = self._thresholds, self._ends, other._thresholds, other._ends
+        ia = ib = 0
+        while ia < len(ta):  # merge the chains; both end at threshold 1
+            pa, pb = ta[ia], tb[ib]
+            a_lo, a_hi = ea[ia]  # each operand's cut at p = min(pa, pb)
+            b_lo, b_hi = eb[ib]
+            if pa <= pb:
+                p = pa
+                ia += 1
+                if pa == pb:
+                    ib += 1
+            else:
+                p = pb
+                ib += 1
+            if a_lo is None:
+                a_lo, a_hi = b_lo, b_hi
+            elif b_lo is not None:
+                a_lo, a_hi = lat.meet_index(a_lo, b_lo), lat.join_index(a_hi, b_hi)
+            if a_lo is not None:
+                for i in iter_bits(lat.between_mask(a_lo, a_hi)):
+                    values[i] = p
         return FuzzyInterval(FuzzySet.from_values(lat, values))
 
     def __eq__(self, other) -> bool:

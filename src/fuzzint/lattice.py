@@ -51,7 +51,7 @@ class FiniteLattice:
     """
 
     __slots__ = ("name", "elements", "_index", "_up", "_down", "_meet", "_join",
-                 "_bottom", "_top", "_all_mask", "_between_cache", "_hash")
+                 "_bottom", "_top", "_all_mask", "_hash")
 
     def __init__(self, elements: Iterable[Element], covers, *, name: str = "",
                  max_elements: int = DEFAULT_MAX_ELEMENTS):
@@ -100,7 +100,6 @@ class FiniteLattice:
         self._up = up
         self._down = down
         self._all_mask = (1 << n) - 1
-        self._between_cache = {}
         self._hash = None
 
         meet_t = [0] * (n * n)
@@ -269,12 +268,7 @@ class FiniteLattice:
         return self._all_mask
 
     def between_mask(self, lo_i: int, hi_i: int) -> int:
-        key = lo_i * len(self.elements) + hi_i
-        cached = self._between_cache.get(key)
-        if cached is None:
-            cached = self._up[lo_i] & self._down[hi_i]
-            self._between_cache[key] = cached
-        return cached
+        return self._up[lo_i] & self._down[hi_i]
 
     # -- identity --------------------------------------------------------
 

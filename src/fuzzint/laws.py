@@ -234,7 +234,8 @@ class _OpTables:
 
     Results outside the collection are stored as -1; the first such pair
     per op is kept as the closure witness.  ``leq_rows`` are upper-bound
-    bitmask rows built from the independent order predicate.
+    bitmask rows built from the independent order predicate, and
+    ``down_rows`` their transpose (the lower bounds of each item).
     """
 
     def __init__(self, items, join_op, meet_op, leq_op):
@@ -262,6 +263,7 @@ class _OpTables:
                 if k < 0 and self.closure_meet is None:
                     self.closure_meet = (i, j)
         self.leq_rows = rows = [0] * n
+        self.down_rows = down = [0] * n
         if leq_op is not None:
             for i in range(n):
                 mask = 0
@@ -269,6 +271,9 @@ class _OpTables:
                     if leq_op(items[i], items[j]):
                         mask |= 1 << j
                 rows[i] = mask
+            for i in range(n):
+                for j in iter_bits(rows[i]):
+                    down[j] |= 1 << i
 
 
 def check_lattice_axioms(collection, join_op, meet_op, leq_op=None, *,
@@ -289,7 +294,8 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op=None, *,
         leq_op = lambda a, b: meet_op(a, b) == a  # noqa: E731
     report = LawReport(suite, lattice_name, tuple(grades))
     tabs = _OpTables(items, join_op, meet_op, leq_op)
-    n, jt, mt, leq_rows = tabs.n, tabs.join_t, tabs.meet_t, tabs.leq_rows
+    n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
+    leq_rows, down_rows = tabs.leq_rows, tabs.down_rows
 
     def closure_check(law, first_bad):
         witness = None
@@ -363,14 +369,11 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op=None, *,
     run("join-least-upper-bound", 2, join_lub)
 
     def meet_glb(i, j):
-        lowers_i = 0  # rows give upper bounds; collect lower bounds by column scan
-        for k in range(n):
-            if leq_rows[k] >> i & 1 and leq_rows[k] >> j & 1:
-                lowers_i |= 1 << k
+        lowers = down_rows[i] & down_rows[j]
         mm = mt[i * n + j]
-        if mm < 0 or not lowers_i >> mm & 1:
+        if mm < 0 or not lowers >> mm & 1:
             return "meet is not a common lower bound"
-        if lowers_i & ~_column_mask(leq_rows, mm, n):
+        if lowers & ~down_rows[mm]:
             return "a greater common lower bound exists"
         return None
 
@@ -391,15 +394,6 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op=None, *,
         run("join-definitional-oracle", 2, join_oracle)
 
     return report
-
-
-def _column_mask(leq_rows, j, n):
-    # elements below items[j]: rows whose bit j is set
-    mask = 0
-    for k in range(n):
-        if leq_rows[k] >> j & 1:
-            mask |= 1 << k
-    return mask
 
 
 def check_distributivity(collection, join_op, meet_op, *, asserted: bool = True,
@@ -442,6 +436,35 @@ def check_distributivity(collection, join_op, meet_op, *, asserted: bool = True,
     return report
 
 
+# -- rank-indexed per-item tables ---------------------------------------------
+
+
+def _threshold_ranks(fis: Sequence[FuzzyInterval], chain: tuple) -> list[int]:
+    """Per item, the bitmask of its thresholds' ranks in the grade chain.
+
+    Rank order is grade order, so the set bits of ``ranks[i] | ranks[j]``
+    visit a pair's thresholds ascending without sorting any grades.
+    """
+    rank = {g: r for r, g in enumerate(chain)}
+    out = []
+    for fi in fis:
+        mask = 0
+        for p in fi.thresholds():
+            mask |= 1 << rank[p]
+        out.append(mask)
+    return out
+
+
+def _subsets(ranks: list):
+    """Nonempty subsets of ascending ranks, by size, each ascending."""
+    for size in range(1, len(ranks) + 1):
+        yield from itertools.combinations(ranks, size)
+
+
+def _grade_set(chain: tuple, ranks) -> str:
+    return "P = {" + ", ".join(format_grade(chain[r]) for r in ranks) + "}"
+
+
 # -- cut identities ----------------------------------------------------------
 
 
@@ -459,21 +482,24 @@ def check_cut_identities(lattice: FiniteLattice, grades, *,
     fis = enumerate_fuzzy_intervals(lattice, chain)
     report = LawReport("cut-identities", lattice.name, chain)
     full = lattice.all_mask
+    ranks = _threshold_ranks(fis, chain)
+    cuts = [[fi.cut_interval(g) for g in chain] for fi in fis]  # by grade rank
 
-    def pair_thresholds(a: FuzzyInterval, b: FuzzyInterval):
-        return sorted({*a.thresholds(), *b.thresholds()})
-
-    def family(a, b, p, op):
-        return op(a.cut_interval(p), b.cut_interval(p)).members_mask()
+    def family(i, j, op):
+        """(rank, mask of op(cut_i, cut_j)) over the pair's thresholds, ascending."""
+        ci, cj = cuts[i], cuts[j]
+        for r in iter_bits(ranks[i] | ranks[j]):
+            yield r, op(ci[r], cj[r]).members_mask()
 
     def identity(op_name):
+        op = CrispInterval.intersection if op_name == "meet" else CrispInterval.hull
+
         def probe(i, j):
             a, b = fis[i], fis[j]
-            combined = a.meet(b) if op_name == "meet" else a.join(b)
-            op = CrispInterval.intersection if op_name == "meet" else CrispInterval.hull
-            for p in pair_thresholds(a, b):
-                if combined.fuzzy.cut_mask(p) != family(a, b, p, op):
-                    return f"threshold {format_grade(p)}"
+            combined = (a.meet(b) if op_name == "meet" else a.join(b)).fuzzy
+            for r, mask in family(i, j, op):
+                if combined.cut_mask(chain[r]) != mask:
+                    return f"threshold {format_grade(chain[r])}"
             return None
         return probe
 
@@ -481,28 +507,23 @@ def check_cut_identities(lattice: FiniteLattice, grades, *,
         op = CrispInterval.intersection if op_name == "meet" else CrispInterval.hull
 
         def antitone(i, j):
-            a, b = fis[i], fis[j]
-            ps = pair_thresholds(a, b)
-            masks = [family(a, b, p, op) for p in ps]
+            masks = [mask for _, mask in family(i, j, op)]
             for lower, higher in zip(masks, masks[1:]):
                 if higher & ~lower:
                     return "family grows with the threshold"
             return None
 
         def at_zero(i, j):
-            return None if family(fis[i], fis[j], GRADE_ZERO, op) == full else ""
+            return None if op(cuts[i][0], cuts[j][0]).members_mask() == full else ""
 
         def closed_under_intersection(i, j):
-            a, b = fis[i], fis[j]
-            ps = pair_thresholds(a, b)
-            masks = {p: family(a, b, p, op) for p in ps}
-            for size in range(1, len(ps) + 1):
-                for subset in itertools.combinations(ps, size):
-                    acc = full
-                    for p in subset:
-                        acc &= masks[p]
-                    if acc != masks[max(subset)]:
-                        return "P = {" + ", ".join(format_grade(p) for p in subset) + "}"
+            masks = dict(family(i, j, op))
+            for subset in _subsets(list(masks)):
+                acc = full
+                for r in subset:
+                    acc &= masks[r]
+                if acc != masks[max(subset)]:
+                    return _grade_set(chain, subset)
             return None
 
         return antitone, at_zero, closed_under_intersection
@@ -544,46 +565,38 @@ def check_endpoint_lemmas(lattice: FiniteLattice, grades, *,
     bottom_i = lattice.index(lattice.bottom)
 
     def endpoint_indices(fi: FuzzyInterval, p) -> tuple[int, int]:
-        mask = fi.fuzzy.cut_mask(p)
-        if not mask:
-            return top_i, bottom_i
-        bits = list(iter_bits(mask))
-        return lattice.meet_indices(bits), lattice.join_indices(bits)
+        lo, hi = fi.cut_endpoints(p)
+        return (top_i, bottom_i) if lo is None else (lo, hi)
 
-    def subsets(ps):
-        for size in range(1, len(ps) + 1):
-            yield from itertools.combinations(ps, size)
+    ranks = _threshold_ranks(fis, chain)
+    ends = [[endpoint_indices(fi, g) for g in chain] for fi in fis]  # by grade rank
+    lowers = [[lo for lo, _ in row] for row in ends]
+    uppers = [[hi for _, hi in row] for row in ends]
 
-    def single(selector, fold):
+    def single(table, fold):
         def probe(i):
-            fi = fis[i]
-            ps = fi.thresholds()
-            ends = {p: selector(endpoint_indices(fi, p)) for p in ps}
-            for subset in subsets(ps):
-                if fold(ends[p] for p in subset) != ends[max(subset)]:
-                    return "P = {" + ", ".join(format_grade(p) for p in subset) + "}"
+            ends_i = table[i]
+            for subset in _subsets(list(iter_bits(ranks[i]))):
+                if fold(ends_i[r] for r in subset) != ends_i[max(subset)]:
+                    return _grade_set(chain, subset)
             return None
         return probe
 
-    def paired(selector, inner, fold):
+    def paired(table, inner, fold):
         def probe(i, j):
-            a, b = fis[i], fis[j]
-            ps = sorted({*a.thresholds(), *b.thresholds()})
-            combined = {p: inner(selector(endpoint_indices(a, p)),
-                                 selector(endpoint_indices(b, p))) for p in ps}
-            for subset in subsets(ps):
-                if fold(combined[p] for p in subset) != combined[max(subset)]:
-                    return "P = {" + ", ".join(format_grade(p) for p in subset) + "}"
+            ends_i, ends_j = table[i], table[j]
+            combined = {r: inner(ends_i[r], ends_j[r]) for r in iter_bits(ranks[i] | ranks[j])}
+            for subset in _subsets(list(combined)):
+                if fold(combined[r] for r in subset) != combined[max(subset)]:
+                    return _grade_set(chain, subset)
             return None
         return probe
 
-    lower = lambda pair: pair[0]  # noqa: E731
-    upper = lambda pair: pair[1]  # noqa: E731
     laws = [
-        ("lower-endpoint-supremum", 1, single(lower, lattice.join_indices)),
-        ("upper-endpoint-infimum", 1, single(upper, lattice.meet_indices)),
-        ("paired-lower-meet-supremum", 2, paired(lower, lattice.meet_index, lattice.join_indices)),
-        ("paired-upper-join-infimum", 2, paired(upper, lattice.join_index, lattice.meet_indices)),
+        ("lower-endpoint-supremum", 1, single(lowers, lattice.join_indices)),
+        ("upper-endpoint-infimum", 1, single(uppers, lattice.meet_indices)),
+        ("paired-lower-meet-supremum", 2, paired(lowers, lattice.meet_index, lattice.join_indices)),
+        ("paired-upper-join-infimum", 2, paired(uppers, lattice.join_index, lattice.meet_indices)),
     ]
     for law, arity, probe in laws:
         _run_law(report, fis, law, arity, probe, budget=budget, seed=seed,
@@ -607,28 +620,28 @@ def check_interval_structure(lattice: FiniteLattice, grades, *,
     fis = enumerate_fuzzy_intervals(lattice, chain)
     report = LawReport("structure", lattice.name, chain)
 
-    def boundary_meet(i):
-        fi = fis[i]
+    def boundary_cuts(fi: FuzzyInterval):
+        """(p, cut mask, M(⊓cut) ∧ M(⊔cut)) per threshold with a nonempty cut.
+
+        The cut is taken pointwise; its endpoints come from the chain.
+        """
         vals = fi.values
         for p in fi.thresholds():
             mask = fi.fuzzy.cut_mask(p)
-            if not mask:
-                continue
-            bits = list(iter_bits(mask))
-            boundary = min(vals[lattice.meet_indices(bits)], vals[lattice.join_indices(bits)])
-            if boundary != min(vals[b] for b in bits):
+            if mask:
+                lo, hi = fi.cut_endpoints(p)
+                yield p, mask, min(vals[lo], vals[hi])
+
+    def boundary_meet(i):
+        vals = fis[i].values
+        for p, mask, boundary in boundary_cuts(fis[i]):
+            if boundary != min(vals[b] for b in iter_bits(mask)):
                 return f"threshold {format_grade(p)}"
         return None
 
     def cut_recovery(i):
         fi = fis[i]
-        vals = fi.values
-        for p in fi.thresholds():
-            mask = fi.fuzzy.cut_mask(p)
-            if not mask:
-                continue
-            bits = list(iter_bits(mask))
-            boundary = min(vals[lattice.meet_indices(bits)], vals[lattice.join_indices(bits)])
+        for p, mask, boundary in boundary_cuts(fi):
             if fi.fuzzy.cut_mask(boundary) != mask:
                 return f"threshold {format_grade(p)}"
         return None

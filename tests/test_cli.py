@@ -226,3 +226,15 @@ def test_console_script_entry_point(m3_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "distributive: false" in proc.stdout
+
+
+def test_python_dash_m_runs_without_install():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fuzzint", "laws", "--fixture", "chain2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout.splitlines()

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import GRADES2, GRADES3
-from fuzzint import (FuzzyInterval, FuzzySet, NotAFuzzyInterval, chain,
-                     classify, is_fuzzy_convex_sublattice, is_fuzzy_interval,
+from fuzzint import (FuzzyInterval, FuzzySet, InvalidGrade, NotAFuzzyInterval,
+                     chain, classify, is_fuzzy_convex_sublattice, is_fuzzy_interval,
                      is_fuzzy_sublattice, make_interval)
 from fuzzint.fuzzyintervals import (convex_violation, interval_cut_violation,
                                     join_family, meet_family,
@@ -133,6 +133,27 @@ def test_endpoint_monotonicity(pentagon):
             # p < q: lower endpoints rise, upper endpoints fall
             assert pentagon.leq(ep.lower[p], ep.lower[q])
             assert pentagon.leq(ep.upper[q], ep.upper[p])
+
+
+def test_cut_interval_matches_pointwise_cut(diamond, pentagon):
+    # grades off the threshold set exercise the chain lookup between levels
+    probes = (Fraction(0), Fraction(1, 4), Fraction(1, 3), H, Fraction(2, 3),
+              Fraction(1), "1/2", 1)
+    for lat in (pentagon, diamond):
+        for fi in enumerate_fuzzy_intervals(lat, GRADES3):
+            for p in probes:
+                assert fi.cut_interval(p).members() == fi.cut(p), (fi, p)
+            ep = fi.endpoint_functions()
+            assert ep.thresholds == fi.fuzzy.thresholds()
+            for p in ep.thresholds:
+                cut = fi.cut(p)  # the empty family folds to (top, bottom)
+                assert ep.lower[p] == lat.meet_set(cut), (fi, p)
+                assert ep.upper[p] == lat.join_set(cut), (fi, p)
+    fi = FuzzyInterval.constant(pentagon, H)
+    with pytest.raises(InvalidGrade):
+        fi.cut_interval(Fraction(3, 2))
+    with pytest.raises(InvalidGrade):
+        fi.cut_interval(0.5)
 
 
 # -- meet and join -------------------------------------------------------

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import GRADES2, GRADES3
+from conftest import GRADES2, GRADES3, GRADES4
 from fuzzint import (CrispInterval, FuzzyInterval, GradeSetInvalid, chain,
                      make_interval, n5, oracle_join, run_suite, validate_grades)
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
@@ -227,3 +228,36 @@ def test_structure_suite(diamond, pentagon):
         assert report.passed, report.to_text()
         assert {c.law for c in report.checks} == {
             "cut-boundary-grade-meet", "cut-recovery-from-boundary-grades"}
+
+
+# sha256 of json.dumps([r.as_json() for r in run_suite("all", ...)], sort_keys=True),
+# captured before the endpoint-chain representation; verdicts, checked counts
+# (sampled ones included) and witnesses must not move
+PINNED_REPORTS = {
+    ("chain2", "thirds", "exhaustive"):
+        "d33ae34004bbe96d0c789b10ce134a1f2996de34a409638dafd55b56c8c3f94d",
+    ("chain2", "thirds", "sampled"):
+        "123292049752175ec759dc26f4e8a8534ba52139eb2f55f2a7a28ea544673959",
+    ("chain3", "halves", "exhaustive"):
+        "315b45bfc4c9a2903379af0141d7d375c7140878a29a18ae862fb4a2290a488b",
+    ("chain3", "halves", "sampled"):
+        "967feb0e6631194bdefbb985a661c2e503b3d44d3671ad0ac0dbc25bfbe59bb4",
+    ("m3", "halves", "exhaustive"):
+        "563798afcee21cacb29a410ff3d1d27c486f3626dd139237e41270432653483c",
+    ("m3", "halves", "sampled"):
+        "8299cba0a5fade638cdb432f9592a49e865c99cb4bfcd9c5c175223117007927",
+    ("n5", "halves", "exhaustive"):
+        "a74e8aab15a7bbd7f0483946f1afb19c503162b1a2225ef374ed64ee35164c6d",
+    ("n5", "halves", "sampled"):
+        "2117f40a643d06d462ee5524ac62bd420b72c12821e0c05fc01d3cd8afe3ec41",
+}
+
+
+def test_reports_pinned(chain2, chain3, diamond, pentagon):
+    lattices = {"chain2": chain2, "chain3": chain3, "m3": diamond, "n5": pentagon}
+    grade_sets = {"thirds": GRADES4, "halves": GRADES3}
+    budgets = {"exhaustive": dict(budget=10**7), "sampled": dict(budget=300, seed=3)}
+    for (lat, grades, mode), digest in PINNED_REPORTS.items():
+        reports = run_suite("all", lattices[lat], grade_sets[grades], **budgets[mode])
+        doc = json.dumps([r.as_json() for r in reports], sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest, (lat, grades, mode)
