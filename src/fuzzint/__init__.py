@@ -8,7 +8,8 @@ the resulting structures exhaustively at small scale.
 
 from .errors import (CycleError, EmptyInterval, FormatError, FuzzintError,
                      GradeSetInvalid, InvalidFamily, InvalidGrade, LatticeMismatch,
-                     NotAFuzzyInterval, NotALattice, SizeLimit, UnknownElement)
+                     NotAFuzzyInterval, NotALattice, RouteDisagreement, SizeLimit,
+                     UnknownElement)
 from .lattice import (FiniteLattice, boolean_lattice, build_lattice, chain,
                       is_distributive, is_distributive_dual, m3, n5,
                       product_lattice, standard_lattice)
@@ -29,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CycleError", "EmptyInterval", "FormatError", "FuzzintError", "GradeSetInvalid",
     "InvalidFamily", "InvalidGrade", "LatticeMismatch", "NotAFuzzyInterval",
-    "NotALattice", "SizeLimit", "UnknownElement",
+    "NotALattice", "RouteDisagreement", "SizeLimit", "UnknownElement",
     "FiniteLattice", "boolean_lattice", "build_lattice", "chain", "is_distributive",
     "is_distributive_dual", "m3", "n5", "product_lattice", "standard_lattice",
     "CrispInterval", "intersection_family", "make_interval",

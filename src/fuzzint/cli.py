@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 
 from .errors import (CycleError, FormatError, GradeSetInvalid, InvalidGrade,
-                     LatticeMismatch, NotAFuzzyInterval, NotALattice, SizeLimit,
-                     UnknownElement)
+                     LatticeMismatch, NotAFuzzyInterval, NotALattice, RouteDisagreement,
+                     SizeLimit, UnknownElement)
 from .formats import (dumps_canonical, fuzzy_set_to_json, load_fuzzy_set,
                       load_lattice)
 from .fuzzyintervals import FuzzyInterval, classify
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (CycleError, NotALattice, NotAFuzzyInterval) as exc:
+    except (CycleError, NotALattice, NotAFuzzyInterval, RouteDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (FormatError, GradeSetInvalid, InvalidGrade, LatticeMismatch,

@@ -73,3 +73,19 @@ class GradeSetInvalid(FuzzintError):
 
 class FormatError(FuzzintError):
     """A malformed lattice or fuzzy-set document."""
+
+
+class RouteDisagreement(FuzzintError):
+    """Independent implementations of one check returned different verdicts.
+
+    ``verdicts`` maps each route's name to its verdict on ``operand``.
+    Raised instead of asserting, so the self-check also runs under
+    ``python -O``.
+    """
+
+    def __init__(self, check, operand, verdicts):
+        self.check = check
+        self.operand = operand
+        self.verdicts = dict(verdicts)
+        shown = ", ".join(f"{route}: {verdict}" for route, verdict in self.verdicts.items())
+        super().__init__(f"{check} routes disagree on {operand!r} ({shown})")

@@ -6,9 +6,11 @@ The classification ladder
 
 is decided by deliberately independent implementations (cut-based and
 pointwise); the public ``is_*`` predicates evaluate more than one route and
-assert that they agree.  On a finite carrier the first two classes
-coincide, so ``classify`` can only ever report a convexity witness, never
-an interval-only one — the code keeps the extra rung anyway.
+raise :class:`~fuzzint.errors.RouteDisagreement` when they disagree, a
+self-check that also runs under ``python -O``.  On a finite carrier the
+first two classes coincide, so ``classify`` can only ever report a
+convexity witness, never an interval-only one — the code keeps the extra
+rung anyway.
 
 A :class:`FuzzyInterval` is stored with its *endpoint chain*: the sorted
 thresholds and, per threshold, the ``(lo, hi)`` element indices of that
@@ -29,11 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import NotAFuzzyInterval
-from .fuzzysets import (GRADE_ONE, GRADE_ZERO, FuzzySet, _require_same_lattice,
-                        as_grade, format_grade)
+from .errors import NotAFuzzyInterval, RouteDisagreement
+from .fuzzysets import (GRADE_ONE, GRADE_ZERO, FuzzySet, as_grade, format_grade,
+                        meet_family as fs_meet_family)
 from .intervals import CrispInterval
-from .lattice import Element, FiniteLattice, format_element, iter_bits
+from .lattice import Element, FiniteLattice, _require_same_lattice, format_element, iter_bits
 
 LADDER = ("fuzzy-interval", "fuzzy-convex-sublattice", "fuzzy-sublattice", "none")
 
@@ -74,7 +76,9 @@ def is_fuzzy_sublattice(m: FuzzySet) -> bool:
     """Every cut is a sublattice; both routes are evaluated and must agree."""
     by_points = sublattice_violation(m) is None
     by_cuts = sublattice_cut_violation(m) is None
-    assert by_points == by_cuts, "pointwise and cut-based sublattice tests disagree"
+    if by_points != by_cuts:
+        raise RouteDisagreement("fuzzy-sublattice", m,
+                                {"pointwise": by_points, "cut-based": by_cuts})
     return by_points
 
 
@@ -124,7 +128,9 @@ def is_fuzzy_convex_sublattice(m: FuzzySet) -> bool:
     """Every cut is a convex sublattice; both routes must agree."""
     by_points = convex_violation(m) is None
     by_cuts = convex_cut_violation(m) is None
-    assert by_points == by_cuts, "pointwise and cut-based convexity tests disagree"
+    if by_points != by_cuts:
+        raise RouteDisagreement("fuzzy-convex-sublattice", m,
+                                {"pointwise": by_points, "cut-based": by_cuts})
     return by_points
 
 
@@ -213,7 +219,9 @@ def is_fuzzy_interval(m: FuzzySet) -> bool:
     a = interval_cut_violation(m) is None
     b = interval_endpoint_violation(m) is None
     c = convex_cut_violation(m) is None
-    assert a == b == c, "fuzzy-interval tests disagree"
+    if not a == b == c:
+        raise RouteDisagreement("fuzzy-interval", m, {"cut-shape": a, "convex-boundary": b,
+                                                      "cut-convexity": c})
     return a
 
 
@@ -383,13 +391,7 @@ class FuzzyInterval:
 def meet_family(lattice: FiniteLattice,
                 intervals: Iterable[FuzzyInterval]) -> FuzzyInterval:
     """Pointwise infimum of a family; the empty family gives constant 1."""
-    acc = None
-    for fi in intervals:
-        _require_same_lattice(lattice, fi.lattice)
-        acc = fi.values if acc is None else tuple(map(min, acc, fi.values))
-    if acc is None:
-        acc = (GRADE_ONE,) * len(lattice.elements)
-    return FuzzyInterval(FuzzySet.from_values(lattice, acc))
+    return FuzzyInterval(fs_meet_family(lattice, (fi.fuzzy for fi in intervals)))
 
 
 def join_family(lattice: FiniteLattice,

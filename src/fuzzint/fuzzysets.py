@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InvalidFamily, InvalidGrade, LatticeMismatch
-from .lattice import Element, FiniteLattice, format_element, iter_bits
+from .errors import InvalidFamily, InvalidGrade
+from .lattice import Element, FiniteLattice, _require_same_lattice, format_element, iter_bits
 
 GRADE_ZERO = Fraction(0)
 GRADE_ONE = Fraction(1)
@@ -39,12 +39,6 @@ def as_grade(value) -> Fraction:
 def format_grade(grade: Fraction) -> str:
     """Canonical lowest-terms rendering ("1/2"; integral grades as "0"/"1")."""
     return str(grade)
-
-
-def _require_same_lattice(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
-    if a is not b and a != b:
-        raise LatticeMismatch(f"operands live over different lattices ({a!r} vs {b!r})")
-    return a
 
 
 class FuzzySet:

@@ -11,14 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import EmptyInterval, LatticeMismatch
-from .lattice import Element, FiniteLattice, format_element, iter_bits
-
-
-def _require_same_lattice(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
-    if a is not b and a != b:
-        raise LatticeMismatch(f"operands live over different lattices ({a!r} vs {b!r})")
-    return a
+from .errors import EmptyInterval, RouteDisagreement
+from .lattice import Element, FiniteLattice, _require_same_lattice, format_element, iter_bits
 
 
 class CrispInterval:
@@ -75,14 +69,17 @@ class CrispInterval:
     def endpoints(self) -> tuple[Element, Element]:
         """(lo, hi) recomputed as the meet/join of the member set.
 
-        The recomputed pair must coincide with the stored bounds; the
-        assertion turns that round-trip into a cheap self-check.
+        The recomputed pair must coincide with the stored bounds; that
+        round trip is a cheap self-check, which raises
+        :class:`RouteDisagreement` when it fails.
         """
         if self.is_empty:
             raise EmptyInterval("the empty interval has no endpoints")
         members = self.members()
         lo, hi = self.lattice.meet_set(members), self.lattice.join_set(members)
-        assert (self.lattice.index(lo), self.lattice.index(hi)) == (self._lo, self._hi)
+        if (self.lattice.index(lo), self.lattice.index(hi)) != (self._lo, self._hi):
+            raise RouteDisagreement("interval-endpoints", self,
+                                    {"stored": (self.lo, self.hi), "recomputed": (lo, hi)})
         return lo, hi
 
     def members_mask(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import product as _cartesian
 from typing import Hashable, Iterable, Iterator
 
-from .errors import CycleError, NotALattice, SizeLimit, UnknownElement
+from .errors import CycleError, LatticeMismatch, NotALattice, SizeLimit, UnknownElement
 
 Element = Hashable
 
@@ -287,6 +287,12 @@ class FiniteLattice:
     def __repr__(self) -> str:
         label = self.name or "lattice"
         return f"<FiniteLattice {label}: {len(self.elements)} elements>"
+
+
+def _require_same_lattice(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
+    if a is not b and a != b:
+        raise LatticeMismatch(f"operands live over different lattices ({a!r} vs {b!r})")
+    return a
 
 
 def build_lattice(elements, covers, *, name: str = "",

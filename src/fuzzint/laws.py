@@ -9,6 +9,13 @@ evaluated but recorded as not asserted; they never fail a run.
 Loops are exhaustive while the instance count fits the budget (default
 10^7); beyond that a seeded deterministic sample is drawn and the check is
 marked accordingly.
+
+``run_suite("all")`` enumerates each collection once and builds one op
+table per collection, shared by its suites: the fuzzy-interval table
+serves the axiom and distributivity suites and supplies the meets and
+joins of the cut-identity suite; the crisp intervals get their own.
+Nothing is kept between calls.  Each public ``check_*`` function builds
+what it needs and calls the private body that ``run_suite`` calls.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import GradeSetInvalid
+from .errors import GradeSetInvalid, InvalidGrade
 from .fuzzysets import GRADE_ONE, GRADE_ZERO, FuzzySet, as_grade, format_grade
 from .fuzzyintervals import FuzzyInterval, meet_family as fi_meet_family
 from .intervals import CrispInterval
@@ -114,7 +121,7 @@ def validate_grades(grades) -> tuple[Fraction, ...]:
     """Sorted distinct grades; must contain both 0 and 1."""
     try:
         chain = tuple(sorted({as_grade(g) for g in grades}))
-    except Exception as exc:
+    except (InvalidGrade, TypeError) as exc:  # a bad grade; not an iterable
         raise GradeSetInvalid(str(exc)) from exc
     if not chain or chain[0] != GRADE_ZERO or chain[-1] != GRADE_ONE:
         raise GradeSetInvalid("the grade set must contain 0 and 1")
@@ -235,7 +242,9 @@ class _OpTables:
     Results outside the collection are stored as -1; the first such pair
     per op is kept as the closure witness.  ``leq_rows`` are upper-bound
     bitmask rows built from the independent order predicate, and
-    ``down_rows`` their transpose (the lower bounds of each item).
+    ``down_rows`` their transpose (the lower bounds of each item); both
+    stay zero without ``leq_op``.  The ops are kept for the probes that
+    fall back to them on a -1 entry.
     """
 
     def __init__(self, items, join_op, meet_op, leq_op):
@@ -244,6 +253,8 @@ class _OpTables:
         for i, item in enumerate(items):
             pool.setdefault(item, i)
         self.items = items
+        self.join_op = join_op
+        self.meet_op = meet_op
         self.n = n
         self.join_t = jt = [0] * (n * n)
         self.meet_t = mt = [0] * (n * n)
@@ -292,8 +303,15 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op=None, *,
     items = list(collection)
     if leq_op is None:
         leq_op = lambda a, b: meet_op(a, b) == a  # noqa: E731
-    report = LawReport(suite, lattice_name, tuple(grades))
-    tabs = _OpTables(items, join_op, meet_op, leq_op)
+    return _lattice_axioms(LawReport(suite, lattice_name, tuple(grades)),
+                           _OpTables(items, join_op, meet_op, leq_op), budget=budget,
+                           seed=seed, definitional_join_oracle=definitional_join_oracle)
+
+
+def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int, seed: int,
+                    definitional_join_oracle: bool = True) -> LawReport:
+    """Body of :func:`check_lattice_axioms` over a table built with ``leq_op``."""
+    items, join_op, meet_op = tabs.items, tabs.join_op, tabs.meet_op
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
     leq_rows, down_rows = tabs.leq_rows, tabs.down_rows
 
@@ -406,11 +424,17 @@ def check_distributivity(collection, join_op, meet_op, *, asserted: bool = True,
     report still passes; use this when the reference lattice itself is not
     distributive and the laws are not implied.
     """
-    items = list(collection)
+    return _distributivity(LawReport(suite, lattice_name, tuple(grades)),
+                           _OpTables(list(collection), join_op, meet_op, None),
+                           asserted=asserted, budget=budget, seed=seed)
+
+
+def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
+                    budget: int, seed: int) -> LawReport:
+    """Body of :func:`check_distributivity`; reads only the op tables."""
     note = ("" if asserted else
             "hypothesis not met (reference lattice not distributive); finding only")
-    report = LawReport(suite, lattice_name, tuple(grades))
-    tabs = _OpTables(items, join_op, meet_op, None)
+    items, join_op, meet_op = tabs.items, tabs.join_op, tabs.meet_op
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
 
     def law(outer_t, inner_t, outer_op, inner_op):
@@ -479,8 +503,19 @@ def check_cut_identities(lattice: FiniteLattice, grades, *,
     start at the whole carrier, and intersect down to their largest index.
     """
     chain = validate_grades(grades)
-    fis = enumerate_fuzzy_intervals(lattice, chain)
+    return _cut_identities(lattice, chain, enumerate_fuzzy_intervals(lattice, chain), None,
+                           budget=budget, seed=seed)
+
+
+def _cut_identities(lattice: FiniteLattice, chain: tuple, fis: list,
+                    tabs: _OpTables | None, *, budget: int, seed: int) -> LawReport:
+    """Body of :func:`check_cut_identities`.
+
+    With ``tabs`` built over ``fis`` a pair's meet and join are read from
+    the tables; without, or on a -1 entry, the op is evaluated.
+    """
     report = LawReport("cut-identities", lattice.name, chain)
+    n = len(fis)
     full = lattice.all_mask
     ranks = _threshold_ranks(fis, chain)
     cuts = [[fi.cut_interval(g) for g in chain] for fi in fis]  # by grade rank
@@ -493,10 +528,15 @@ def check_cut_identities(lattice: FiniteLattice, grades, *,
 
     def identity(op_name):
         op = CrispInterval.intersection if op_name == "meet" else CrispInterval.hull
+        table = None if tabs is None else (tabs.meet_t if op_name == "meet" else tabs.join_t)
 
         def probe(i, j):
-            a, b = fis[i], fis[j]
-            combined = (a.meet(b) if op_name == "meet" else a.join(b)).fuzzy
+            k = -1 if table is None else table[i * n + j]
+            if k >= 0:
+                combined = fis[k].fuzzy
+            else:
+                a, b = fis[i], fis[j]
+                combined = (a.meet(b) if op_name == "meet" else a.join(b)).fuzzy
             for r, mask in family(i, j, op):
                 if combined.cut_mask(chain[r]) != mask:
                     return f"threshold {format_grade(chain[r])}"
@@ -557,9 +597,15 @@ def check_endpoint_lemmas(lattice: FiniteLattice, grades, *,
     """
     chain = validate_grades(grades)
     distributive, _ = is_distributive(lattice)
+    return _endpoint_lemmas(lattice, chain, enumerate_fuzzy_intervals(lattice, chain),
+                            distributive, budget=budget, seed=seed)
+
+
+def _endpoint_lemmas(lattice: FiniteLattice, chain: tuple, fis: list, distributive: bool,
+                     *, budget: int, seed: int) -> LawReport:
+    """Body of :func:`check_endpoint_lemmas`."""
     note = ("" if distributive else
             "reference lattice is not distributive: hypothesis not met, lemma not asserted")
-    fis = enumerate_fuzzy_intervals(lattice, chain)
     report = LawReport("endpoints", lattice.name, chain)
     top_i = lattice.index(lattice.top)
     bottom_i = lattice.index(lattice.bottom)
@@ -617,7 +663,13 @@ def check_interval_structure(lattice: FiniteLattice, grades, *,
     cutting again at that minimum recovers the same cut.
     """
     chain = validate_grades(grades)
-    fis = enumerate_fuzzy_intervals(lattice, chain)
+    return _interval_structure(lattice, chain, enumerate_fuzzy_intervals(lattice, chain),
+                               budget=budget, seed=seed)
+
+
+def _interval_structure(lattice: FiniteLattice, chain: tuple, fis: list, *,
+                        budget: int, seed: int) -> LawReport:
+    """Body of :func:`check_interval_structure`."""
     report = LawReport("structure", lattice.name, chain)
 
     def boundary_cuts(fi: FuzzyInterval):
@@ -679,41 +731,53 @@ SUITES = ("axioms", "distributivity", "cut-identities", "endpoints", "structure"
 
 def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), *,
               budget: int = DEFAULT_BUDGET, seed: int = DEFAULT_SEED) -> list[LawReport]:
-    """Run one named suite (or ``all``) and return its reports."""
-    if name == "all":
-        reports = []
-        for suite in SUITES:
-            reports.extend(run_suite(suite, lattice, grades, budget=budget, seed=seed))
-        return reports
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES + ('all',))}")
+    """Run one named suite (or ``all``) and return its reports.
 
+    The suites of one call share each collection, its op table and the
+    carrier's distributivity verdict.  A table is built only when the
+    call runs the axiom or distributivity suite over that collection, so
+    ``cut-identities`` alone evaluates its ops pair by pair.
+    """
+    if name == "all":
+        names = SUITES
+    elif name in SUITES:
+        names = (name,)
+    else:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES + ('all',))}")
     chain = validate_grades(grades)
     label = lattice.name or f"<{len(lattice.elements)} elements>"
-    if name == "axioms":
+    budgeted = {"budget": budget, "seed": seed}
+    reports: list[LawReport] = []
+    distributive = None
+    if any(s in names for s in ("distributivity", "endpoints", "crisp-distributivity")):
+        distributive = is_distributive(lattice)[0]
+
+    if any(s in names for s in SUITES[:5]):  # the suites over the fuzzy intervals
         fis = enumerate_fuzzy_intervals(lattice, chain)
-        return [check_lattice_axioms(
-            fis, FuzzyInterval.join, FuzzyInterval.meet, FuzzyInterval.leq,
-            suite="axioms", lattice_name=label, grades=chain, budget=budget, seed=seed)]
-    if name == "distributivity":
-        fis = enumerate_fuzzy_intervals(lattice, chain)
-        return [check_distributivity(
-            fis, FuzzyInterval.join, FuzzyInterval.meet,
-            asserted=is_distributive(lattice)[0], suite="distributivity",
-            lattice_name=label, grades=chain, budget=budget, seed=seed)]
-    if name == "cut-identities":
-        return [check_cut_identities(lattice, chain, budget=budget, seed=seed)]
-    if name == "endpoints":
-        return [check_endpoint_lemmas(lattice, chain, budget=budget, seed=seed)]
-    if name == "structure":
-        return [check_interval_structure(lattice, chain, budget=budget, seed=seed)]
-    if name == "crisp-axioms":
-        ivs = enumerate_intervals(lattice)
-        return [check_lattice_axioms(
-            ivs, CrispInterval.hull, CrispInterval.intersection, CrispInterval.issubset,
-            suite="crisp-axioms", lattice_name=label, budget=budget, seed=seed)]
-    ivs = enumerate_intervals(lattice)
-    return [check_distributivity(
-        ivs, CrispInterval.hull, CrispInterval.intersection,
-        asserted=is_distributive(lattice)[0], suite="crisp-distributivity",
-        lattice_name=label, budget=budget, seed=seed)]
+        tabs = None
+        if "axioms" in names or "distributivity" in names:
+            tabs = _OpTables(fis, FuzzyInterval.join, FuzzyInterval.meet,
+                             FuzzyInterval.leq if "axioms" in names else None)
+        if "axioms" in names:
+            reports.append(_lattice_axioms(LawReport("axioms", label, chain), tabs, **budgeted))
+        if "distributivity" in names:
+            reports.append(_distributivity(LawReport("distributivity", label, chain), tabs,
+                                           asserted=distributive, **budgeted))
+        if "cut-identities" in names:
+            reports.append(_cut_identities(lattice, chain, fis, tabs, **budgeted))
+        del tabs  # the last suite that reads it is done
+        if "endpoints" in names:
+            reports.append(_endpoint_lemmas(lattice, chain, fis, distributive, **budgeted))
+        if "structure" in names:
+            reports.append(_interval_structure(lattice, chain, fis, **budgeted))
+
+    if "crisp-axioms" in names or "crisp-distributivity" in names:
+        tabs = _OpTables(enumerate_intervals(lattice), CrispInterval.hull,
+                         CrispInterval.intersection,
+                         CrispInterval.issubset if "crisp-axioms" in names else None)
+        if "crisp-axioms" in names:
+            reports.append(_lattice_axioms(LawReport("crisp-axioms", label), tabs, **budgeted))
+        if "crisp-distributivity" in names:
+            reports.append(_distributivity(LawReport("crisp-distributivity", label), tabs,
+                                           asserted=distributive, **budgeted))
+    return reports

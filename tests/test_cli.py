@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fuzzint import RouteDisagreement, cli
 from fuzzint.cli import main
 
 M3_DOC = {
@@ -93,6 +94,17 @@ def test_classify_json(m3_file, tmp_path, capsys):
     assert main(["classify", m3_file, fs, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"classification": "fuzzy-interval"}
+
+
+def test_route_disagreement_exits_1(m3_file, tmp_path, capsys, monkeypatch):
+    def disagreeing(m):
+        raise RouteDisagreement("fuzzy-interval", m, {"cut-shape": True, "cut-convexity": False})
+
+    monkeypatch.setattr(cli, "classify", disagreeing)
+    fs = fuzzy_file(tmp_path, "fi.json",
+                    {"0": "1", "a": "1/2", "b": "0", "c": "0", "1": "0"})
+    assert main(["classify", m3_file, fs]) == 1
+    assert "fuzzy-interval routes disagree" in capsys.readouterr().err
 
 
 def test_classify_lattice_mismatch_exits_2(m3_file, tmp_path, capsys):

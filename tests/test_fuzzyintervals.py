@@ -1,12 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import GRADES2, GRADES3
 from fuzzint import (FuzzyInterval, FuzzySet, InvalidGrade, NotAFuzzyInterval,
-                     chain, classify, is_fuzzy_convex_sublattice, is_fuzzy_interval,
-                     is_fuzzy_sublattice, make_interval)
+                     RouteDisagreement, chain, classify, is_fuzzy_convex_sublattice,
+                     is_fuzzy_interval, is_fuzzy_sublattice, make_interval)
+from fuzzint import fuzzyintervals
 from fuzzint.fuzzyintervals import (convex_violation, interval_cut_violation,
                                     join_family, meet_family,
                                     sublattice_violation)
@@ -85,6 +89,44 @@ def test_boundary_grade_equality_clause(diamond):
         for x, y in itertools.product(diamond, repeat=2):
             lhs = min(vals(diamond.meet(x, y)), vals(diamond.join(x, y)))
             assert lhs == min(vals(x), vals(y))
+
+
+# -- route self-checks ----------------------------------------------------
+
+# per check: the route replaced by a stand-in that reports a made-up
+# violation, and the predicate whose routes then disagree
+BROKEN_ROUTES = {
+    "fuzzy-sublattice": ("sublattice_cut_violation", is_fuzzy_sublattice),
+    "fuzzy-convex-sublattice": ("convex_cut_violation", is_fuzzy_convex_sublattice),
+    "fuzzy-interval": ("interval_endpoint_violation", is_fuzzy_interval),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_ROUTES))
+def test_route_disagreement_raises(monkeypatch, chain3, check):
+    route, predicate = BROKEN_ROUTES[check]
+    m = FuzzySet(chain3, {"0": "1/2", "1": "1", "2": "1/2"})  # every true route passes it
+    monkeypatch.setattr(fuzzyintervals, route, lambda m: ("1/2", "0"))
+    with pytest.raises(RouteDisagreement) as info:
+        predicate(m)
+    assert info.value.check == check
+    assert info.value.operand is m
+    assert set(info.value.verdicts.values()) == {True, False}
+
+
+def test_route_disagreement_raises_under_dash_O():
+    """The route self-checks are not asserts, so ``python -O`` keeps them."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(tests), "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         os.path.join(tests, "test_fuzzyintervals.py") + "::test_route_disagreement_raises",
+         os.path.join(tests, "test_intervals.py")
+         + "::test_endpoints_round_trip_disagreement_raises"],
+        capture_output=True, text=True, env=env, cwd=tests)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout
 
 
 # -- constructor and cuts ------------------------------------------------

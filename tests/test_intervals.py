@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzint import (CrispInterval, EmptyInterval, LatticeMismatch, chain,
-                     intersection_family, make_interval, n5)
+from fuzzint import (CrispInterval, EmptyInterval, FiniteLattice, LatticeMismatch,
+                     RouteDisagreement, chain, intersection_family, make_interval, n5)
 from fuzzint.laws import enumerate_intervals
 
 
@@ -76,6 +76,15 @@ def test_endpoints_recompute_from_members(pentagon):
         if not iv.is_empty:
             lo, hi = iv.endpoints()
             assert iv == make_interval(pentagon, lo, hi)
+
+
+def test_endpoints_round_trip_disagreement_raises(monkeypatch, pentagon):
+    iv = make_interval(pentagon, "0", "b")
+    monkeypatch.setattr(FiniteLattice, "meet_set", lambda self, members: self.top)
+    with pytest.raises(RouteDisagreement) as info:
+        iv.endpoints()
+    assert info.value.operand is iv
+    assert info.value.verdicts == {"stored": ("0", "b"), "recomputed": ("1", "b")}
 
 
 def test_interval_counts():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,10 @@ def test_validate_grades():
         validate_grades((Fraction(0), H))
     with pytest.raises(GradeSetInvalid):
         validate_grades((H, Fraction(1)))
+    with pytest.raises(GradeSetInvalid):
+        validate_grades(5)  # not an iterable
+    with pytest.raises(GradeSetInvalid):
+        validate_grades(["x"])  # not a grade
 
 
 def test_enumerate_fuzzy_sets_counts(chain3):
@@ -261,3 +266,33 @@ def test_reports_pinned(chain2, chain3, diamond, pentagon):
         reports = run_suite("all", lattices[lat], grade_sets[grades], **budgets[mode])
         doc = json.dumps([r.as_json() for r in reports], sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == digest, (lat, grades, mode)
+
+
+def test_all_enumerates_and_tabulates_once(monkeypatch, chain3):
+    # 22 fuzzy intervals: one op table is 22^2 joins and 22^2 meets, and the
+    # cut-identity suite reads its meets and joins from that table
+    from fuzzint import laws
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FuzzyInterval, "join", counted("join", FuzzyInterval.join))
+    monkeypatch.setattr(FuzzyInterval, "meet", counted("meet", FuzzyInterval.meet))
+    monkeypatch.setattr(laws, "enumerate_fuzzy_intervals",
+                        counted("enumerate", laws.enumerate_fuzzy_intervals))
+    run_suite("all", chain3, GRADES3)
+    assert calls == {"join": 484, "meet": 484, "enumerate": 1}
+
+
+def test_all_matches_standalone_suites(chain2, chain3, diamond, pentagon):
+    cases = [(chain2, GRADES4), (chain3, GRADES3), (diamond, GRADES3), (pentagon, GRADES3)]
+    for lat, grades in cases:
+        for budget in ({}, {"budget": 300, "seed": 3}):
+            shared = [r.as_json() for r in run_suite("all", lat, grades, **budget)]
+            alone = [r.as_json() for suite in SUITES
+                     for r in run_suite(suite, lat, grades, **budget)]
+            assert shared == alone, (lat.name, grades, budget)
