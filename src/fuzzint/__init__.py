@@ -11,7 +11,7 @@ from .errors import (CycleError, EmptyInterval, FormatError, FuzzintError,
                      NotAFuzzyInterval, NotALattice, RouteDisagreement, SizeLimit,
                      UnknownElement)
 from .lattice import (FiniteLattice, boolean_lattice, build_lattice, chain,
-                      is_distributive, is_distributive_dual, m3, n5,
+                      is_distributive, m3, n5,
                       product_lattice, standard_lattice)
 from .intervals import CrispInterval, intersection_family, make_interval
 from .fuzzysets import (CutFamily, FuzzySet, as_grade, equal_by_cuts, format_grade,
@@ -32,7 +32,7 @@ __all__ = [
     "InvalidFamily", "InvalidGrade", "LatticeMismatch", "NotAFuzzyInterval",
     "NotALattice", "RouteDisagreement", "SizeLimit", "UnknownElement",
     "FiniteLattice", "boolean_lattice", "build_lattice", "chain", "is_distributive",
-    "is_distributive_dual", "m3", "n5", "product_lattice", "standard_lattice",
+    "m3", "n5", "product_lattice", "standard_lattice",
     "CrispInterval", "intersection_family", "make_interval",
     "CutFamily", "FuzzySet", "as_grade", "equal_by_cuts", "format_grade",
     "from_cut_family",

@@ -141,15 +141,16 @@ def _cmd_op(args) -> int:
     operands = []
     for path in (args.left, args.right):
         fuzzy = load_fuzzy_set(path, lattice)
-        result = classify(fuzzy)
-        if result.label != "fuzzy-interval":
+        try:
+            operands.append(FuzzyInterval(fuzzy))
+        except NotAFuzzyInterval:
+            result = classify(fuzzy)  # only to explain the rejection
             print(f"error: {path} is not a fuzzy interval", file=sys.stderr)
             print(f"  classification: {result.label}", file=sys.stderr)
             print(f"  failed: {result.failed}", file=sys.stderr)
             print("  witness: (" + ", ".join(_witness_json(result.witness)) + ")",
                   file=sys.stderr)
             return EXIT_DOMAIN
-        operands.append(FuzzyInterval(fuzzy))
     left, right = operands
     combined = left.meet(right) if args.operation == "meet" else left.join(right)
     sys.stdout.write(dumps_canonical(fuzzy_set_to_json(combined.fuzzy)))
@@ -181,11 +182,7 @@ def _cmd_laws(args) -> int:
     grades = _parse_grades(args.grades)
     if args.budget < 1:
         raise FormatError("--budget must be positive")
-    suite = args.suite
-    if suite != "all" and suite not in SUITES:
-        raise FormatError(f"unknown suite {suite!r}; choose from "
-                          + ", ".join(SUITES + ("all",)))
-    reports = run_suite(suite, lattice, grades, budget=args.budget, seed=args.seed)
+    reports = run_suite(args.suite, lattice, grades, budget=args.budget, seed=args.seed)
     passed = all(r.passed for r in reports)
     if args.format == "json":
         payload = {"passed": passed, "reports": [r.as_json() for r in reports]}

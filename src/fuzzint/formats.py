@@ -117,7 +117,7 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
     missing = [name for name in by_name if name not in raw]
     if missing:
         raise FormatError("memberships must be total; missing: " + ", ".join(sorted(missing)))
-    return FuzzySet(target, values)
+    return FuzzySet.from_values(target, [values[e] for e in target.elements])
 
 
 def fuzzy_set_to_json(m: FuzzySet) -> dict:

@@ -8,9 +8,9 @@ is decided by deliberately independent implementations (cut-based and
 pointwise); the public ``is_*`` predicates evaluate more than one route and
 raise :class:`~fuzzint.errors.RouteDisagreement` when they disagree, a
 self-check that also runs under ``python -O``.  On a finite carrier the
-first two classes coincide, so ``classify`` can only ever report a
-convexity witness, never an interval-only one — the code keeps the extra
-rung anyway.
+first two classes coincide, so ``classify`` decides membership by the
+cut-shape check alone and runs the pointwise searches only to explain a
+rejection.
 
 A :class:`FuzzyInterval` is stored with its *endpoint chain*: the sorted
 thresholds and, per threshold, the ``(lo, hi)`` element indices of that
@@ -234,16 +234,24 @@ class Classification:
 
 
 def classify(m: FuzzySet) -> Classification:
+    """Place ``m`` on the ladder, with the first violation of the next class up.
+
+    The cut-shape check (the one the :class:`FuzzyInterval` constructor
+    runs) decides membership.  Only a rejected set is scanned pointwise,
+    for its label and witness.  Every cut of a finite lattice that is a
+    convex sublattice is an interval, so a rejected set must fail
+    convexity; if it does not, the routes disagree.
+    """
+    if interval_cut_violation(m) is None:
+        return Classification("fuzzy-interval")
     witness = sublattice_violation(m)
     if witness is not None:
         return Classification("none", "fuzzy-sublattice", witness)
     witness = convex_violation(m)
-    if witness is not None:
-        return Classification("fuzzy-sublattice", "fuzzy-convex-sublattice", witness)
-    witness = interval_cut_violation(m)
-    if witness is not None:  # unreachable on finite carriers; kept for the full ladder
-        return Classification("fuzzy-convex-sublattice", "fuzzy-interval", witness)
-    return Classification("fuzzy-interval")
+    if witness is None:
+        raise RouteDisagreement("fuzzy-interval", m,
+                                {"cut-shape": False, "pointwise-convexity": True})
+    return Classification("fuzzy-sublattice", "fuzzy-convex-sublattice", witness)
 
 
 # -- the fuzzy interval type ------------------------------------------------

@@ -257,12 +257,6 @@ class FiniteLattice:
             acc = table[acc * n + i]
         return acc
 
-    def up_mask(self, i: int) -> int:
-        return self._up[i]
-
-    def down_mask(self, i: int) -> int:
-        return self._down[i]
-
     @property
     def all_mask(self) -> int:
         return self._all_mask
@@ -317,22 +311,6 @@ def is_distributive(lattice: FiniteLattice):
             row_j = j * n
             for k in range(n):
                 if meet[row_i + join[row_j + k]] != join[ij * n + meet[row_i + k]]:
-                    e = lattice.elements
-                    return False, (e[i], e[j], e[k])
-    return True, None
-
-
-def is_distributive_dual(lattice: FiniteLattice):
-    """Decide the dual law x ⊔ (y ⊓ z) = (x ⊔ y) ⊓ (x ⊔ z); same conventions."""
-    n = len(lattice.elements)
-    meet, join = lattice._meet, lattice._join
-    for i in range(n):
-        row_i = i * n
-        for j in range(n):
-            ij = join[row_i + j]
-            row_j = j * n
-            for k in range(n):
-                if join[row_i + meet[row_j + k]] != meet[ij * n + join[row_i + k]]:
                     e = lattice.elements
                     return False, (e[i], e[j], e[k])
     return True, None

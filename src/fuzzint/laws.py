@@ -163,23 +163,17 @@ def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInter
     contained = [[j for j, inner in enumerate(intervals) if inner.issubset(outer)]
                  for outer in intervals]
 
+    chains: list[tuple[int, ...]] = [()]
+    for level in range(len(positive)):  # extending each chain in turn keeps depth-first order
+        chains = [c + (j,) for c in chains
+                  for j in (contained[c[-1]] if level else range(len(intervals)))]
     out: list[FuzzyInterval] = []
-    stack: list[int] = []
-
-    def extend(level: int, prev: int) -> None:
-        if level == len(positive):
-            values = [GRADE_ZERO] * len(lattice.elements)
-            for grade, idx in zip(positive, stack):  # ascending: last write wins
-                for b in iter_bits(masks[idx]):
-                    values[b] = grade
-            out.append(FuzzyInterval(FuzzySet.from_values(lattice, values)))
-            return
-        for idx in (contained[prev] if level else range(len(intervals))):
-            stack.append(idx)
-            extend(level + 1, idx)
-            stack.pop()
-
-    extend(0, -1)
+    for c in chains:
+        values = [GRADE_ZERO] * len(lattice.elements)
+        for grade, idx in zip(positive, c):  # ascending: last write wins
+            for b in iter_bits(masks[idx]):
+                values[b] = grade
+        out.append(FuzzyInterval(FuzzySet.from_values(lattice, values)))
     return out
 
 
@@ -287,29 +281,25 @@ class _OpTables:
                     down[j] |= 1 << i
 
 
-def check_lattice_axioms(collection, join_op, meet_op, leq_op=None, *,
+def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
                          suite: str = "axioms", lattice_name: str = "",
                          grades: tuple = (), budget: int = DEFAULT_BUDGET,
-                         seed: int = DEFAULT_SEED,
-                         definitional_join_oracle: bool = True) -> LawReport:
+                         seed: int = DEFAULT_SEED) -> LawReport:
     """Verify the lattice axioms for a collection closed under both ops.
 
     Checks closure, commutativity, idempotence, associativity, absorption,
-    consistency of the independent order with the ops, the least-upper- /
-    greatest-lower-bound property against the collection itself, and
-    (optionally) agreement of the join with its definitional oracle — the
+    consistency of the independent order ``leq_op`` with the ops, the
+    least-upper- / greatest-lower-bound property against the collection
+    itself, and agreement of the join with its definitional oracle — the
     meet-fold over all common upper bounds.
     """
-    items = list(collection)
-    if leq_op is None:
-        leq_op = lambda a, b: meet_op(a, b) == a  # noqa: E731
     return _lattice_axioms(LawReport(suite, lattice_name, tuple(grades)),
-                           _OpTables(items, join_op, meet_op, leq_op), budget=budget,
-                           seed=seed, definitional_join_oracle=definitional_join_oracle)
+                           _OpTables(list(collection), join_op, meet_op, leq_op),
+                           budget=budget, seed=seed)
 
 
-def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int, seed: int,
-                    definitional_join_oracle: bool = True) -> LawReport:
+def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
+                    seed: int) -> LawReport:
     """Body of :func:`check_lattice_axioms` over a table built with ``leq_op``."""
     items, join_op, meet_op = tabs.items, tabs.join_op, tabs.meet_op
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
@@ -397,41 +387,40 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int, seed: in
 
     run("meet-greatest-lower-bound", 2, meet_glb)
 
-    if definitional_join_oracle:
-        def join_oracle(i, j):
-            common = leq_rows[i] & leq_rows[j]
-            acc = -1
-            for b in iter_bits(common):
-                acc = b if acc < 0 else mt[acc * n + b]
-                if acc < 0:
-                    return "meet-fold left the collection"
+    def join_oracle(i, j):
+        common = leq_rows[i] & leq_rows[j]
+        acc = -1
+        for b in iter_bits(common):
+            acc = b if acc < 0 else mt[acc * n + b]
             if acc < 0:
-                return "no common upper bound in the collection"
-            return None if acc == jt[i * n + j] else "fold of upper bounds differs from join"
+                return "meet-fold left the collection"
+        if acc < 0:
+            return "no common upper bound in the collection"
+        return None if acc == jt[i * n + j] else "fold of upper bounds differs from join"
 
-        run("join-definitional-oracle", 2, join_oracle)
+    run("join-definitional-oracle", 2, join_oracle)
 
     return report
 
 
-def check_distributivity(collection, join_op, meet_op, *, asserted: bool = True,
+def check_distributivity(collection, join_op, meet_op, *,
                          suite: str = "distributivity", lattice_name: str = "",
                          grades: tuple = (), budget: int = DEFAULT_BUDGET,
                          seed: int = DEFAULT_SEED) -> LawReport:
-    """Evaluate both distributive laws over all (budgeted) triples.
-
-    With ``asserted=False`` failures are recorded as findings only — the
-    report still passes; use this when the reference lattice itself is not
-    distributive and the laws are not implied.
-    """
+    """Evaluate both distributive laws over all (budgeted) triples."""
     return _distributivity(LawReport(suite, lattice_name, tuple(grades)),
                            _OpTables(list(collection), join_op, meet_op, None),
-                           asserted=asserted, budget=budget, seed=seed)
+                           asserted=True, budget=budget, seed=seed)
 
 
 def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
                     budget: int, seed: int) -> LawReport:
-    """Body of :func:`check_distributivity`; reads only the op tables."""
+    """Body of :func:`check_distributivity`; reads only the op tables.
+
+    With ``asserted=False`` failures are recorded as findings only — the
+    report still passes; ``run_suite`` sets it when the reference lattice
+    itself is not distributive and the laws are not implied.
+    """
     note = ("" if asserted else
             "hypothesis not met (reference lattice not distributive); finding only")
     items, join_op, meet_op = tabs.items, tabs.join_op, tabs.meet_op

@@ -4,6 +4,7 @@ import pytest
 
 from fuzzint import RouteDisagreement, cli
 from fuzzint.cli import main
+from fuzzint.laws import SUITES
 
 M3_DOC = {
     "name": "m3",
@@ -144,6 +145,22 @@ def test_op_rejects_non_interval_operand(m3_file, tmp_path, capsys):
     assert "classification: fuzzy-sublattice" in err
 
 
+def test_op_rejects_non_interval_right_operand(m3_file, tmp_path, capsys):
+    ok = fuzzy_file(tmp_path, "ok.json",
+                    {"0": "1", "a": "0", "b": "0", "c": "0", "1": "0"})
+    bad = fuzzy_file(tmp_path, "bad.json",
+                     {"0": "0", "a": "1", "b": "1", "c": "0", "1": "1"})
+    assert main(["op", "join", m3_file, ok, bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {bad} is not a fuzzy interval",
+        "  classification: none",
+        "  failed: fuzzy-sublattice",
+        "  witness: (a, b)",
+    ]
+
+
 def test_op_result_roundtrips_as_input(m3_file, tmp_path, capsys):
     a = fuzzy_file(tmp_path, "a.json", {"0": "1", "a": "1/2", "b": "0", "c": "0", "1": "0"})
     b = fuzzy_file(tmp_path, "b.json", {"0": "0", "a": "0", "b": "1/2", "c": "0", "1": "0"})
@@ -200,6 +217,14 @@ def test_laws_bad_grades_exit_2(capsys):
 
 def test_laws_unknown_fixture_exits_2(capsys):
     assert main(["laws", "--fixture", "tetrahedron"]) == 2
+
+
+def test_laws_unknown_suite_exits_2(capsys):
+    assert main(["laws", "--fixture", "chain2", "--suite", "nonsense"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unknown suite 'nonsense'; choose from "
+                            + ", ".join(SUITES + ("all",)) + "\n")
 
 
 def test_laws_custom_file(chain3_file, capsys):

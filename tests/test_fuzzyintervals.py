@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,31 @@ def test_constant_sets_are_intervals(pentagon):
         assert is_fuzzy_interval(FuzzySet.constant(pentagon, g))
 
 
+def _ladder_classification(m):
+    """The ladder rung by rung: sublattice, then convexity, then cut shape."""
+    witness = sublattice_violation(m)
+    if witness is not None:
+        return ("none", "fuzzy-sublattice", witness)
+    witness = convex_violation(m)
+    if witness is not None:
+        return ("fuzzy-sublattice", "fuzzy-convex-sublattice", witness)
+    witness = interval_cut_violation(m)
+    if witness is not None:
+        return ("fuzzy-convex-sublattice", "fuzzy-interval", witness)
+    return ("fuzzy-interval", None, None)
+
+
+def test_classify_matches_the_full_ladder(chain3, b2, diamond, pentagon):
+    labels = Counter()
+    for lat in (chain3, b2, diamond, pentagon):
+        for m in enumerate_fuzzy_sets(lat, GRADES3):
+            got = classify(m)
+            assert (got.label, got.failed, got.witness) == _ladder_classification(m), m
+            labels[got.label] += 1
+    # every rung that finite carriers can reach is exercised
+    assert set(labels) == {"fuzzy-interval", "fuzzy-sublattice", "none"}
+
+
 def test_convex_equals_interval_on_finite_carriers(diamond, pentagon):
     # on a finite lattice the two notions coincide; check every fuzzy set
     for lat in (diamond, pentagon):
@@ -93,22 +119,25 @@ def test_boundary_grade_equality_clause(diamond):
 
 # -- route self-checks ----------------------------------------------------
 
-# per check: the route replaced by a stand-in that reports a made-up
-# violation, and the predicate whose routes then disagree
+# per case: the route replaced by a stand-in that reports a made-up
+# violation, the function whose routes then disagree, and the check it names
 BROKEN_ROUTES = {
-    "fuzzy-sublattice": ("sublattice_cut_violation", is_fuzzy_sublattice),
-    "fuzzy-convex-sublattice": ("convex_cut_violation", is_fuzzy_convex_sublattice),
-    "fuzzy-interval": ("interval_endpoint_violation", is_fuzzy_interval),
+    "fuzzy-sublattice": ("sublattice_cut_violation", is_fuzzy_sublattice,
+                         "fuzzy-sublattice"),
+    "fuzzy-convex-sublattice": ("convex_cut_violation", is_fuzzy_convex_sublattice,
+                                "fuzzy-convex-sublattice"),
+    "fuzzy-interval": ("interval_endpoint_violation", is_fuzzy_interval, "fuzzy-interval"),
+    "classify": ("interval_cut_violation", classify, "fuzzy-interval"),
 }
 
 
-@pytest.mark.parametrize("check", sorted(BROKEN_ROUTES))
-def test_route_disagreement_raises(monkeypatch, chain3, check):
-    route, predicate = BROKEN_ROUTES[check]
+@pytest.mark.parametrize("case", sorted(BROKEN_ROUTES))
+def test_route_disagreement_raises(monkeypatch, chain3, case):
+    route, checked, check = BROKEN_ROUTES[case]
     m = FuzzySet(chain3, {"0": "1/2", "1": "1", "2": "1/2"})  # every true route passes it
     monkeypatch.setattr(fuzzyintervals, route, lambda m: ("1/2", "0"))
     with pytest.raises(RouteDisagreement) as info:
-        predicate(m)
+        checked(m)
     assert info.value.check == check
     assert info.value.operand is m
     assert set(info.value.verdicts.values()) == {True, False}
@@ -126,7 +155,7 @@ def test_route_disagreement_raises_under_dash_O():
          + "::test_endpoints_round_trip_disagreement_raises"],
         capture_output=True, text=True, env=env, cwd=tests)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "5 passed" in proc.stdout
 
 
 # -- constructor and cuts ------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -59,6 +60,18 @@ def test_generator_agrees_with_filter(chain3, b2, diamond, pentagon):
 def test_enumeration_is_duplicate_free(pentagon):
     fis = enumerate_fuzzy_intervals(pentagon, GRADES3)
     assert len({fi.fuzzy for fi in fis}) == len(fis)
+
+
+def test_enumeration_leaves_no_reference_cycles(diamond):
+    gc.collect()
+    gc.disable()
+    try:
+        fis = enumerate_fuzzy_intervals(diamond, GRADES4)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(fis) == 118
+    assert unreachable == 0
 
 
 def test_axiom_suite_passes_on_fixtures(chain3, diamond, pentagon):
