@@ -21,7 +21,7 @@ from .errors import (CycleError, FormatError, GradeSetInvalid, InvalidGrade,
                      LatticeMismatch, NotAFuzzyInterval, NotALattice, RouteDisagreement,
                      SizeLimit, UnknownElement)
 from .formats import (dumps_canonical, fuzzy_set_to_json, load_fuzzy_set,
-                      load_lattice)
+                      load_lattice, memberships_to_json)
 from .fuzzyintervals import FuzzyInterval, classify
 from .fuzzysets import format_grade
 from .lattice import format_element, is_distributive, standard_lattice
@@ -207,10 +207,7 @@ def _cmd_enumerate(args) -> int:
         payload = {"lattice": lattice.name,
                    "grades": [format_grade(g) for g in grades],
                    "count": len(fis),
-                   "fuzzy_intervals": [
-                       {format_element(e): format_grade(v)
-                        for e, v in zip(lattice.elements, fi.values)}
-                       for fi in fis]}
+                   "fuzzy_intervals": [memberships_to_json(fi) for fi in fis]}
         lines = [repr(fi.fuzzy) for fi in fis]
     lines.append(f"count: {payload['count']}")
     _emit(args, payload, lines)

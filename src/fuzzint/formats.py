@@ -120,10 +120,13 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
     return FuzzySet.from_values(target, [values[e] for e in target.elements])
 
 
+def memberships_to_json(m) -> dict:
+    """Element name → grade string for a fuzzy set or fuzzy interval."""
+    return {format_element(e): format_grade(v) for e, v in zip(m.lattice.elements, m.values)}
+
+
 def fuzzy_set_to_json(m: FuzzySet) -> dict:
-    return {"lattice": _lattice_reference(m.lattice),
-            "memberships": {format_element(e): format_grade(v)
-                            for e, v in zip(m.lattice.elements, m.values)}}
+    return {"lattice": _lattice_reference(m.lattice), "memberships": memberships_to_json(m)}
 
 
 def dumps_canonical(doc) -> str:

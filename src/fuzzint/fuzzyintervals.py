@@ -37,9 +37,6 @@ from .fuzzysets import (GRADE_ONE, GRADE_ZERO, FuzzySet, as_grade, format_grade,
 from .intervals import CrispInterval
 from .lattice import Element, FiniteLattice, _require_same_lattice, format_element, iter_bits
 
-LADDER = ("fuzzy-interval", "fuzzy-convex-sublattice", "fuzzy-sublattice", "none")
-
-
 # -- violation searches (one per implementation route) ---------------------
 
 

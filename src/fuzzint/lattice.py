@@ -6,11 +6,16 @@ partial order is the reflexive-transitive closure of the covers, and the
 constructor materializes full meet/join tables so that every later query
 is a table lookup.  Element subsets are kept as integer bitmasks over the
 canonical element order.
+
+The bounds follow the principal-filter characterisation: ``x ⊔ y`` exists
+exactly when the common upper bounds ``↑x ∩ ↑y`` are the up-set of one
+element, which then is the join (dually for meets).  Up-sets are distinct,
+so a dict from up-set mask to element finds each join in one lookup.
 """
 
 from __future__ import annotations
 
-from itertools import product as _cartesian
+from itertools import combinations_with_replacement, product as _cartesian
 from typing import Hashable, Iterable, Iterator
 
 from .errors import CycleError, LatticeMismatch, NotALattice, SizeLimit, UnknownElement
@@ -44,6 +49,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 class FiniteLattice:
     """A finite lattice with materialized meet/join tables.
+
+    Bottom is the element whose up-set is the whole carrier, top dually.
+    Covers of a non-lattice raise ``NotALattice`` for the first pair
+    ``i ≤ j`` in canonical order that lacks its meet (checked first) or
+    join, naming up to two extremal common bounds as candidates.
 
     Instances are immutable after construction and safe to share.  Equality
     is structural: same element set and same order relation (names are
@@ -102,27 +112,18 @@ class FiniteLattice:
         self._all_mask = (1 << n) - 1
         self._hash = None
 
-        meet_t = [0] * (n * n)
-        join_t = [0] * (n * n)
-        for i in range(n):
-            for j in range(i, n):
-                if up[j] >> i & 1:          # j ⊑ i
-                    mi, ji = j, i
-                elif up[i] >> j & 1:        # i ⊑ j
-                    mi, ji = i, j
-                else:
-                    mi = self._unique_bound(down[i] & down[j], up, i, j, "meet")
-                    ji = self._unique_bound(up[i] & up[j], down, i, j, "join")
-                meet_t[i * n + j] = meet_t[j * n + i] = mi
-                join_t[i * n + j] = join_t[j * n + i] = ji
+        # x ⊓ y is the element whose down-set is ↓x ∩ ↓y, if any (dually ⊔)
+        by_up = {mask: b for b, mask in enumerate(up)}
+        by_down = {mask: b for b, mask in enumerate(down)}
+        meet_t = [by_down.get(di & dj) for di in down for dj in down]
+        join_t = [by_up.get(ui & uj) for ui in up for uj in up]
+        if None in meet_t or None in join_t:
+            raise self._missing_bound(meet_t, join_t)
         self._meet = meet_t
         self._join = join_t
-
-        minimal = [i for i in range(n) if down[i] == 1 << i]
-        maximal = [i for i in range(n) if up[i] == 1 << i]
-        assert len(minimal) == 1 and len(maximal) == 1
-        self._bottom = minimal[0]
-        self._top = maximal[0]
+        # with every pairwise meet, the meet of all elements exists (dually top)
+        self._bottom = by_up[self._all_mask]
+        self._top = by_down[self._all_mask]
 
     def _topological_order(self, succ, ordered):
         n = len(ordered)
@@ -160,16 +161,17 @@ class FiniteLattice:
             raise CycleError(tuple(ordered[i] for i in cycle))
         return topo
 
-    def _unique_bound(self, common: int, toward, i: int, j: int, kind: str) -> int:
-        # for meets `common` is the common lower bounds and `toward` the up-sets;
-        # the bound is the unique extremal element of `common` (dually for joins)
-        if not common:
-            raise NotALattice(self.elements[i], self.elements[j], kind)
-        extremal = [b for b in iter_bits(common) if toward[b] & common == 1 << b]
-        if len(extremal) != 1:
-            cands = tuple(self.elements[b] for b in extremal[:2])
-            raise NotALattice(self.elements[i], self.elements[j], kind, cands)
-        return extremal[0]
+    def _missing_bound(self, meet_t, join_t) -> NotALattice:
+        # the first pair i ≤ j in canonical order missing its meet (then its
+        # join); the candidates are its first two extremal common bounds
+        n, up, down = len(self.elements), self._up, self._down
+        for i, j in combinations_with_replacement(range(n), 2):
+            for kind, table, common, toward in (("meet", meet_t, down[i] & down[j], up),
+                                                ("join", join_t, up[i] & up[j], down)):
+                if table[i * n + j] is None:
+                    extremal = [b for b in iter_bits(common) if toward[b] & common == 1 << b]
+                    cands = tuple(self.elements[b] for b in extremal[:2])
+                    return NotALattice(self.elements[i], self.elements[j], kind, cands)
 
     # -- basic queries -------------------------------------------------
 

@@ -28,10 +28,11 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import GradeSetInvalid, InvalidGrade
+from .formats import memberships_to_json
 from .fuzzysets import GRADE_ONE, GRADE_ZERO, FuzzySet, as_grade, format_grade
 from .fuzzyintervals import FuzzyInterval, meet_family as fi_meet_family
 from .intervals import CrispInterval
-from .lattice import FiniteLattice, format_element, is_distributive, iter_bits
+from .lattice import FiniteLattice, is_distributive, iter_bits
 
 DEFAULT_BUDGET = 10_000_000
 SAMPLE_SIZE = 50_000  # instances drawn when a loop would exceed the budget
@@ -106,11 +107,8 @@ def render_operand(value):
     """JSON-ready rendering of a witness operand."""
     if isinstance(value, CrispInterval):
         return value.render(ascii_only=True)
-    if isinstance(value, FuzzyInterval):
-        value = value.fuzzy
-    if isinstance(value, FuzzySet):
-        return {format_element(e): format_grade(g)
-                for e, g in zip(value.lattice.elements, value.values)}
+    if isinstance(value, (FuzzySet, FuzzyInterval)):
+        return memberships_to_json(value)
     return str(value)
 
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import subprocess
@@ -156,6 +157,19 @@ def test_route_disagreement_raises_under_dash_O():
         capture_output=True, text=True, env=env, cwd=tests)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "5 passed" in proc.stdout
+
+
+def test_library_has_no_assert_statements():
+    """``python -O`` strips ``assert``, so no self-check in the library may be one."""
+    package = os.path.dirname(os.path.abspath(fuzzyintervals.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # -- constructor and cuts ------------------------------------------------

@@ -67,8 +67,40 @@ def test_two_maximal_elements_not_a_lattice():
 def test_no_meet_not_a_lattice():
     # two incomparable maximal lower bounds for the top pair
     covers = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("x", "t"), ("y", "t"), ("z", "a"), ("z", "b")]
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice) as exc:
         build_lattice(["a", "b", "x", "y", "z", "t"], covers)
+    # a and b meet in z; it is their join that has two minimal candidates
+    assert exc.value.pair == ("a", "b")
+    assert exc.value.kind == "join"
+    assert exc.value.candidates == ("x", "y")
+
+
+NOT_A_LATTICE_WITNESSES = {
+    # the dual of test_no_meet_not_a_lattice: x and y are both maximal below a and b
+    "two-maximal-lower-bounds": (
+        [("x", "a"), ("y", "a"), ("x", "b"), ("y", "b"), ("t", "x"), ("t", "y"),
+         ("a", "z"), ("b", "z")],
+        (("a", "b"), "meet", ("x", "y"))),
+    # y and z have a join but no common lower bound at all
+    "no-lower-bound": ([("y", "x"), ("z", "x")], (("y", "z"), "meet", ())),
+    # three minimal upper bounds of a and b; the first two are named
+    "three-minimal-upper-bounds": (
+        [("o", "a"), ("o", "b")] + [(lo, hi) for lo in "ab" for hi in "xyz"]
+        + [(hi, "t") for hi in "xyz"],
+        (("a", "b"), "join", ("x", "y"))),
+    # a and b lack both bounds; the meet is reported first
+    "bowtie": ([("x", "a"), ("x", "b"), ("y", "a"), ("y", "b"), ("a", "u"), ("a", "v"),
+                ("b", "u"), ("b", "v")], (("a", "b"), "meet", ("x", "y"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_LATTICE_WITNESSES))
+def test_not_a_lattice_witness(case):
+    covers, expected = NOT_A_LATTICE_WITNESSES[case]
+    labels = sorted({e for pair in covers for e in pair})
+    with pytest.raises(NotALattice) as exc:
+        build_lattice(labels, covers)
+    assert (exc.value.pair, exc.value.kind, exc.value.candidates) == expected
 
 
 def test_meet_set_conventions(diamond):
@@ -219,3 +251,89 @@ def test_random_covers_build_or_raise_cleanly(case):
             assert lat.leq(m, x) and lat.leq(m, y)
             assert lat.leq(x, j) and lat.leq(y, j)
             assert lat.leq(x, y) == (m == x) == (j == y)
+
+
+def _first_missing_bound(labels, covers):
+    """(pair, kind, candidates) of the first pair without a meet or join, by brute force.
+
+    Pairs go in canonical order, the meet before the join; the candidates are
+    the first two maximal common lower (minimal common upper) bounds.
+    """
+    elems = sorted(labels)
+    below = {(x, y): x == y for x in elems for y in elems}
+    for lo, hi in covers:
+        below[lo, hi] = True
+    for k in elems:
+        for x in elems:
+            for y in elems:
+                below[x, y] = below[x, y] or (below[x, k] and below[k, y])
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            for kind, le in (("meet", lambda a, b: below[a, b]), ("join", lambda a, b: below[b, a])):
+                common = [z for z in elems if le(z, x) and le(z, y)]
+                extremal = [z for z in common if not any(w != z and le(z, w) for w in common)]
+                if len(extremal) != 1:
+                    return (x, y), kind, tuple(extremal[:2])
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_cover_sets())
+def test_not_a_lattice_witness_matches_brute_force(case):
+    labels, covers = case
+    try:
+        build_lattice(labels, covers)
+    except CycleError:
+        return
+    except NotALattice as exc:
+        got = (exc.pair, exc.kind, exc.candidates)
+    else:
+        got = None
+    assert got == _first_missing_bound(labels, covers)
+
+
+@st.composite
+def random_lattices(draw):
+    """An intersection-closed family of subsets of two to four atoms.
+
+    Returns the family's masks in shuffled order (element ``e<i>`` is
+    ``masks[i]``) and its inclusion covers, some redundant transitive ones
+    added, in shuffled order.
+    """
+    k = draw(st.integers(min_value=2, max_value=4))
+    full = (1 << k) - 1
+    family = {full} | set(draw(st.lists(st.integers(0, full), min_size=2, max_size=8)))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    masks = draw(st.permutations(sorted(family)))
+
+    def inside(a, b):  # a ⊊ b
+        return a != b and a & b == a
+
+    below = [(i, j) for i, a in enumerate(masks) for j, b in enumerate(masks) if inside(a, b)]
+    hasse = [(i, j) for i, j in below
+             if not any(inside(masks[i], c) and inside(c, masks[j]) for c in masks)]
+    extra = draw(st.lists(st.sampled_from(below), max_size=3)) if below else []
+    covers = draw(st.permutations([(f"e{i}", f"e{j}") for i, j in hasse + extra]))
+    return masks, covers
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_lattices())
+def test_bounds_match_brute_force_on_random_lattices(case):
+    masks, covers = case
+    labels = [f"e{i}" for i in range(len(masks))]
+    lat = build_lattice(labels, covers)
+    mask_of = dict(zip(labels, masks))
+    for x in labels:
+        for y in labels:
+            assert lat.leq(x, y) == (mask_of[x] & mask_of[y] == mask_of[x])
+            lower = [z for z in labels if lat.leq(z, x) and lat.leq(z, y)]
+            upper = [z for z in labels if lat.leq(x, z) and lat.leq(y, z)]
+            assert [lat.meet(x, y)] == [z for z in lower if all(lat.leq(w, z) for w in lower)]
+            assert [lat.join(x, y)] == [z for z in upper if all(lat.leq(z, w) for w in upper)]
+    assert [lat.bottom] == [z for z in labels if all(lat.leq(z, w) for w in labels)]
+    assert [lat.top] == [z for z in labels if all(lat.leq(w, z) for w in labels)]
