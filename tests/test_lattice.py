@@ -65,11 +65,10 @@ def test_two_maximal_elements_not_a_lattice():
 
 
 def test_no_meet_not_a_lattice():
-    # two incomparable maximal lower bounds for the top pair
+    # a and b meet in z, but x and y are both minimal above them
     covers = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("x", "t"), ("y", "t"), ("z", "a"), ("z", "b")]
     with pytest.raises(NotALattice) as exc:
         build_lattice(["a", "b", "x", "y", "z", "t"], covers)
-    # a and b meet in z; it is their join that has two minimal candidates
     assert exc.value.pair == ("a", "b")
     assert exc.value.kind == "join"
     assert exc.value.candidates == ("x", "y")
