@@ -12,11 +12,12 @@ first two classes coincide, so ``classify`` decides membership by the
 cut-shape check alone and runs the pointwise searches only to explain a
 rejection.
 
-A :class:`FuzzyInterval` is stored with its *endpoint chain*: the sorted
-thresholds and, per threshold, the ``(lo, hi)`` element indices of that
-cut.  The constructor builds the chain in the same pass that validates
-the argument, so every cut is computed once per interval;
-``cut_interval``, ``endpoint_functions`` and ``join`` read the chain.
+A :class:`FuzzyInterval` is stored with its *endpoint chain*: the ranks
+of its thresholds in the fuzzy set's grade chain, ascending, and per
+threshold the ``(lo, hi)`` element indices of that cut.  The constructor
+builds the endpoint chain in the same pass that validates the argument,
+bucketing the elements by grade rank, so every cut is computed once per
+interval; ``cut_interval``, ``endpoint_functions`` and ``join`` read it.
 
 Meet of fuzzy intervals is the pointwise minimum (which provably keeps
 every cut an interval).  Join is *not* the pointwise maximum: it is
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import NotAFuzzyInterval, RouteDisagreement
-from .fuzzysets import (GRADE_ONE, GRADE_ZERO, FuzzySet, as_grade, format_grade,
+from .fuzzysets import (GRADE_ZERO, FuzzySet, _merge_chains, as_grade, format_grade,
                         meet_family as fs_meet_family)
 from .intervals import CrispInterval
 from .lattice import Element, FiniteLattice, _require_same_lattice, format_element, iter_bits
@@ -45,7 +46,7 @@ def sublattice_violation(m: FuzzySet):
 
     Pointwise route: no cuts are materialized.
     """
-    lat, vals = m.lattice, m.values
+    lat, vals = m.lattice, m.ranks
     n = len(lat.elements)
     for i in range(n):
         for j in range(i, n):  # the condition is symmetric in (x, y)
@@ -91,7 +92,7 @@ def convex_violation(m: FuzzySet):
     pair = sublattice_violation(m)
     if pair is not None:
         return pair
-    lat, vals = m.lattice, m.values
+    lat, vals = m.lattice, m.ranks
     n = len(lat.elements)
     for i in range(n):
         for j in range(i, n):
@@ -134,37 +135,37 @@ def is_fuzzy_convex_sublattice(m: FuzzySet) -> bool:
 def _endpoint_chain(m: FuzzySet):
     """The endpoint chain of ``m`` and the first cut that is not an interval.
 
-    Returns ``(thresholds, ends, witness)``.  ``thresholds`` are the
-    thresholds of ``m`` ascending; ``ends[r]`` holds the ``(lo, hi)``
-    element indices of the greatest lower and least upper bound of the cut
-    at ``thresholds[r]``, or ``(None, None)`` when that cut is empty.
-    ``witness`` is ``(p, z)`` for the lowest threshold ``p`` whose cut
-    omits an element between its bounds, ``z`` the lowest such element
-    index, else None.  One pass: bucket the elements by grade, then grow
-    the cuts from the top threshold down.
+    Returns ``(levels, ends, witness)``.  ``levels`` are the ranks of the
+    thresholds of ``m`` in ``m.chain``, ascending; ``ends[t]`` holds the
+    ``(lo, hi)`` element indices of the greatest lower and least upper
+    bound of the cut at rank ``levels[t]``, or ``(None, None)`` when that
+    cut is empty.  ``witness`` is ``(r, z)`` for the lowest threshold rank
+    ``r`` whose cut omits an element between its bounds, ``z`` the lowest
+    such element index, else None.  One pass: bucket the elements by
+    rank, then grow the cuts from the top threshold down.
     """
     lat = m.lattice
-    members: dict = {GRADE_ZERO: [], GRADE_ONE: []}  # grade -> element indices
-    for i, v in enumerate(m.values):
-        members.setdefault(v, []).append(i)
-    thresholds = tuple(sorted(members))
-    ends = [(None, None)] * len(thresholds)
+    members: dict = {0: [], len(m.chain) - 1: []}  # rank -> element indices
+    for i, r in enumerate(m.ranks):
+        members.setdefault(r, []).append(i)
+    levels = tuple(sorted(members))
+    ends = [(None, None)] * len(levels)
     witness = None
     cut = 0
     lo, hi = lat.index(lat.top), lat.index(lat.bottom)  # bounds of the empty cut
-    for r in range(len(thresholds) - 1, -1, -1):  # cuts grow downward
-        level = members[thresholds[r]]
+    for t in range(len(levels) - 1, -1, -1):  # cuts grow downward
+        level = members[levels[t]]
         if level:
             lo = lat.meet_index(lo, lat.meet_indices(level))
             hi = lat.join_index(hi, lat.join_indices(level))
             for i in level:
                 cut |= 1 << i
         if cut:
-            ends[r] = (lo, hi)
+            ends[t] = (lo, hi)
             outside = lat.between_mask(lo, hi) & ~cut
             if outside:  # keep the lowest failing threshold
-                witness = (thresholds[r], next(iter_bits(outside)))
-    return thresholds, tuple(ends), witness
+                witness = (levels[t], next(iter_bits(outside)))
+    return levels, tuple(ends), witness
 
 
 def interval_cut_violation(m: FuzzySet):
@@ -177,8 +178,8 @@ def interval_cut_violation(m: FuzzySet):
     witness = _endpoint_chain(m)[2]
     if witness is None:
         return None
-    p, z = witness
-    return (p, m.lattice.elements[z])
+    r, z = witness
+    return (m.chain[r], m.lattice.elements[z])
 
 
 def interval_endpoint_violation(m: FuzzySet):
@@ -190,7 +191,7 @@ def interval_endpoint_violation(m: FuzzySet):
     witness = convex_violation(m)
     if witness is not None:
         return witness
-    lat, vals = m.lattice, m.values
+    lat, vals = m.lattice, m.ranks
     for p in m.thresholds():
         mask = m.cut_mask(p)
         if not mask:
@@ -273,23 +274,24 @@ class FuzzyInterval:
     The constructor validates unconditionally, so operation results are
     checked the moment they are built.  Validation computes the endpoints
     of every cut, and the constructor keeps them as the endpoint chain:
-    ``_thresholds`` ascending and ``_ends[r]``, the ``(lo, hi)`` element
-    indices of the cut at ``_thresholds[r]`` (``(None, None)`` when the
-    cut is empty).  ``cut_interval``, ``endpoint_functions`` and ``join``
-    read the chain instead of cutting the fuzzy set again.
+    ``_levels``, the ranks of the thresholds in ``fuzzy.chain`` ascending,
+    and ``_ends[t]``, the ``(lo, hi)`` element indices of the cut at rank
+    ``_levels[t]`` (``(None, None)`` when the cut is empty).
+    ``thresholds``, ``cut_interval``, ``endpoint_functions`` and ``join``
+    read the endpoint chain instead of cutting the fuzzy set again.
     """
 
-    __slots__ = ("fuzzy", "_thresholds", "_ends")
+    __slots__ = ("fuzzy", "_levels", "_ends")
 
     def __init__(self, fuzzy: FuzzySet):
-        thresholds, ends, witness = _endpoint_chain(fuzzy)
+        levels, ends, witness = _endpoint_chain(fuzzy)
         if witness is not None:
-            p, z = witness
+            r, z = witness
             raise NotAFuzzyInterval(
-                f"cut at {format_grade(p)} is not a closed interval: it omits "
+                f"cut at {format_grade(fuzzy.chain[r])} is not a closed interval: it omits "
                 f"{format_element(fuzzy.lattice.elements[z])} between its bounds")
         self.fuzzy = fuzzy
-        self._thresholds = thresholds
+        self._levels = levels
         self._ends = ends
 
     @classmethod
@@ -313,7 +315,8 @@ class FuzzyInterval:
         return self.fuzzy(element)
 
     def thresholds(self) -> tuple[Fraction, ...]:
-        return self._thresholds
+        chain = self.fuzzy.chain
+        return tuple([chain[r] for r in self._levels])
 
     def cut(self, p) -> frozenset:
         return self.fuzzy.cut(p)
@@ -324,7 +327,11 @@ class FuzzyInterval:
         Read off the endpoint chain: a grade strictly between two
         thresholds cuts like the next threshold up.
         """
-        return self._ends[bisect_left(self._thresholds, as_grade(p))]
+        return self._rank_endpoints(bisect_left(self.fuzzy.chain, as_grade(p)))
+
+    def _rank_endpoints(self, rank: int) -> tuple[int | None, int | None]:
+        """``(lo, hi)`` of the cut at ``fuzzy.chain[rank]``."""
+        return self._ends[bisect_left(self._levels, rank)]
 
     def cut_interval(self, p) -> CrispInterval:
         """The p-cut as a crisp interval."""
@@ -334,12 +341,13 @@ class FuzzyInterval:
         elements = self.lattice.elements
         lower: dict = {}
         upper: dict = {}
-        for p, (lo, hi) in zip(self._thresholds, self._ends):
+        thresholds = self.thresholds()
+        for p, (lo, hi) in zip(thresholds, self._ends):
             if lo is None:
                 lower[p], upper[p] = self.lattice.top, self.lattice.bottom
             else:
                 lower[p], upper[p] = elements[lo], elements[hi]
-        return EndpointFunctions(self._thresholds, lower, upper)
+        return EndpointFunctions(thresholds, lower, upper)
 
     def leq(self, other: "FuzzyInterval") -> bool:
         return self.fuzzy.leq(other.fuzzy)
@@ -357,10 +365,14 @@ class FuzzyInterval:
         between consecutive thresholds, so no other grade can matter.
         """
         lat = _require_same_lattice(self.lattice, other.lattice)
-        values = [GRADE_ZERO] * len(lat.elements)
-        ta, ea, tb, eb = self._thresholds, self._ends, other._thresholds, other._ends
+        chain, ta, tb = self.fuzzy.chain, self._levels, other._levels
+        if chain is not other.fuzzy.chain:
+            chain, pos_a, pos_b = _merge_chains(chain, other.fuzzy.chain)
+            ta, tb = [pos_a[r] for r in ta], [pos_b[r] for r in tb]
+        ranks = [0] * len(lat.elements)
+        ea, eb = self._ends, other._ends
         ia = ib = 0
-        while ia < len(ta):  # merge the chains; both end at threshold 1
+        while ia < len(ta):  # merge the levels; both end at the rank of grade 1
             pa, pb = ta[ia], tb[ib]
             a_lo, a_hi = ea[ia]  # each operand's cut at p = min(pa, pb)
             b_lo, b_hi = eb[ib]
@@ -378,8 +390,8 @@ class FuzzyInterval:
                 a_lo, a_hi = lat.meet_index(a_lo, b_lo), lat.join_index(a_hi, b_hi)
             if a_lo is not None:
                 for i in iter_bits(lat.between_mask(a_lo, a_hi)):
-                    values[i] = p
-        return FuzzyInterval(FuzzySet.from_values(lat, values))
+                    ranks[i] = p
+        return FuzzyInterval(FuzzySet._from_ranks(lat, chain, tuple(ranks)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FuzzyInterval):

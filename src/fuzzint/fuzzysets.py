@@ -1,13 +1,19 @@
 """Fuzzy sets over a finite lattice: pointwise order, cuts, cut families.
 
-Grades are exact rationals (``fractions.Fraction``) in [0, 1]; only
-comparisons and min/max are ever applied to them, so every cut is computed
-without rounding.  A fuzzy set is a total map from lattice elements to
-grades, stored as a grade tuple in the lattice's canonical element order.
+Grades are exact rationals (``fractions.Fraction``) in [0, 1].  A grade
+only ever picks a cut, so only the order of the grades matters: a fuzzy set
+stores a *grade chain* (a sorted tuple of distinct grades holding 0, 1 and
+every grade the set attains) and, per element in the lattice's canonical
+order, the *rank* of its grade in that chain.  Sets built together share one
+chain object, and their order, meet and join compare ints; sets on different
+chains are first put on the union of the two.  ``values``, ``__call__``,
+``thresholds`` and every rendered grade map ranks back to the same
+``Fraction`` grades, so every cut is still exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -16,6 +22,7 @@ from .lattice import Element, FiniteLattice, _require_same_lattice, format_eleme
 
 GRADE_ZERO = Fraction(0)
 GRADE_ONE = Fraction(1)
+_ratio = Fraction.as_integer_ratio
 
 
 def as_grade(value) -> Fraction:
@@ -41,10 +48,51 @@ def format_grade(grade: Fraction) -> str:
     return str(grade)
 
 
-class FuzzySet:
-    """A total map from lattice elements to grades."""
+def _grade_chain(values) -> tuple[tuple, tuple]:
+    """``(chain, ranks)`` for grades in element order.
 
-    __slots__ = ("lattice", "values")
+    Each grade is hashed once; ints 0 and 1 land on the ``Fraction`` bounds.
+    """
+    ids = {GRADE_ZERO: 0, GRADE_ONE: 1}  # grade -> first-seen id
+    seen = [ids.setdefault(v, len(ids)) for v in values]
+    grades = list(ids)
+    order = sorted(range(len(grades)), key=grades.__getitem__)
+    rank_of = [0] * len(grades)
+    for r, k in enumerate(order):
+        rank_of[k] = r
+    return tuple([grades[k] for k in order]), tuple([rank_of[k] for k in seen])
+
+
+def _merge_chains(a: tuple, b: tuple) -> tuple[tuple, list, list]:
+    """The union of two grade chains, and where each rank of ``a`` and of
+    ``b`` lands in it."""
+    merged: list = []
+    pos_a: list = []
+    pos_b: list = []
+    i = j = 0
+    while i < len(a):  # both chains end at grade 1, so they run out together
+        x, y = a[i], b[j]
+        from_a = not y < x
+        if from_a:
+            pos_a.append(len(merged))
+            i += 1
+        if not x < y:
+            pos_b.append(len(merged))
+            j += 1
+        merged.append(x if from_a else y)
+    return tuple(merged), pos_a, pos_b
+
+
+class FuzzySet:
+    """A total map from lattice elements to grades.
+
+    Stored as ``chain``, a sorted tuple of distinct grades that holds 0, 1
+    and every attained grade (it may hold more, e.g. the grade set of a law
+    suite), and ``ranks``, one int per element indexing ``chain``.  Grades
+    are read back through ``values``.
+    """
+
+    __slots__ = ("lattice", "chain", "ranks")
 
     def __init__(self, lattice: FiniteLattice, membership: Mapping):
         values: list = [None] * len(lattice.elements)
@@ -55,14 +103,20 @@ class FuzzySet:
             shown = ", ".join(format_element(e) for e in missing[:4])
             raise ValueError(f"membership must be total; missing: {shown}")
         self.lattice = lattice
-        self.values = tuple(values)
+        self.chain, self.ranks = _grade_chain(values)
 
     @classmethod
     def from_values(cls, lattice: FiniteLattice, values) -> "FuzzySet":
         # trusted fast path: `values` are grades in canonical element order
+        return cls._from_ranks(lattice, *_grade_chain(values))
+
+    @classmethod
+    def _from_ranks(cls, lattice: FiniteLattice, chain: tuple, ranks: tuple) -> "FuzzySet":
+        # trusted: `chain` is a grade chain and `ranks` index it, one per element
         self = object.__new__(cls)
         self.lattice = lattice
-        self.values = tuple(values)
+        self.chain = chain
+        self.ranks = ranks
         return self
 
     @classmethod
@@ -72,38 +126,56 @@ class FuzzySet:
     @classmethod
     def characteristic(cls, lattice: FiniteLattice, members: Iterable[Element]) -> "FuzzySet":
         """The {0,1}-valued indicator of a subset."""
-        values = [GRADE_ZERO] * len(lattice.elements)
+        ranks = [0] * len(lattice.elements)
         for element in members:
-            values[lattice.index(element)] = GRADE_ONE
-        return cls.from_values(lattice, values)
+            ranks[lattice.index(element)] = 1
+        return cls._from_ranks(lattice, (GRADE_ZERO, GRADE_ONE), tuple(ranks))
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The grades in canonical element order."""
+        chain = self.chain
+        return tuple([chain[r] for r in self.ranks])
 
     def __call__(self, element) -> Fraction:
-        return self.values[self.lattice.index(element)]
+        return self.chain[self.ranks[self.lattice.index(element)]]
 
     def membership(self) -> dict:
         return dict(zip(self.lattice.elements, self.values))
 
     # -- pointwise lattice structure ------------------------------------
 
+    def _aligned(self, other: "FuzzySet") -> tuple:
+        """``(lattice, chain, ranks of self, ranks of other)`` on one chain."""
+        lat = _require_same_lattice(self.lattice, other.lattice)
+        if self.chain is other.chain:
+            return lat, self.chain, self.ranks, other.ranks
+        chain, pos_a, pos_b = _merge_chains(self.chain, other.chain)
+        return (lat, chain, [pos_a[r] for r in self.ranks],
+                [pos_b[r] for r in other.ranks])
+
     def leq(self, other: "FuzzySet") -> bool:
-        _require_same_lattice(self.lattice, other.lattice)
-        return all(a <= b for a, b in zip(self.values, other.values))
+        _, _, a, b = self._aligned(other)
+        return all(x <= y for x, y in zip(a, b))
 
     def meet(self, other: "FuzzySet") -> "FuzzySet":
-        lat = _require_same_lattice(self.lattice, other.lattice)
-        return FuzzySet.from_values(lat, tuple(map(min, self.values, other.values)))
+        lat, chain, a, b = self._aligned(other)
+        return FuzzySet._from_ranks(lat, chain, tuple(map(min, a, b)))
 
     def join(self, other: "FuzzySet") -> "FuzzySet":
-        lat = _require_same_lattice(self.lattice, other.lattice)
-        return FuzzySet.from_values(lat, tuple(map(max, self.values, other.values)))
+        lat, chain, a, b = self._aligned(other)
+        return FuzzySet._from_ranks(lat, chain, tuple(map(max, a, b)))
 
     # -- cuts -------------------------------------------------------------
 
     def cut_mask(self, p) -> int:
-        p = as_grade(p)
+        return self._rank_cut_mask(bisect_left(self.chain, as_grade(p)))
+
+    def _rank_cut_mask(self, rank: int) -> int:
+        """Bitmask of the cut at ``chain[rank]``: the elements ranked at least ``rank``."""
         mask = 0
-        for i, v in enumerate(self.values):
-            if v >= p:
+        for i, r in enumerate(self.ranks):
+            if r >= rank:
                 mask |= 1 << i
         return mask
 
@@ -116,7 +188,8 @@ class FuzzySet:
     def thresholds(self) -> tuple[Fraction, ...]:
         """Attained grades together with 0 and 1, ascending — the only
         grades at which the cut can change."""
-        return tuple(sorted({GRADE_ZERO, GRADE_ONE, *self.values}))
+        chain = self.chain
+        return tuple([chain[r] for r in sorted({0, len(chain) - 1, *self.ranks})])
 
     def cut_family(self) -> "CutFamily":
         return CutFamily(self.lattice, {p: self.cut(p) for p in self.thresholds()})
@@ -126,10 +199,15 @@ class FuzzySet:
             return NotImplemented
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             return False
+        if self.chain is other.chain:
+            return self.ranks == other.ranks
         return self.values == other.values
 
     def __hash__(self) -> int:
-        return hash(self.values)
+        # by grade, not rank, so equal sets on different chains hash alike;
+        # a lowest-terms ratio is cheaper to hash than the Fraction itself
+        chain = self.chain
+        return hash(tuple([_ratio(chain[r]) for r in self.ranks]))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{format_element(e)}: {format_grade(v)}"
@@ -137,26 +215,24 @@ class FuzzySet:
         return "{" + body + "}"
 
 
-def meet_family(lattice: FiniteLattice, sets: Iterable[FuzzySet]) -> FuzzySet:
-    """Pointwise infimum; the empty family yields the constant-1 set."""
+def _fold(lattice: FiniteLattice, sets: Iterable[FuzzySet], op, empty) -> FuzzySet:
     acc = None
     for m in sets:
         _require_same_lattice(lattice, m.lattice)
-        acc = m.values if acc is None else tuple(map(min, acc, m.values))
+        acc = m if acc is None else op(acc, m)
     if acc is None:
-        acc = (GRADE_ONE,) * len(lattice.elements)
-    return FuzzySet.from_values(lattice, acc)
+        return FuzzySet.constant(lattice, empty)
+    return FuzzySet._from_ranks(lattice, acc.chain, acc.ranks)
+
+
+def meet_family(lattice: FiniteLattice, sets: Iterable[FuzzySet]) -> FuzzySet:
+    """Pointwise infimum; the empty family yields the constant-1 set."""
+    return _fold(lattice, sets, FuzzySet.meet, GRADE_ONE)
 
 
 def join_family(lattice: FiniteLattice, sets: Iterable[FuzzySet]) -> FuzzySet:
     """Pointwise supremum; the empty family yields the constant-0 set."""
-    acc = None
-    for m in sets:
-        _require_same_lattice(lattice, m.lattice)
-        acc = m.values if acc is None else tuple(map(max, acc, m.values))
-    if acc is None:
-        acc = (GRADE_ZERO,) * len(lattice.elements)
-    return FuzzySet.from_values(lattice, acc)
+    return _fold(lattice, sets, FuzzySet.join, GRADE_ZERO)
 
 
 def equal_by_cuts(m: FuzzySet, n: FuzzySet) -> bool:

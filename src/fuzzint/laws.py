@@ -141,8 +141,8 @@ def enumerate_intervals(lattice: FiniteLattice) -> list[CrispInterval]:
 def enumerate_fuzzy_sets(lattice: FiniteLattice, grades) -> list[FuzzySet]:
     """All |grades|^n grade-valued fuzzy sets (the filter oracle's search space)."""
     chain = validate_grades(grades)
-    return [FuzzySet.from_values(lattice, values)
-            for values in itertools.product(chain, repeat=len(lattice.elements))]
+    return [FuzzySet._from_ranks(lattice, chain, ranks)
+            for ranks in itertools.product(range(len(chain)), repeat=len(lattice.elements))]
 
 
 def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInterval]:
@@ -152,26 +152,27 @@ def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInter
     grade, each containing the next; the membership of an element is the
     largest grade whose interval contains it.  Cuts of the result at the
     chosen grades recover exactly the chain, so the construction is a
-    bijection onto the grade-valued fuzzy intervals.
+    bijection onto the grade-valued fuzzy intervals.  Every result stores
+    its grades as ranks into one shared chain, the validated ``grades``,
+    so the ops between them compare ints.
     """
     chain = validate_grades(grades)
-    positive = [g for g in chain if g > GRADE_ZERO]
     intervals = enumerate_intervals(lattice)
     masks = [iv.members_mask() for iv in intervals]
     contained = [[j for j, inner in enumerate(intervals) if inner.issubset(outer)]
                  for outer in intervals]
 
     chains: list[tuple[int, ...]] = [()]
-    for level in range(len(positive)):  # extending each chain in turn keeps depth-first order
+    for level in range(len(chain) - 1):  # extending each chain in turn keeps depth-first order
         chains = [c + (j,) for c in chains
                   for j in (contained[c[-1]] if level else range(len(intervals)))]
     out: list[FuzzyInterval] = []
     for c in chains:
-        values = [GRADE_ZERO] * len(lattice.elements)
-        for grade, idx in zip(positive, c):  # ascending: last write wins
+        ranks = [0] * len(lattice.elements)
+        for rank, idx in enumerate(c, 1):  # ascending: last write wins
             for b in iter_bits(masks[idx]):
-                values[b] = grade
-        out.append(FuzzyInterval(FuzzySet.from_values(lattice, values)))
+                ranks[b] = rank
+        out.append(FuzzyInterval(FuzzySet._from_ranks(lattice, chain, tuple(ranks))))
     return out
 
 
@@ -450,18 +451,17 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
 # -- rank-indexed per-item tables ---------------------------------------------
 
 
-def _threshold_ranks(fis: Sequence[FuzzyInterval], chain: tuple) -> list[int]:
+def _threshold_ranks(fis: Sequence[FuzzyInterval]) -> list[int]:
     """Per item, the bitmask of its thresholds' ranks in the grade chain.
 
     Rank order is grade order, so the set bits of ``ranks[i] | ranks[j]``
     visit a pair's thresholds ascending without sorting any grades.
     """
-    rank = {g: r for r, g in enumerate(chain)}
     out = []
     for fi in fis:
         mask = 0
-        for p in fi.thresholds():
-            mask |= 1 << rank[p]
+        for r in fi._levels:
+            mask |= 1 << r
         out.append(mask)
     return out
 
@@ -504,7 +504,7 @@ def _cut_identities(lattice: FiniteLattice, chain: tuple, fis: list,
     report = LawReport("cut-identities", lattice.name, chain)
     n = len(fis)
     full = lattice.all_mask
-    ranks = _threshold_ranks(fis, chain)
+    ranks = _threshold_ranks(fis)
     cuts = [[fi.cut_interval(g) for g in chain] for fi in fis]  # by grade rank
 
     def family(i, j, op):
@@ -525,7 +525,7 @@ def _cut_identities(lattice: FiniteLattice, chain: tuple, fis: list,
                 a, b = fis[i], fis[j]
                 combined = (a.meet(b) if op_name == "meet" else a.join(b)).fuzzy
             for r, mask in family(i, j, op):
-                if combined.cut_mask(chain[r]) != mask:
+                if combined._rank_cut_mask(r) != mask:
                     return f"threshold {format_grade(chain[r])}"
             return None
         return probe
@@ -597,12 +597,12 @@ def _endpoint_lemmas(lattice: FiniteLattice, chain: tuple, fis: list, distributi
     top_i = lattice.index(lattice.top)
     bottom_i = lattice.index(lattice.bottom)
 
-    def endpoint_indices(fi: FuzzyInterval, p) -> tuple[int, int]:
-        lo, hi = fi.cut_endpoints(p)
+    def endpoint_indices(fi: FuzzyInterval, rank: int) -> tuple[int, int]:
+        lo, hi = fi._rank_endpoints(rank)
         return (top_i, bottom_i) if lo is None else (lo, hi)
 
-    ranks = _threshold_ranks(fis, chain)
-    ends = [[endpoint_indices(fi, g) for g in chain] for fi in fis]  # by grade rank
+    ranks = _threshold_ranks(fis)
+    ends = [[endpoint_indices(fi, r) for r in range(len(chain))] for fi in fis]  # by grade rank
     lowers = [[lo for lo, _ in row] for row in ends]
     uppers = [[hi for _, hi in row] for row in ends]
 
@@ -660,29 +660,32 @@ def _interval_structure(lattice: FiniteLattice, chain: tuple, fis: list, *,
     report = LawReport("structure", lattice.name, chain)
 
     def boundary_cuts(fi: FuzzyInterval):
-        """(p, cut mask, M(⊓cut) ∧ M(⊔cut)) per threshold with a nonempty cut.
+        """(rank, cut mask, rank of M(⊓cut) ∧ M(⊔cut)) per threshold with a
+        nonempty cut.
 
-        The cut is taken pointwise; its endpoints come from the chain.
+        The cut is taken pointwise by rank; its endpoints come from the
+        endpoint chain.
         """
-        vals = fi.values
-        for p in fi.thresholds():
-            mask = fi.fuzzy.cut_mask(p)
+        fuzzy = fi.fuzzy
+        vals = fuzzy.ranks
+        for r, (lo, hi) in zip(fi._levels, fi._ends):
+            mask = fuzzy._rank_cut_mask(r)
             if mask:
-                lo, hi = fi.cut_endpoints(p)
-                yield p, mask, min(vals[lo], vals[hi])
+                yield r, mask, min(vals[lo], vals[hi])
 
     def boundary_meet(i):
-        vals = fis[i].values
-        for p, mask, boundary in boundary_cuts(fis[i]):
+        fuzzy = fis[i].fuzzy
+        vals = fuzzy.ranks
+        for r, mask, boundary in boundary_cuts(fis[i]):
             if boundary != min(vals[b] for b in iter_bits(mask)):
-                return f"threshold {format_grade(p)}"
+                return f"threshold {format_grade(fuzzy.chain[r])}"
         return None
 
     def cut_recovery(i):
-        fi = fis[i]
-        for p, mask, boundary in boundary_cuts(fi):
-            if fi.fuzzy.cut_mask(boundary) != mask:
-                return f"threshold {format_grade(p)}"
+        fuzzy = fis[i].fuzzy
+        for r, mask, boundary in boundary_cuts(fis[i]):  # the public cut, at the grade
+            if fuzzy.cut_mask(fuzzy.chain[boundary]) != mask:
+                return f"threshold {format_grade(fuzzy.chain[r])}"
         return None
 
     _run_law(report, fis, "cut-boundary-grade-meet", 1, boundary_meet,

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from fuzzint import boolean_lattice, chain, m3, n5, product_lattice
 
@@ -47,3 +48,32 @@ def pentagon():
 @pytest.fixture(scope="session")
 def prod23():
     return product_lattice(chain(2), chain(3))
+
+
+@st.composite
+def random_lattices(draw):
+    """An intersection-closed family of subsets of two to four atoms.
+
+    Returns the family's masks in shuffled order (element ``e<i>`` is
+    ``masks[i]``) and its inclusion covers, some redundant transitive ones
+    added, in shuffled order.
+    """
+    k = draw(st.integers(min_value=2, max_value=4))
+    full = (1 << k) - 1
+    family = {full} | set(draw(st.lists(st.integers(0, full), min_size=2, max_size=8)))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    masks = draw(st.permutations(sorted(family)))
+
+    def inside(a, b):  # a ⊊ b
+        return a != b and a & b == a
+
+    below = [(i, j) for i, a in enumerate(masks) for j, b in enumerate(masks) if inside(a, b)]
+    hasse = [(i, j) for i, j in below
+             if not any(inside(masks[i], c) and inside(c, masks[j]) for c in masks)]
+    extra = draw(st.lists(st.sampled_from(below), max_size=3)) if below else []
+    covers = draw(st.permutations([(f"e{i}", f"e{j}") for i, j in hasse + extra]))
+    return masks, covers

@@ -134,6 +134,32 @@ def test_op_join_with_cuts(m3_file, tmp_path, capsys):
     assert "1/2: [0,1]" in captured.err
 
 
+# Operands with different grade sets, {0, 1/3, 1} and {0, 1/2, 1}; the
+# expected bytes were captured before grades were stored as chain ranks.
+THIRDS = {"0": "1", "a": "1/3", "b": "0", "c": "0", "1": "0"}
+HALVES = {"0": "1/2", "a": "0", "b": "1", "c": "0", "1": "0"}
+CROSS_CHAIN = {
+    "join": ('{\n  "lattice": "m3",\n  "memberships": {\n    "0": "1",\n    "1": "1/3",\n'
+             '    "a": "1/3",\n    "b": "1",\n    "c": "1/3"\n  }\n}\n',
+             "cuts:\n  0: [0,1]\n  1/3: [0,1]\n  1: [0,b]\n"),
+    "meet": ('{\n  "lattice": "m3",\n  "memberships": {\n    "0": "1/2",\n    "1": "0",\n'
+             '    "a": "0",\n    "b": "0",\n    "c": "0"\n  }\n}\n',
+             "cuts:\n  0: [0,1]\n  1/2: [0,0]\n  1: empty\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("operation", ["join", "meet"])
+def test_op_across_grade_sets_is_pinned(m3_file, tmp_path, capsys, operation, fmt):
+    a = fuzzy_file(tmp_path, "thirds.json", THIRDS)
+    b = fuzzy_file(tmp_path, "halves.json", HALVES)
+    assert main(["op", operation, m3_file, a, b, "--format", fmt]) == 0
+    stdout, cuts = CROSS_CHAIN[operation]
+    assert capsys.readouterr() == (stdout, "")
+    assert main(["op", operation, m3_file, a, b, "--format", fmt, "--cuts"]) == 0
+    assert capsys.readouterr() == (stdout, cuts)
+
+
 def test_op_rejects_non_interval_operand(m3_file, tmp_path, capsys):
     bad = fuzzy_file(tmp_path, "bad.json",
                      {"0": "1", "a": "1", "b": "1", "c": "0", "1": "1"})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRADES3, GRADES4
-from fuzzint import (CutFamily, FuzzySet, InvalidFamily, InvalidGrade,
+from fuzzint import (CutFamily, FuzzyInterval, FuzzySet, InvalidFamily, InvalidGrade,
                      LatticeMismatch, UnknownElement, as_grade, chain,
                      equal_by_cuts, format_grade, from_cut_family)
 from fuzzint.laws import check_distributivity, check_lattice_axioms, enumerate_fuzzy_sets
@@ -135,6 +135,37 @@ def test_fuzzy_sets_form_distributive_lattice(chain2):
     dist = check_distributivity(sets, FuzzySet.join, FuzzySet.meet,
                                 suite="fs-dist", lattice_name="chain2", grades=GRADES3)
     assert dist.passed, dist.to_text()
+
+
+def test_equal_sets_on_different_chains_hash_alike(chain3):
+    m = FuzzySet(chain3, {"0": "1", "1": "1/2", "2": "0"})
+    zero = FuzzySet(chain3, {"0": "0", "1": "1/3", "2": "0"}).meet(FuzzySet.constant(chain3, 0))
+    n = m.join(zero)  # the same grades, ranked in the chain {0, 1/3, 1/2, 1}
+    assert m.chain == (0, H, 1) and n.chain == (0, Fraction(1, 3), H, 1)
+    assert m.ranks != n.ranks
+    assert m == n and n == m and hash(m) == hash(n)
+    assert {m: "m"}[n] == "m" and {n: "n"}[m] == "n"
+    assert FuzzyInterval(m) == FuzzyInterval(n)
+    assert hash(FuzzyInterval(m)) == hash(FuzzyInterval(n))
+    assert n != FuzzySet(chain3, {"0": "1", "1": "1/3", "2": "0"})
+    assert n.thresholds() == (0, H, 1)  # 1/3 is in the chain but not attained
+
+
+def test_grades_read_back_as_the_input_fractions(chain3):
+    grades = {"0": Fraction(2, 3), "1": Fraction(1, 3), "2": Fraction(0)}
+    m = FuzzySet(chain3, grades)
+    assert m.values == (Fraction(2, 3), Fraction(1, 3), 0)
+    assert [m(e) for e in chain3] == list(grades.values())
+    assert m.thresholds() == (0, Fraction(1, 3), Fraction(2, 3), 1)
+    for grade in (*m.values, *m.thresholds(), *(m(e) for e in chain3)):
+        assert type(grade) is Fraction
+
+
+def test_from_values_turns_ints_into_fractions(chain3):
+    m = FuzzySet.from_values(chain3, (0, 1, 0))
+    assert m.values == (0, 1, 0)
+    assert all(type(grade) is Fraction for grade in (*m.values, *m.thresholds(), m("1")))
+    assert repr(m) == "{0: 0, 1: 1, 2: 0}"
 
 
 def test_repr_is_readable(chain2):

@@ -6,9 +6,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import GRADES2, GRADES3, GRADES4
-from fuzzint import (CrispInterval, FuzzyInterval, GradeSetInvalid, chain,
+from conftest import GRADES2, GRADES3, GRADES4, random_lattices
+from fuzzint import (CrispInterval, FuzzyInterval, FuzzySet, GradeSetInvalid,
+                     build_lattice, chain, classify, is_fuzzy_convex_sublattice,
+                     is_fuzzy_interval, is_fuzzy_sublattice,
                      make_interval, n5, oracle_join, run_suite, validate_grades)
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
                           check_lattice_axioms, enumerate_fuzzy_intervals,
@@ -96,6 +100,57 @@ def test_oracle_join_matches_fast_join(diamond):
     fis = enumerate_fuzzy_intervals(diamond, GRADES3)
     for a, b in itertools.product(fis[:24], fis[:24]):
         assert a.join(b) == oracle_join(fis, a, b)
+
+
+def _lattice_of(case):
+    masks, covers = case
+    return build_lattice([f"e{i}" for i in range(len(masks))], covers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_lattices(), st.data())
+def test_ops_match_independent_routes_across_chains(case, data):
+    """Join against ``oracle_join``, meet against the pointwise minimum and
+    ``leq`` against pointwise ``<=`` on the grades.  One operand comes from
+    the enumeration, the other is rebuilt on its own grade chain, so every
+    op first merges the two chains."""
+    lat = _lattice_of(case)
+    fis = enumerate_fuzzy_intervals(lat, GRADES3)
+    a, b = data.draw(st.sampled_from(fis)), data.draw(st.sampled_from(fis))
+    rebuilt = FuzzyInterval(FuzzySet.from_values(lat, b.values))
+    assert rebuilt.fuzzy.chain is not a.fuzzy.chain
+    assert rebuilt == b and hash(rebuilt) == hash(b)
+    join = oracle_join(fis, a, b)
+    meet = tuple(map(min, a.values, b.values))
+    for x, y in ((a, rebuilt), (rebuilt, a)):
+        assert x.join(y) == join
+        assert x.meet(y).values == meet
+        assert x.leq(y) == all(p <= q for p, q in zip(x.values, y.values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_lattices(), st.data())
+def test_fuzzy_set_routes_agree_across_grade_sets(case, data):
+    """Pointwise ops of fuzzy sets over {0,1/2,1} and {0,1/3,2/3,1}, and the
+    classification routes on each operand and result."""
+    lat = _lattice_of(case)
+    n = len(lat.elements)
+    m = FuzzySet.from_values(lat, data.draw(st.lists(st.sampled_from(GRADES3),
+                                                     min_size=n, max_size=n)))
+    k = FuzzySet.from_values(lat, data.draw(st.lists(st.sampled_from(GRADES4),
+                                                     min_size=n, max_size=n)))
+    meet, join = m.meet(k), m.join(k)
+    assert meet.values == tuple(map(min, m.values, k.values))
+    assert join.values == tuple(map(max, m.values, k.values))
+    assert m.leq(k) == all(p <= q for p, q in zip(m.values, k.values))
+    assert meet.leq(m) and meet.leq(k) and m.leq(join) and k.leq(join)
+    for s in (m, k, meet, join):
+        label = classify(s).label
+        assert (label == "fuzzy-interval") == is_fuzzy_interval(s) == \
+            is_fuzzy_convex_sublattice(s)
+        assert (label != "none") == is_fuzzy_sublattice(s)
+    if is_fuzzy_interval(m) and is_fuzzy_interval(k):
+        assert FuzzyInterval(m).meet(FuzzyInterval(k)).values == meet.values
 
 
 def test_distributivity_passes_only_on_short_lattices(chain2):
