@@ -10,20 +10,17 @@ from .errors import (CycleError, EmptyInterval, FormatError, FuzzintError,
                      GradeSetInvalid, InvalidFamily, InvalidGrade, LatticeMismatch,
                      NotAFuzzyInterval, NotALattice, RouteDisagreement, SizeLimit,
                      UnknownElement)
-from .lattice import (FiniteLattice, boolean_lattice, build_lattice, chain,
-                      is_distributive, m3, n5,
+from .lattice import (FiniteLattice, boolean_lattice, chain, is_distributive, m3, n5,
                       product_lattice, standard_lattice)
-from .intervals import CrispInterval, intersection_family, make_interval
+from .intervals import CrispInterval, intersection_family
 from .fuzzysets import (CutFamily, FuzzySet, as_grade, equal_by_cuts, format_grade,
                         from_cut_family)
 from .fuzzyintervals import (Classification, EndpointFunctions, FuzzyInterval,
                              classify, is_fuzzy_convex_sublattice, is_fuzzy_interval,
                              is_fuzzy_sublattice)
-from .laws import (LawCheck, LawReport, check_cut_identities, check_distributivity,
-                   check_endpoint_lemmas, check_interval_structure,
-                   check_lattice_axioms, enumerate_fuzzy_intervals,
-                   enumerate_fuzzy_sets, enumerate_intervals, oracle_join, run_suite,
-                   validate_grades)
+from .laws import (LawCheck, LawReport, check_distributivity, check_lattice_axioms,
+                   enumerate_fuzzy_intervals, enumerate_fuzzy_sets, enumerate_intervals,
+                   oracle_join, run_suite, validate_grades)
 
 __version__ = "0.1.0"
 
@@ -31,15 +28,14 @@ __all__ = [
     "CycleError", "EmptyInterval", "FormatError", "FuzzintError", "GradeSetInvalid",
     "InvalidFamily", "InvalidGrade", "LatticeMismatch", "NotAFuzzyInterval",
     "NotALattice", "RouteDisagreement", "SizeLimit", "UnknownElement",
-    "FiniteLattice", "boolean_lattice", "build_lattice", "chain", "is_distributive",
+    "FiniteLattice", "boolean_lattice", "chain", "is_distributive",
     "m3", "n5", "product_lattice", "standard_lattice",
-    "CrispInterval", "intersection_family", "make_interval",
+    "CrispInterval", "intersection_family",
     "CutFamily", "FuzzySet", "as_grade", "equal_by_cuts", "format_grade",
     "from_cut_family",
     "Classification", "EndpointFunctions", "FuzzyInterval", "classify",
     "is_fuzzy_convex_sublattice", "is_fuzzy_interval", "is_fuzzy_sublattice",
-    "LawCheck", "LawReport", "check_cut_identities", "check_distributivity",
-    "check_endpoint_lemmas", "check_interval_structure", "check_lattice_axioms",
+    "LawCheck", "LawReport", "check_distributivity", "check_lattice_axioms",
     "enumerate_fuzzy_intervals", "enumerate_fuzzy_sets", "enumerate_intervals",
     "oracle_join", "run_suite", "validate_grades",
 ]

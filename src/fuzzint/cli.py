@@ -13,7 +13,6 @@ operands, failed asserted law), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 

@@ -39,7 +39,7 @@ class NotALattice(FuzzintError):
 
 
 class SizeLimit(FuzzintError):
-    """A constructed lattice would exceed the configured element cap."""
+    """A constructed lattice would exceed the element cap."""
 
     def __init__(self, requested, cap):
         super().__init__(f"lattice with {requested} elements exceeds the cap of {cap}")

@@ -74,8 +74,6 @@ def _lattice_reference(lattice: FiniteLattice):
 
 def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
     if isinstance(ref, str):
-        if lattice is not None and ref == lattice.name:
-            return lattice
         try:
             resolved = standard_lattice(ref)
         except ValueError as exc:

@@ -321,21 +321,19 @@ class FuzzyInterval:
     def cut(self, p) -> frozenset:
         return self.fuzzy.cut(p)
 
-    def cut_endpoints(self, p) -> tuple[int | None, int | None]:
-        """``(lo, hi)`` element indices of the p-cut, ``(None, None)`` if empty.
+    def _rank_endpoints(self, rank: int) -> tuple[int | None, int | None]:
+        """``(lo, hi)`` element indices of the cut at ``fuzzy.chain[rank]``,
+        ``(None, None)`` if empty."""
+        return self._ends[bisect_left(self._levels, rank)]
+
+    def cut_interval(self, p) -> CrispInterval:
+        """The p-cut as a crisp interval.
 
         Read off the endpoint chain: a grade strictly between two
         thresholds cuts like the next threshold up.
         """
-        return self._rank_endpoints(bisect_left(self.fuzzy.chain, as_grade(p)))
-
-    def _rank_endpoints(self, rank: int) -> tuple[int | None, int | None]:
-        """``(lo, hi)`` of the cut at ``fuzzy.chain[rank]``."""
-        return self._ends[bisect_left(self._levels, rank)]
-
-    def cut_interval(self, p) -> CrispInterval:
-        """The p-cut as a crisp interval."""
-        return CrispInterval._from_indices(self.lattice, *self.cut_endpoints(p))
+        rank = bisect_left(self.fuzzy.chain, as_grade(p))
+        return CrispInterval._from_indices(self.lattice, *self._rank_endpoints(rank))
 
     def endpoint_functions(self) -> EndpointFunctions:
         elements = self.lattice.elements

@@ -215,24 +215,15 @@ class FuzzySet:
         return "{" + body + "}"
 
 
-def _fold(lattice: FiniteLattice, sets: Iterable[FuzzySet], op, empty) -> FuzzySet:
+def meet_family(lattice: FiniteLattice, sets: Iterable[FuzzySet]) -> FuzzySet:
+    """Pointwise infimum; the empty family yields the constant-1 set."""
     acc = None
     for m in sets:
         _require_same_lattice(lattice, m.lattice)
-        acc = m if acc is None else op(acc, m)
+        acc = m if acc is None else acc.meet(m)
     if acc is None:
-        return FuzzySet.constant(lattice, empty)
+        return FuzzySet.constant(lattice, GRADE_ONE)
     return FuzzySet._from_ranks(lattice, acc.chain, acc.ranks)
-
-
-def meet_family(lattice: FiniteLattice, sets: Iterable[FuzzySet]) -> FuzzySet:
-    """Pointwise infimum; the empty family yields the constant-1 set."""
-    return _fold(lattice, sets, FuzzySet.meet, GRADE_ONE)
-
-
-def join_family(lattice: FiniteLattice, sets: Iterable[FuzzySet]) -> FuzzySet:
-    """Pointwise supremum; the empty family yields the constant-0 set."""
-    return _fold(lattice, sets, FuzzySet.join, GRADE_ZERO)
 
 
 def equal_by_cuts(m: FuzzySet, n: FuzzySet) -> bool:

@@ -153,12 +153,6 @@ class CrispInterval:
         return hash((self._lo, self._hi))
 
 
-def make_interval(lattice: FiniteLattice, lo: Element | None = None,
-                  hi: Element | None = None) -> CrispInterval:
-    """Normalizing constructor; omit the bounds for the empty interval."""
-    return CrispInterval(lattice, lo, hi)
-
-
 def intersection_family(lattice: FiniteLattice,
                         intervals: Iterable[CrispInterval]) -> CrispInterval:
     """Intersection of a finite family; the empty family gives [bottom, top]."""

@@ -22,7 +22,12 @@ from .errors import CycleError, LatticeMismatch, NotALattice, SizeLimit, Unknown
 
 Element = Hashable
 
-DEFAULT_MAX_ELEMENTS = 4096
+MAX_ELEMENTS = 4096  # no lattice, fixture or factor may have more elements
+
+
+def _check_size(count: int) -> None:
+    if count > MAX_ELEMENTS:
+        raise SizeLimit(count, MAX_ELEMENTS)
 
 
 def element_sort_key(element):
@@ -63,13 +68,11 @@ class FiniteLattice:
     __slots__ = ("name", "elements", "_index", "_up", "_down", "_meet", "_join",
                  "_bottom", "_top", "_all_mask", "_hash")
 
-    def __init__(self, elements: Iterable[Element], covers, *, name: str = "",
-                 max_elements: int = DEFAULT_MAX_ELEMENTS):
+    def __init__(self, elements: Iterable[Element], covers, *, name: str = ""):
         elems = list(elements)
         if not elems:
             raise ValueError("a lattice needs at least one element")
-        if len(elems) > max_elements:
-            raise SizeLimit(len(elems), max_elements)
+        _check_size(len(elems))
         if len(set(elems)) != len(elems):
             raise ValueError("duplicate element ids")
         ordered = tuple(sorted(elems, key=element_sort_key))
@@ -291,12 +294,6 @@ def _require_same_lattice(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
     return a
 
 
-def build_lattice(elements, covers, *, name: str = "",
-                  max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
-    """Construct and validate a lattice from element ids and cover pairs."""
-    return FiniteLattice(elements, covers, name=name, max_elements=max_elements)
-
-
 def is_distributive(lattice: FiniteLattice):
     """Decide x ⊓ (y ⊔ z) = (x ⊓ y) ⊔ (x ⊓ z) by exhaustive triples.
 
@@ -321,23 +318,21 @@ def is_distributive(lattice: FiniteLattice):
 # -- standard fixtures ----------------------------------------------------
 
 
-def chain(n: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
+def chain(n: int) -> FiniteLattice:
     """The n-element total order 0 < 1 < ... < n-1."""
     if n < 1:
         raise ValueError("a chain needs at least one element")
-    if n > max_elements:
-        raise SizeLimit(n, max_elements)
+    _check_size(n)
     width = len(str(n - 1))
     labels = [str(i) if n <= 10 else str(i).zfill(width) for i in range(n)]
     return FiniteLattice(labels, list(zip(labels, labels[1:])), name=f"chain{n}")
 
 
-def boolean_lattice(k: int, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
+def boolean_lattice(k: int) -> FiniteLattice:
     """The powerset of k atoms, elements rendered as k-bit strings."""
     if k < 0:
         raise ValueError("the atom count cannot be negative")
-    if 2 ** k > max_elements:
-        raise SizeLimit(2 ** k, max_elements)
+    _check_size(2 ** k)
     labels = ["".join(bits) for bits in _cartesian("01", repeat=k)]
     covers = []
     for label in labels:
@@ -359,36 +354,37 @@ def n5() -> FiniteLattice:
     return FiniteLattice(["0", "a", "b", "c", "1"], covers, name="n5")
 
 
-def product_lattice(left: FiniteLattice, right: FiniteLattice, *,
-                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
+def product_lattice(left: FiniteLattice, right: FiniteLattice) -> FiniteLattice:
     """Componentwise-ordered pairs of the two factors."""
-    count = len(left.elements) * len(right.elements)
-    if count > max_elements:
-        raise SizeLimit(count, max_elements)
+    _check_size(len(left.elements) * len(right.elements))
     elems = [(x, y) for x in left.elements for y in right.elements]
     covers = [((lo, y), (hi, y)) for lo, hi in left.covers() for y in right.elements]
     covers += [((x, lo), (x, hi)) for lo, hi in right.covers() for x in left.elements]
     return FiniteLattice(elems, covers, name=f"product({left.name},{right.name})")
 
 
-def standard_lattice(spec: str, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
+def standard_lattice(spec: str) -> FiniteLattice:
     """Build a fixture lattice from a name.
 
     Accepted forms: ``chain4`` / ``chain(4)``, ``boolean3`` / ``boolean(3)``,
-    ``m3``, ``n5``, and ``product(a,b)`` with recursive arguments.
+    ``m3``, ``n5``, and ``product(a,b)`` with recursive arguments.  Sizes
+    come from the spec, so an oversized one raises ``SizeLimit`` before any
+    factor is built.
     """
-    text = spec.replace(" ", "").lower()
-    lattice = _parse_fixture(text, max_elements)
-    if lattice is None:
+    parsed = _parse_fixture(spec.replace(" ", "").lower())
+    if parsed is None:
         raise ValueError(f"unknown lattice fixture {spec!r}")
-    return lattice
+    return parsed[1]()
 
 
-def _parse_fixture(text: str, cap: int):
-    if text == "m3":
-        return m3()
-    if text == "n5":
-        return n5()
+def _parse_fixture(text: str):
+    """``(element count, builder)`` for a fixture spec, or None if unknown.
+
+    Each node's count is checked against the cap as it is parsed, left
+    factor first, in the order the builders would check it.
+    """
+    if text in ("m3", "n5"):
+        return 5, m3 if text == "m3" else n5
     for prefix, factory in (("chain", chain), ("boolean", boolean_lattice)):
         arg = None
         if text.startswith(prefix + "(") and text.endswith(")"):
@@ -396,7 +392,10 @@ def _parse_fixture(text: str, cap: int):
         elif text.startswith(prefix):
             arg = text[len(prefix):]
         if arg is not None and arg.isdigit():
-            return factory(int(arg), max_elements=cap)
+            k = int(arg)
+            count = k if factory is chain else 2 ** k
+            _check_size(count)
+            return count, lambda: factory(k)
     if text.startswith("product(") and text.endswith(")"):
         inner = text[len("product("):-1]
         depth = 0
@@ -406,9 +405,11 @@ def _parse_fixture(text: str, cap: int):
             elif ch == ")":
                 depth -= 1
             elif ch == "," and depth == 0:
-                left = _parse_fixture(inner[:pos], cap)
-                right = _parse_fixture(inner[pos + 1:], cap)
-                if left is not None and right is not None:
-                    return product_lattice(left, right, max_elements=cap)
-                return None
+                left = _parse_fixture(inner[:pos])
+                right = _parse_fixture(inner[pos + 1:])
+                if left is None or right is None:
+                    return None
+                count = left[0] * right[0]
+                _check_size(count)
+                return count, lambda: product_lattice(left[1](), right[1]())
     return None

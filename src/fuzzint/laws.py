@@ -10,12 +10,13 @@ Loops are exhaustive while the instance count fits the budget (default
 10^7); beyond that a seeded deterministic sample is drawn and the check is
 marked accordingly.
 
-``run_suite("all")`` enumerates each collection once and builds one op
-table per collection, shared by its suites: the fuzzy-interval table
-serves the axiom and distributivity suites and supplies the meets and
-joins of the cut-identity suite; the crisp intervals get their own.
-Nothing is kept between calls.  Each public ``check_*`` function builds
-what it needs and calls the private body that ``run_suite`` calls.
+``run_suite`` is the one entry for the named suites.  ``run_suite("all")``
+enumerates each collection once and builds one op table per collection,
+shared by its suites: the fuzzy-interval table serves the axiom and
+distributivity suites and supplies the meets and joins of the cut-identity
+suite; the crisp intervals get their own.  Nothing is kept between calls.
+``check_lattice_axioms`` and ``check_distributivity`` run the axiom and
+distributivity bodies over an arbitrary collection and its ops.
 """
 
 from __future__ import annotations
@@ -479,29 +480,19 @@ def _grade_set(chain: tuple, ranks) -> str:
 # -- cut identities ----------------------------------------------------------
 
 
-def check_cut_identities(lattice: FiniteLattice, grades, *,
-                         budget: int = DEFAULT_BUDGET,
-                         seed: int = DEFAULT_SEED) -> LawReport:
+def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
+                    tabs: _OpTables | None, *, budget: int, seed: int) -> LawReport:
     """Cutwise characterization of the fuzzy-interval ops.
 
     For every pair and every threshold of the union of threshold sets, the
     cut of the meet is the intersection of the cuts and the cut of the
     join is the hull of the cuts; both per-grade families are antitone,
     start at the whole carrier, and intersect down to their largest index.
-    """
-    chain = validate_grades(grades)
-    return _cut_identities(lattice, chain, enumerate_fuzzy_intervals(lattice, chain), None,
-                           budget=budget, seed=seed)
-
-
-def _cut_identities(lattice: FiniteLattice, chain: tuple, fis: list,
-                    tabs: _OpTables | None, *, budget: int, seed: int) -> LawReport:
-    """Body of :func:`check_cut_identities`.
 
     With ``tabs`` built over ``fis`` a pair's meet and join are read from
     the tables; without, or on a -1 entry, the op is evaluated.
     """
-    report = LawReport("cut-identities", lattice.name, chain)
+    chain = report.grades
     n = len(fis)
     full = lattice.all_mask
     ranks = _threshold_ranks(fis)
@@ -570,9 +561,8 @@ def _cut_identities(lattice: FiniteLattice, chain: tuple, fis: list,
 # -- endpoint lemmas ----------------------------------------------------------
 
 
-def check_endpoint_lemmas(lattice: FiniteLattice, grades, *,
-                          budget: int = DEFAULT_BUDGET,
-                          seed: int = DEFAULT_SEED) -> LawReport:
+def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
+                     distributive: bool, *, budget: int, seed: int) -> LawReport:
     """Finite-supremum identities for cut endpoints.
 
     For P a nonempty set of thresholds: the join of the lower endpoints
@@ -582,18 +572,9 @@ def check_endpoint_lemmas(lattice: FiniteLattice, grades, *,
     distributive carrier, so on other lattices the whole suite is
     evaluated but not asserted.
     """
-    chain = validate_grades(grades)
-    distributive, _ = is_distributive(lattice)
-    return _endpoint_lemmas(lattice, chain, enumerate_fuzzy_intervals(lattice, chain),
-                            distributive, budget=budget, seed=seed)
-
-
-def _endpoint_lemmas(lattice: FiniteLattice, chain: tuple, fis: list, distributive: bool,
-                     *, budget: int, seed: int) -> LawReport:
-    """Body of :func:`check_endpoint_lemmas`."""
+    chain = report.grades
     note = ("" if distributive else
             "reference lattice is not distributive: hypothesis not met, lemma not asserted")
-    report = LawReport("endpoints", lattice.name, chain)
     top_i = lattice.index(lattice.top)
     bottom_i = lattice.index(lattice.bottom)
 
@@ -640,25 +621,14 @@ def _endpoint_lemmas(lattice: FiniteLattice, chain: tuple, fis: list, distributi
 # -- structural identities ----------------------------------------------------
 
 
-def check_interval_structure(lattice: FiniteLattice, grades, *,
-                             budget: int = DEFAULT_BUDGET,
-                             seed: int = DEFAULT_SEED) -> LawReport:
+def _interval_structure(report: LawReport, fis: list, *, budget: int,
+                        seed: int) -> LawReport:
     """Per-cut boundary-grade identities for fuzzy intervals.
 
     At every threshold with a nonempty cut: the meet of the boundary
     grades M(⊓cut) ∧ M(⊔cut) equals the minimum grade over the cut, and
     cutting again at that minimum recovers the same cut.
     """
-    chain = validate_grades(grades)
-    return _interval_structure(lattice, chain, enumerate_fuzzy_intervals(lattice, chain),
-                               budget=budget, seed=seed)
-
-
-def _interval_structure(lattice: FiniteLattice, chain: tuple, fis: list, *,
-                        budget: int, seed: int) -> LawReport:
-    """Body of :func:`check_interval_structure`."""
-    report = LawReport("structure", lattice.name, chain)
-
     def boundary_cuts(fi: FuzzyInterval):
         """(rank, cut mask, rank of M(⊓cut) ∧ M(⊔cut)) per threshold with a
         nonempty cut.
@@ -754,12 +724,15 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
             reports.append(_distributivity(LawReport("distributivity", label, chain), tabs,
                                            asserted=distributive, **budgeted))
         if "cut-identities" in names:
-            reports.append(_cut_identities(lattice, chain, fis, tabs, **budgeted))
+            reports.append(_cut_identities(LawReport("cut-identities", label, chain),
+                                           lattice, fis, tabs, **budgeted))
         del tabs  # the last suite that reads it is done
         if "endpoints" in names:
-            reports.append(_endpoint_lemmas(lattice, chain, fis, distributive, **budgeted))
+            reports.append(_endpoint_lemmas(LawReport("endpoints", label, chain), lattice,
+                                            fis, distributive, **budgeted))
         if "structure" in names:
-            reports.append(_interval_structure(lattice, chain, fis, **budgeted))
+            reports.append(_interval_structure(LawReport("structure", label, chain), fis,
+                                               **budgeted))
 
     if "crisp-axioms" in names or "crisp-distributivity" in names:
         tabs = _OpTables(enumerate_intervals(lattice), CrispInterval.hull,

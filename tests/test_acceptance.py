@@ -16,9 +16,8 @@ import time
 from fractions import Fraction
 
 from conftest import GRADES2, GRADES3, GRADES4
-from fuzzint import (CrispInterval, FuzzySet, boolean_lattice, chain,
-                     is_distributive, m3, make_interval, n5, product_lattice,
-                     run_suite)
+from fuzzint import (CrispInterval, boolean_lattice, chain, is_distributive, m3, n5,
+                     product_lattice, run_suite)
 from fuzzint.fuzzyintervals import (convex_cut_violation, convex_violation,
                                     interval_cut_violation,
                                     sublattice_cut_violation,
@@ -182,12 +181,12 @@ def test_criterion_8_pentagon_contrast():
     report = run_suite("distributivity", lat, GRADES2)[0]
     found = any(c.status == "fail" for c in report.checks)
 
-    a = make_interval(lat, "a", "a")
-    b = make_interval(lat, "b", "b")
-    c = make_interval(lat, "c", "c")
+    a = CrispInterval(lat, "a", "a")
+    b = CrispInterval(lat, "b", "b")
+    c = CrispInterval(lat, "c", "c")
     lhs = (a | b) & c
     rhs = (a & c) | (b & c)
-    pinned = (lhs == make_interval(lat, "c", "c")
+    pinned = (lhs == CrispInterval(lat, "c", "c")
               and rhs == CrispInterval.empty(lat)
               and lhs != rhs)
     ok = found and pinned

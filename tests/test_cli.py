@@ -114,6 +114,20 @@ def test_classify_lattice_mismatch_exits_2(m3_file, tmp_path, capsys):
     assert main(["classify", m3_file, fs]) == 2
 
 
+def test_classify_fixture_name_is_checked_against_the_lattice(tmp_path, capsys):
+    # a 5-chain that calls itself m3 is not the m3 fixture the document names
+    lat = tmp_path / "lat.json"
+    labels = ["0", "1", "2", "3", "4"]
+    lat.write_text(json.dumps({"name": "m3", "elements": labels,
+                               "covers": [list(pair) for pair in zip(labels, labels[1:])]}))
+    fs = fuzzy_file(tmp_path, "fs.json", dict.fromkeys(labels, "1"), lattice="m3")
+    assert main(["classify", str(lat), fs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the fuzzy set's lattice does not match "
+                            "the provided lattice\n")
+
+
 def test_op_meet(m3_file, tmp_path, capsys):
     a = fuzzy_file(tmp_path, "a.json", {"0": "1", "a": "1/2", "b": "0", "c": "0", "1": "0"})
     b = fuzzy_file(tmp_path, "b.json", {"0": "1", "a": "0", "b": "1/2", "c": "0", "1": "0"})
@@ -243,6 +257,13 @@ def test_laws_bad_grades_exit_2(capsys):
 
 def test_laws_unknown_fixture_exits_2(capsys):
     assert main(["laws", "--fixture", "tetrahedron"]) == 2
+
+
+def test_laws_oversized_fixture_exits_2(capsys):
+    assert main(["laws", "--fixture", "product(boolean12,chain2)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lattice with 8192 elements exceeds the cap of 4096\n"
 
 
 def test_laws_unknown_suite_exits_2(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzint import (FormatError, FuzzySet, LatticeMismatch, build_lattice,
+from fuzzint import (FiniteLattice, FormatError, FuzzySet, LatticeMismatch,
                      chain, m3)
 from fuzzint.formats import (dumps_canonical, fuzzy_set_from_json,
                              fuzzy_set_to_json, lattice_from_json,
@@ -91,11 +91,22 @@ def test_fuzzy_set_lattice_reference_mismatch():
     assert m.lattice == chain(3)
 
 
+def test_fixture_name_reference_is_compared_like_an_inline_lattice():
+    impostor = FiniteLattice(["0", "1", "2", "3", "4"],
+                             [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4")], name="m3")
+    doc = {"lattice": "m3", "memberships": dict.fromkeys(impostor.elements, "1")}
+    with pytest.raises(LatticeMismatch):
+        fuzzy_set_from_json(doc, impostor)
+    inline = {"lattice": M3_DOC, "memberships": doc["memberships"]}
+    with pytest.raises(LatticeMismatch):
+        fuzzy_set_from_json(inline, impostor)
+
+
 def test_inline_lattice_reference():
     doc = {"lattice": {"name": "", "elements": ["x", "y"], "covers": [["x", "y"]]},
            "memberships": {"x": "1", "y": "0"}}
     m = fuzzy_set_from_json(doc)
-    assert m.lattice == build_lattice(["x", "y"], [("x", "y")])
+    assert m.lattice == FiniteLattice(["x", "y"], [("x", "y")])
     emitted = fuzzy_set_to_json(m)
     assert isinstance(emitted["lattice"], dict)  # not a fixture, stays inline
 

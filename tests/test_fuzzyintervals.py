@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import GRADES2, GRADES3
-from fuzzint import (FuzzyInterval, FuzzySet, InvalidGrade, NotAFuzzyInterval,
-                     RouteDisagreement, chain, classify, is_fuzzy_convex_sublattice,
-                     is_fuzzy_interval, is_fuzzy_sublattice, make_interval)
+from fuzzint import (CrispInterval, FuzzyInterval, FuzzySet, InvalidGrade,
+                     NotAFuzzyInterval, RouteDisagreement, chain, classify,
+                     is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice)
 from fuzzint import fuzzyintervals
 from fuzzint.fuzzyintervals import (convex_violation, interval_cut_violation,
                                     join_family, meet_family,
@@ -175,6 +175,20 @@ def test_library_has_no_assert_statements():
 # -- constructor and cuts ------------------------------------------------
 
 
+def test_public_names_match_all():
+    import fuzzint
+    exported = set(fuzzint.__all__)
+    assert len(exported) == len(fuzzint.__all__)
+    assert all(hasattr(fuzzint, name) for name in fuzzint.__all__)
+    namespace: dict = {}
+    exec("from fuzzint import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == exported
+    removed = {"build_lattice", "make_interval", "check_cut_identities",
+               "check_endpoint_lemmas", "check_interval_structure"}
+    assert not any(hasattr(fuzzint, name) for name in removed)
+
+
 def test_constructor_validates(diamond):
     bad = FuzzySet(diamond, {"0": "1", "a": "1", "b": "1", "c": "0", "1": "1"})
     with pytest.raises(NotAFuzzyInterval) as exc:
@@ -183,16 +197,16 @@ def test_constructor_validates(diamond):
 
 
 def test_from_interval(chain3):
-    fi = FuzzyInterval.from_interval(make_interval(chain3, "0", "1"))
+    fi = FuzzyInterval.from_interval(CrispInterval(chain3, "0", "1"))
     assert fi.values == (1, 1, 0)
-    assert fi.cut_interval(Fraction(1)) == make_interval(chain3, "0", "1")
+    assert fi.cut_interval(Fraction(1)) == CrispInterval(chain3, "0", "1")
 
 
 def test_cut_interval_and_thresholds(chain3):
     fi = FuzzyInterval(FuzzySet(chain3, {"0": "1/2", "1": "1", "2": "1/2"}))
     assert fi.thresholds() == (0, H, 1)
-    assert fi.cut_interval(H) == make_interval(chain3, "0", "2")
-    assert fi.cut_interval(Fraction(1)) == make_interval(chain3, "1", "1")
+    assert fi.cut_interval(H) == CrispInterval(chain3, "0", "2")
+    assert fi.cut_interval(Fraction(1)) == CrispInterval(chain3, "1", "1")
     assert fi.cut(Fraction(1)) == frozenset({"1"})
 
 

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzint import (CrispInterval, EmptyInterval, FiniteLattice, LatticeMismatch,
-                     RouteDisagreement, chain, intersection_family, make_interval, n5)
+                     RouteDisagreement, chain, intersection_family, n5)
 from fuzzint.laws import enumerate_intervals
 
 
 def test_basic_interval(diamond):
-    iv = make_interval(diamond, "a", "1")
+    iv = CrispInterval(diamond, "a", "1")
     assert not iv.is_empty
     assert iv.lo == "a" and iv.hi == "1"
     assert iv.members() == frozenset({"a", "1"})
@@ -18,7 +18,7 @@ def test_basic_interval(diamond):
 
 
 def test_crossed_bounds_normalize_to_empty(diamond):
-    iv = make_interval(diamond, "1", "0")
+    iv = CrispInterval(diamond, "1", "0")
     assert iv.is_empty
     assert iv.members() == frozenset()
     with pytest.raises(EmptyInterval):
@@ -27,7 +27,7 @@ def test_crossed_bounds_normalize_to_empty(diamond):
 
 def test_incomparable_bounds_give_singleton_or_empty(diamond):
     # [a,b] has no element z with a ⊑ z ⊑ b
-    assert make_interval(diamond, "a", "b").is_empty
+    assert CrispInterval(diamond, "a", "b").is_empty
 
 
 def test_whole_and_empty(pentagon):
@@ -36,8 +36,8 @@ def test_whole_and_empty(pentagon):
 
 
 def test_empty_intervals_are_equal(diamond):
-    assert make_interval(diamond, "1", "0") == CrispInterval.empty(diamond)
-    assert hash(make_interval(diamond, "a", "b")) == hash(CrispInterval.empty(diamond))
+    assert CrispInterval(diamond, "1", "0") == CrispInterval.empty(diamond)
+    assert hash(CrispInterval(diamond, "a", "b")) == hash(CrispInterval.empty(diamond))
 
 
 def test_intersection_is_set_intersection():
@@ -48,10 +48,10 @@ def test_intersection_is_set_intersection():
 
 
 def test_intersection_endpoint_formula(pentagon):
-    a = make_interval(pentagon, "0", "c")
-    b = make_interval(pentagon, "a", "1")
+    a = CrispInterval(pentagon, "0", "c")
+    b = CrispInterval(pentagon, "a", "1")
     got = a & b
-    assert got == make_interval(pentagon, pentagon.join("0", "a"), pentagon.meet("c", "1"))
+    assert got == CrispInterval(pentagon, pentagon.join("0", "a"), pentagon.meet("c", "1"))
 
 
 def test_hull_is_least_containing_interval():
@@ -66,7 +66,7 @@ def test_hull_is_least_containing_interval():
 
 
 def test_hull_with_empty_is_identity(diamond):
-    a = make_interval(diamond, "0", "b")
+    a = CrispInterval(diamond, "0", "b")
     assert (a | CrispInterval.empty(diamond)) == a
     assert (CrispInterval.empty(diamond) | a) == a
 
@@ -75,11 +75,11 @@ def test_endpoints_recompute_from_members(pentagon):
     for iv in enumerate_intervals(pentagon):
         if not iv.is_empty:
             lo, hi = iv.endpoints()
-            assert iv == make_interval(pentagon, lo, hi)
+            assert iv == CrispInterval(pentagon, lo, hi)
 
 
 def test_endpoints_round_trip_disagreement_raises(monkeypatch, pentagon):
-    iv = make_interval(pentagon, "0", "b")
+    iv = CrispInterval(pentagon, "0", "b")
     monkeypatch.setattr(FiniteLattice, "meet_set", lambda self, members: self.top)
     with pytest.raises(RouteDisagreement) as info:
         iv.endpoints()
@@ -109,19 +109,19 @@ def test_enumeration_has_no_duplicates(pentagon):
 
 def test_intersection_family(pentagon):
     assert intersection_family(pentagon, []) == CrispInterval.whole(pentagon)
-    ivs = [make_interval(pentagon, "0", "c"), make_interval(pentagon, "0", "1")]
-    assert intersection_family(pentagon, ivs) == make_interval(pentagon, "0", "c")
+    ivs = [CrispInterval(pentagon, "0", "c"), CrispInterval(pentagon, "0", "1")]
+    assert intersection_family(pentagon, ivs) == CrispInterval(pentagon, "0", "c")
 
 
 def test_mixed_lattices_rejected(diamond, pentagon):
-    a = make_interval(diamond, "0", "1")
-    b = make_interval(pentagon, "0", "1")
+    a = CrispInterval(diamond, "0", "1")
+    b = CrispInterval(pentagon, "0", "1")
     with pytest.raises(LatticeMismatch):
         a & b
 
 
 def test_render(diamond):
-    assert make_interval(diamond, "a", "1").render(ascii_only=True) == "[a,1]"
+    assert CrispInterval(diamond, "a", "1").render(ascii_only=True) == "[a,1]"
     assert CrispInterval.empty(diamond).render(ascii_only=True) == "empty"
     assert CrispInterval.empty(diamond).render() == "∅"
 
@@ -133,7 +133,7 @@ def test_interval_ops_against_sets_on_chains(n, data):
     els = list(lat)
     pick = st.tuples(st.sampled_from(els), st.sampled_from(els))
     (lo1, hi1), (lo2, hi2) = data.draw(pick), data.draw(pick)
-    a, b = make_interval(lat, lo1, hi1), make_interval(lat, lo2, hi2)
+    a, b = CrispInterval(lat, lo1, hi1), CrispInterval(lat, lo2, hi2)
     assert (a & b).members() == a.members() & b.members()
     hull = (a | b).members()
     assert hull >= a.members() | b.members()

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_lattices
 from fuzzint import (CycleError, FiniteLattice, NotALattice, SizeLimit,
-                     UnknownElement, boolean_lattice, build_lattice, chain,
-                     is_distributive, m3, n5,
+                     UnknownElement, boolean_lattice, chain, is_distributive, m3, n5,
                      product_lattice, standard_lattice)
+from fuzzint.lattice import MAX_ELEMENTS
 
 
 def test_chain_order(chain3):
@@ -22,46 +23,46 @@ def test_chain_order(chain3):
 
 
 def test_duplicate_covers_are_tolerated():
-    lat = build_lattice(["x", "y"], [("x", "y"), ("x", "y")])
+    lat = FiniteLattice(["x", "y"], [("x", "y"), ("x", "y")])
     assert lat.leq("x", "y")
     assert lat.covers() == (("x", "y"),)
 
 
 def test_self_cover_is_a_cycle():
     with pytest.raises(CycleError):
-        build_lattice(["x"], [("x", "x")])
+        FiniteLattice(["x"], [("x", "x")])
 
 
 def test_two_cycle():
     with pytest.raises(CycleError) as exc:
-        build_lattice(["x", "y"], [("x", "y"), ("y", "x")])
+        FiniteLattice(["x", "y"], [("x", "y"), ("y", "x")])
     assert "cycle" in str(exc.value)
 
 
 def test_longer_cycle_is_detected():
     with pytest.raises(CycleError):
-        build_lattice(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")])
+        FiniteLattice(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")])
 
 
 def test_empty_carrier_rejected():
     with pytest.raises(ValueError):
-        build_lattice([], [])
+        FiniteLattice([], [])
 
 
 def test_duplicate_elements_rejected():
     with pytest.raises(ValueError):
-        build_lattice(["x", "x"], [])
+        FiniteLattice(["x", "x"], [])
 
 
 def test_unknown_cover_endpoint():
     with pytest.raises(UnknownElement):
-        build_lattice(["x"], [("x", "y")])
+        FiniteLattice(["x"], [("x", "y")])
 
 
 def test_two_maximal_elements_not_a_lattice():
     # x < y, x < z and nothing above {y, z}
     with pytest.raises(NotALattice) as exc:
-        build_lattice(["x", "y", "z"], [("x", "y"), ("x", "z")])
+        FiniteLattice(["x", "y", "z"], [("x", "y"), ("x", "z")])
     assert exc.value.pair == ("y", "z")
 
 
@@ -69,7 +70,7 @@ def test_no_meet_not_a_lattice():
     # a and b meet in z, but x and y are both minimal above them
     covers = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("x", "t"), ("y", "t"), ("z", "a"), ("z", "b")]
     with pytest.raises(NotALattice) as exc:
-        build_lattice(["a", "b", "x", "y", "z", "t"], covers)
+        FiniteLattice(["a", "b", "x", "y", "z", "t"], covers)
     assert exc.value.pair == ("a", "b")
     assert exc.value.kind == "join"
     assert exc.value.candidates == ("x", "y")
@@ -99,7 +100,7 @@ def test_not_a_lattice_witness(case):
     covers, expected = NOT_A_LATTICE_WITNESSES[case]
     labels = sorted({e for pair in covers for e in pair})
     with pytest.raises(NotALattice) as exc:
-        build_lattice(labels, covers)
+        FiniteLattice(labels, covers)
     assert (exc.value.pair, exc.value.kind, exc.value.candidates) == expected
 
 
@@ -117,7 +118,7 @@ def test_between(diamond):
 
 
 def test_covers_roundtrip(pentagon):
-    rebuilt = build_lattice(list(pentagon), pentagon.covers())
+    rebuilt = FiniteLattice(list(pentagon), pentagon.covers())
     assert rebuilt == pentagon
     assert rebuilt.covers() == pentagon.covers()
 
@@ -194,15 +195,38 @@ def test_standard_lattice_names():
 
 
 def test_structural_equality_ignores_name():
-    a = build_lattice(["x", "y"], [("x", "y")], name="one")
-    b = build_lattice(["x", "y"], [("x", "y")], name="two")
+    a = FiniteLattice(["x", "y"], [("x", "y")], name="one")
+    b = FiniteLattice(["x", "y"], [("x", "y")], name="two")
     assert a == b
     assert hash(a) == hash(b)
 
 
 def test_size_limit():
     with pytest.raises(SizeLimit):
-        FiniteLattice(range(5), [(i, i + 1) for i in range(4)], max_elements=3)
+        FiniteLattice(range(MAX_ELEMENTS + 1), [(i, i + 1) for i in range(MAX_ELEMENTS)])
+
+
+def test_fixture_factories_refuse_oversized_requests():
+    with pytest.raises(SizeLimit, match=f"{MAX_ELEMENTS + 1} elements"):
+        chain(MAX_ELEMENTS + 1)
+    with pytest.raises(SizeLimit, match="8192 elements"):
+        boolean_lattice(13)
+    with pytest.raises(SizeLimit, match="8192 elements"):
+        standard_lattice("boolean13")
+
+
+@pytest.mark.parametrize("spec, requested", [
+    ("product(boolean12,chain2)", 8192),    # each factor fits, the product does not
+    ("product(chain2,boolean13)", 8192),    # an oversized factor is named first
+    ("product(chain5000,boolean13)", 5000),  # the left factor is checked first
+    ("product(product(boolean6,boolean6),chain2)", 8192),
+])
+def test_oversized_product_fixture_fails_before_building(spec, requested):
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit) as info:
+        standard_lattice(spec)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == f"lattice with {requested} elements exceeds the cap of {MAX_ELEMENTS}"
 
 
 def test_unknown_element_lookup(chain3):
@@ -239,7 +263,7 @@ def random_cover_sets(draw):
 def test_random_covers_build_or_raise_cleanly(case):
     labels, covers = case
     try:
-        lat = build_lattice(labels, covers)
+        lat = FiniteLattice(labels, covers)
     except (CycleError, NotALattice):
         return
     # when construction succeeds the result must behave like a lattice
@@ -282,7 +306,7 @@ def _first_missing_bound(labels, covers):
 def test_not_a_lattice_witness_matches_brute_force(case):
     labels, covers = case
     try:
-        build_lattice(labels, covers)
+        FiniteLattice(labels, covers)
     except CycleError:
         return
     except NotALattice as exc:
@@ -297,7 +321,7 @@ def test_not_a_lattice_witness_matches_brute_force(case):
 def test_bounds_match_brute_force_on_random_lattices(case):
     masks, covers = case
     labels = [f"e{i}" for i in range(len(masks))]
-    lat = build_lattice(labels, covers)
+    lat = FiniteLattice(labels, covers)
     mask_of = dict(zip(labels, masks))
     for x in labels:
         for y in labels:

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRADES2, GRADES3, GRADES4, random_lattices
-from fuzzint import (CrispInterval, FuzzyInterval, FuzzySet, GradeSetInvalid,
-                     build_lattice, chain, classify, is_fuzzy_convex_sublattice,
-                     is_fuzzy_interval, is_fuzzy_sublattice,
-                     make_interval, n5, oracle_join, run_suite, validate_grades)
+from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
+                     GradeSetInvalid, classify, is_fuzzy_convex_sublattice,
+                     is_fuzzy_interval, is_fuzzy_sublattice, n5, oracle_join,
+                     run_suite, validate_grades)
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
                           check_lattice_axioms, enumerate_fuzzy_intervals,
                           enumerate_fuzzy_intervals_by_filter,
@@ -104,7 +104,7 @@ def test_oracle_join_matches_fast_join(diamond):
 
 def _lattice_of(case):
     masks, covers = case
-    return build_lattice([f"e{i}" for i in range(len(masks))], covers)
+    return FiniteLattice([f"e{i}" for i in range(len(masks))], covers)
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,12 +189,12 @@ def test_non_distributive_base_is_reported_not_asserted(pentagon):
 
 def test_pentagon_crisp_regression():
     lat = n5()
-    a = make_interval(lat, "a", "a")
-    b = make_interval(lat, "b", "b")
-    c = make_interval(lat, "c", "c")
+    a = CrispInterval(lat, "a", "a")
+    b = CrispInterval(lat, "b", "b")
+    c = CrispInterval(lat, "c", "c")
     lhs = (a | b) & c
     rhs = (a & c) | (b & c)
-    assert lhs == make_interval(lat, "c", "c")
+    assert lhs == CrispInterval(lat, "c", "c")
     assert rhs == CrispInterval.empty(lat)
     assert lhs != rhs
 
@@ -364,3 +364,11 @@ def test_all_matches_standalone_suites(chain2, chain3, diamond, pentagon):
             alone = [r.as_json() for suite in SUITES
                      for r in run_suite(suite, lat, grades, **budget)]
             assert shared == alone, (lat.name, grades, budget)
+
+
+def test_every_report_carries_the_same_label():
+    unnamed = FiniteLattice(["x", "y"], [("x", "y")])
+    reports = run_suite("all", unnamed, GRADES2)
+    assert [r.suite for r in reports] == list(SUITES)
+    assert {r.lattice for r in reports} == {"<2 elements>"}
+    assert {r.lattice for r in run_suite("all", n5(), GRADES2)} == {"n5"}
