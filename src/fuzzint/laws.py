@@ -14,9 +14,19 @@ marked accordingly.
 enumerates each collection once and builds one op table per collection,
 shared by its suites: the fuzzy-interval table serves the axiom and
 distributivity suites and supplies the meets and joins of the cut-identity
-suite; the crisp intervals get their own.  Nothing is kept between calls.
-``check_lattice_axioms`` and ``check_distributivity`` run the axiom and
-distributivity bodies over an arbitrary collection and its ops.
+suite; the crisp-interval table serves the crisp suites and supplies the
+hulls and intersections of the cuts, the cut-identity suite's reference
+side.  Nothing is kept between calls.  ``check_lattice_axioms`` and
+``check_distributivity`` run the axiom and distributivity bodies over an
+arbitrary collection of distinct members and its ops.
+
+In exhaustive mode the triple laws (associativity, distributivity) are
+checked a row at a time when their tables hold no -1 entry: for each
+``(i, j)`` one list comparison covers every ``k``, and only a row that
+does not match is probed instance by instance.  Over such a table a
+row matches exactly when every instance in it passes, and rows are
+visited in enumeration order, so the first witness and the ``checked``
+count are those of the instance-by-instance loop.
 """
 
 from __future__ import annotations
@@ -204,25 +214,52 @@ def _plan(count: int, arity: int, budget: int, seed: int):
     return sample(), f"sampled({draws} of {total}, seed={seed})"
 
 
-def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
-             probe: Callable, *, budget: int, seed: int,
-             asserted: bool = True, note: str = "") -> None:
-    """Evaluate ``probe`` over index tuples; record the first failure.
-
-    ``probe`` returns None for a pass and a detail (possibly "") for a fail.
-    """
-    instances, mode = _plan(len(items), arity, budget, seed)
-    witness = None
+def _scan(instances, probe):
+    """(instances evaluated, first failing tuple or None, its detail)."""
     checked = 0
     for tup in instances:
         checked += 1
         detail = probe(*tup)
         if detail is not None:
-            witness = {"indices": list(tup),
-                       "operands": [render_operand(items[i]) for i in tup]}
-            if detail:
-                witness["detail"] = detail
-            break
+            return checked, tup, detail
+    return checked, None, None
+
+
+def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
+             probe: Callable, *, budget: int, seed: int,
+             asserted: bool = True, note: str = "", row: Callable | None = None) -> None:
+    """Evaluate ``probe`` over index tuples; record the first failure.
+
+    ``probe`` returns None for a pass and a detail (possibly "") for a fail.
+
+    ``row(i, j)``, given for a triple law, says whether ``probe(i, j, k)``
+    passes for every ``k``; the caller passes it only when it is exact,
+    i.e. when the tables it reads hold no -1 entry.  In exhaustive mode a
+    matching row counts its n instances without probing them; any other
+    row is probed ``k`` by ``k``.  Rows are visited in enumeration order,
+    so the first failure, its detail and ``checked`` are the probe's own.
+    Sampled instances are always probed one by one.
+    """
+    instances, mode = _plan(len(items), arity, budget, seed)
+    if row is None or mode != "exhaustive":
+        checked, tup, detail = _scan(instances, probe)
+    else:
+        n = len(items)
+        checked, tup = 0, None
+        for i, j in itertools.product(range(n), repeat=2):
+            if row(i, j):
+                checked += n
+                continue
+            count, tup, detail = _scan(((i, j, k) for k in range(n)), probe)
+            checked += count
+            if tup is not None:
+                break
+    witness = None
+    if tup is not None:
+        witness = {"indices": list(tup),
+                   "operands": [render_operand(items[i]) for i in tup]}
+        if detail:
+            witness["detail"] = detail
     status = "pass" if witness is None else "fail"
     report.checks.append(LawCheck(law, status, checked, witness, asserted, note, mode))
 
@@ -239,13 +276,21 @@ class _OpTables:
     ``down_rows`` their transpose (the lower bounds of each item); both
     stay zero without ``leq_op``.  The ops are kept for the probes that
     fall back to them on a -1 entry.
+
+    The items must be distinct: the probes compare results by index, so a
+    member listed twice would make equal results look different.  A
+    duplicate raises ``ValueError`` before any op is evaluated.
+    ``index`` maps each item to its index.
     """
 
     def __init__(self, items, join_op, meet_op, leq_op):
         n = len(items)
-        pool: dict = {}
+        self.index = pool = {}
         for i, item in enumerate(items):
-            pool.setdefault(item, i)
+            first = pool.setdefault(item, i)
+            if first != i:
+                raise ValueError(f"the collection lists one member twice, "
+                                 f"at indices {first} and {i}")
         self.items = items
         self.join_op = join_op
         self.meet_op = meet_op
@@ -292,6 +337,10 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
     least-upper- / greatest-lower-bound property against the collection
     itself, and agreement of the join with its definitional oracle — the
     meet-fold over all common upper bounds.
+
+    The collection must list each member once (results are compared by
+    index); a member listed twice raises ``ValueError`` naming both
+    indices, before any op is evaluated.
     """
     return _lattice_axioms(LawReport(suite, lattice_name, tuple(grades)),
                            _OpTables(list(collection), join_op, meet_op, leq_op),
@@ -329,6 +378,12 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
     run("idempotence-meet", 1, lambda i: None if mt[i * n + i] == i else "")
 
     def assoc(table, op):
+        """(probe, row); the row compares a(b c) with (a b)c over every c."""
+        rows = [table[i * n:i * n + n] for i in range(n)]
+
+        def row(i, j):
+            return list(map(rows[i].__getitem__, rows[j])) == rows[table[i * n + j]]
+
         def probe(i, j, k):
             bc = table[j * n + k]
             ab = table[i * n + j]
@@ -340,10 +395,12 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
             lhs_obj = op(items[i], op(items[j], items[k]))
             rhs_obj = op(op(items[i], items[j]), items[k])
             return None if lhs_obj == rhs_obj else ""
-        return probe
+        return probe, (row if -1 not in table else None)
 
-    run("associativity-join", 3, assoc(jt, join_op))
-    run("associativity-meet", 3, assoc(mt, meet_op))
+    for law, table, op in (("associativity-join", jt, join_op),
+                           ("associativity-meet", mt, meet_op)):
+        probe, row = assoc(table, op)
+        _run_law(report, items, law, 3, probe, budget=budget, seed=seed, row=row)
 
     def absorption(outer_t, inner_t, outer_op, inner_op):
         def probe(i, j):
@@ -407,7 +464,11 @@ def check_distributivity(collection, join_op, meet_op, *,
                          suite: str = "distributivity", lattice_name: str = "",
                          grades: tuple = (), budget: int = DEFAULT_BUDGET,
                          seed: int = DEFAULT_SEED) -> LawReport:
-    """Evaluate both distributive laws over all (budgeted) triples."""
+    """Evaluate both distributive laws over all (budgeted) triples.
+
+    The collection must list each member once, as for
+    :func:`check_lattice_axioms`; a duplicate raises ``ValueError``.
+    """
     return _distributivity(LawReport(suite, lattice_name, tuple(grades)),
                            _OpTables(list(collection), join_op, meet_op, None),
                            asserted=True, budget=budget, seed=seed)
@@ -427,7 +488,15 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
 
     def law(outer_t, inner_t, outer_op, inner_op):
-        # outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))
+        """(probe, row) for outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))."""
+        outer_rows = [outer_t[i * n:i * n + n] for i in range(n)]
+        inner_rows = [inner_t[i * n:i * n + n] for i in range(n)]
+
+        def row(i, j):
+            a_outer = outer_rows[i]
+            return (list(map(a_outer.__getitem__, inner_rows[j]))
+                    == list(map(inner_rows[a_outer[j]].__getitem__, a_outer)))
+
         def probe(i, j, k):
             bc = inner_t[j * n + k]
             ab = outer_t[i * n + j]
@@ -440,12 +509,12 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
             lhs_obj = outer_op(items[i], inner_op(items[j], items[k]))
             rhs_obj = inner_op(outer_op(items[i], items[j]), outer_op(items[i], items[k]))
             return None if lhs_obj == rhs_obj else ""
-        return probe
+        return probe, (row if -1 not in outer_t and -1 not in inner_t else None)
 
-    for name, probe in (("meet-over-join", law(mt, jt, meet_op, join_op)),
-                        ("join-over-meet", law(jt, mt, join_op, meet_op))):
+    for name, (probe, row) in (("meet-over-join", law(mt, jt, meet_op, join_op)),
+                               ("join-over-meet", law(jt, mt, join_op, meet_op))):
         _run_law(report, items, name, 3, probe, budget=budget, seed=seed,
-                 asserted=asserted, note=note)
+                 asserted=asserted, note=note, row=row)
     return report
 
 
@@ -481,7 +550,8 @@ def _grade_set(chain: tuple, ranks) -> str:
 
 
 def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
-                    tabs: _OpTables | None, *, budget: int, seed: int) -> LawReport:
+                    tabs: _OpTables | None, crisp: _OpTables, *, budget: int,
+                    seed: int) -> LawReport:
     """Cutwise characterization of the fuzzy-interval ops.
 
     For every pair and every threshold of the union of threshold sets, the
@@ -490,52 +560,65 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
     start at the whole carrier, and intersect down to their largest index.
 
     With ``tabs`` built over ``fis`` a pair's meet and join are read from
-    the tables; without, or on a -1 entry, the op is evaluated.
+    the tables and cut pointwise once per item; without, or on a -1 entry,
+    the op is evaluated and its result cut.  The reference side is the
+    crisp route: each cut is looked up in ``crisp``, the table over the
+    crisp intervals (hull is its join, intersection its meet), and a -1
+    entry there falls back to the crisp op.
     """
     chain = report.grades
-    n = len(fis)
+    n, m = len(fis), crisp.n
     full = lattice.all_mask
     ranks = _threshold_ranks(fis)
-    cuts = [[fi.cut_interval(g) for g in chain] for fi in fis]  # by grade rank
+    cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]  # by grade rank
+    crisp_masks = [iv.members_mask() for iv in crisp.items]
+    pointwise = None if tabs is None else [
+        [fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))] for fi in fis]
+    crisp_ops = {"meet": (crisp.meet_t, crisp.meet_op), "join": (crisp.join_t, crisp.join_op)}
 
-    def family(i, j, op):
+    def crisp_mask(table, op, a, b):
+        """Member mask of op(crisp item a, crisp item b)."""
+        k = table[a * m + b]
+        return crisp_masks[k] if k >= 0 else op(crisp.items[a], crisp.items[b]).members_mask()
+
+    def family(i, j, table, op):
         """(rank, mask of op(cut_i, cut_j)) over the pair's thresholds, ascending."""
         ci, cj = cuts[i], cuts[j]
         for r in iter_bits(ranks[i] | ranks[j]):
-            yield r, op(ci[r], cj[r]).members_mask()
+            yield r, crisp_mask(table, op, ci[r], cj[r])
 
     def identity(op_name):
-        op = CrispInterval.intersection if op_name == "meet" else CrispInterval.hull
-        table = None if tabs is None else (tabs.meet_t if op_name == "meet" else tabs.join_t)
+        table, op = crisp_ops[op_name]
+        fi_table = None if tabs is None else (tabs.meet_t if op_name == "meet" else tabs.join_t)
 
         def probe(i, j):
-            k = -1 if table is None else table[i * n + j]
+            k = -1 if fi_table is None else fi_table[i * n + j]
             if k >= 0:
-                combined = fis[k].fuzzy
+                cut_mask = pointwise[k].__getitem__
             else:
                 a, b = fis[i], fis[j]
-                combined = (a.meet(b) if op_name == "meet" else a.join(b)).fuzzy
-            for r, mask in family(i, j, op):
-                if combined._rank_cut_mask(r) != mask:
+                cut_mask = (a.meet(b) if op_name == "meet" else a.join(b)).fuzzy._rank_cut_mask
+            for r, mask in family(i, j, table, op):
+                if cut_mask(r) != mask:
                     return f"threshold {format_grade(chain[r])}"
             return None
         return probe
 
     def family_laws(op_name):
-        op = CrispInterval.intersection if op_name == "meet" else CrispInterval.hull
+        table, op = crisp_ops[op_name]
 
         def antitone(i, j):
-            masks = [mask for _, mask in family(i, j, op)]
+            masks = [mask for _, mask in family(i, j, table, op)]
             for lower, higher in zip(masks, masks[1:]):
                 if higher & ~lower:
                     return "family grows with the threshold"
             return None
 
         def at_zero(i, j):
-            return None if op(cuts[i][0], cuts[j][0]).members_mask() == full else ""
+            return None if crisp_mask(table, op, cuts[i][0], cuts[j][0]) == full else ""
 
         def closed_under_intersection(i, j):
-            masks = dict(family(i, j, op))
+            masks = dict(family(i, j, table, op))
             for subset in _subsets(list(masks)):
                 acc = full
                 for r in subset:
@@ -694,9 +777,10 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     """Run one named suite (or ``all``) and return its reports.
 
     The suites of one call share each collection, its op table and the
-    carrier's distributivity verdict.  A table is built only when the
-    call runs the axiom or distributivity suite over that collection, so
-    ``cut-identities`` alone evaluates its ops pair by pair.
+    carrier's distributivity verdict.  The fuzzy-interval table is built
+    only when the call runs the axiom or distributivity suite, so
+    ``cut-identities`` alone evaluates its fuzzy-interval ops pair by
+    pair; it still builds the crisp-interval table, without ``leq`` rows.
     """
     if name == "all":
         names = SUITES
@@ -712,6 +796,12 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     if any(s in names for s in ("distributivity", "endpoints", "crisp-distributivity")):
         distributive = is_distributive(lattice)[0]
 
+    crisp = None
+    if any(s in names for s in ("cut-identities", "crisp-axioms", "crisp-distributivity")):
+        crisp = _OpTables(enumerate_intervals(lattice), CrispInterval.hull,
+                          CrispInterval.intersection,
+                          CrispInterval.issubset if "crisp-axioms" in names else None)
+
     if any(s in names for s in SUITES[:5]):  # the suites over the fuzzy intervals
         fis = enumerate_fuzzy_intervals(lattice, chain)
         tabs = None
@@ -725,7 +815,7 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
                                            asserted=distributive, **budgeted))
         if "cut-identities" in names:
             reports.append(_cut_identities(LawReport("cut-identities", label, chain),
-                                           lattice, fis, tabs, **budgeted))
+                                           lattice, fis, tabs, crisp, **budgeted))
         del tabs  # the last suite that reads it is done
         if "endpoints" in names:
             reports.append(_endpoint_lemmas(LawReport("endpoints", label, chain), lattice,
@@ -734,13 +824,9 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
             reports.append(_interval_structure(LawReport("structure", label, chain), fis,
                                                **budgeted))
 
-    if "crisp-axioms" in names or "crisp-distributivity" in names:
-        tabs = _OpTables(enumerate_intervals(lattice), CrispInterval.hull,
-                         CrispInterval.intersection,
-                         CrispInterval.issubset if "crisp-axioms" in names else None)
-        if "crisp-axioms" in names:
-            reports.append(_lattice_axioms(LawReport("crisp-axioms", label), tabs, **budgeted))
-        if "crisp-distributivity" in names:
-            reports.append(_distributivity(LawReport("crisp-distributivity", label), tabs,
-                                           asserted=distributive, **budgeted))
+    if "crisp-axioms" in names:
+        reports.append(_lattice_axioms(LawReport("crisp-axioms", label), crisp, **budgeted))
+    if "crisp-distributivity" in names:
+        reports.append(_distributivity(LawReport("crisp-distributivity", label), crisp,
+                                       asserted=distributive, **budgeted))
     return reports

@@ -17,7 +17,7 @@ from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
                           check_lattice_axioms, enumerate_fuzzy_intervals,
                           enumerate_fuzzy_intervals_by_filter,
-                          enumerate_fuzzy_sets, enumerate_intervals)
+                          enumerate_fuzzy_sets, enumerate_intervals, render_operand)
 
 H = Fraction(1, 2)
 
@@ -199,19 +199,22 @@ def test_pentagon_crisp_regression():
     assert lhs != rhs
 
 
-def test_fault_injection_broken_join_is_caught(chain3):
-    ivs = enumerate_intervals(chain3)
-    whole = CrispInterval.whole(chain3)
-    empty = CrispInterval.empty(chain3)
+def _broken_join(lattice):
+    """The true hull, except that one pair's result is swapped: the join of
+    the whole carrier and the empty interval gives the empty interval."""
+    whole, empty = CrispInterval.whole(lattice), CrispInterval.empty(lattice)
 
     def broken_join(a, b):
-        # swap one pair's result; everything else is the true hull
         if {a, b} == {whole, empty}:
             return empty
         return a | b
+    return broken_join
 
+
+def test_fault_injection_broken_join_is_caught(chain3):
+    ivs = enumerate_intervals(chain3)
     report = check_lattice_axioms(
-        ivs, broken_join, CrispInterval.intersection, CrispInterval.issubset,
+        ivs, _broken_join(chain3), CrispInterval.intersection, CrispInterval.issubset,
         suite="crisp-axioms", lattice_name="chain3", grades=())
     assert not report.passed
     failed = {c.law for c in report.checks if c.status == "fail"}
@@ -235,6 +238,87 @@ def test_fault_injection_out_of_pool_result(chain3):
     assert not report.passed
     closure = next(c for c in report.checks if c.law == "closure-meet")
     assert closure.status == "fail"
+
+
+def test_duplicate_member_is_refused_before_any_op(chain2):
+    ivs = enumerate_intervals(chain2) + [CrispInterval.empty(chain2)]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(a, b):
+            calls[name] += 1
+            return fn(a, b)
+        return wrapper
+
+    join = counted("join", CrispInterval.hull)
+    meet = counted("meet", CrispInterval.intersection)
+    leq = counted("leq", CrispInterval.issubset)
+    with pytest.raises(ValueError, match="indices 0 and 4"):
+        check_lattice_axioms(ivs, join, meet, leq)
+    with pytest.raises(ValueError, match="indices 0 and 4"):
+        check_distributivity(ivs, join, meet)
+    assert not calls
+    assert check_lattice_axioms(ivs[:-1], join, meet, leq).passed
+
+
+TRIPLE_LAWS = {
+    "associativity-join": (lambda J, M, a, b, c: J(a, J(b, c)),
+                           lambda J, M, a, b, c: J(J(a, b), c)),
+    "associativity-meet": (lambda J, M, a, b, c: M(a, M(b, c)),
+                           lambda J, M, a, b, c: M(M(a, b), c)),
+    "meet-over-join": (lambda J, M, a, b, c: M(a, J(b, c)),
+                       lambda J, M, a, b, c: J(M(a, b), M(a, c))),
+    "join-over-meet": (lambda J, M, a, b, c: J(a, M(b, c)),
+                       lambda J, M, a, b, c: M(J(a, b), J(a, c))),
+}
+
+
+def _assert_triple_checks_match_plain_scan(reports, items, join, meet, laws):
+    """Each triple check's status, checked count and witness equal those of
+    a lexicographic scan that calls the ops directly."""
+    checks = {c.law: c for r in reports for c in r.checks if c.law in TRIPLE_LAWS}
+    assert set(checks) == set(laws)
+    for law in laws:
+        lhs, rhs = TRIPLE_LAWS[law]
+        checked, witness = 0, None
+        for tup in itertools.product(range(len(items)), repeat=3):
+            checked += 1
+            a, b, c = (items[i] for i in tup)
+            if lhs(join, meet, a, b, c) != rhs(join, meet, a, b, c):
+                witness = {"indices": list(tup),
+                           "operands": [render_operand(items[i]) for i in tup]}
+                break
+        expected = ("pass" if witness is None else "fail", checked, witness)
+        assert (checks[law].status, checks[law].checked, checks[law].witness) == expected, law
+
+
+def test_row_checks_match_a_plain_scan(chain3):
+    # a closed table with one wrong entry: the row path decides every row
+    ivs = enumerate_intervals(chain3)
+    broken_join = _broken_join(chain3)
+    reports = [check_lattice_axioms(ivs, broken_join, CrispInterval.intersection,
+                                    CrispInterval.issubset),
+               check_distributivity(ivs, broken_join, CrispInterval.intersection)]
+    status = {c.law: c.status for c in reports[0].checks}
+    assert status["closure-join"] == "pass" and status["associativity-join"] == "fail"
+    _assert_triple_checks_match_plain_scan(reports, ivs, broken_join,
+                                           CrispInterval.intersection, TRIPLE_LAWS)
+
+    # -1 entries: intersections of nonempty intervals may leave the pool
+    nonempty = ivs[1:]
+    reports = [check_lattice_axioms(nonempty, CrispInterval.hull, CrispInterval.intersection,
+                                    CrispInterval.issubset),
+               check_distributivity(nonempty, CrispInterval.hull, CrispInterval.intersection)]
+    assert {c.law: c.status for c in reports[0].checks}["closure-meet"] == "fail"
+    _assert_triple_checks_match_plain_scan(reports, nonempty, CrispInterval.hull,
+                                           CrispInterval.intersection, TRIPLE_LAWS)
+
+    fis = enumerate_fuzzy_intervals(chain3, GRADES3)
+    reports = run_suite("distributivity", chain3, GRADES3)
+    assert not reports[0].passed
+    _assert_triple_checks_match_plain_scan(reports, fis, FuzzyInterval.join,
+                                           FuzzyInterval.meet,
+                                           ["meet-over-join", "join-over-meet"])
 
 
 def test_budget_triggers_sampling(chain3):
@@ -338,7 +422,9 @@ def test_reports_pinned(chain2, chain3, diamond, pentagon):
 
 def test_all_enumerates_and_tabulates_once(monkeypatch, chain3):
     # 22 fuzzy intervals: one op table is 22^2 joins and 22^2 meets, and the
-    # cut-identity suite reads its meets and joins from that table
+    # cut-identity suite reads its meets and joins from that table; 7 crisp
+    # intervals: one table is 7^2 hulls and 7^2 intersections, shared by the
+    # crisp suites and the cut-identity suite's reference side
     from fuzzint import laws
     calls = Counter()
 
@@ -350,10 +436,14 @@ def test_all_enumerates_and_tabulates_once(monkeypatch, chain3):
 
     monkeypatch.setattr(FuzzyInterval, "join", counted("join", FuzzyInterval.join))
     monkeypatch.setattr(FuzzyInterval, "meet", counted("meet", FuzzyInterval.meet))
+    monkeypatch.setattr(CrispInterval, "hull", counted("hull", CrispInterval.hull))
+    monkeypatch.setattr(CrispInterval, "intersection",
+                        counted("intersection", CrispInterval.intersection))
     monkeypatch.setattr(laws, "enumerate_fuzzy_intervals",
                         counted("enumerate", laws.enumerate_fuzzy_intervals))
     run_suite("all", chain3, GRADES3)
-    assert calls == {"join": 484, "meet": 484, "enumerate": 1}
+    assert calls == {"join": 484, "meet": 484, "hull": 49, "intersection": 49,
+                     "enumerate": 1}
 
 
 def test_all_matches_standalone_suites(chain2, chain3, diamond, pentagon):
