@@ -13,6 +13,7 @@ operands, failed asserted law), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzint",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import FormatError, FuzzintError, InvalidGrade, LatticeMismatch, UnknownElement
 from .fuzzysets import FuzzySet, as_grade, format_grade
-from .lattice import FiniteLattice, format_element, standard_lattice
+from .lattice import FiniteLattice, format_element, order_closure, standard_lattice
 
 
 def _require_keys(doc: dict, keys: set[str], what: str) -> None:
@@ -31,7 +31,8 @@ def _require_keys(doc: dict, keys: set[str], what: str) -> None:
         raise FormatError(f"{what} is missing fields: {', '.join(sorted(missing))}")
 
 
-def lattice_from_json(doc) -> FiniteLattice:
+def _read_lattice_doc(doc, build):
+    # ``build`` is FiniteLattice or order_closure; both take the same fields
     _require_keys(doc, {"name", "elements", "covers"}, "a lattice document")
     name = doc["name"]
     if not isinstance(name, str):
@@ -48,9 +49,13 @@ def lattice_from_json(doc) -> FiniteLattice:
             for c in covers):
         raise FormatError("covers must be an array of [lower, upper] string pairs")
     try:
-        return FiniteLattice(elements, [tuple(c) for c in covers], name=name)
+        return build(elements, [tuple(c) for c in covers], name=name)
     except UnknownElement as exc:
         raise FormatError(f"cover refers to an undeclared element: {exc}") from exc
+
+
+def lattice_from_json(doc) -> FiniteLattice:
+    return _read_lattice_doc(doc, FiniteLattice)
 
 
 def lattice_to_json(lattice: FiniteLattice) -> dict:
@@ -79,6 +84,11 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
         except ValueError as exc:
             raise FormatError(f"unknown lattice name {ref!r}") from exc
     elif isinstance(ref, dict):
+        if lattice is not None:
+            # match by order alone; a mismatch builds, so NotALattice comes first
+            ordered, _, up = _read_lattice_doc(ref, order_closure)
+            if ordered == lattice.elements and up == lattice._up:
+                return lattice
         resolved = lattice_from_json(ref)
     else:
         raise FormatError("the lattice field must be a name or an inline lattice object")
@@ -100,6 +110,7 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
         raise FormatError("memberships must be an object")
     by_name = {format_element(e): e for e in target.elements}
     values = {}
+    parsed = {}  # raw grade -> as_grade result; documents repeat grades
     for key, grade in raw.items():
         if key not in by_name:
             raise FormatError(f"membership for unknown element {key!r}")
@@ -108,10 +119,12 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
                 f"grade for {key!r} is a JSON float; use a string for an exact value")
         if not isinstance(grade, (str, int)):
             raise FormatError(f"grade for {key!r} must be a string")
-        try:
-            values[by_name[key]] = as_grade(grade)
-        except InvalidGrade as exc:
-            raise FormatError(f"bad grade for {key!r}: {exc}") from exc
+        if grade not in parsed:
+            try:
+                parsed[grade] = as_grade(grade)
+            except InvalidGrade as exc:
+                raise FormatError(f"bad grade for {key!r}: {exc}") from exc
+        values[by_name[key]] = parsed[grade]
     missing = [name for name in by_name if name not in raw]
     if missing:
         raise FormatError("memberships must be total; missing: " + ", ".join(sorted(missing)))

@@ -52,6 +52,79 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
+    """``(ordered elements, index, up-masks)``: the validated elements in
+    canonical order and the reflexive-transitive closure of the covers as
+    one up-set bitmask each; equal results mean the same order."""
+    elems = list(elements)
+    if not elems:
+        raise ValueError("a lattice needs at least one element")
+    _check_size(len(elems))
+    if len(set(elems)) != len(elems):
+        raise ValueError("duplicate element ids")
+    ordered = tuple(sorted(elems, key=element_sort_key))
+    index = {e: i for i, e in enumerate(ordered)}
+    n = len(ordered)
+
+    succ = [[] for _ in range(n)]
+    seen = set()
+    for lo, hi in covers:
+        if lo not in index:
+            raise UnknownElement(lo, name)
+        if hi not in index:
+            raise UnknownElement(hi, name)
+        i, j = index[lo], index[hi]
+        if i == j:
+            raise CycleError((lo, hi))
+        if (i, j) not in seen:
+            seen.add((i, j))
+            succ[i].append(j)
+
+    up = [0] * n
+    for i in reversed(_topological_order(succ, ordered)):
+        mask = 1 << i
+        for j in succ[i]:
+            mask |= up[j]
+        up[i] = mask
+    return ordered, index, up
+
+
+def _topological_order(succ, ordered) -> list:
+    n = len(ordered)
+    remaining = [0] * n  # in-degrees among the nodes not yet placed
+    for i in range(n):
+        for j in succ[i]:
+            remaining[j] += 1
+    stack = [i for i in range(n) if remaining[i] == 0]
+    topo = []
+    while stack:
+        i = stack.pop()
+        topo.append(i)
+        for j in succ[i]:
+            remaining[j] -= 1
+            if remaining[j] == 0:
+                stack.append(j)
+    if len(topo) < n:
+        # every blocked node keeps at least one blocked predecessor, so a
+        # predecessor walk inside the blocked set must revisit a node
+        blocked = {i for i in range(n) if remaining[i] > 0}
+        preds = {i: [] for i in blocked}
+        for i in blocked:
+            for j in succ[i]:
+                if j in blocked:
+                    preds[j].append(i)
+        trail, seen_at = [], {}
+        node = min(blocked)
+        while node not in seen_at:
+            seen_at[node] = len(trail)
+            trail.append(node)
+            node = preds[node][0]
+        seg = trail[seen_at[node]:]
+        cycle = [seg[0]] + list(reversed(seg[1:])) + [seg[0]]
+        raise CycleError(tuple(ordered[i] for i in cycle))
+    return topo
+
+
 class FiniteLattice:
     """A finite lattice with materialized meet/join tables.
 
@@ -69,39 +142,8 @@ class FiniteLattice:
                  "_bottom", "_top", "_all_mask", "_hash")
 
     def __init__(self, elements: Iterable[Element], covers, *, name: str = ""):
-        elems = list(elements)
-        if not elems:
-            raise ValueError("a lattice needs at least one element")
-        _check_size(len(elems))
-        if len(set(elems)) != len(elems):
-            raise ValueError("duplicate element ids")
-        ordered = tuple(sorted(elems, key=element_sort_key))
-        index = {e: i for i, e in enumerate(ordered)}
+        ordered, index, up = order_closure(elements, covers, name=name)
         n = len(ordered)
-
-        succ = [[] for _ in range(n)]
-        seen = set()
-        for lo, hi in covers:
-            if lo not in index:
-                raise UnknownElement(lo, name)
-            if hi not in index:
-                raise UnknownElement(hi, name)
-            i, j = index[lo], index[hi]
-            if i == j:
-                raise CycleError((lo, hi))
-            if (i, j) not in seen:
-                seen.add((i, j))
-                succ[i].append(j)
-
-        topo = self._topological_order(succ, ordered)
-
-        # reflexive-transitive closure as up-set bitmasks
-        up = [0] * n
-        for i in reversed(topo):
-            mask = 1 << i
-            for j in succ[i]:
-                mask |= up[j]
-            up[i] = mask
         down = [0] * n
         for i in range(n):
             for j in iter_bits(up[i]):
@@ -127,42 +169,6 @@ class FiniteLattice:
         # with every pairwise meet, the meet of all elements exists (dually top)
         self._bottom = by_up[self._all_mask]
         self._top = by_down[self._all_mask]
-
-    def _topological_order(self, succ, ordered):
-        n = len(ordered)
-        indeg = [0] * n
-        for i in range(n):
-            for j in succ[i]:
-                indeg[j] += 1
-        stack = [i for i in range(n) if indeg[i] == 0]
-        topo = []
-        remaining = list(indeg)
-        while stack:
-            i = stack.pop()
-            topo.append(i)
-            for j in succ[i]:
-                remaining[j] -= 1
-                if remaining[j] == 0:
-                    stack.append(j)
-        if len(topo) < n:
-            # every blocked node keeps at least one blocked predecessor, so a
-            # predecessor walk inside the blocked set must revisit a node
-            blocked = {i for i in range(n) if remaining[i] > 0}
-            preds = {i: [] for i in blocked}
-            for i in blocked:
-                for j in succ[i]:
-                    if j in blocked:
-                        preds[j].append(i)
-            trail, seen_at = [], {}
-            node = min(blocked)
-            while node not in seen_at:
-                seen_at[node] = len(trail)
-                trail.append(node)
-                node = preds[node][0]
-            seg = trail[seen_at[node]:]
-            cycle = [seg[0]] + list(reversed(seg[1:])) + [seg[0]]
-            raise CycleError(tuple(ordered[i] for i in cycle))
-        return topo
 
     def _missing_bound(self, meet_t, join_t) -> NotALattice:
         # the first pair i ≤ j in canonical order missing its meet (then its

@@ -304,6 +304,33 @@ def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_one_parser_serves_every_call_like_a_fresh_process(m3_file, tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+    assert cli.build_parser() is cli.build_parser()
+    a = fuzzy_file(tmp_path, "a.json", {"0": "1", "a": "1/2", "b": "0", "c": "0", "1": "0"})
+    b = fuzzy_file(tmp_path, "b.json", {"0": "0", "a": "0", "b": "1/2", "c": "0", "1": "0"})
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    calls = [["validate", m3_file, "--format", "json"],
+             ["op", "frobnicate", m3_file, a, b],
+             ["classify", m3_file, a],
+             ["op", "join", m3_file, a, b, "--cuts"],
+             ["op", "join", m3_file, a, b]]
+    seen = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "fuzzint", *argv],
+                               capture_output=True, text=True, env=env)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        seen.append((code, out, err))
+    assert [code for code, _, _ in seen] == [0, 2, 0, 0, 0]
+    assert seen[2][1].startswith("classification: ")  # --format json did not stay
+    assert seen[3][2].startswith("cuts:") and seen[4][2] == ""  # nor did --cuts
+
+
 def test_console_script_entry_point(m3_file, tmp_path):
     """Run the ``[project.scripts]`` entry through the wrapper pip writes for it.
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzint import (FiniteLattice, FormatError, FuzzySet, LatticeMismatch,
-                     chain, m3)
+from fuzzint import (CycleError, FiniteLattice, FormatError, FuzzySet, LatticeMismatch,
+                     NotALattice, chain, cli, m3)
 from fuzzint.formats import (dumps_canonical, fuzzy_set_from_json,
                              fuzzy_set_to_json, lattice_from_json,
                              lattice_to_json, load_fuzzy_set, load_lattice)
@@ -109,6 +109,62 @@ def test_inline_lattice_reference():
     assert m.lattice == FiniteLattice(["x", "y"], [("x", "y")])
     emitted = fuzzy_set_to_json(m)
     assert isinstance(emitted["lattice"], dict)  # not a fixture, stays inline
+
+
+DIAMOND = ["0", "a", "b", "c", "1"]
+ALL_ONE = dict.fromkeys(DIAMOND, "1")
+
+
+def _inline(covers, elements=DIAMOND):
+    return {"lattice": {"name": "diamond", "elements": elements, "covers": covers},
+            "memberships": ALL_ONE}
+
+
+@pytest.mark.parametrize("doc", [
+    _inline([["c", "1"], ["b", "1"], ["a", "1"], ["0", "c"], ["0", "b"], ["0", "a"]]),
+    _inline(M3_DOC["covers"] + [["0", "1"]]),
+    _inline(M3_DOC["covers"], ["1", "c", "b", "a", "0"]),
+], ids=["covers-reordered", "transitive-edge", "elements-permuted"])
+def test_inline_lattice_with_the_same_order_resolves_to_the_given_lattice(doc):
+    lat = m3()
+    assert fuzzy_set_from_json(doc, lat).lattice is lat
+
+
+@pytest.mark.parametrize("covers, error, text", [
+    ([["0", "a"], ["a", "b"], ["b", "c"], ["c", "1"]], LatticeMismatch,
+     "the fuzzy set's lattice does not match the provided lattice"),
+    ([["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"], ["c", "1"]], NotALattice,
+     "elements '0' and 'c' have no unique greatest lower bound"),
+    ([["0", "a"], ["a", "b"], ["b", "0"], ["c", "1"]], CycleError,
+     "cover relation contains a cycle: '0' -> 'a' -> 'b' -> '0'"),
+    ([["0", "a"], ["0", "zz"]], FormatError,
+     "cover refers to an undeclared element: unknown element 'zz' of lattice 'diamond'"),
+], ids=["other-order", "not-a-lattice", "cycle", "undeclared"])
+def test_inline_lattice_rejections_keep_their_type_and_text(covers, error, text):
+    with pytest.raises(error) as exc:
+        fuzzy_set_from_json(_inline(covers), m3())
+    assert type(exc.value) is error and str(exc.value) == text
+
+
+@pytest.mark.parametrize("command", ["classify", "op"])
+def test_matching_inline_documents_build_one_lattice_per_request(
+        command, tmp_path, monkeypatch, capsys):
+    lat_path, fs_path = tmp_path / "lat.json", tmp_path / "fs.json"
+    lat_path.write_text(json.dumps({**M3_DOC, "name": "diamond"}))
+    fs_path.write_text(json.dumps(_inline(M3_DOC["covers"], DIAMOND[::-1])))
+    argv = (["classify", str(lat_path), str(fs_path)] if command == "classify"
+            else ["op", "meet", str(lat_path), str(fs_path), str(fs_path)])
+    builds = []
+    init = FiniteLattice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("name"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteLattice, "__init__", counting_init)
+    assert cli.main(argv) == 0
+    assert builds == ["diamond"]
+    assert capsys.readouterr().err == ""
 
 
 def test_fixture_name_emitted_for_standard_lattices():
