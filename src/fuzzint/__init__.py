@@ -20,7 +20,7 @@ from .fuzzyintervals import (Classification, EndpointFunctions, FuzzyInterval,
                              is_fuzzy_sublattice)
 from .laws import (LawCheck, LawReport, check_distributivity, check_lattice_axioms,
                    enumerate_fuzzy_intervals, enumerate_fuzzy_sets, enumerate_intervals,
-                   oracle_join, run_suite, validate_grades)
+                   run_suite, validate_grades)
 
 __version__ = "0.1.0"
 
@@ -37,5 +37,5 @@ __all__ = [
     "is_fuzzy_convex_sublattice", "is_fuzzy_interval", "is_fuzzy_sublattice",
     "LawCheck", "LawReport", "check_distributivity", "check_lattice_axioms",
     "enumerate_fuzzy_intervals", "enumerate_fuzzy_sets", "enumerate_intervals",
-    "oracle_join", "run_suite", "validate_grades",
+    "run_suite", "validate_grades",
 ]

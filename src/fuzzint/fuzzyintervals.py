@@ -30,11 +30,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import NotAFuzzyInterval, RouteDisagreement
-from .fuzzysets import (GRADE_ZERO, FuzzySet, _merge_chains, as_grade, format_grade,
-                        meet_family as fs_meet_family)
+from .fuzzysets import FuzzySet, _merge_chains, as_grade, format_grade
 from .intervals import CrispInterval
 from .lattice import Element, FiniteLattice, _require_same_lattice, format_element, iter_bits
 
@@ -402,24 +401,3 @@ class FuzzyInterval:
     def __repr__(self) -> str:
         return f"FuzzyInterval({self.fuzzy!r})"
 
-
-def meet_family(lattice: FiniteLattice,
-                intervals: Iterable[FuzzyInterval]) -> FuzzyInterval:
-    """Pointwise infimum of a family; the empty family gives constant 1."""
-    return FuzzyInterval(fs_meet_family(lattice, (fi.fuzzy for fi in intervals)))
-
-
-def join_family(lattice: FiniteLattice,
-                intervals: Iterable[FuzzyInterval]) -> FuzzyInterval:
-    """Fold of the binary join; the empty family gives constant 0.
-
-    Fold order is irrelevant because the binary join is associative and
-    commutative (the law-verification suite checks exactly that).
-    """
-    acc = None
-    for fi in intervals:
-        _require_same_lattice(lattice, fi.lattice)
-        acc = fi if acc is None else acc.join(fi)
-    if acc is None:
-        acc = FuzzyInterval.constant(lattice, GRADE_ZERO)
-    return acc

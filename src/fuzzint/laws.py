@@ -36,12 +36,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import GradeSetInvalid, InvalidGrade
 from .formats import memberships_to_json
 from .fuzzysets import GRADE_ONE, GRADE_ZERO, FuzzySet, as_grade, format_grade
-from .fuzzyintervals import FuzzyInterval, meet_family as fi_meet_family
+from .fuzzyintervals import FuzzyInterval
 from .intervals import CrispInterval
 from .lattice import FiniteLattice, is_distributive, iter_bits
 
@@ -185,14 +185,6 @@ def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInter
                 ranks[b] = rank
         out.append(FuzzyInterval(FuzzySet._from_ranks(lattice, chain, tuple(ranks))))
     return out
-
-
-def enumerate_fuzzy_intervals_by_filter(lattice: FiniteLattice, grades) -> list[FuzzyInterval]:
-    """Independent oracle: filter every grade-valued fuzzy set through the
-    interval predicate (all implementation routes)."""
-    from .fuzzyintervals import is_fuzzy_interval
-    return [FuzzyInterval(m) for m in enumerate_fuzzy_sets(lattice, grades)
-            if is_fuzzy_interval(m)]
 
 
 # -- instance planning -------------------------------------------------------
@@ -536,14 +528,22 @@ def _threshold_ranks(fis: Sequence[FuzzyInterval]) -> list[int]:
     return out
 
 
-def _subsets(ranks: list):
-    """Nonempty subsets of ascending ranks, by size, each ascending."""
-    for size in range(1, len(ranks) + 1):
-        yield from itertools.combinations(ranks, size)
+def _first_failing_pair(chain: tuple, family, op) -> str | None:
+    """Detail of the first threshold set P that a fold identity fails on.
 
-
-def _grade_set(chain: tuple, ranks) -> str:
-    return "P = {" + ", ".join(format_grade(chain[r]) for r in ranks) + "}"
+    ``family`` yields ``(rank, x)`` ascending by rank, and ``op`` is a
+    lattice join or meet (or ``&`` on masks).  The identity says that
+    folding ``op`` over the members at P gives the member at max P.  Such
+    a fold equals x_s exactly when ``op(x_r, x_s) == x_s`` for every r in
+    P, so a one-element P never fails and every failing P contains a
+    failing pair {r, max P}: the first failing P by size, then
+    lexicographically, is the first pair r < s in ``combinations`` order
+    with ``op(x_r, x_s) != x_s``.
+    """
+    for (r, x), (s, y) in itertools.combinations(family, 2):
+        if op(x, y) != y:
+            return f"P = {{{format_grade(chain[r])}, {format_grade(chain[s])}}}"
+    return None
 
 
 # -- cut identities ----------------------------------------------------------
@@ -618,14 +618,9 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
             return None if crisp_mask(table, op, cuts[i][0], cuts[j][0]) == full else ""
 
         def closed_under_intersection(i, j):
-            masks = dict(family(i, j, table, op))
-            for subset in _subsets(list(masks)):
-                acc = full
-                for r in subset:
-                    acc &= masks[r]
-                if acc != masks[max(subset)]:
-                    return _grade_set(chain, subset)
-            return None
+            """The masks over P intersect to the mask at max P; checked on
+            pairs, which is complete (see :func:`_first_failing_pair`)."""
+            return _first_failing_pair(chain, family(i, j, table, op), int.__and__)
 
         return antitone, at_zero, closed_under_intersection
 
@@ -651,9 +646,15 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
     For P a nonempty set of thresholds: the join of the lower endpoints
     over P is the lower endpoint at max P, and dually for upper endpoints;
     the same holds for the paired functions lower₁(p) ⊓ lower₂(p) and
-    upper₁(p) ⊔ upper₂(p).  The paired identities are only guaranteed on a
-    distributive carrier, so on other lattices the whole suite is
-    evaluated but not asserted.
+    upper₁(p) ⊔ upper₂(p).  A join over P equals its member at max P
+    exactly when every member lies below that one (dually for meets), so
+    checking the pairs r < s is complete and finds the same first witness
+    (see :func:`_first_failing_pair`).
+
+    Each identity is thus the isotonicity of ``lower`` (antitonicity of
+    ``upper``), or of the meet (join) of two such functions, and holds on
+    every lattice.  The suite is still asserted only on a distributive
+    carrier, with a note on any other, as the pinned reports record.
     """
     chain = report.grades
     note = ("" if distributive else
@@ -670,30 +671,24 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
     lowers = [[lo for lo, _ in row] for row in ends]
     uppers = [[hi for _, hi in row] for row in ends]
 
-    def single(table, fold):
+    def single(table, op):
         def probe(i):
             ends_i = table[i]
-            for subset in _subsets(list(iter_bits(ranks[i]))):
-                if fold(ends_i[r] for r in subset) != ends_i[max(subset)]:
-                    return _grade_set(chain, subset)
-            return None
+            return _first_failing_pair(chain, ((r, ends_i[r]) for r in iter_bits(ranks[i])), op)
         return probe
 
-    def paired(table, inner, fold):
+    def paired(table, inner, op):
         def probe(i, j):
             ends_i, ends_j = table[i], table[j]
-            combined = {r: inner(ends_i[r], ends_j[r]) for r in iter_bits(ranks[i] | ranks[j])}
-            for subset in _subsets(list(combined)):
-                if fold(combined[r] for r in subset) != combined[max(subset)]:
-                    return _grade_set(chain, subset)
-            return None
+            return _first_failing_pair(chain, ((r, inner(ends_i[r], ends_j[r]))
+                                              for r in iter_bits(ranks[i] | ranks[j])), op)
         return probe
 
     laws = [
-        ("lower-endpoint-supremum", 1, single(lowers, lattice.join_indices)),
-        ("upper-endpoint-infimum", 1, single(uppers, lattice.meet_indices)),
-        ("paired-lower-meet-supremum", 2, paired(lowers, lattice.meet_index, lattice.join_indices)),
-        ("paired-upper-join-infimum", 2, paired(uppers, lattice.join_index, lattice.meet_indices)),
+        ("lower-endpoint-supremum", 1, single(lowers, lattice.join_index)),
+        ("upper-endpoint-infimum", 1, single(uppers, lattice.meet_index)),
+        ("paired-lower-meet-supremum", 2, paired(lowers, lattice.meet_index, lattice.join_index)),
+        ("paired-upper-join-infimum", 2, paired(uppers, lattice.join_index, lattice.meet_index)),
     ]
     for law, arity, probe in laws:
         _run_law(report, fis, law, arity, probe, budget=budget, seed=seed,
@@ -746,23 +741,6 @@ def _interval_structure(report: LawReport, fis: list, *, budget: int,
     _run_law(report, fis, "cut-recovery-from-boundary-grades", 1, cut_recovery,
              budget=budget, seed=seed)
     return report
-
-
-# -- brute-force join oracle ---------------------------------------------------
-
-
-def oracle_join(collection: Iterable[FuzzyInterval], m: FuzzyInterval,
-                n: FuzzyInterval) -> FuzzyInterval:
-    """Definitional join: pointwise infimum of every collection member that
-    dominates both operands.
-
-    ``collection`` must be the full enumeration for the operands' lattice
-    and grade set (then the constant-1 member guarantees an upper bound).
-    """
-    uppers = [fi for fi in collection if m.leq(fi) and n.leq(fi)]
-    if not uppers:
-        raise ValueError("the collection contains no common upper bound")
-    return fi_meet_family(m.lattice, uppers)
 
 
 # -- suite registry ------------------------------------------------------------

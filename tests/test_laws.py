@@ -2,8 +2,11 @@ import gc
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +14,39 @@ from hypothesis import strategies as st
 
 from conftest import GRADES2, GRADES3, GRADES4, random_lattices
 from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
-                     GradeSetInvalid, classify, is_fuzzy_convex_sublattice,
-                     is_fuzzy_interval, is_fuzzy_sublattice, n5, oracle_join,
-                     run_suite, validate_grades)
+                     GradeSetInvalid, boolean_lattice, chain, classify, format_grade,
+                     is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice,
+                     m3, n5, run_suite, validate_grades)
+from fuzzint import laws
+from fuzzint.fuzzysets import meet_family
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
                           check_lattice_axioms, enumerate_fuzzy_intervals,
-                          enumerate_fuzzy_intervals_by_filter,
                           enumerate_fuzzy_sets, enumerate_intervals, render_operand)
 
 H = Fraction(1, 2)
+
+
+# -- independent reference routes ----------------------------------------------
+
+
+def enumerate_fuzzy_intervals_by_filter(lattice, grades):
+    """Every grade-valued fuzzy set that passes the interval predicate (all
+    implementation routes): the reference for the chain-based enumeration."""
+    return [FuzzyInterval(m) for m in enumerate_fuzzy_sets(lattice, grades)
+            if is_fuzzy_interval(m)]
+
+
+def oracle_join(collection, m, n):
+    """Definitional join: the pointwise infimum of every collection member
+    that dominates both operands.
+
+    ``collection`` must be the full enumeration for the operands' lattice
+    and grade set (then the constant-1 member guarantees an upper bound).
+    """
+    uppers = [fi.fuzzy for fi in collection if m.leq(fi) and n.leq(fi)]
+    if not uppers:
+        raise ValueError("the collection contains no common upper bound")
+    return FuzzyInterval(meet_family(m.lattice, uppers))
 
 
 def test_validate_grades():
@@ -273,6 +300,21 @@ TRIPLE_LAWS = {
 }
 
 
+def _plain_scan(items, arity, probe):
+    """(status, checked, witness) of a lexicographic scan over every tuple."""
+    checked = 0
+    for tup in itertools.product(range(len(items)), repeat=arity):
+        checked += 1
+        detail = probe(*tup)
+        if detail is not None:
+            witness = {"indices": list(tup),
+                       "operands": [render_operand(items[i]) for i in tup]}
+            if detail:
+                witness["detail"] = detail
+            return "fail", checked, witness
+    return "pass", checked, None
+
+
 def _assert_triple_checks_match_plain_scan(reports, items, join, meet, laws):
     """Each triple check's status, checked count and witness equal those of
     a lexicographic scan that calls the ops directly."""
@@ -280,15 +322,11 @@ def _assert_triple_checks_match_plain_scan(reports, items, join, meet, laws):
     assert set(checks) == set(laws)
     for law in laws:
         lhs, rhs = TRIPLE_LAWS[law]
-        checked, witness = 0, None
-        for tup in itertools.product(range(len(items)), repeat=3):
-            checked += 1
-            a, b, c = (items[i] for i in tup)
-            if lhs(join, meet, a, b, c) != rhs(join, meet, a, b, c):
-                witness = {"indices": list(tup),
-                           "operands": [render_operand(items[i]) for i in tup]}
-                break
-        expected = ("pass" if witness is None else "fail", checked, witness)
+
+        def probe(i, j, k):
+            a, b, c = items[i], items[j], items[k]
+            return None if lhs(join, meet, a, b, c) == rhs(join, meet, a, b, c) else ""
+        expected = _plain_scan(items, 3, probe)
         assert (checks[law].status, checks[law].checked, checks[law].witness) == expected, law
 
 
@@ -319,6 +357,153 @@ def test_row_checks_match_a_plain_scan(chain3):
     _assert_triple_checks_match_plain_scan(reports, fis, FuzzyInterval.join,
                                            FuzzyInterval.meet,
                                            ["meet-over-join", "join-over-meet"])
+
+
+def _subsets(ranks):
+    """Nonempty subsets of ascending ranks, by size, each ascending."""
+    for size in range(1, len(ranks) + 1):
+        yield from itertools.combinations(ranks, size)
+
+
+def _literal_subset_probe(chain, family, fold):
+    """The fold identity checked on every nonempty threshold set P, as the
+    lemmas state it: the first P whose fold differs from the member at
+    max P, by size and then lexicographically."""
+    values = dict(family)
+    for subset in _subsets(list(values)):
+        if fold([values[r] for r in subset]) != values[max(subset)]:
+            return "P = {" + ", ".join(format_grade(chain[r]) for r in subset) + "}"
+    return None
+
+
+def _assert_matches_references(report, fis, references, failed):
+    """Each referenced check equals the plain scan of its reference probe;
+    ``failed`` collects the laws that fail."""
+    checks = {c.law: c for c in report.checks if c.law in references}
+    assert set(checks) == set(references)
+    for law, (arity, probe) in references.items():
+        got = checks[law]
+        assert (got.status, got.checked, got.witness) == _plain_scan(fis, arity, probe), law
+        if got.status == "fail":
+            failed.add(law)
+
+
+def _endpoint_references(lattice, fis, chain):
+    """Law name -> (arity, probe) over the stored endpoint chains, folding
+    with the carrier's tables over every threshold set."""
+    top, bottom = lattice.index(lattice.top), lattice.index(lattice.bottom)
+
+    def ends(fi, r):
+        lo, hi = fi._rank_endpoints(r)
+        return (top, bottom) if lo is None else (lo, hi)
+
+    def single(side, fold):
+        return 1, lambda i: _literal_subset_probe(
+            chain, [(r, ends(fis[i], r)[side]) for r in fis[i]._levels], fold)
+
+    def paired(side, inner, fold):
+        def probe(i, j):
+            levels = sorted(set(fis[i]._levels) | set(fis[j]._levels))
+            return _literal_subset_probe(chain, [(r, inner(ends(fis[i], r)[side],
+                                                           ends(fis[j], r)[side]))
+                                                 for r in levels], fold)
+        return 2, probe
+
+    return {"lower-endpoint-supremum": single(0, lattice.join_indices),
+            "upper-endpoint-infimum": single(1, lattice.meet_indices),
+            "paired-lower-meet-supremum": paired(0, lattice.meet_index, lattice.join_indices),
+            "paired-upper-join-infimum": paired(1, lattice.join_index, lattice.meet_indices)}
+
+
+def _cut_family_references(lattice, fis, chain, crisp):
+    """Law name -> (arity, probe): the masks of op(cut_i, cut_j), read from
+    the crisp table, intersected over every threshold set."""
+    full = lattice.all_mask
+    cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]
+
+    def law(table):
+        def probe(i, j):
+            levels = sorted(set(fis[i]._levels) | set(fis[j]._levels))
+            masks = [(r, crisp.items[table[cuts[i][r] * crisp.n + cuts[j][r]]].members_mask())
+                     for r in levels]
+            return _literal_subset_probe(chain, masks,
+                                         lambda ms: reduce(int.__and__, ms, full))
+        return 2, probe
+
+    return {"meet-cut-family-intersection": law(crisp.meet_t),
+            "join-cut-family-intersection": law(crisp.join_t)}
+
+
+@pytest.mark.parametrize("lattice", [m3(), chain(3), boolean_lattice(2)],
+                         ids=["m3", "chain3", "b2"])
+def test_pairwise_subset_laws_match_the_literal_subset_loop(lattice):
+    """Fault injection: with corrupted endpoint chains and crisp op-table
+    entries, the pairwise checks of the six threshold-set laws give the
+    status, checked count and witness of the literal 2^k subset loop."""
+    grades = validate_grades((0, Fraction(1, 4), H, Fraction(3, 4), 1))
+    budget = {"budget": laws.DEFAULT_BUDGET, "seed": 0}
+    n = len(lattice.elements)
+    # lowers b a t a b, uppers t a b a t at ranks 0-4 (b, a, t the bottom,
+    # an inner element and the top): the first failing pair is ranks {1, 4},
+    # not the {2, 3} that consecutive or max-first scans report; item 0 is
+    # constant 0 and keeps the pattern in every pair (0, j)
+    b, t = lattice.index(lattice.bottom), lattice.index(lattice.top)
+    a = next(i for i in range(n) if i not in (b, t))
+    planted = ((b, t), (a, a), (t, b), (a, a), (b, t))
+    failed = set()
+    for seed in range(8):
+        rng = random.Random(seed)
+        fis = enumerate_fuzzy_intervals(lattice, grades)
+        crisp = laws._OpTables(enumerate_intervals(lattice), CrispInterval.hull,
+                               CrispInterval.intersection, None)
+        for table in (crisp.meet_t, crisp.join_t):
+            for pos in rng.sample(range(len(table)), len(table) // 8):
+                table[pos] = rng.randrange(crisp.n)
+        report = laws._cut_identities(LawReport("cut-identities", "", grades), lattice, fis,
+                                      None, crisp, **budget)
+        _assert_matches_references(report, fis,
+                                   _cut_family_references(lattice, fis, grades, crisp), failed)
+
+        # corrupted endpoint chains cut outside the crisp table, so they come
+        # second; the endpoint laws read nothing else
+        rng.choice([fi for fi in fis if len(fi._levels) == 5])._ends = planted
+        for fi in rng.sample([fi for fi in fis if len(fi._levels) >= 4], 2):
+            fi._ends = tuple((rng.randrange(n), rng.randrange(n)) for _ in fi._ends)
+        report = laws._endpoint_lemmas(LawReport("endpoints", "", grades), lattice, fis,
+                                       True, **budget)
+        _assert_matches_references(report, fis, _endpoint_references(lattice, fis, grades),
+                                   failed)
+    assert len(failed) == 6  # the corruption reaches every law
+
+
+def test_endpoint_lemmas_make_quadratically_many_lattice_lookups(monkeypatch):
+    """Each item or pair with k thresholds costs at most k + C(k, 2) carrier
+    lookups per law, so an exponential subset loop cannot come back."""
+    lattice = chain(2)
+    grades = validate_grades([Fraction(i, 8) for i in range(9)])
+    fis = enumerate_fuzzy_intervals(lattice, grades)
+    assert len(fis) == 81
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("join_index", "meet_index", "join_indices", "meet_indices"):
+        monkeypatch.setattr(FiniteLattice, name, counted(name, getattr(FiniteLattice, name)))
+    report = laws._endpoint_lemmas(LawReport("endpoints", "chain2", grades), lattice, fis,
+                                   True, budget=laws.DEFAULT_BUDGET, seed=0)
+    assert report.passed and len(report.checks) == 4
+
+    def cost(k):
+        return k + comb(k, 2)
+
+    levels = [set(fi._levels) for fi in fis]
+    singles = sum(cost(len(a)) for a in levels)
+    pairs = sum(cost(len(a | b)) for a in levels for b in levels)
+    assert sum(calls.values()) <= 2 * singles + 2 * pairs
 
 
 def test_budget_triggers_sampling(chain3):
