@@ -117,7 +117,7 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
         if isinstance(grade, float):
             raise FormatError(
                 f"grade for {key!r} is a JSON float; use a string for an exact value")
-        if not isinstance(grade, (str, int)):
+        if not isinstance(grade, (str, int)) or isinstance(grade, bool):
             raise FormatError(f"grade for {key!r} must be a string")
         if grade not in parsed:
             try:

@@ -23,11 +23,19 @@ from .errors import CycleError, LatticeMismatch, NotALattice, SizeLimit, Unknown
 Element = Hashable
 
 MAX_ELEMENTS = 4096  # no lattice, fixture or factor may have more elements
+MAX_FIXTURE_DEPTH = 64  # product(...) nesting levels a fixture spec may have
 
 
 def _check_size(count: int) -> None:
     if count > MAX_ELEMENTS:
         raise SizeLimit(count, MAX_ELEMENTS)
+
+
+def _boolean_size(k: int) -> int:
+    """2 ** k, refused before it is computed when k alone exceeds the cap."""
+    if k > MAX_ELEMENTS:
+        raise SizeLimit(f"2^{k}", MAX_ELEMENTS)
+    return 2 ** k
 
 
 def element_sort_key(element):
@@ -338,7 +346,7 @@ def boolean_lattice(k: int) -> FiniteLattice:
     """The powerset of k atoms, elements rendered as k-bit strings."""
     if k < 0:
         raise ValueError("the atom count cannot be negative")
-    _check_size(2 ** k)
+    _check_size(_boolean_size(k))
     labels = ["".join(bits) for bits in _cartesian("01", repeat=k)]
     covers = []
     for label in labels:
@@ -375,7 +383,8 @@ def standard_lattice(spec: str) -> FiniteLattice:
     Accepted forms: ``chain4`` / ``chain(4)``, ``boolean3`` / ``boolean(3)``,
     ``m3``, ``n5``, and ``product(a,b)`` with recursive arguments.  Sizes
     come from the spec, so an oversized one raises ``SizeLimit`` before any
-    factor is built.
+    factor is built, and one nested more than ``MAX_FIXTURE_DEPTH`` levels
+    deep raises ``ValueError``.
     """
     parsed = _parse_fixture(spec.replace(" ", "").lower())
     if parsed is None:
@@ -383,12 +392,16 @@ def standard_lattice(spec: str) -> FiniteLattice:
     return parsed[1]()
 
 
-def _parse_fixture(text: str):
+def _parse_fixture(text: str, level: int = 0):
     """``(element count, builder)`` for a fixture spec, or None if unknown.
 
     Each node's count is checked against the cap as it is parsed, left
-    factor first, in the order the builders would check it.
+    factor first, in the order the builders would check it; a size with
+    more digits than the cap is refused before it is converted.
     """
+    if level > MAX_FIXTURE_DEPTH:
+        raise ValueError(f"lattice fixture nests product(...) more than "
+                         f"{MAX_FIXTURE_DEPTH} levels deep")
     if text in ("m3", "n5"):
         return 5, m3 if text == "m3" else n5
     for prefix, factory in (("chain", chain), ("boolean", boolean_lattice)):
@@ -398,8 +411,11 @@ def _parse_fixture(text: str):
         elif text.startswith(prefix):
             arg = text[len(prefix):]
         if arg is not None and arg.isdigit():
-            k = int(arg)
-            count = k if factory is chain else 2 ** k
+            digits = arg.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_ELEMENTS)):
+                raise SizeLimit(digits if factory is chain else f"2^{digits}", MAX_ELEMENTS)
+            k = int(digits)
+            count = k if factory is chain else _boolean_size(k)
             _check_size(count)
             return count, lambda: factory(k)
     if text.startswith("product(") and text.endswith(")"):
@@ -411,8 +427,8 @@ def _parse_fixture(text: str):
             elif ch == ")":
                 depth -= 1
             elif ch == "," and depth == 0:
-                left = _parse_fixture(inner[:pos])
-                right = _parse_fixture(inner[pos + 1:])
+                left = _parse_fixture(inner[:pos], level + 1)
+                right = _parse_fixture(inner[pos + 1:], level + 1)
                 if left is None or right is None:
                     return None
                 count = left[0] * right[0]

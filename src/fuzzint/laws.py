@@ -21,9 +21,9 @@ side.  Nothing is kept between calls.  ``check_lattice_axioms`` and
 arbitrary collection of distinct members and its ops.
 
 In exhaustive mode the triple laws (associativity, distributivity) are
-checked a row at a time when their tables hold no -1 entry: for each
-``(i, j)`` one list comparison covers every ``k``, and only a row that
-does not match is probed instance by instance.  Over such a table a
+checked a row at a time when the collection is closed under the ops: for
+each ``(i, j)`` one list comparison covers every ``k``, and only a row
+that does not match is probed instance by instance.  Over such a table a
 row matches exactly when every instance in it passes, and rows are
 visited in enumeration order, so the first witness and the ``checked``
 count are those of the instance-by-instance loop.
@@ -226,10 +226,11 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
 
     ``row(i, j)``, given for a triple law, says whether ``probe(i, j, k)``
     passes for every ``k``; the caller passes it only when it is exact,
-    i.e. when the tables it reads hold no -1 entry.  In exhaustive mode a
-    matching row counts its n instances without probing them; any other
-    row is probed ``k`` by ``k``.  Rows are visited in enumeration order,
-    so the first failure, its detail and ``checked`` are the probe's own.
+    i.e. when every entry of the tables it reads is a collection index.
+    In exhaustive mode a matching row counts its n instances without
+    probing them; any other row is probed ``k`` by ``k``.  Rows are
+    visited in enumeration order, so the first failure, its detail and
+    ``checked`` are the probe's own.
     Sampled instances are always probed one by one.
     """
     instances, mode = _plan(len(items), arity, budget, seed)
@@ -262,28 +263,31 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
 class _OpTables:
     """Materialized join/meet tables over collection indices.
 
-    Results outside the collection are stored as -1; the first such pair
-    per op is kept as the closure witness.  ``leq_rows`` are upper-bound
-    bitmask rows built from the independent order predicate, and
-    ``down_rows`` their transpose (the lower bounds of each item); both
-    stay zero without ``leq_op``.  The ops are kept for the probes that
-    fall back to them on a -1 entry.
+    Results are interned: one outside the collection gets the next index
+    in ``pool``, a growing copy of ``items``, and equal results share an
+    index.  The first pair per op whose result lies outside is the closure
+    witness.  :meth:`join` and :meth:`meet` read the table for two items
+    and evaluate the op on pool members for any other pair.  ``leq_rows``
+    are upper-bound bitmask rows built from the independent order
+    predicate, and ``down_rows`` their transpose (the lower bounds of each
+    item); both stay zero without ``leq_op``.
 
     The items must be distinct: the probes compare results by index, so a
     member listed twice would make equal results look different.  A
     duplicate raises ``ValueError`` before any op is evaluated.
-    ``index`` maps each item to its index.
+    ``index`` maps each pool member to its index.
     """
 
     def __init__(self, items, join_op, meet_op, leq_op):
         n = len(items)
-        self.index = pool = {}
+        self.index = index = {}
         for i, item in enumerate(items):
-            first = pool.setdefault(item, i)
+            first = index.setdefault(item, i)
             if first != i:
                 raise ValueError(f"the collection lists one member twice, "
                                  f"at indices {first} and {i}")
         self.items = items
+        self.pool = list(items)  # never grows the caller's list
         self.join_op = join_op
         self.meet_op = meet_op
         self.n = n
@@ -291,18 +295,17 @@ class _OpTables:
         self.meet_t = mt = [0] * (n * n)
         self.closure_join = None
         self.closure_meet = None
+        intern = self._intern
         for i in range(n):
             a = items[i]
             row = i * n
             for j in range(n):
                 b = items[j]
-                k = pool.get(join_op(a, b), -1)
-                jt[row + j] = k
-                if k < 0 and self.closure_join is None:
+                jt[row + j] = k = intern(join_op(a, b))
+                if k >= n and self.closure_join is None:
                     self.closure_join = (i, j)
-                k = pool.get(meet_op(a, b), -1)
-                mt[row + j] = k
-                if k < 0 and self.closure_meet is None:
+                mt[row + j] = k = intern(meet_op(a, b))
+                if k >= n and self.closure_meet is None:
                     self.closure_meet = (i, j)
         self.leq_rows = rows = [0] * n
         self.down_rows = down = [0] * n
@@ -317,18 +320,37 @@ class _OpTables:
                 for j in iter_bits(rows[i]):
                     down[j] |= 1 << i
 
+    def _intern(self, value) -> int:
+        """The pool index of ``value``, appended to the pool if new."""
+        k = self.index.get(value)
+        if k is None:
+            k = self.index[value] = len(self.pool)
+            self.pool.append(value)
+        return k
+
+    def join(self, i: int, j: int) -> int:
+        n = self.n
+        return (self.join_t[i * n + j] if i < n and j < n
+                else self._intern(self.join_op(self.pool[i], self.pool[j])))
+
+    def meet(self, i: int, j: int) -> int:
+        n = self.n
+        return (self.meet_t[i * n + j] if i < n and j < n
+                else self._intern(self.meet_op(self.pool[i], self.pool[j])))
+
 
 def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
                          suite: str = "axioms", lattice_name: str = "",
                          grades: tuple = (), budget: int = DEFAULT_BUDGET,
                          seed: int = DEFAULT_SEED) -> LawReport:
-    """Verify the lattice axioms for a collection closed under both ops.
+    """Verify the lattice axioms for a collection and its ops.
 
     Checks closure, commutativity, idempotence, associativity, absorption,
     consistency of the independent order ``leq_op`` with the ops, the
     least-upper- / greatest-lower-bound property against the collection
     itself, and agreement of the join with its definitional oracle — the
-    meet-fold over all common upper bounds.
+    meet-fold over all common upper bounds.  A collection the ops leave
+    fails a closure check; the other laws are still evaluated.
 
     The collection must list each member once (results are compared by
     index); a member listed twice raises ``ValueError`` naming both
@@ -342,7 +364,7 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
 def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
                     seed: int) -> LawReport:
     """Body of :func:`check_lattice_axioms` over a table built with ``leq_op``."""
-    items, join_op, meet_op = tabs.items, tabs.join_op, tabs.meet_op
+    items, J, M = tabs.items, tabs.join, tabs.meet
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
     leq_rows, down_rows = tabs.leq_rows, tabs.down_rows
 
@@ -360,52 +382,27 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
     run = lambda law, arity, probe: _run_law(report, items, law, arity, probe,  # noqa: E731
                                              budget=budget, seed=seed)
 
-    run("commutativity-join", 2, lambda i, j: None if (
-        jt[i * n + j] == jt[j * n + i] if jt[i * n + j] >= 0 and jt[j * n + i] >= 0
-        else join_op(items[i], items[j]) == join_op(items[j], items[i])) else "")
-    run("commutativity-meet", 2, lambda i, j: None if (
-        mt[i * n + j] == mt[j * n + i] if mt[i * n + j] >= 0 and mt[j * n + i] >= 0
-        else meet_op(items[i], items[j]) == meet_op(items[j], items[i])) else "")
+    run("commutativity-join", 2, lambda i, j: None if jt[i * n + j] == jt[j * n + i] else "")
+    run("commutativity-meet", 2, lambda i, j: None if mt[i * n + j] == mt[j * n + i] else "")
     run("idempotence-join", 1, lambda i: None if jt[i * n + i] == i else "")
     run("idempotence-meet", 1, lambda i: None if mt[i * n + i] == i else "")
 
-    def assoc(table, op):
+    def assoc(op, table, closed):
         """(probe, row); the row compares a(b c) with (a b)c over every c."""
         rows = [table[i * n:i * n + n] for i in range(n)]
 
         def row(i, j):
             return list(map(rows[i].__getitem__, rows[j])) == rows[table[i * n + j]]
+        return (lambda i, j, k: None if op(i, op(j, k)) == op(op(i, j), k) else "",
+                row if closed else None)
 
-        def probe(i, j, k):
-            bc = table[j * n + k]
-            ab = table[i * n + j]
-            if bc >= 0 and ab >= 0:
-                lhs = table[i * n + bc]
-                rhs = table[ab * n + k]
-                if lhs >= 0 and rhs >= 0:
-                    return None if lhs == rhs else ""
-            lhs_obj = op(items[i], op(items[j], items[k]))
-            rhs_obj = op(op(items[i], items[j]), items[k])
-            return None if lhs_obj == rhs_obj else ""
-        return probe, (row if -1 not in table else None)
-
-    for law, table, op in (("associativity-join", jt, join_op),
-                           ("associativity-meet", mt, meet_op)):
-        probe, row = assoc(table, op)
+    for law, op, table, first_bad in (("associativity-join", J, jt, tabs.closure_join),
+                                      ("associativity-meet", M, mt, tabs.closure_meet)):
+        probe, row = assoc(op, table, first_bad is None)
         _run_law(report, items, law, 3, probe, budget=budget, seed=seed, row=row)
 
-    def absorption(outer_t, inner_t, outer_op, inner_op):
-        def probe(i, j):
-            inner = inner_t[i * n + j]
-            if inner >= 0:
-                res = outer_t[i * n + inner]
-                return None if res == i else ""
-            res_obj = outer_op(items[i], inner_op(items[i], items[j]))
-            return None if res_obj == items[i] else ""
-        return probe
-
-    run("absorption-meet-join", 2, absorption(mt, jt, meet_op, join_op))
-    run("absorption-join-meet", 2, absorption(jt, mt, join_op, meet_op))
+    run("absorption-meet-join", 2, lambda i, j: None if M(i, J(i, j)) == i else "")
+    run("absorption-join-meet", 2, lambda i, j: None if J(i, M(i, j)) == i else "")
 
     def order_consistency(i, j):
         ordered = leq_rows[i] >> j & 1 == 1
@@ -414,10 +411,10 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
 
     run("order-consistency", 2, order_consistency)
 
-    def join_lub(i, j):
+    def join_lub(i, j):  # a join outside the collection is in no row
         common = leq_rows[i] & leq_rows[j]
         jj = jt[i * n + j]
-        if jj < 0 or not common >> jj & 1:
+        if not common >> jj & 1:
             return "join is not a common upper bound"
         if common & ~leq_rows[jj]:
             return "a smaller common upper bound exists"
@@ -428,7 +425,7 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
     def meet_glb(i, j):
         lowers = down_rows[i] & down_rows[j]
         mm = mt[i * n + j]
-        if mm < 0 or not lowers >> mm & 1:
+        if not lowers >> mm & 1:
             return "meet is not a common lower bound"
         if lowers & ~down_rows[mm]:
             return "a greater common lower bound exists"
@@ -438,13 +435,14 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
 
     def join_oracle(i, j):
         common = leq_rows[i] & leq_rows[j]
-        acc = -1
-        for b in iter_bits(common):
-            acc = b if acc < 0 else mt[acc * n + b]
-            if acc < 0:
-                return "meet-fold left the collection"
-        if acc < 0:
+        if not common:
             return "no common upper bound in the collection"
+        bounds = iter_bits(common)
+        acc = next(bounds)
+        for b in bounds:
+            acc = mt[acc * n + b]
+            if acc >= n:
+                return "meet-fold left the collection"
         return None if acc == jt[i * n + j] else "fold of upper bounds differs from join"
 
     run("join-definitional-oracle", 2, join_oracle)
@@ -476,10 +474,11 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
     """
     note = ("" if asserted else
             "hypothesis not met (reference lattice not distributive); finding only")
-    items, join_op, meet_op = tabs.items, tabs.join_op, tabs.meet_op
+    items, J, M = tabs.items, tabs.join, tabs.meet
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
+    closed = tabs.closure_join is None and tabs.closure_meet is None
 
-    def law(outer_t, inner_t, outer_op, inner_op):
+    def law(outer, inner, outer_t, inner_t):
         """(probe, row) for outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))."""
         outer_rows = [outer_t[i * n:i * n + n] for i in range(n)]
         inner_rows = [inner_t[i * n:i * n + n] for i in range(n)]
@@ -488,23 +487,11 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
             a_outer = outer_rows[i]
             return (list(map(a_outer.__getitem__, inner_rows[j]))
                     == list(map(inner_rows[a_outer[j]].__getitem__, a_outer)))
+        return (lambda i, j, k: None if outer(i, inner(j, k)) == inner(outer(i, j), outer(i, k))
+                else "", row if closed else None)
 
-        def probe(i, j, k):
-            bc = inner_t[j * n + k]
-            ab = outer_t[i * n + j]
-            ac = outer_t[i * n + k]
-            if bc >= 0 and ab >= 0 and ac >= 0:
-                lhs = outer_t[i * n + bc]
-                rhs = inner_t[ab * n + ac]
-                if lhs >= 0 and rhs >= 0:
-                    return None if lhs == rhs else ""
-            lhs_obj = outer_op(items[i], inner_op(items[j], items[k]))
-            rhs_obj = inner_op(outer_op(items[i], items[j]), outer_op(items[i], items[k]))
-            return None if lhs_obj == rhs_obj else ""
-        return probe, (row if -1 not in outer_t and -1 not in inner_t else None)
-
-    for name, (probe, row) in (("meet-over-join", law(mt, jt, meet_op, join_op)),
-                               ("join-over-meet", law(jt, mt, join_op, meet_op))):
+    for name, (probe, row) in (("meet-over-join", law(M, J, mt, jt)),
+                               ("join-over-meet", law(J, M, jt, mt))):
         _run_law(report, items, name, 3, probe, budget=budget, seed=seed,
                  asserted=asserted, note=note, row=row)
     return report
@@ -560,67 +547,61 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
     start at the whole carrier, and intersect down to their largest index.
 
     With ``tabs`` built over ``fis`` a pair's meet and join are read from
-    the tables and cut pointwise once per item; without, or on a -1 entry,
-    the op is evaluated and its result cut.  The reference side is the
-    crisp route: each cut is looked up in ``crisp``, the table over the
-    crisp intervals (hull is its join, intersection its meet), and a -1
-    entry there falls back to the crisp op.
+    the tables and each pool member is cut pointwise once; without, the op
+    is evaluated and its result cut.  The reference side is the crisp
+    route: each cut is looked up in ``crisp``, the table over the crisp
+    intervals (hull is its join, intersection its meet), and the masks of
+    its pool give the cut of each entry.
     """
     chain = report.grades
     n, m = len(fis), crisp.n
     full = lattice.all_mask
     ranks = _threshold_ranks(fis)
     cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]  # by grade rank
-    crisp_masks = [iv.members_mask() for iv in crisp.items]
+    crisp_masks = [iv.members_mask() for iv in crisp.pool]
     pointwise = None if tabs is None else [
-        [fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))] for fi in fis]
-    crisp_ops = {"meet": (crisp.meet_t, crisp.meet_op), "join": (crisp.join_t, crisp.join_op)}
+        [fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))] for fi in tabs.pool]
+    crisp_tables = {"meet": crisp.meet_t, "join": crisp.join_t}
 
-    def crisp_mask(table, op, a, b):
-        """Member mask of op(crisp item a, crisp item b)."""
-        k = table[a * m + b]
-        return crisp_masks[k] if k >= 0 else op(crisp.items[a], crisp.items[b]).members_mask()
-
-    def family(i, j, table, op):
+    def family(i, j, table):
         """(rank, mask of op(cut_i, cut_j)) over the pair's thresholds, ascending."""
         ci, cj = cuts[i], cuts[j]
         for r in iter_bits(ranks[i] | ranks[j]):
-            yield r, crisp_mask(table, op, ci[r], cj[r])
+            yield r, crisp_masks[table[ci[r] * m + cj[r]]]
 
     def identity(op_name):
-        table, op = crisp_ops[op_name]
+        table = crisp_tables[op_name]
         fi_table = None if tabs is None else (tabs.meet_t if op_name == "meet" else tabs.join_t)
 
         def probe(i, j):
-            k = -1 if fi_table is None else fi_table[i * n + j]
-            if k >= 0:
-                cut_mask = pointwise[k].__getitem__
-            else:
+            if fi_table is None:
                 a, b = fis[i], fis[j]
                 cut_mask = (a.meet(b) if op_name == "meet" else a.join(b)).fuzzy._rank_cut_mask
-            for r, mask in family(i, j, table, op):
+            else:
+                cut_mask = pointwise[fi_table[i * n + j]].__getitem__
+            for r, mask in family(i, j, table):
                 if cut_mask(r) != mask:
                     return f"threshold {format_grade(chain[r])}"
             return None
         return probe
 
     def family_laws(op_name):
-        table, op = crisp_ops[op_name]
+        table = crisp_tables[op_name]
 
         def antitone(i, j):
-            masks = [mask for _, mask in family(i, j, table, op)]
+            masks = [mask for _, mask in family(i, j, table)]
             for lower, higher in zip(masks, masks[1:]):
                 if higher & ~lower:
                     return "family grows with the threshold"
             return None
 
         def at_zero(i, j):
-            return None if crisp_mask(table, op, cuts[i][0], cuts[j][0]) == full else ""
+            return None if crisp_masks[table[cuts[i][0] * m + cuts[j][0]]] == full else ""
 
         def closed_under_intersection(i, j):
             """The masks over P intersect to the mask at max P; checked on
             pairs, which is complete (see :func:`_first_failing_pair`)."""
-            return _first_failing_pair(chain, family(i, j, table, op), int.__and__)
+            return _first_failing_pair(chain, family(i, j, table), int.__and__)
 
         return antitone, at_zero, closed_under_intersection
 

@@ -264,6 +264,18 @@ def test_laws_oversized_fixture_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: lattice with 8192 elements exceeds the cap of 4096\n"
+    assert main(["laws", "--fixture", "boolean20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lattice with 2^20000 elements exceeds the cap of 4096\n"
+
+
+def test_laws_deeply_nested_fixture_exits_2(capsys):
+    spec = "product(" * 1200 + "m3" + ",m3)" * 1200
+    assert main(["laws", "--fixture", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lattice fixture nests product(...) more than 64 levels deep\n"
 
 
 def test_laws_unknown_suite_exits_2(capsys):

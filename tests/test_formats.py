@@ -68,6 +68,14 @@ def test_fuzzy_set_rejects_floats():
     assert "float" in str(exc.value)
 
 
+def test_fuzzy_set_rejects_booleans():
+    for flag in (True, False):
+        with pytest.raises(FormatError) as exc:
+            fuzzy_set_from_json({"lattice": "m3", "memberships": {
+                "0": "1", "a": flag, "b": "1", "c": "1", "1": "1"}}, m3())
+        assert str(exc.value) == "grade for 'a' must be a string"
+
+
 def test_fuzzy_set_must_be_total():
     with pytest.raises(FormatError):
         fuzzy_set_from_json({"lattice": "m3", "memberships": {"0": "1"}}, m3())

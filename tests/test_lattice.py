@@ -213,6 +213,10 @@ def test_fixture_factories_refuse_oversized_requests():
         boolean_lattice(13)
     with pytest.raises(SizeLimit, match="8192 elements"):
         standard_lattice("boolean13")
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match=r"2\^100000000 elements"):
+        boolean_lattice(10**8)  # refused before 2 ** k is computed
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("spec, requested", [
@@ -220,6 +224,12 @@ def test_fixture_factories_refuse_oversized_requests():
     ("product(chain2,boolean13)", 8192),    # an oversized factor is named first
     ("product(chain5000,boolean13)", 5000),  # the left factor is checked first
     ("product(product(boolean6,boolean6),chain2)", 8192),
+    ("boolean0013", 8192),
+    ("boolean20000", "2^20000"),          # too large to print as a number
+    ("boolean100000000", "2^100000000"),  # too large to compute quickly
+    ("product(chain2,boolean20000)", "2^20000"),
+    pytest.param("chain" + "9" * 5000, "9" * 5000,  # too long to convert to an int
+                 id="chain-with-5000-digits"),
 ])
 def test_oversized_product_fixture_fails_before_building(spec, requested):
     start = time.perf_counter()
@@ -227,6 +237,16 @@ def test_oversized_product_fixture_fails_before_building(spec, requested):
         standard_lattice(spec)
     assert time.perf_counter() - start < 1.0
     assert str(info.value) == f"lattice with {requested} elements exceeds the cap of {MAX_ELEMENTS}"
+
+
+def test_deeply_nested_product_fixture_is_refused():
+    deepest = "product(chain1," * 64 + "chain2" + ")" * 64
+    assert len(standard_lattice(deepest).elements) == 2
+    for levels in (65, 1200):
+        for spec in ("product(chain1," * levels + "chain2" + ")" * levels,
+                     "product(" * levels + "chain2" + ",chain1)" * levels):
+            with pytest.raises(ValueError, match="more than 64 levels deep"):
+                standard_lattice(spec)
 
 
 def test_unknown_element_lookup(chain3):

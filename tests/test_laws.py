@@ -605,6 +605,63 @@ def test_reports_pinned(chain2, chain3, diamond, pentagon):
         assert hashlib.sha256(doc.encode()).hexdigest() == digest, (lat, grades, mode)
 
 
+# sha256 of json.dumps([axioms.as_json(), distributivity.as_json()], sort_keys=True)
+# from check_lattice_axioms and check_distributivity on collections that are
+# not closed under their ops: the nonempty crisp intervals (the meet of two
+# disjoint ones is empty), and the fuzzy intervals over {0, 1/2, 1} at the
+# indices random.Random(0).sample draws for half of the enumeration
+PINNED_OPEN_REPORTS = {
+    ("chain3", "crisp", "exhaustive"):
+        "2cab73960e746beb17ad12a6b00467ad1ebe5485791e02bf4cacb0bc140935dd",
+    ("chain3", "crisp", "sampled"):
+        "2cab73960e746beb17ad12a6b00467ad1ebe5485791e02bf4cacb0bc140935dd",
+    ("m3", "crisp", "exhaustive"):
+        "5238628ac66ad179caa6aeef882fd621627e029c21a3d620f363f36bc1c8cadc",
+    ("m3", "crisp", "sampled"):
+        "144e63a01c2a1ea5f349641e7202b0b3d2db22afdca2dfd090a5544d43076d35",
+    ("n5", "crisp", "exhaustive"):
+        "f75b4dcffee08d492e88f4e0baba6ce880179094d0c7fefd56dfbe312fc1bbd1",
+    ("n5", "crisp", "sampled"):
+        "29922a5d4b4f8a7262b2f8af39ad360960e57d390c4ccf2c056ff5685b499b9d",
+    ("chain3", "fuzzy-half", "exhaustive"):
+        "1619663f0193098d90301003791c77ba261375c4656fa42c0f3976aaa5b77db1",
+    ("chain3", "fuzzy-half", "sampled"):
+        "db3fdd7bb1eb5ee2f74b826bb52e7242534b40dfa7539d617dd9b5acea8da3db",
+    ("m3", "fuzzy-half", "exhaustive"):
+        "6273c0fd0d173dea3baf16fdeaf9a65909b0352dce49bcac93fd61a091736c8b",
+    ("m3", "fuzzy-half", "sampled"):
+        "ea154a6ef305327a310019315c3fb377751cfcc5d802e815f2a0c53f5f586df2",
+}
+
+
+def _open_collection(lattice, kind):
+    """(items, join, meet, leq) for a collection the ops leave."""
+    if kind == "crisp":
+        return ([iv for iv in enumerate_intervals(lattice) if not iv.is_empty],
+                CrispInterval.hull, CrispInterval.intersection, CrispInterval.issubset)
+    fis = enumerate_fuzzy_intervals(lattice, GRADES3)
+    half = sorted(random.Random(0).sample(range(len(fis)), len(fis) // 2))
+    return [fis[i] for i in half], FuzzyInterval.join, FuzzyInterval.meet, FuzzyInterval.leq
+
+
+def test_reports_pinned_on_collections_that_are_not_closed(chain3, diamond, pentagon):
+    lattices = {"chain3": chain3, "m3": diamond, "n5": pentagon}
+    budgets = {"exhaustive": dict(budget=10**7), "sampled": dict(budget=300, seed=3)}
+    reached = set()
+    for (lat, kind, mode), digest in PINNED_OPEN_REPORTS.items():
+        items, join, meet, leq = _open_collection(lattices[lat], kind)
+        reports = [check_lattice_axioms(items, join, meet, leq, **budgets[mode]),
+                   check_distributivity(items, join, meet, **budgets[mode])]
+        doc = json.dumps([r.as_json() for r in reports], sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest, (lat, kind, mode)
+        reached |= {c.law if c.law.startswith("closure") else c.witness.get("detail", "")
+                    for r in reports for c in r.checks if c.status == "fail"}
+    # every way a result outside the collection shows in a report
+    assert reached >= {"closure-join", "closure-meet", "join is not a common upper bound",
+                       "meet is not a common lower bound", "meet-fold left the collection",
+                       "no common upper bound in the collection"}
+
+
 def test_all_enumerates_and_tabulates_once(monkeypatch, chain3):
     # 22 fuzzy intervals: one op table is 22^2 joins and 22^2 meets, and the
     # cut-identity suite reads its meets and joins from that table; 7 crisp
