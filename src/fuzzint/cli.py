@@ -167,10 +167,7 @@ def _laws_lattice(args):
     if (args.lattice is None) == (args.fixture is None):
         raise FormatError("give exactly one of a lattice file or --fixture")
     if args.fixture is not None:
-        try:
-            return standard_lattice(args.fixture)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+        return standard_lattice(args.fixture)
     return load_lattice(args.lattice)
 
 

@@ -82,7 +82,7 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
         try:
             resolved = standard_lattice(ref)
         except ValueError as exc:
-            raise FormatError(f"unknown lattice name {ref!r}") from exc
+            raise FormatError(str(exc)) from exc
     elif isinstance(ref, dict):
         if lattice is not None:
             # match by order alone; a mismatch builds, so NotALattice comes first

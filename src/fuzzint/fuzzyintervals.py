@@ -181,43 +181,18 @@ def interval_cut_violation(m: FuzzySet):
     return (m.chain[r], m.lattice.elements[z])
 
 
-def interval_endpoint_violation(m: FuzzySet):
-    """Convexity plus the boundary-grade conditions M(⊓cut) ≥ min and M(⊔cut) ≥ min.
-
-    On a finite carrier the boundary conditions are implied by convexity,
-    but they are checked independently here to keep this route distinct.
-    """
-    witness = convex_violation(m)
-    if witness is not None:
-        return witness
-    lat, vals = m.lattice, m.ranks
-    for p in m.thresholds():
-        mask = m.cut_mask(p)
-        if not mask:
-            continue
-        bits = list(iter_bits(mask))
-        bound = min(vals[i] for i in bits)
-        lo = lat.meet_indices(bits)
-        hi = lat.join_indices(bits)
-        if vals[lo] < bound:
-            return (p, lat.elements[lo])
-        if vals[hi] < bound:
-            return (p, lat.elements[hi])
-    return None
-
-
 def is_fuzzy_interval(m: FuzzySet) -> bool:
     """Every cut is a closed interval; three routes are evaluated and must agree.
 
-    Route (a) inspects cut shapes directly, route (b) goes through
-    convexity plus boundary grades, route (c) is cut-based convexity alone
-    (equivalent on finite carriers).
+    Route (a) inspects cut shapes directly, route (b) is pointwise
+    convexity and route (c) cut-based convexity; on a finite carrier a cut
+    is an interval exactly when it is a convex sublattice.
     """
     a = interval_cut_violation(m) is None
-    b = interval_endpoint_violation(m) is None
+    b = convex_violation(m) is None
     c = convex_cut_violation(m) is None
     if not a == b == c:
-        raise RouteDisagreement("fuzzy-interval", m, {"cut-shape": a, "convex-boundary": b,
+        raise RouteDisagreement("fuzzy-interval", m, {"cut-shape": a, "pointwise-convexity": b,
                                                       "cut-convexity": c})
     return a
 

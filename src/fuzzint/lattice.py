@@ -147,7 +147,7 @@ class FiniteLattice:
     """
 
     __slots__ = ("name", "elements", "_index", "_up", "_down", "_meet", "_join",
-                 "_bottom", "_top", "_all_mask", "_hash")
+                 "_bottom", "_top", "_all_mask")
 
     def __init__(self, elements: Iterable[Element], covers, *, name: str = ""):
         ordered, index, up = order_closure(elements, covers, name=name)
@@ -163,7 +163,6 @@ class FiniteLattice:
         self._up = up
         self._down = down
         self._all_mask = (1 << n) - 1
-        self._hash = None
 
         # x ⊓ y is the element whose down-set is ↓x ∩ ↓y, if any (dually ⊔)
         by_up = {mask: b for b, mask in enumerate(up)}
@@ -293,9 +292,7 @@ class FiniteLattice:
         return self.elements == other.elements and self._up == other._up
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.elements, tuple(self._up)))
-        return self._hash
+        return hash((self.elements, tuple(self._up)))
 
     def __repr__(self) -> str:
         label = self.name or "lattice"
@@ -410,7 +407,7 @@ def _parse_fixture(text: str, level: int = 0):
             arg = text[len(prefix) + 1:-1]
         elif text.startswith(prefix):
             arg = text[len(prefix):]
-        if arg is not None and arg.isdigit():
+        if arg is not None and arg.isascii() and arg.isdigit():
             digits = arg.lstrip("0") or "0"
             if len(digits) > len(str(MAX_ELEMENTS)):
                 raise SizeLimit(digits if factory is chain else f"2^{digits}", MAX_ELEMENTS)

@@ -31,6 +31,7 @@ count are those of the instance-by-instance loop.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -736,10 +737,11 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     """Run one named suite (or ``all``) and return its reports.
 
     The suites of one call share each collection, its op table and the
-    carrier's distributivity verdict.  The fuzzy-interval table is built
-    only when the call runs the axiom or distributivity suite, so
-    ``cut-identities`` alone evaluates its fuzzy-interval ops pair by
-    pair; it still builds the crisp-interval table, without ``leq`` rows.
+    carrier's distributivity verdict, each built on first use.  The
+    fuzzy-interval table is built only when the call runs the axiom or
+    distributivity suite, so ``cut-identities`` alone evaluates its
+    fuzzy-interval ops pair by pair.  Only the axiom suites build ``leq``
+    rows.
     """
     if name == "all":
         names = SUITES
@@ -750,42 +752,28 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     chain = validate_grades(grades)
     label = lattice.name or f"<{len(lattice.elements)} elements>"
     budgeted = {"budget": budget, "seed": seed}
-    reports: list[LawReport] = []
-    distributive = None
-    if any(s in names for s in ("distributivity", "endpoints", "crisp-distributivity")):
-        distributive = is_distributive(lattice)[0]
-
-    crisp = None
-    if any(s in names for s in ("cut-identities", "crisp-axioms", "crisp-distributivity")):
-        crisp = _OpTables(enumerate_intervals(lattice), CrispInterval.hull,
-                          CrispInterval.intersection,
-                          CrispInterval.issubset if "crisp-axioms" in names else None)
-
-    if any(s in names for s in SUITES[:5]):  # the suites over the fuzzy intervals
-        fis = enumerate_fuzzy_intervals(lattice, chain)
-        tabs = None
-        if "axioms" in names or "distributivity" in names:
-            tabs = _OpTables(fis, FuzzyInterval.join, FuzzyInterval.meet,
-                             FuzzyInterval.leq if "axioms" in names else None)
-        if "axioms" in names:
-            reports.append(_lattice_axioms(LawReport("axioms", label, chain), tabs, **budgeted))
-        if "distributivity" in names:
-            reports.append(_distributivity(LawReport("distributivity", label, chain), tabs,
-                                           asserted=distributive, **budgeted))
-        if "cut-identities" in names:
-            reports.append(_cut_identities(LawReport("cut-identities", label, chain),
-                                           lattice, fis, tabs, crisp, **budgeted))
-        del tabs  # the last suite that reads it is done
-        if "endpoints" in names:
-            reports.append(_endpoint_lemmas(LawReport("endpoints", label, chain), lattice,
-                                            fis, distributive, **budgeted))
-        if "structure" in names:
-            reports.append(_interval_structure(LawReport("structure", label, chain), fis,
-                                               **budgeted))
-
-    if "crisp-axioms" in names:
-        reports.append(_lattice_axioms(LawReport("crisp-axioms", label), crisp, **budgeted))
-    if "crisp-distributivity" in names:
-        reports.append(_distributivity(LawReport("crisp-distributivity", label), crisp,
-                                       asserted=distributive, **budgeted))
-    return reports
+    fis = functools.cache(lambda: enumerate_fuzzy_intervals(lattice, chain))
+    fi_table = functools.cache(lambda: _OpTables(
+        fis(), FuzzyInterval.join, FuzzyInterval.meet,
+        FuzzyInterval.leq if "axioms" in names else None))
+    crisp = functools.cache(lambda: _OpTables(
+        enumerate_intervals(lattice), CrispInterval.hull, CrispInterval.intersection,
+        CrispInterval.issubset if "crisp-axioms" in names else None))
+    distributive = functools.cache(lambda: is_distributive(lattice)[0])
+    tabulated = "axioms" in names or "distributivity" in names
+    suites = {
+        "axioms": lambda r: _lattice_axioms(r, fi_table(), **budgeted),
+        "distributivity": lambda r: _distributivity(r, fi_table(), asserted=distributive(),
+                                                    **budgeted),
+        "cut-identities": lambda r: _cut_identities(r, lattice, fis(),
+                                                    fi_table() if tabulated else None, crisp(),
+                                                    **budgeted),
+        "endpoints": lambda r: _endpoint_lemmas(r, lattice, fis(), distributive(), **budgeted),
+        "structure": lambda r: _interval_structure(r, fis(), **budgeted),
+        "crisp-axioms": lambda r: _lattice_axioms(r, crisp(), **budgeted),
+        "crisp-distributivity": lambda r: _distributivity(r, crisp(), asserted=distributive(),
+                                                          **budgeted),
+    }
+    # the crisp suites are graded by no chain
+    return [suites[suite](LawReport(suite, label, () if suite.startswith("crisp-") else chain))
+            for suite in names]

@@ -114,6 +114,15 @@ def test_classify_lattice_mismatch_exits_2(m3_file, tmp_path, capsys):
     assert main(["classify", m3_file, fs]) == 2
 
 
+def test_classify_unknown_fixture_name_exits_2(m3_file, tmp_path, capsys):
+    # the same message as an unknown --fixture
+    fs = fuzzy_file(tmp_path, "fs.json", {"0": "1"}, lattice="dodecahedron")
+    assert main(["classify", m3_file, fs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown lattice fixture 'dodecahedron'\n"
+
+
 def test_classify_fixture_name_is_checked_against_the_lattice(tmp_path, capsys):
     # a 5-chain that calls itself m3 is not the m3 fixture the document names
     lat = tmp_path / "lat.json"
@@ -218,6 +227,21 @@ def test_laws_fixture_pass(capsys):
     assert "result: PASS" in out
 
 
+def test_laws_sampled_text_names_the_sample(capsys):
+    # chain3 has 22 fuzzy intervals over {0, 1/2, 1}: 484 pairs, 300 drawn
+    assert main(["laws", "--fixture", "chain3", "--budget", "300", "--seed", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert ("  PASS   commutativity-join                 checked=300 "
+            "[sampled(300 of 484, seed=3)]") in lines
+
+
+def test_laws_nonpositive_budget_exits_2(capsys):
+    assert main(["laws", "--fixture", "chain3", "--budget", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget must be positive\n"
+
+
 def test_laws_file_and_fixture_conflict(m3_file, capsys):
     assert main(["laws", m3_file, "--fixture", "m3"]) == 2
 
@@ -256,7 +280,11 @@ def test_laws_bad_grades_exit_2(capsys):
 
 
 def test_laws_unknown_fixture_exits_2(capsys):
-    assert main(["laws", "--fixture", "tetrahedron"]) == 2
+    for spec in ("tetrahedron", "chain²", "boolean¹", "chain٣"):
+        assert main(["laws", "--fixture", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown lattice fixture {spec!r}\n"
 
 
 def test_laws_oversized_fixture_exits_2(capsys):

@@ -38,6 +38,8 @@ def test_lattice_doc_type_errors():
         lattice_from_json({"name": "x", "elements": ["a", "a"], "covers": []})
     with pytest.raises(FormatError):
         lattice_from_json({"name": "x", "elements": ["a", "b"], "covers": [["a", "zz"]]})
+    with pytest.raises(FormatError, match="^lattice name must be a string$"):
+        lattice_from_json({"name": 7, "elements": ["a"], "covers": []})
 
 
 def test_lattice_roundtrip_is_byte_identical():
@@ -88,6 +90,22 @@ def test_fuzzy_set_bad_grade_string():
     with pytest.raises(FormatError):
         fuzzy_set_from_json({"lattice": "m3", "memberships": {
             "0": "3/2", "a": "1", "b": "1", "c": "1", "1": "1"}}, m3())
+
+
+NESTED = "product(" * 70 + "m3" + ",m3)" * 70
+
+
+@pytest.mark.parametrize("lattice, memberships, text", [
+    ("dodecahedron", {}, "unknown lattice fixture 'dodecahedron'"),
+    ("chain²", {}, "unknown lattice fixture 'chain²'"),
+    (NESTED, {}, "lattice fixture nests product(...) more than 64 levels deep"),
+    (7, {}, "the lattice field must be a name or an inline lattice object"),
+    ("m3", ["1"] * 5, "memberships must be an object"),
+], ids=["unknown-fixture", "non-ascii-size", "nested", "not-a-name", "memberships-list"])
+def test_fuzzy_set_document_errors_keep_their_message(lattice, memberships, text):
+    with pytest.raises(FormatError) as exc:
+        fuzzy_set_from_json({"lattice": lattice, "memberships": memberships})
+    assert str(exc.value) == text
 
 
 def test_fuzzy_set_lattice_reference_mismatch():

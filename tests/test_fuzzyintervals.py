@@ -126,7 +126,7 @@ BROKEN_ROUTES = {
                          "fuzzy-sublattice"),
     "fuzzy-convex-sublattice": ("convex_cut_violation", is_fuzzy_convex_sublattice,
                                 "fuzzy-convex-sublattice"),
-    "fuzzy-interval": ("interval_endpoint_violation", is_fuzzy_interval, "fuzzy-interval"),
+    "fuzzy-interval": ("convex_violation", is_fuzzy_interval, "fuzzy-interval"),
     "classify": ("interval_cut_violation", classify, "fuzzy-interval"),
 }
 
@@ -169,6 +169,31 @@ def test_library_has_no_assert_statements():
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_library_has_no_unreferenced_private_helpers():
+    """Every private function, method and class is used somewhere in the
+    library outside its own body, so a helper whose callers are gone fails."""
+    package = os.path.dirname(os.path.abspath(fuzzyintervals.__file__))
+
+    def names(node):
+        return Counter(n.id if isinstance(n, ast.Name) else
+                       n.attr if isinstance(n, ast.Attribute) else n.name
+                       for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+    defs, used = [], Counter()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=name)
+            used += names(tree)
+            defs += [(f"{name}:{node.lineno}", node) for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     and node.name.startswith("_") and not node.name.endswith("__")]
+    assert defs  # the scan sees the helpers
+    assert [f"{where} {node.name}" for where, node in defs
+            if used[node.name] <= names(node)[node.name]] == []
 
 
 # -- constructor and cuts ------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import pytest
@@ -190,8 +191,10 @@ def test_standard_lattice_names():
     assert standard_lattice("n5") == n5()
     assert standard_lattice("boolean2") == boolean_lattice(2)
     assert standard_lattice("product(chain2,chain2)") == product_lattice(chain(2), chain(2))
-    with pytest.raises(ValueError):
-        standard_lattice("dodecahedron")
+    # sizes are ASCII digits only: a superscript or Arabic-Indic digit is no size
+    for spec in ("dodecahedron", "chain²", "boolean¹", "chain٣"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown lattice fixture {spec!r}")):
+            standard_lattice(spec)
 
 
 def test_structural_equality_ignores_name():

@@ -249,6 +249,17 @@ def test_fault_injection_broken_join_is_caught(chain3):
     bad = next(c for c in report.checks if c.status == "fail")
     assert bad.witness is not None and "operands" in bad.witness
 
+    # ops that are bounds but not the least or greatest one for distinct operands
+    whole, empty = CrispInterval.whole(chain3), CrispInterval.empty(chain3)
+    for join, meet, law, detail in (
+            (lambda a, b: a if a == b else whole, CrispInterval.intersection,
+             "join-least-upper-bound", "a smaller common upper bound exists"),
+            (CrispInterval.hull, lambda a, b: a if a == b else empty,
+             "meet-greatest-lower-bound", "a greater common lower bound exists")):
+        report = check_lattice_axioms(ivs, join, meet, CrispInterval.issubset)
+        check = next(c for c in report.checks if c.law == law)
+        assert check.status == "fail" and check.witness["detail"] == detail
+
 
 def test_fault_injection_out_of_pool_result(chain3):
     ivs = [iv for iv in enumerate_intervals(chain3) if not iv.is_empty]
@@ -570,6 +581,16 @@ def test_structure_suite(diamond, pentagon):
         assert report.passed, report.to_text()
         assert {c.law for c in report.checks} == {
             "cut-boundary-grade-meet", "cut-recovery-from-boundary-grades"}
+
+    # fault injection: the 1-cut {1} of a chain3 interval is given the
+    # endpoints 0 and 2, whose grade 0 is neither its minimum nor cuts it again
+    fi = FuzzyInterval(FuzzySet(chain(3), {"0": "0", "1": "1", "2": "0"}))
+    fi._ends = fi._ends[:-1] + ((0, 2),)
+    report = laws._interval_structure(LawReport("structure", "chain3", GRADES3), [fi],
+                                      budget=laws.DEFAULT_BUDGET, seed=0)
+    assert [(c.law, c.status, c.witness["detail"]) for c in report.checks] == [
+        ("cut-boundary-grade-meet", "fail", "threshold 1"),
+        ("cut-recovery-from-boundary-grades", "fail", "threshold 1")]
 
 
 # sha256 of json.dumps([r.as_json() for r in run_suite("all", ...)], sort_keys=True),
