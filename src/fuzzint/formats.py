@@ -44,12 +44,17 @@ def _read_lattice_doc(doc, build):
     if len(set(elements)) != len(elements):
         raise FormatError("element ids must be unique")
     covers = doc["covers"]
-    if not isinstance(covers, list) or not all(
-            isinstance(c, list) and len(c) == 2 and all(isinstance(e, str) for e in c)
-            for c in covers):
-        raise FormatError("covers must be an array of [lower, upper] string pairs")
+    shape = "covers must be an array of [lower, upper] string pairs"
+    if not isinstance(covers, list):
+        raise FormatError(shape)
+    pairs = []
+    for c in covers:
+        if not (isinstance(c, list) and len(c) == 2
+                and isinstance(c[0], str) and isinstance(c[1], str)):
+            raise FormatError(shape)
+        pairs.append((c[0], c[1]))
     try:
-        return build(elements, [tuple(c) for c in covers], name=name)
+        return build(elements, pairs, name=name)
     except UnknownElement as exc:
         raise FormatError(f"cover refers to an undeclared element: {exc}") from exc
 
@@ -83,21 +88,22 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
             resolved = standard_lattice(ref)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-    elif isinstance(ref, dict):
-        if lattice is not None:
-            # match by order alone; a mismatch builds, so NotALattice comes first
-            ordered, _, up = _read_lattice_doc(ref, order_closure)
-            if ordered == lattice.elements and up == lattice._up:
-                return lattice
-        resolved = lattice_from_json(ref)
-    else:
+        if lattice is None:
+            return resolved
+        if resolved == lattice:
+            return lattice
+        # a product fixture's elements are tuples; a lattice file has their renderings
+        ref = lattice_to_json(resolved)
+    elif not isinstance(ref, dict):
         raise FormatError("the lattice field must be a name or an inline lattice object")
-    if lattice is not None:
-        if resolved != lattice:
-            raise LatticeMismatch(
-                "the fuzzy set's lattice does not match the provided lattice")
+    elif lattice is None:
+        return lattice_from_json(ref)
+    # match by order alone; a mismatch builds, so NotALattice comes first
+    ordered, _, up = _read_lattice_doc(ref, order_closure)
+    if ordered == lattice.elements and up == lattice._up:
         return lattice
-    return resolved
+    lattice_from_json(ref)
+    raise LatticeMismatch("the fuzzy set's lattice does not match the provided lattice")
 
 
 def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:

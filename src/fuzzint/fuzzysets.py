@@ -51,11 +51,15 @@ def format_grade(grade: Fraction) -> str:
 def _grade_chain(values) -> tuple[tuple, tuple]:
     """``(chain, ranks)`` for grades in element order.
 
-    Each grade is hashed once; ints 0 and 1 land on the ``Fraction`` bounds.
+    Each grade is hashed once; ints 0 and 1 land on the ``Fraction`` bounds,
+    and every other distinct grade must be a ``Fraction`` strictly between.
     """
     ids = {GRADE_ZERO: 0, GRADE_ONE: 1}  # grade -> first-seen id
     seen = [ids.setdefault(v, len(ids)) for v in values]
     grades = list(ids)
+    for g in grades[2:]:
+        if not (isinstance(g, Fraction) and GRADE_ZERO < g < GRADE_ONE):
+            raise InvalidGrade(f"grade {g!r} must be a Fraction in [0, 1]")
     order = sorted(range(len(grades)), key=grades.__getitem__)
     rank_of = [0] * len(grades)
     for r, k in enumerate(order):
@@ -107,8 +111,11 @@ class FuzzySet:
 
     @classmethod
     def from_values(cls, lattice: FiniteLattice, values) -> "FuzzySet":
-        # trusted fast path: `values` are grades in canonical element order
-        return cls._from_ranks(lattice, *_grade_chain(values))
+        """The fuzzy set with ``values``, exact grades in canonical element order."""
+        chain, ranks = _grade_chain(values)
+        if len(ranks) != len(lattice.elements):
+            raise ValueError(f"{len(ranks)} grades for {len(lattice.elements)} elements")
+        return cls._from_ranks(lattice, chain, ranks)
 
     @classmethod
     def _from_ranks(cls, lattice: FiniteLattice, chain: tuple, ranks: tuple) -> "FuzzySet":

@@ -171,8 +171,8 @@ class FiniteLattice:
         join_t = [by_up.get(ui & uj) for ui in up for uj in up]
         if None in meet_t or None in join_t:
             raise self._missing_bound(meet_t, join_t)
-        self._meet = meet_t
-        self._join = join_t
+        self._meet = [meet_t[k:k + n] for k in range(0, n * n, n)]  # _meet[i][j] is i ⊓ j
+        self._join = [join_t[k:k + n] for k in range(0, n * n, n)]
         # with every pairwise meet, the meet of all elements exists (dually top)
         self._bottom = by_up[self._all_mask]
         self._top = by_down[self._all_mask]
@@ -219,10 +219,10 @@ class FiniteLattice:
         return self._up[self.index(x)] >> self.index(y) & 1 == 1
 
     def meet(self, x, y) -> Element:
-        return self.elements[self._meet[self.index(x) * len(self.elements) + self.index(y)]]
+        return self.elements[self._meet[self.index(x)][self.index(y)]]
 
     def join(self, x, y) -> Element:
-        return self.elements[self._join[self.index(x) * len(self.elements) + self.index(y)]]
+        return self.elements[self._join[self.index(x)][self.index(y)]]
 
     def meet_set(self, items: Iterable[Element]) -> Element:
         """Greatest lower bound of a finite family; the empty family gives top."""
@@ -254,25 +254,23 @@ class FiniteLattice:
         return self._up[i] >> j & 1 == 1
 
     def meet_index(self, i: int, j: int) -> int:
-        return self._meet[i * len(self.elements) + j]
+        return self._meet[i][j]
 
     def join_index(self, i: int, j: int) -> int:
-        return self._join[i * len(self.elements) + j]
+        return self._join[i][j]
 
     def meet_indices(self, indices: Iterable[int]) -> int:
-        n = len(self.elements)
         table = self._meet
         acc = self._top
         for i in indices:
-            acc = table[acc * n + i]
+            acc = table[acc][i]
         return acc
 
     def join_indices(self, indices: Iterable[int]) -> int:
-        n = len(self.elements)
         table = self._join
         acc = self._bottom
         for i in indices:
-            acc = table[acc * n + i]
+            acc = table[acc][i]
         return acc
 
     @property
@@ -312,15 +310,12 @@ def is_distributive(lattice: FiniteLattice):
     triple in canonical element order.  On a finite lattice this binary law
     is equivalent to its complete (arbitrary-family) form.
     """
-    n = len(lattice.elements)
     meet, join = lattice._meet, lattice._join
-    for i in range(n):
-        row_i = i * n
-        for j in range(n):
-            ij = meet[row_i + j]
-            row_j = j * n
-            for k in range(n):
-                if meet[row_i + join[row_j + k]] != join[ij * n + meet[row_i + k]]:
+    for i, meet_i in enumerate(meet):
+        for j, join_j in enumerate(join):
+            join_ij = join[meet_i[j]]
+            for k, jk in enumerate(join_j):
+                if meet_i[jk] != join_ij[meet_i[k]]:
                     e = lattice.elements
                     return False, (e[i], e[j], e[k])
     return True, None

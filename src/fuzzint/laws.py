@@ -262,16 +262,14 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
 
 
 class _OpTables:
-    """Materialized join/meet tables over collection indices.
+    """Materialized join/meet tables over collection indices, one row per
+    item: ``join_t[i][j]`` is the index of the join of items i and j.
 
     Results are interned: one outside the collection gets the next index
     in ``pool``, a growing copy of ``items``, and equal results share an
     index.  The first pair per op whose result lies outside is the closure
     witness.  :meth:`join` and :meth:`meet` read the table for two items
-    and evaluate the op on pool members for any other pair.  ``leq_rows``
-    are upper-bound bitmask rows built from the independent order
-    predicate, and ``down_rows`` their transpose (the lower bounds of each
-    item); both stay zero without ``leq_op``.
+    and evaluate the op on pool members for any other pair.
 
     The items must be distinct: the probes compare results by index, so a
     member listed twice would make equal results look different.  A
@@ -279,7 +277,7 @@ class _OpTables:
     ``index`` maps each pool member to its index.
     """
 
-    def __init__(self, items, join_op, meet_op, leq_op):
+    def __init__(self, items, join_op, meet_op):
         n = len(items)
         self.index = index = {}
         for i, item in enumerate(items):
@@ -292,34 +290,19 @@ class _OpTables:
         self.join_op = join_op
         self.meet_op = meet_op
         self.n = n
-        self.join_t = jt = [0] * (n * n)
-        self.meet_t = mt = [0] * (n * n)
+        self.join_t = [[0] * n for _ in range(n)]
+        self.meet_t = [[0] * n for _ in range(n)]
         self.closure_join = None
         self.closure_meet = None
         intern = self._intern
-        for i in range(n):
-            a = items[i]
-            row = i * n
-            for j in range(n):
-                b = items[j]
-                jt[row + j] = k = intern(join_op(a, b))
+        for i, (a, jt, mt) in enumerate(zip(items, self.join_t, self.meet_t)):
+            for j, b in enumerate(items):
+                jt[j] = k = intern(join_op(a, b))
                 if k >= n and self.closure_join is None:
                     self.closure_join = (i, j)
-                mt[row + j] = k = intern(meet_op(a, b))
+                mt[j] = k = intern(meet_op(a, b))
                 if k >= n and self.closure_meet is None:
                     self.closure_meet = (i, j)
-        self.leq_rows = rows = [0] * n
-        self.down_rows = down = [0] * n
-        if leq_op is not None:
-            for i in range(n):
-                mask = 0
-                for j in range(n):
-                    if leq_op(items[i], items[j]):
-                        mask |= 1 << j
-                rows[i] = mask
-            for i in range(n):
-                for j in iter_bits(rows[i]):
-                    down[j] |= 1 << i
 
     def _intern(self, value) -> int:
         """The pool index of ``value``, appended to the pool if new."""
@@ -331,12 +314,12 @@ class _OpTables:
 
     def join(self, i: int, j: int) -> int:
         n = self.n
-        return (self.join_t[i * n + j] if i < n and j < n
+        return (self.join_t[i][j] if i < n and j < n
                 else self._intern(self.join_op(self.pool[i], self.pool[j])))
 
     def meet(self, i: int, j: int) -> int:
         n = self.n
-        return (self.meet_t[i * n + j] if i < n and j < n
+        return (self.meet_t[i][j] if i < n and j < n
                 else self._intern(self.meet_op(self.pool[i], self.pool[j])))
 
 
@@ -358,16 +341,26 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
     indices, before any op is evaluated.
     """
     return _lattice_axioms(LawReport(suite, lattice_name, tuple(grades)),
-                           _OpTables(list(collection), join_op, meet_op, leq_op),
+                           _OpTables(list(collection), join_op, meet_op), leq_op,
                            budget=budget, seed=seed)
 
 
-def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
+def _lattice_axioms(report: LawReport, tabs: _OpTables, leq_op, *, budget: int,
                     seed: int) -> LawReport:
-    """Body of :func:`check_lattice_axioms` over a table built with ``leq_op``."""
+    """Body of :func:`check_lattice_axioms` over a built op table."""
     items, J, M = tabs.items, tabs.join, tabs.meet
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
-    leq_rows, down_rows = tabs.leq_rows, tabs.down_rows
+    # upper-bound bitmask rows from the independent order, and their transpose
+    leq_rows, down_rows = [0] * n, [0] * n
+    for i in range(n):
+        mask = 0
+        for j in range(n):
+            if leq_op(items[i], items[j]):
+                mask |= 1 << j
+        leq_rows[i] = mask
+    for i in range(n):
+        for j in iter_bits(leq_rows[i]):
+            down_rows[j] |= 1 << i
 
     def closure_check(law, first_bad):
         witness = None
@@ -383,17 +376,15 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
     run = lambda law, arity, probe: _run_law(report, items, law, arity, probe,  # noqa: E731
                                              budget=budget, seed=seed)
 
-    run("commutativity-join", 2, lambda i, j: None if jt[i * n + j] == jt[j * n + i] else "")
-    run("commutativity-meet", 2, lambda i, j: None if mt[i * n + j] == mt[j * n + i] else "")
-    run("idempotence-join", 1, lambda i: None if jt[i * n + i] == i else "")
-    run("idempotence-meet", 1, lambda i: None if mt[i * n + i] == i else "")
+    run("commutativity-join", 2, lambda i, j: None if jt[i][j] == jt[j][i] else "")
+    run("commutativity-meet", 2, lambda i, j: None if mt[i][j] == mt[j][i] else "")
+    run("idempotence-join", 1, lambda i: None if jt[i][i] == i else "")
+    run("idempotence-meet", 1, lambda i: None if mt[i][i] == i else "")
 
     def assoc(op, table, closed):
         """(probe, row); the row compares a(b c) with (a b)c over every c."""
-        rows = [table[i * n:i * n + n] for i in range(n)]
-
         def row(i, j):
-            return list(map(rows[i].__getitem__, rows[j])) == rows[table[i * n + j]]
+            return list(map(table[i].__getitem__, table[j])) == table[table[i][j]]
         return (lambda i, j, k: None if op(i, op(j, k)) == op(op(i, j), k) else "",
                 row if closed else None)
 
@@ -407,14 +398,14 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
 
     def order_consistency(i, j):
         ordered = leq_rows[i] >> j & 1 == 1
-        ok = ordered == (mt[i * n + j] == i) == (jt[i * n + j] == j)
+        ok = ordered == (mt[i][j] == i) == (jt[i][j] == j)
         return None if ok else ""
 
     run("order-consistency", 2, order_consistency)
 
     def join_lub(i, j):  # a join outside the collection is in no row
         common = leq_rows[i] & leq_rows[j]
-        jj = jt[i * n + j]
+        jj = jt[i][j]
         if not common >> jj & 1:
             return "join is not a common upper bound"
         if common & ~leq_rows[jj]:
@@ -425,7 +416,7 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
 
     def meet_glb(i, j):
         lowers = down_rows[i] & down_rows[j]
-        mm = mt[i * n + j]
+        mm = mt[i][j]
         if not lowers >> mm & 1:
             return "meet is not a common lower bound"
         if lowers & ~down_rows[mm]:
@@ -441,10 +432,10 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, *, budget: int,
         bounds = iter_bits(common)
         acc = next(bounds)
         for b in bounds:
-            acc = mt[acc * n + b]
+            acc = mt[acc][b]
             if acc >= n:
                 return "meet-fold left the collection"
-        return None if acc == jt[i * n + j] else "fold of upper bounds differs from join"
+        return None if acc == jt[i][j] else "fold of upper bounds differs from join"
 
     run("join-definitional-oracle", 2, join_oracle)
 
@@ -461,7 +452,7 @@ def check_distributivity(collection, join_op, meet_op, *,
     :func:`check_lattice_axioms`; a duplicate raises ``ValueError``.
     """
     return _distributivity(LawReport(suite, lattice_name, tuple(grades)),
-                           _OpTables(list(collection), join_op, meet_op, None),
+                           _OpTables(list(collection), join_op, meet_op),
                            asserted=True, budget=budget, seed=seed)
 
 
@@ -476,23 +467,19 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
     note = ("" if asserted else
             "hypothesis not met (reference lattice not distributive); finding only")
     items, J, M = tabs.items, tabs.join, tabs.meet
-    n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
     closed = tabs.closure_join is None and tabs.closure_meet is None
 
     def law(outer, inner, outer_t, inner_t):
         """(probe, row) for outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))."""
-        outer_rows = [outer_t[i * n:i * n + n] for i in range(n)]
-        inner_rows = [inner_t[i * n:i * n + n] for i in range(n)]
-
         def row(i, j):
-            a_outer = outer_rows[i]
-            return (list(map(a_outer.__getitem__, inner_rows[j]))
-                    == list(map(inner_rows[a_outer[j]].__getitem__, a_outer)))
+            a_outer = outer_t[i]
+            return (list(map(a_outer.__getitem__, inner_t[j]))
+                    == list(map(inner_t[a_outer[j]].__getitem__, a_outer)))
         return (lambda i, j, k: None if outer(i, inner(j, k)) == inner(outer(i, j), outer(i, k))
                 else "", row if closed else None)
 
-    for name, (probe, row) in (("meet-over-join", law(M, J, mt, jt)),
-                               ("join-over-meet", law(J, M, jt, mt))):
+    for name, (probe, row) in (("meet-over-join", law(M, J, tabs.meet_t, tabs.join_t)),
+                               ("join-over-meet", law(J, M, tabs.join_t, tabs.meet_t))):
         _run_law(report, items, name, 3, probe, budget=budget, seed=seed,
                  asserted=asserted, note=note, row=row)
     return report
@@ -555,7 +542,6 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
     its pool give the cut of each entry.
     """
     chain = report.grades
-    n, m = len(fis), crisp.n
     full = lattice.all_mask
     ranks = _threshold_ranks(fis)
     cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]  # by grade rank
@@ -568,7 +554,7 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
         """(rank, mask of op(cut_i, cut_j)) over the pair's thresholds, ascending."""
         ci, cj = cuts[i], cuts[j]
         for r in iter_bits(ranks[i] | ranks[j]):
-            yield r, crisp_masks[table[ci[r] * m + cj[r]]]
+            yield r, crisp_masks[table[ci[r]][cj[r]]]
 
     def identity(op_name):
         table = crisp_tables[op_name]
@@ -579,7 +565,7 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
                 a, b = fis[i], fis[j]
                 cut_mask = (a.meet(b) if op_name == "meet" else a.join(b)).fuzzy._rank_cut_mask
             else:
-                cut_mask = pointwise[fi_table[i * n + j]].__getitem__
+                cut_mask = pointwise[fi_table[i][j]].__getitem__
             for r, mask in family(i, j, table):
                 if cut_mask(r) != mask:
                     return f"threshold {format_grade(chain[r])}"
@@ -597,7 +583,7 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
             return None
 
         def at_zero(i, j):
-            return None if crisp_masks[table[cuts[i][0] * m + cuts[j][0]]] == full else ""
+            return None if crisp_masks[table[cuts[i][0]][cuts[j][0]]] == full else ""
 
         def closed_under_intersection(i, j):
             """The masks over P intersect to the mask at max P; checked on
@@ -753,16 +739,13 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     label = lattice.name or f"<{len(lattice.elements)} elements>"
     budgeted = {"budget": budget, "seed": seed}
     fis = functools.cache(lambda: enumerate_fuzzy_intervals(lattice, chain))
-    fi_table = functools.cache(lambda: _OpTables(
-        fis(), FuzzyInterval.join, FuzzyInterval.meet,
-        FuzzyInterval.leq if "axioms" in names else None))
-    crisp = functools.cache(lambda: _OpTables(
-        enumerate_intervals(lattice), CrispInterval.hull, CrispInterval.intersection,
-        CrispInterval.issubset if "crisp-axioms" in names else None))
+    fi_table = functools.cache(lambda: _OpTables(fis(), FuzzyInterval.join, FuzzyInterval.meet))
+    crisp = functools.cache(lambda: _OpTables(enumerate_intervals(lattice), CrispInterval.hull,
+                                              CrispInterval.intersection))
     distributive = functools.cache(lambda: is_distributive(lattice)[0])
     tabulated = "axioms" in names or "distributivity" in names
     suites = {
-        "axioms": lambda r: _lattice_axioms(r, fi_table(), **budgeted),
+        "axioms": lambda r: _lattice_axioms(r, fi_table(), FuzzyInterval.leq, **budgeted),
         "distributivity": lambda r: _distributivity(r, fi_table(), asserted=distributive(),
                                                     **budgeted),
         "cut-identities": lambda r: _cut_identities(r, lattice, fis(),
@@ -770,7 +753,8 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
                                                     **budgeted),
         "endpoints": lambda r: _endpoint_lemmas(r, lattice, fis(), distributive(), **budgeted),
         "structure": lambda r: _interval_structure(r, fis(), **budgeted),
-        "crisp-axioms": lambda r: _lattice_axioms(r, crisp(), **budgeted),
+        "crisp-axioms": lambda r: _lattice_axioms(r, crisp(), CrispInterval.issubset,
+                                                  **budgeted),
         "crisp-distributivity": lambda r: _distributivity(r, crisp(), asserted=distributive(),
                                                           **budgeted),
     }

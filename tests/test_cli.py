@@ -137,6 +137,26 @@ def test_classify_fixture_name_is_checked_against_the_lattice(tmp_path, capsys):
                             "the provided lattice\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "op"])
+def test_product_fixture_document_matches_its_lattice_file(command, tmp_path, capsys):
+    lat = tmp_path / "lat.json"
+    labels = ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
+    lat.write_text(json.dumps({"name": "product(chain2,chain2)", "elements": labels,
+                               "covers": [["(0,0)", "(0,1)"], ["(0,0)", "(1,0)"],
+                                          ["(0,1)", "(1,1)"], ["(1,0)", "(1,1)"]]}))
+    memberships = dict(zip(labels, ["1", "1", "1/2", "1/2"]))
+    fs = fuzzy_file(tmp_path, "fs.json", memberships, lattice="product(chain2,chain2)")
+    argv = (["classify", str(lat), fs] if command == "classify"
+            else ["op", "meet", str(lat), fs, fs])
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "classify":
+        assert captured.out == "classification: fuzzy-interval\n"
+    else:
+        assert json.loads(captured.out)["memberships"] == memberships
+
+
 def test_op_meet(m3_file, tmp_path, capsys):
     a = fuzzy_file(tmp_path, "a.json", {"0": "1", "a": "1/2", "b": "0", "c": "0", "1": "0"})
     b = fuzzy_file(tmp_path, "b.json", {"0": "1", "a": "0", "b": "1/2", "c": "0", "1": "0"})

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fuzzint import (CycleError, FiniteLattice, FormatError, FuzzySet, LatticeMismatch,
-                     NotALattice, chain, cli, m3)
+                     NotALattice, chain, cli, m3, standard_lattice)
 from fuzzint.formats import (dumps_canonical, fuzzy_set_from_json,
                              fuzzy_set_to_json, lattice_from_json,
                              lattice_to_json, load_fuzzy_set, load_lattice)
@@ -40,6 +40,12 @@ def test_lattice_doc_type_errors():
         lattice_from_json({"name": "x", "elements": ["a", "b"], "covers": [["a", "zz"]]})
     with pytest.raises(FormatError, match="^lattice name must be a string$"):
         lattice_from_json({"name": 7, "elements": ["a"], "covers": []})
+    shape = "^covers must be an array of \\[lower, upper\\] string pairs$"
+    for covers in ("ab", [["a", "b"], "ab"], [["a", "b", "a"]], [["a", 1]], [[None, "b"]]):
+        with pytest.raises(FormatError, match=shape):
+            lattice_from_json({"name": "x", "elements": ["a", "b"], "covers": covers})
+    with pytest.raises(FormatError, match="^elements must be"):  # checked before the covers
+        lattice_from_json({"name": "x", "elements": [], "covers": "ab"})
 
 
 def test_lattice_roundtrip_is_byte_identical():
@@ -126,6 +132,22 @@ def test_fixture_name_reference_is_compared_like_an_inline_lattice():
     inline = {"lattice": M3_DOC, "memberships": doc["memberships"]}
     with pytest.raises(LatticeMismatch):
         fuzzy_set_from_json(inline, impostor)
+
+
+def test_product_fixture_document_matches_its_lattice_file():
+    # a product fixture's elements are tuples, a lattice file's their renderings
+    fixture = standard_lattice("product(chain2,chain2)")
+    m = FuzzySet.from_values(fixture, [1, 1, Fraction(1, 2), Fraction(1, 2)])
+    doc = fuzzy_set_to_json(m)
+    assert doc == {"lattice": "product(chain2,chain2)",
+                   "memberships": {"(0,0)": "1", "(0,1)": "1", "(1,0)": "1/2", "(1,1)": "1/2"}}
+    from_file = lattice_from_json(json.loads(dumps_canonical(lattice_to_json(fixture))))
+    assert from_file != fixture
+    read = fuzzy_set_from_json(doc, from_file)
+    assert read.lattice is from_file
+    assert read.values == m.values
+    with pytest.raises(LatticeMismatch):
+        fuzzy_set_from_json({**doc, "lattice": "product(chain2,chain3)"}, from_file)
 
 
 def test_inline_lattice_reference():

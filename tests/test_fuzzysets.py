@@ -9,6 +9,7 @@ from conftest import GRADES3, GRADES4
 from fuzzint import (CutFamily, FuzzyInterval, FuzzySet, InvalidFamily, InvalidGrade,
                      LatticeMismatch, UnknownElement, as_grade, chain,
                      equal_by_cuts, format_grade, from_cut_family)
+from fuzzint.fuzzysets import meet_family
 from fuzzint.laws import check_distributivity, check_lattice_axioms, enumerate_fuzzy_sets
 
 H = Fraction(1, 2)
@@ -166,6 +167,34 @@ def test_from_values_turns_ints_into_fractions(chain3):
     assert m.values == (0, 1, 0)
     assert all(type(grade) is Fraction for grade in (*m.values, *m.thresholds(), m("1")))
     assert repr(m) == "{0: 0, 1: 1, 2: 0}"
+
+
+@pytest.mark.parametrize("values, error, text", [
+    ((0, Fraction(3, 2), 1), InvalidGrade, "grade Fraction(3, 2) must be a Fraction in [0, 1]"),
+    ((0, -1, 1), InvalidGrade, "grade -1 must be a Fraction in [0, 1]"),
+    ((0, 0.5, 1), InvalidGrade, "grade 0.5 must be a Fraction in [0, 1]"),
+    ((0, "1/2", 1), InvalidGrade, "grade '1/2' must be a Fraction in [0, 1]"),
+    ((H,), ValueError, "1 grades for 3 elements"),
+    ((0, H, 1, 1), ValueError, "4 grades for 3 elements"),
+], ids=["above-one", "negative", "float", "string", "too-few", "too-many"])
+def test_from_values_rejects_what_is_not_one_grade_per_element(chain3, values, error, text):
+    with pytest.raises(error) as exc:
+        FuzzySet.from_values(chain3, values)
+    assert type(exc.value) is error and str(exc.value) == text
+
+
+def test_cut_family_equality_and_repr(chain3):
+    fam = FuzzySet.from_values(chain3, (1, H, 0)).cut_family()
+    assert fam == CutFamily(chain3, {0: chain3, H: {"0", "1"}, 1: {"0"}})
+    assert fam != CutFamily(chain3, {0: chain3, H: {"0"}, 1: {"0"}})
+    assert fam != CutFamily(chain(3), {0: chain3, 1: {"0"}})
+    assert fam != CutFamily(chain(2), {0: chain(2), H: {"0", "1"}, 1: {"0"}})
+    assert fam.__eq__("not a family") is NotImplemented
+    assert repr(fam) == "CutFamily(0: {0, 1, 2}, 1/2: {0, 1}, 1: {0})"
+
+
+def test_meet_family_of_no_sets_is_constant_one(chain3):
+    assert meet_family(chain3, []) == FuzzySet.constant(chain3, 1)
 
 
 def test_repr_is_readable(chain2):

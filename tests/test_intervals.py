@@ -23,6 +23,16 @@ def test_crossed_bounds_normalize_to_empty(diamond):
     assert iv.members() == frozenset()
     with pytest.raises(EmptyInterval):
         iv.lo
+    with pytest.raises(EmptyInterval, match="no upper endpoint"):
+        iv.hi
+    with pytest.raises(EmptyInterval, match="no endpoints"):
+        iv.endpoints()
+
+
+def test_one_endpoint_is_refused(diamond):
+    for lo, hi in (("a", None), (None, "a")):
+        with pytest.raises(ValueError, match="^give both endpoints or neither$"):
+            CrispInterval(diamond, lo, hi)
 
 
 def test_incomparable_bounds_give_singleton_or_empty(diamond):

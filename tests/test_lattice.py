@@ -58,6 +58,8 @@ def test_duplicate_elements_rejected():
 def test_unknown_cover_endpoint():
     with pytest.raises(UnknownElement):
         FiniteLattice(["x"], [("x", "y")])
+    with pytest.raises(UnknownElement, match="'y'"):  # the lower endpoint
+        FiniteLattice(["x"], [("y", "x")])
 
 
 def test_two_maximal_elements_not_a_lattice():
@@ -192,9 +194,16 @@ def test_standard_lattice_names():
     assert standard_lattice("boolean2") == boolean_lattice(2)
     assert standard_lattice("product(chain2,chain2)") == product_lattice(chain(2), chain(2))
     # sizes are ASCII digits only: a superscript or Arabic-Indic digit is no size
-    for spec in ("dodecahedron", "chain²", "boolean¹", "chain٣"):
+    for spec in ("dodecahedron", "chain²", "boolean¹", "chain٣", "product(chain2,foo)"):
         with pytest.raises(ValueError, match=re.escape(f"unknown lattice fixture {spec!r}")):
             standard_lattice(spec)
+
+
+def test_fixture_factories_refuse_empty_requests():
+    with pytest.raises(ValueError, match="^a chain needs at least one element$"):
+        chain(0)
+    with pytest.raises(ValueError, match="^the atom count cannot be negative$"):
+        boolean_lattice(-1)
 
 
 def test_structural_equality_ignores_name():
@@ -355,3 +364,32 @@ def test_bounds_match_brute_force_on_random_lattices(case):
             assert [lat.join(x, y)] == [z for z in upper if all(lat.leq(z, w) for w in upper)]
     assert [lat.bottom] == [z for z in labels if all(lat.leq(z, w) for w in labels)]
     assert [lat.top] == [z for z in labels if all(lat.leq(w, z) for w in labels)]
+
+
+def _first_distributivity_failure(lat):
+    """The first triple, in canonical order, with x ⊓ (y ⊔ z) ≠ (x ⊓ y) ⊔ (x ⊓ z)."""
+    for x, y, z in itertools.product(lat, repeat=3):
+        if lat.meet(x, lat.join(y, z)) != lat.join(lat.meet(x, y), lat.meet(x, z)):
+            return x, y, z
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(random_lattices().map(lambda case: (
+    [f"e{i}" for i in range(len(case[0]))], case[1])), random_cover_sets()))
+def test_is_distributive_matches_an_element_scan(case):
+    """The table walk against an element-level scan, on random lattices and on
+    the random cover sets that build (M3- and N5-shaped ones among them)."""
+    labels, covers = case
+    try:
+        lat = FiniteLattice(labels, covers)
+    except (CycleError, NotALattice):
+        return
+    witness = _first_distributivity_failure(lat)
+    assert is_distributive(lat) == (witness is None, witness)
+
+
+def test_is_distributive_matches_an_element_scan_on_fixtures():
+    for lat in (m3(), n5(), chain(4), boolean_lattice(3), product_lattice(m3(), chain(2))):
+        witness = _first_distributivity_failure(lat)
+        assert is_distributive(lat) == (witness is None, witness)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -435,7 +437,7 @@ def _cut_family_references(lattice, fis, chain, crisp):
     def law(table):
         def probe(i, j):
             levels = sorted(set(fis[i]._levels) | set(fis[j]._levels))
-            masks = [(r, crisp.items[table[cuts[i][r] * crisp.n + cuts[j][r]]].members_mask())
+            masks = [(r, crisp.items[table[cuts[i][r]][cuts[j][r]]].members_mask())
                      for r in levels]
             return _literal_subset_probe(chain, masks,
                                          lambda ms: reduce(int.__and__, ms, full))
@@ -466,10 +468,10 @@ def test_pairwise_subset_laws_match_the_literal_subset_loop(lattice):
         rng = random.Random(seed)
         fis = enumerate_fuzzy_intervals(lattice, grades)
         crisp = laws._OpTables(enumerate_intervals(lattice), CrispInterval.hull,
-                               CrispInterval.intersection, None)
+                               CrispInterval.intersection)
         for table in (crisp.meet_t, crisp.join_t):
-            for pos in rng.sample(range(len(table)), len(table) // 8):
-                table[pos] = rng.randrange(crisp.n)
+            for pos in rng.sample(range(crisp.n ** 2), crisp.n ** 2 // 8):
+                table[pos // crisp.n][pos % crisp.n] = rng.randrange(crisp.n)
         report = laws._cut_identities(LawReport("cut-identities", "", grades), lattice, fis,
                                       None, crisp, **budget)
         _assert_matches_references(report, fis,
@@ -717,6 +719,18 @@ def test_all_matches_standalone_suites(chain2, chain3, diamond, pentagon):
             alone = [r.as_json() for suite in SUITES
                      for r in run_suite(suite, lat, grades, **budget)]
             assert shared == alone, (lat.name, grades, budget)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    """The benchmark's tracer names library functions by string (among them
+    ``_OpTables.__init__`` and ``_run_law``); building one resolves them all,
+    so a rename fails here and not only in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracing.Tracer()
+    monkeypatch.delattr(laws, "_run_law")
+    with pytest.raises(tracing.TraceError, match="fuzzint.laws._run_law is missing"):
+        tracing.Tracer()
 
 
 def test_every_report_carries_the_same_label():
