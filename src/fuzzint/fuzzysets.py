@@ -22,6 +22,7 @@ from .lattice import Element, FiniteLattice, _require_same_lattice, format_eleme
 
 GRADE_ZERO = Fraction(0)
 GRADE_ONE = Fraction(1)
+_GRADE_TYPES = {Fraction, int}  # exactly these; bool and float are refused
 _ratio = Fraction.as_integer_ratio
 
 
@@ -53,7 +54,11 @@ def _grade_chain(values) -> tuple[tuple, tuple]:
 
     Each grade is hashed once; ints 0 and 1 land on the ``Fraction`` bounds,
     and every other distinct grade must be a ``Fraction`` strictly between.
+    A float or bool is refused even where it equals a bound.
     """
+    if not set(map(type, values)) <= _GRADE_TYPES:
+        bad = next(v for v in values if type(v) not in _GRADE_TYPES)
+        raise InvalidGrade(f"grade {bad!r} must be a Fraction in [0, 1]")
     ids = {GRADE_ZERO: 0, GRADE_ONE: 1}  # grade -> first-seen id
     seen = [ids.setdefault(v, len(ids)) for v in values]
     grades = list(ids)

@@ -18,7 +18,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product as _cartesian
 from typing import Hashable, Iterable, Iterator
 
-from .errors import CycleError, LatticeMismatch, NotALattice, SizeLimit, UnknownElement
+from .errors import (CycleError, LatticeMismatch, NotALattice, RouteDisagreement, SizeLimit,
+                     UnknownElement)
 
 Element = Hashable
 
@@ -304,12 +305,43 @@ def _require_same_lattice(a: FiniteLattice, b: FiniteLattice) -> FiniteLattice:
 
 
 def is_distributive(lattice: FiniteLattice):
-    """Decide x ⊓ (y ⊔ z) = (x ⊓ y) ⊔ (x ⊓ z) by exhaustive triples.
+    """Decide x ⊓ (y ⊔ z) = (x ⊓ y) ⊔ (x ⊓ z) for all x, y, z.
 
     Returns ``(True, None)`` or ``(False, (x, y, z))`` with the first failing
     triple in canonical element order.  On a finite lattice this binary law
     is equivalent to its complete (arbitrary-family) form.
+
+    The verdict comes from Birkhoff's representation theorem (Davey &
+    Priestley, *Introduction to Lattices and Order*, 2002, ch. 5): with J(x)
+    the join-irreducibles below x, the map x ↦ J(x) is injective and sends
+    meets to intersections, so the lattice is distributive exactly when
+    J(x ⊔ j) = J(x) ∪ J(j) for every x and every join-irreducible j.  That
+    costs O(n·|J|) mask comparisons after an O(n) scan for the
+    irreducibles.  Only a "no" runs the triple walk, to name the witness:
+    O(n³) at worst, and never on a distributive lattice.  If the walk finds
+    no triple after a "no", the two routes disagree: ``RouteDisagreement``.
     """
+    down, join = lattice._down, lattice._join
+    by_down = {mask: b for b, mask in enumerate(down)}
+    # j is join-irreducible when ↓j∖{j} is principal; for ⊥ that set is empty
+    irreducible = [j for j, mask in enumerate(down) if mask ^ 1 << j in by_down]
+    j_mask = sum(1 << j for j in irreducible)
+    low = [mask & j_mask for mask in down]  # J(x) as a bitmask
+    pairs = [(j, low[j]) for j in irreducible]
+    for x, join_x in enumerate(join):
+        low_x = low[x]
+        for j, low_j in pairs:
+            if low[join_x[j]] != low_x | low_j:
+                witness = _first_failing_triple(lattice)
+                if witness is None:
+                    raise RouteDisagreement("distributivity", lattice,
+                                            {"join-irreducibles": False, "triples": True})
+                return False, witness
+    return True, None
+
+
+def _first_failing_triple(lattice: FiniteLattice):
+    """The first (x, y, z) in canonical order with x ⊓ (y ⊔ z) ≠ (x ⊓ y) ⊔ (x ⊓ z)."""
     meet, join = lattice._meet, lattice._join
     for i, meet_i in enumerate(meet):
         for j, join_j in enumerate(join):
@@ -317,8 +349,8 @@ def is_distributive(lattice: FiniteLattice):
             for k, jk in enumerate(join_j):
                 if meet_i[jk] != join_ij[meet_i[k]]:
                     e = lattice.elements
-                    return False, (e[i], e[j], e[k])
-    return True, None
+                    return e[i], e[j], e[k]
+    return None
 
 
 # -- standard fixtures ----------------------------------------------------

@@ -152,10 +152,11 @@ def test_route_disagreement_raises_under_dash_O():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          os.path.join(tests, "test_fuzzyintervals.py") + "::test_route_disagreement_raises",
          os.path.join(tests, "test_intervals.py")
-         + "::test_endpoints_round_trip_disagreement_raises"],
+         + "::test_endpoints_round_trip_disagreement_raises",
+         os.path.join(tests, "test_lattice.py") + "::test_distributivity_route_disagreement_raises"],
         capture_output=True, text=True, env=env, cwd=tests)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "5 passed" in proc.stdout
+    assert "6 passed" in proc.stdout
 
 
 def test_library_has_no_assert_statements():

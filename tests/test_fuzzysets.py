@@ -176,7 +176,13 @@ def test_from_values_turns_ints_into_fractions(chain3):
     ((0, "1/2", 1), InvalidGrade, "grade '1/2' must be a Fraction in [0, 1]"),
     ((H,), ValueError, "1 grades for 3 elements"),
     ((0, H, 1, 1), ValueError, "4 grades for 3 elements"),
-], ids=["above-one", "negative", "float", "string", "too-few", "too-many"])
+    # equal to a bound, so they hash onto it, but still not exact grades
+    ((0.0, True, 1.0), InvalidGrade, "grade 0.0 must be a Fraction in [0, 1]"),
+    ((0, 1, 1.0), InvalidGrade, "grade 1.0 must be a Fraction in [0, 1]"),
+    ((False, 1, 1), InvalidGrade, "grade False must be a Fraction in [0, 1]"),
+    ((0, True, 1), InvalidGrade, "grade True must be a Fraction in [0, 1]"),
+], ids=["above-one", "negative", "float", "string", "too-few", "too-many",
+        "float-bounds", "float-one", "bool-zero", "bool-one"])
 def test_from_values_rejects_what_is_not_one_grade_per_element(chain3, values, error, text):
     with pytest.raises(error) as exc:
         FuzzySet.from_values(chain3, values)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_lattices
-from fuzzint import (CycleError, FiniteLattice, NotALattice, SizeLimit,
+from fuzzint import (CycleError, FiniteLattice, NotALattice, RouteDisagreement, SizeLimit,
                      UnknownElement, boolean_lattice, chain, is_distributive, m3, n5,
                      product_lattice, standard_lattice)
 from fuzzint.lattice import MAX_ELEMENTS
@@ -390,6 +390,37 @@ def test_is_distributive_matches_an_element_scan(case):
 
 
 def test_is_distributive_matches_an_element_scan_on_fixtures():
-    for lat in (m3(), n5(), chain(4), boolean_lattice(3), product_lattice(m3(), chain(2))):
+    for lat in (m3(), n5(), chain(4), boolean_lattice(3), product_lattice(m3(), chain(2)),
+                chain(1), boolean_lattice(0), product_lattice(n5(), boolean_lattice(2)),
+                product_lattice(chain(3), m3()), product_lattice(boolean_lattice(2), n5())):
         witness = _first_distributivity_failure(lat)
         assert is_distributive(lat) == (witness is None, witness)
+
+
+class _UnreadTable:
+    """Stands in for a table that must not be read."""
+
+    def __getitem__(self, *_):
+        raise AssertionError("the triple walk ran")
+
+    __iter__ = __getitem__
+
+
+def test_is_distributive_decides_without_the_triple_walk():
+    """A distributive verdict reads no meet row; a "no" still names the
+    first failing triple."""
+    for lat in (boolean_lattice(6), chain(64)):
+        lat._meet = _UnreadTable()
+        assert is_distributive(lat) == (True, None)
+    lat = product_lattice(m3(), chain(2))
+    assert is_distributive(lat) == (False, _first_distributivity_failure(lat))
+
+
+def test_distributivity_route_disagreement_raises():
+    lat = chain(2)
+    lat._join[0][1] = 0  # 0 ⊔ 1 read as 0: J(0 ⊔ 1) misses 1, yet every triple balances
+    with pytest.raises(RouteDisagreement) as info:
+        is_distributive(lat)
+    assert info.value.check == "distributivity"
+    assert info.value.operand is lat
+    assert info.value.verdicts == {"join-irreducibles": False, "triples": True}
