@@ -19,8 +19,8 @@ from .fuzzyintervals import (Classification, EndpointFunctions, FuzzyInterval,
                              classify, is_fuzzy_convex_sublattice, is_fuzzy_interval,
                              is_fuzzy_sublattice)
 from .laws import (LawCheck, LawReport, check_distributivity, check_lattice_axioms,
-                   enumerate_fuzzy_intervals, enumerate_fuzzy_sets, enumerate_intervals,
-                   run_suite, validate_grades)
+                   enumerate_fuzzy_intervals, enumerate_intervals, run_suite,
+                   validate_grades)
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,6 @@ __all__ = [
     "Classification", "EndpointFunctions", "FuzzyInterval", "classify",
     "is_fuzzy_convex_sublattice", "is_fuzzy_interval", "is_fuzzy_sublattice",
     "LawCheck", "LawReport", "check_distributivity", "check_lattice_axioms",
-    "enumerate_fuzzy_intervals", "enumerate_fuzzy_sets", "enumerate_intervals",
+    "enumerate_fuzzy_intervals", "enumerate_intervals",
     "run_suite", "validate_grades",
 ]

@@ -14,15 +14,16 @@ rejection.
 
 A :class:`FuzzyInterval` is stored with its *endpoint chain*: the ranks
 of its thresholds in the fuzzy set's grade chain, ascending, and per
-threshold the ``(lo, hi)`` element indices of that cut.  The constructor
-builds the endpoint chain in the same pass that validates the argument,
-bucketing the elements by grade rank, so every cut is computed once per
-interval; ``cut_interval``, ``endpoint_functions`` and ``join`` read it.
+threshold the ``(lo, hi)`` element indices of that cut.  The public
+constructor takes a fuzzy set and builds the endpoint chain in the same
+full scan that validates it, bucketing the elements by grade rank.
 
-Meet of fuzzy intervals is the pointwise minimum (which provably keeps
-every cut an interval).  Join is *not* the pointwise maximum: it is
-reconstructed from the per-grade hulls of the operand cuts, the smallest
-fuzzy interval above both operands.
+Op results skip that scan: they are built from their endpoint chains.
+Meet is the pointwise minimum, and cutwise the intersection of the operand
+cuts.  Join is *not* the pointwise maximum: cutwise it is the hull of the
+operand cuts, the smallest fuzzy interval above both operands.  Both take
+their cuts level by level from the operands' endpoint chains, and the
+result is checked only for being a nested chain of intervals.
 """
 
 from __future__ import annotations
@@ -243,16 +244,17 @@ class EndpointFunctions:
 
 
 class FuzzyInterval:
-    """A fuzzy set validated so that every cut is a crisp closed interval.
+    """A fuzzy set whose every cut is a crisp closed interval, with its
+    endpoint chain: ``_levels``, the ranks of the thresholds in
+    ``fuzzy.chain`` ascending, and ``_ends[t]``, the ``(lo, hi)`` element
+    indices of the cut at rank ``_levels[t]`` (``(None, None)`` when the
+    cut is empty).
 
-    The constructor validates unconditionally, so operation results are
-    checked the moment they are built.  Validation computes the endpoints
-    of every cut, and the constructor keeps them as the endpoint chain:
-    ``_levels``, the ranks of the thresholds in ``fuzzy.chain`` ascending,
-    and ``_ends[t]``, the ``(lo, hi)`` element indices of the cut at rank
-    ``_levels[t]`` (``(None, None)`` when the cut is empty).
-    ``thresholds``, ``cut_interval``, ``endpoint_functions`` and ``join``
-    read the endpoint chain instead of cutting the fuzzy set again.
+    The constructor validates its argument by the full cut scan and keeps
+    the endpoints it finds.  ``meet`` and ``join`` build their results'
+    endpoint chains from their operands' and check only that they nest.
+    ``thresholds``, ``cut_interval`` and ``endpoint_functions`` read the
+    endpoint chain instead of cutting the fuzzy set again.
     """
 
     __slots__ = ("fuzzy", "_levels", "_ends")
@@ -267,6 +269,38 @@ class FuzzyInterval:
         self.fuzzy = fuzzy
         self._levels = levels
         self._ends = ends
+
+    @classmethod
+    def _from_chain(cls, fuzzy: FuzzySet, cuts: list) -> "FuzzyInterval":
+        """An op result, from ``(rank, lo, hi)`` per cut, ranks ascending in
+        ``fuzzy.chain`` from 0 to grade 1.
+
+        Keeps rank 0, the top, and every rank whose cut differs from the one
+        above it, as :func:`_endpoint_chain` does.  The only check is that
+        the chain is nested: going up, ``lo`` rises, ``hi`` falls, and no
+        nonempty cut sits above an empty one.
+        """
+        leq = fuzzy.lattice.leq_index
+        levels, ends = [], []
+        below_lo = below_hi = -1  # no cut below rank 0
+        for r, lo, hi in cuts:
+            if lo == below_lo and hi == below_hi and levels[-1]:
+                levels[-1] = r  # the same cut: no element has the lower rank
+                continue
+            if lo is not None and levels and (
+                    below_lo is None or not (leq(below_lo, lo) and leq(hi, below_hi))):
+                chain = fuzzy.chain
+                raise NotAFuzzyInterval(
+                    f"cut chain is not nested: the cut at {format_grade(chain[levels[-1]])} "
+                    f"does not contain the cut at {format_grade(chain[r])}")
+            levels.append(r)
+            ends.append((lo, hi))
+            below_lo, below_hi = lo, hi
+        self = object.__new__(cls)
+        self.fuzzy = fuzzy
+        self._levels = tuple(levels)
+        self._ends = tuple(ends)
+        return self
 
     @classmethod
     def from_interval(cls, interval: CrispInterval) -> "FuzzyInterval":
@@ -325,45 +359,47 @@ class FuzzyInterval:
         return self.fuzzy.leq(other.fuzzy)
 
     def meet(self, other: "FuzzyInterval") -> "FuzzyInterval":
-        """Pointwise minimum (cutwise: intersection of the operand cuts)."""
-        return FuzzyInterval(self.fuzzy.meet(other.fuzzy))
+        """Pointwise minimum; cutwise, the intersection of the operand cuts:
+        ``[a_lo ⊔ b_lo, a_hi ⊓ b_hi]`` at each level, or the empty cut where
+        that is crossed, the rule of :meth:`CrispInterval.intersection`."""
+        fuzzy = self.fuzzy.meet(other.fuzzy)
+        lat = fuzzy.lattice
+        cuts = []
+        for r, (a_lo, a_hi), (b_lo, b_hi) in _merged_ends(self, other)[1]:
+            lo = hi = None
+            if a_lo is not None and b_lo is not None:
+                lo, hi = lat.join_index(a_lo, b_lo), lat.meet_index(a_hi, b_hi)
+                if not lat.leq_index(lo, hi):
+                    lo = hi = None
+            cuts.append((r, lo, hi))
+        return FuzzyInterval._from_chain(fuzzy, cuts)
 
     def join(self, other: "FuzzyInterval") -> "FuzzyInterval":
         """Smallest fuzzy interval above both operands.
 
-        Built cutwise: at every threshold of either operand take the hull
-        of the two cuts, then reconstruct the membership as the largest
-        threshold whose hull contains the element.  Cuts are constant
-        between consecutive thresholds, so no other grade can matter.
+        Built cutwise: at every level of either operand take the hull of
+        the two cuts, ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]``, then give each element
+        the largest level whose hull contains it.  Cuts are constant between
+        consecutive levels, so no other grade can matter.
         """
         lat = _require_same_lattice(self.lattice, other.lattice)
-        chain, ta, tb = self.fuzzy.chain, self._levels, other._levels
-        if chain is not other.fuzzy.chain:
-            chain, pos_a, pos_b = _merge_chains(chain, other.fuzzy.chain)
-            ta, tb = [pos_a[r] for r in ta], [pos_b[r] for r in tb]
-        ranks = [0] * len(lat.elements)
-        ea, eb = self._ends, other._ends
-        ia = ib = 0
-        while ia < len(ta):  # merge the levels; both end at the rank of grade 1
-            pa, pb = ta[ia], tb[ib]
-            a_lo, a_hi = ea[ia]  # each operand's cut at p = min(pa, pb)
-            b_lo, b_hi = eb[ib]
-            if pa <= pb:
-                p = pa
-                ia += 1
-                if pa == pb:
-                    ib += 1
-            else:
-                p = pb
-                ib += 1
-            if a_lo is None:
-                a_lo, a_hi = b_lo, b_hi
+        chain, steps = _merged_ends(self, other)
+        cuts = []
+        for r, (lo, hi), (b_lo, b_hi) in steps:
+            if lo is None:
+                lo, hi = b_lo, b_hi
             elif b_lo is not None:
-                a_lo, a_hi = lat.meet_index(a_lo, b_lo), lat.join_index(a_hi, b_hi)
-            if a_lo is not None:
-                for i in iter_bits(lat.between_mask(a_lo, a_hi)):
-                    ranks[i] = p
-        return FuzzyInterval(FuzzySet._from_ranks(lat, chain, tuple(ranks)))
+                lo, hi = lat.meet_index(lo, b_lo), lat.join_index(hi, b_hi)
+            cuts.append((r, lo, hi))
+        ranks = [0] * len(lat.elements)
+        cut = 0
+        for r, lo, hi in reversed(cuts):  # hulls grow downward
+            if lo is not None:
+                mask = lat.between_mask(lo, hi)
+                for i in iter_bits(mask & ~cut):  # only the elements new at this level
+                    ranks[i] = r
+                cut = mask
+        return FuzzyInterval._from_chain(FuzzySet._from_ranks(lat, chain, tuple(ranks)), cuts)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FuzzyInterval):
@@ -376,3 +412,26 @@ class FuzzyInterval:
     def __repr__(self) -> str:
         return f"FuzzyInterval({self.fuzzy!r})"
 
+
+def _merged_ends(a: FuzzyInterval, b: FuzzyInterval) -> tuple[tuple, list]:
+    """``(chain, steps)``: the operands' grade chains merged, and for every
+    level of either operand, ascending, ``(rank, a_end, b_end)`` with each
+    operand's ``(lo, hi)`` cut ends at that rank of ``chain``."""
+    chain, ta, tb = a.fuzzy.chain, a._levels, b._levels
+    if chain is not b.fuzzy.chain:
+        chain, pos_a, pos_b = _merge_chains(chain, b.fuzzy.chain)
+        ta, tb = [pos_a[r] for r in ta], [pos_b[r] for r in tb]
+    ea, eb = a._ends, b._ends
+    steps = []
+    ia = ib = 0
+    while ia < len(ta):  # both end at the rank of grade 1
+        pa, pb = ta[ia], tb[ib]
+        if pa <= pb:  # a cut holds down to the level below its own
+            steps.append((pa, ea[ia], eb[ib]))
+            ia += 1
+            if pa == pb:
+                ib += 1
+        else:
+            steps.append((pb, ea[ia], eb[ib]))
+            ib += 1
+    return chain, steps

@@ -31,10 +31,12 @@ def as_grade(value) -> Fraction:
 
     Accepts Fraction, int, and strings like ``"2/3"`` or ``"0.25"`` (decimal
     strings parse exactly).  Floats are rejected: cut computation relies on
-    exact comparisons and a float would smuggle in rounding error.
+    exact comparisons and a float would smuggle in rounding error.  Booleans
+    are rejected too, as by :meth:`FuzzySet.from_values` and the JSON reader.
     """
-    if isinstance(value, float):
-        raise InvalidGrade(f"refusing float grade {value!r}; pass a Fraction or a string")
+    if isinstance(value, (bool, float)):
+        raise InvalidGrade(f"refusing {type(value).__name__} grade {value!r}; "
+                           "pass a Fraction or a string")
     try:
         grade = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -150,13 +150,6 @@ def enumerate_intervals(lattice: FiniteLattice) -> list[CrispInterval]:
     return out
 
 
-def enumerate_fuzzy_sets(lattice: FiniteLattice, grades) -> list[FuzzySet]:
-    """All |grades|^n grade-valued fuzzy sets (the filter oracle's search space)."""
-    chain = validate_grades(grades)
-    return [FuzzySet._from_ranks(lattice, chain, ranks)
-            for ranks in itertools.product(range(len(chain)), repeat=len(lattice.elements))]
-
-
 def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInterval]:
     """All fuzzy intervals with values in ``grades``.
 

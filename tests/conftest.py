@@ -1,13 +1,21 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from fuzzint import boolean_lattice, chain, m3, n5, product_lattice
+from fuzzint import FuzzySet, boolean_lattice, chain, m3, n5, product_lattice, validate_grades
 
 GRADES3 = (Fraction(0), Fraction(1, 2), Fraction(1))
 GRADES2 = (Fraction(0), Fraction(1))
 GRADES4 = (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1))
+
+
+def enumerate_fuzzy_sets(lattice, grades):
+    """All |grades|^n grade-valued fuzzy sets (the filter oracle's search space)."""
+    chain = validate_grades(grades)
+    return [FuzzySet._from_ranks(lattice, chain, ranks)
+            for ranks in itertools.product(range(len(chain)), repeat=len(lattice.elements))]
 
 
 @pytest.fixture(scope="session")

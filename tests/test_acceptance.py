@@ -15,14 +15,14 @@ import itertools
 import time
 from fractions import Fraction
 
-from conftest import GRADES2, GRADES3, GRADES4
+from conftest import GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets
 from fuzzint import (CrispInterval, boolean_lattice, chain, is_distributive, m3, n5,
                      product_lattice, run_suite)
 from fuzzint.fuzzyintervals import (convex_cut_violation, convex_violation,
                                     interval_cut_violation,
                                     sublattice_cut_violation,
                                     sublattice_violation)
-from fuzzint.laws import enumerate_fuzzy_intervals, enumerate_fuzzy_sets
+from fuzzint.laws import enumerate_fuzzy_intervals
 
 H = Fraction(1, 2)
 

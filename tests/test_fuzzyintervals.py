@@ -7,15 +7,18 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import GRADES2, GRADES3
-from fuzzint import (CrispInterval, FuzzyInterval, FuzzySet, InvalidGrade,
+from conftest import GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets, random_lattices
+from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet, InvalidGrade,
                      NotAFuzzyInterval, RouteDisagreement, chain, classify,
-                     is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice)
+                     is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice,
+                     standard_lattice)
 from fuzzint import fuzzyintervals
-from fuzzint.fuzzyintervals import (convex_violation, interval_cut_violation,
-                                    sublattice_violation)
-from fuzzint.laws import enumerate_fuzzy_intervals, enumerate_fuzzy_sets
+from fuzzint.fuzzyintervals import (_endpoint_chain, convex_violation,
+                                    interval_cut_violation, sublattice_violation)
+from fuzzint.laws import enumerate_fuzzy_intervals, enumerate_intervals
 
 H = Fraction(1, 2)
 
@@ -153,10 +156,11 @@ def test_route_disagreement_raises_under_dash_O():
          os.path.join(tests, "test_fuzzyintervals.py") + "::test_route_disagreement_raises",
          os.path.join(tests, "test_intervals.py")
          + "::test_endpoints_round_trip_disagreement_raises",
-         os.path.join(tests, "test_lattice.py") + "::test_distributivity_route_disagreement_raises"],
+         os.path.join(tests, "test_lattice.py") + "::test_distributivity_route_disagreement_raises",
+         os.path.join(tests, "test_fuzzyintervals.py") + "::test_op_chain_that_is_not_nested_raises"],
         capture_output=True, text=True, env=env, cwd=tests)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "6 passed" in proc.stdout
+    assert "9 passed" in proc.stdout
 
 
 def test_library_has_no_assert_statements():
@@ -211,7 +215,8 @@ def test_public_names_match_all():
     assert set(namespace) == exported
     removed = {"build_lattice", "make_interval", "check_cut_identities",
                "check_endpoint_lemmas", "check_interval_structure",
-               "oracle_join"}  # a test helper in tests/test_laws.py
+               "oracle_join",  # a test helper in tests/test_laws.py
+               "enumerate_fuzzy_sets"}  # a test helper in tests/conftest.py
     assert not any(hasattr(fuzzint, name) for name in removed)
 
 
@@ -322,10 +327,83 @@ def test_meet_join_stay_within_grade_set(diamond):
         assert set(a.join(b).values) <= allowed
 
 
+def _assert_ops_match_independent_routes(a, b):
+    """Both op results carry the endpoint chain that the full scan of their
+    fuzzy sets gives, with no witness, and the meet is the pointwise minimum
+    of the grades."""
+    meet = a.meet(b)
+    for result in (a.join(b), meet):
+        assert (result._levels, result._ends, None) == _endpoint_chain(result.fuzzy), (a, b)
+    assert meet.values == tuple(map(min, a.values, b.values)), (a, b)
+
+
+# the law cases of the benchmark's exhaustive workload, and m3 over four grades
+OP_CASES = [("chain2", GRADES4), ("chain3", GRADES3), ("boolean2", GRADES3),
+            ("m3", GRADES3), ("n5", GRADES3), ("chain4", GRADES3), ("m3", GRADES4)]
+
+
+@pytest.mark.parametrize("spec, grades", OP_CASES,
+                         ids=[f"{spec}-{len(grades)}grades" for spec, grades in OP_CASES])
+def test_op_results_match_their_endpoint_chains(spec, grades):
+    fis = enumerate_fuzzy_intervals(standard_lattice(spec), grades)
+    for a, b in itertools.product(fis, repeat=2):
+        _assert_ops_match_independent_routes(a, b)
+
+
+def test_op_results_match_their_endpoint_chains_across_grade_chains(chain3):
+    thirds = enumerate_fuzzy_intervals(chain3, (0, Fraction(1, 3), 1))
+    halves = enumerate_fuzzy_intervals(chain3, GRADES3)
+    for a, b in itertools.product(thirds, halves):
+        _assert_ops_match_independent_routes(a, b)
+        _assert_ops_match_independent_routes(b, a)
+
+
+@st.composite
+def fuzzy_interval_pairs(draw):
+    """Two fuzzy intervals on one random lattice, each on its own grade
+    chain: per positive grade, ascending, the previous cut intersected with a
+    drawn crisp interval."""
+    masks, covers = draw(random_lattices())
+    lat = FiniteLattice([f"e{i}" for i in range(len(masks))], covers)
+    intervals = enumerate_intervals(lat)
+    pair = []
+    for _ in range(2):
+        grades = draw(st.sets(st.sampled_from(GRADES4[1:] + (H,)), min_size=1))
+        values = [Fraction(0)] * len(lat)
+        cut = CrispInterval.whole(lat)
+        for grade in sorted(grades):
+            cut = cut & draw(st.sampled_from(intervals))
+            for x in cut.members():
+                values[lat.index(x)] = grade
+        pair.append(FuzzyInterval(FuzzySet.from_values(lat, values)))
+    return pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzy_interval_pairs())
+def test_op_results_match_their_endpoint_chains_on_random_lattices(pair):
+    _assert_ops_match_independent_routes(*pair)
+
+
+NOT_NESTED = {  # (rank, lo, hi) per cut over chain3 at grades 0, 1/2, 1; the flaw going up
+    "lo falls": [(0, 0, 2), (1, 1, 2), (2, 0, 2)],
+    "hi rises": [(0, 0, 2), (1, 1, 1), (2, 1, 2)],
+    "empty below nonempty": [(0, 0, 2), (1, None, None), (2, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NESTED))
+def test_op_chain_that_is_not_nested_raises(chain3, case):
+    """The nesting check on op results is not an assert, so it also holds
+    under ``python -O``."""
+    fuzzy = FuzzySet(chain3, {"0": "1/2", "1": "1", "2": "1/2"})
+    with pytest.raises(NotAFuzzyInterval, match="not nested"):
+        FuzzyInterval._from_chain(fuzzy, NOT_NESTED[case])
+
+
 def test_two_valued_fuzzy_intervals_match_crisp_intervals():
     # with grades {0,1} fuzzy intervals are exactly characteristic functions
     # of crisp intervals
-    from fuzzint.laws import enumerate_intervals
     for n in (2, 3, 4):
         lat = chain(n)
         fis = enumerate_fuzzy_intervals(lat, GRADES2)

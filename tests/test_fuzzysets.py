@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRADES3, GRADES4
+from conftest import GRADES3, GRADES4, enumerate_fuzzy_sets
 from fuzzint import (CutFamily, FuzzyInterval, FuzzySet, InvalidFamily, InvalidGrade,
                      LatticeMismatch, UnknownElement, as_grade, chain,
                      equal_by_cuts, format_grade, from_cut_family)
 from fuzzint.fuzzysets import meet_family
-from fuzzint.laws import check_distributivity, check_lattice_axioms, enumerate_fuzzy_sets
+from fuzzint.laws import check_distributivity, check_lattice_axioms
 
 H = Fraction(1, 2)
 
@@ -31,6 +31,18 @@ def test_as_grade_rejects_floats_and_out_of_range():
         as_grade(-1)
     with pytest.raises(InvalidGrade):
         as_grade("zero")
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_as_grade_rejects_booleans(chain3, value):
+    """``True == 1`` and ``False == 0``, but a boolean is not a grade; every
+    public entry refuses it, as ``from_values`` and the JSON reader do."""
+    with pytest.raises(InvalidGrade, match="refusing bool grade"):
+        as_grade(value)
+    with pytest.raises(InvalidGrade):
+        FuzzySet(chain3, {"0": value, "1": "1/2", "2": 1})
+    with pytest.raises(InvalidGrade):
+        FuzzySet.from_values(chain3, (value, H, Fraction(1)))
 
 
 def test_format_grade():

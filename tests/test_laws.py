@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRADES2, GRADES3, GRADES4, random_lattices
+from conftest import GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets, random_lattices
 from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
                      GradeSetInvalid, boolean_lattice, chain, classify, format_grade,
                      is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice,
@@ -23,7 +23,7 @@ from fuzzint import laws
 from fuzzint.fuzzysets import meet_family
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
                           check_lattice_axioms, enumerate_fuzzy_intervals,
-                          enumerate_fuzzy_sets, enumerate_intervals, render_operand)
+                          enumerate_intervals, render_operand)
 
 H = Fraction(1, 2)
 
