@@ -99,7 +99,7 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
     elif lattice is None:
         return lattice_from_json(ref)
     # match by order alone; a mismatch builds, so NotALattice comes first
-    ordered, _, up = _read_lattice_doc(ref, order_closure)
+    ordered, _, up, _ = _read_lattice_doc(ref, order_closure)
     if ordered == lattice.elements and up == lattice._up:
         return lattice
     lattice_from_json(ref)

@@ -407,7 +407,12 @@ class FuzzyInterval:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.fuzzy)
+        # _ends holds the cut ends at grade 0, at each grade in (0, 1) the
+        # set takes, and at grade 1; the chain ranks live in _levels.  So
+        # equal sets have equal _ends on any chain.  Sets of one cut shape at
+        # other grades collide and __eq__ settles them: hashing the grades
+        # as well kept only about a third of the speed-up in the op tables.
+        return hash(self._ends)
 
     def __repr__(self) -> str:
         return f"FuzzyInterval({self.fuzzy!r})"

@@ -62,9 +62,10 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
-    """``(ordered elements, index, up-masks)``: the validated elements in
-    canonical order and the reflexive-transitive closure of the covers as
-    one up-set bitmask each; equal results mean the same order."""
+    """``(ordered elements, index, up-masks, cover-masks)``: the validated
+    elements in canonical order, the reflexive-transitive closure of the
+    covers as one up-set bitmask each (equal results mean the same order),
+    and per element the bitmask of its upper ends among the covers."""
     elems = list(elements)
     if not elems:
         raise ValueError("a lattice needs at least one element")
@@ -76,7 +77,7 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
     n = len(ordered)
 
     succ = [[] for _ in range(n)]
-    seen = set()
+    direct = [0] * n  # the same pairs as bitmasks, which drop repeats
     for lo, hi in covers:
         if lo not in index:
             raise UnknownElement(lo, name)
@@ -85,8 +86,8 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
         i, j = index[lo], index[hi]
         if i == j:
             raise CycleError((lo, hi))
-        if (i, j) not in seen:
-            seen.add((i, j))
+        if not direct[i] >> j & 1:
+            direct[i] |= 1 << j
             succ[i].append(j)
 
     up = [0] * n
@@ -95,7 +96,7 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
         for j in succ[i]:
             mask |= up[j]
         up[i] = mask
-    return ordered, index, up
+    return ordered, index, up, direct
 
 
 def _topological_order(succ, ordered) -> list:
@@ -147,11 +148,11 @@ class FiniteLattice:
     metadata and do not participate).
     """
 
-    __slots__ = ("name", "elements", "_index", "_up", "_down", "_meet", "_join",
+    __slots__ = ("name", "elements", "_index", "_up", "_down", "_succ", "_meet", "_join",
                  "_bottom", "_top", "_all_mask")
 
     def __init__(self, elements: Iterable[Element], covers, *, name: str = ""):
-        ordered, index, up = order_closure(elements, covers, name=name)
+        ordered, index, up, succ = order_closure(elements, covers, name=name)
         n = len(ordered)
         down = [0] * n
         for i in range(n):
@@ -163,6 +164,7 @@ class FiniteLattice:
         self._index = index
         self._up = up
         self._down = down
+        self._succ = succ  # the input cover pairs as bitmasks; covers() keeps the Hasse edges
         self._all_mask = (1 << n) - 1
 
         # x ⊓ y is the element whose down-set is ↓x ∩ ↓y, if any (dually ⊔)
@@ -239,15 +241,16 @@ class FiniteLattice:
         return tuple(self.elements[b] for b in iter_bits(mask))
 
     def covers(self) -> tuple[tuple[Element, Element], ...]:
-        """The Hasse edges of the order, in canonical order."""
-        n = len(self.elements)
-        out = []
-        for i in range(n):
-            strict_up = self._up[i] ^ (1 << i)
-            for j in iter_bits(strict_up):
-                if self._up[i] & self._down[j] == (1 << i) | (1 << j):
-                    out.append((self.elements[i], self.elements[j]))
-        return tuple(out)
+        """The Hasse edges of the order, in canonical order.
+
+        Every Hasse edge is an input cover pair, since a longer path of input
+        pairs would pass an element strictly between its ends.  So only the
+        input pairs are tested, and those with nothing strictly between are
+        kept.
+        """
+        up, down, e = self._up, self._down, self.elements
+        return tuple((e[i], e[j]) for i, succ in enumerate(self._succ) for j in iter_bits(succ)
+                     if up[i] & down[j] == (1 << i) | (1 << j))
 
     # -- index-level access (hot paths in sibling modules) --------------
 

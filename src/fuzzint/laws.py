@@ -7,8 +7,11 @@ met (e.g. distributivity suites over a non-distributive carrier) are still
 evaluated but recorded as not asserted; they never fail a run.
 
 Loops are exhaustive while the instance count fits the budget (default
-10^7); beyond that a seeded deterministic sample is drawn and the check is
-marked accordingly.
+10^7).  Beyond that a law draws its sample in one pass from
+``random.Random(seed).getrandbits``: the index tuples that per-coordinate
+``randrange`` calls would give, in the same order (see :func:`_sample`),
+and the check is marked ``sampled(...)``.  The budget caps the probes
+only: the op tables and the closure checks still cover all n² pairs.
 
 ``run_suite`` is the one entry for the named suites.  ``run_suite("all")``
 enumerates each collection once and builds one op table per collection,
@@ -185,19 +188,33 @@ def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInter
 
 
 def _plan(count: int, arity: int, budget: int, seed: int):
-    """(iterator of index tuples, mode string) — exhaustive within budget,
-    otherwise a seeded deterministic sample."""
+    """(iterable of index tuples, mode string) — every tuple in enumeration
+    order while the ``count ** arity`` of them fit the budget, otherwise
+    ``min(budget, SAMPLE_SIZE)`` tuples drawn by :func:`_sample`."""
     total = count ** arity
     if total <= budget:
         return itertools.product(range(count), repeat=arity), "exhaustive"
-    rng = random.Random(seed)
     draws = min(budget, SAMPLE_SIZE)
+    return _sample(count, arity, draws, seed), f"sampled({draws} of {total}, seed={seed})"
 
-    def sample():
-        for _ in range(draws):
-            yield tuple(rng.randrange(count) for _ in range(arity))
 
-    return sample(), f"sampled({draws} of {total}, seed={seed})"
+def _sample(count: int, arity: int, draws: int, seed: int) -> list[tuple[int, ...]]:
+    """``draws`` index tuples from ``random.Random(seed)``: the tuples that
+    drawing each coordinate in turn with ``randrange(count)`` gives.
+
+    ``randrange(count)`` takes ``getrandbits(count.bit_length())`` and draws
+    again while the value is ``count`` or more, so the values kept from one
+    run of such draws are the coordinates in order.  Each round draws as
+    many values as are still missing; a value is kept with probability
+    above one half.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    k = count.bit_length()
+    need = draws * arity
+    values: list[int] = []
+    while len(values) < need:
+        values += [v for _ in range(need - len(values)) if (v := getrandbits(k)) < count]
+    return list(zip(*[iter(values)] * arity))
 
 
 def _scan(instances, probe):

@@ -385,6 +385,24 @@ def test_op_results_match_their_endpoint_chains_on_random_lattices(pair):
     _assert_ops_match_independent_routes(*pair)
 
 
+@settings(max_examples=150, deadline=None)
+@given(fuzzy_interval_pairs())
+def test_equal_intervals_hash_alike_from_every_route(pair):
+    """Each operand and op result, rebuilt by the public constructor on its
+    own grades and on a wider chain, and as an op result on that wider chain,
+    is equal to itself and hashes alike."""
+    a, b = pair
+    lat = a.lattice
+    wider = tuple(sorted(set(a.fuzzy.chain) | set(b.fuzzy.chain) | set(GRADES4) | {H}))
+    for fi in (a, b, a.join(b), a.meet(b), b.join(a), b.meet(a)):
+        values = fi.values
+        own = FuzzyInterval(FuzzySet.from_values(lat, values))
+        wide = FuzzyInterval(FuzzySet._from_ranks(lat, wider, tuple(map(wider.index, values))))
+        for same in (own, wide, wide.join(wide), wide.meet(fi), fi.join(wide)):
+            assert same == fi
+            assert hash(same) == hash(fi), (fi, same)
+
+
 NOT_NESTED = {  # (rank, lo, hi) per cut over chain3 at grades 0, 1/2, 1; the flaw going up
     "lo falls": [(0, 0, 2), (1, 1, 2), (2, 0, 2)],
     "hi rises": [(0, 0, 2), (1, 1, 1), (2, 1, 2)],

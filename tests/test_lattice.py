@@ -126,6 +126,45 @@ def test_covers_roundtrip(pentagon):
     assert rebuilt.covers() == pentagon.covers()
 
 
+def _hasse_edges(lat):
+    """Every pair x < y with no element strictly between, by an element
+    scan, in canonical order: the reference for ``covers()``."""
+    return tuple((x, y) for x in lat for y in lat
+                 if x != y and lat.leq(x, y)
+                 and not any(z not in (x, y) and lat.leq(x, z) and lat.leq(z, y) for z in lat))
+
+
+def _with_redundant_pairs(lat):
+    """The lattice rebuilt from its Hasse edges plus every transitive pair,
+    each listed twice, in reverse order."""
+    comparable = [(x, y) for x in lat for y in lat if x != y and lat.leq(x, y)]
+    return FiniteLattice(list(lat), list(reversed(comparable * 2)), name=lat.name)
+
+
+COVER_FIXTURES = [m3(), n5(), chain(1), chain(4), boolean_lattice(0), boolean_lattice(3),
+                  product_lattice(m3(), chain(2)), product_lattice(n5(), boolean_lattice(2)),
+                  product_lattice(chain(3), m3())]
+
+
+@pytest.mark.parametrize("lat", COVER_FIXTURES, ids=[lat.name for lat in COVER_FIXTURES])
+def test_covers_match_an_element_scan_on_fixtures(lat):
+    assert lat.covers() == _hasse_edges(lat)
+    rebuilt = _with_redundant_pairs(lat)
+    assert rebuilt == lat
+    assert rebuilt.covers() == lat.covers()
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_lattices(), st.data())
+def test_covers_match_an_element_scan_on_random_lattices(case, data):
+    """The random covers carry some transitive pairs; some pairs are also
+    listed twice here."""
+    masks, covers = case
+    again = data.draw(st.lists(st.sampled_from(covers), max_size=3)) if covers else []
+    lat = FiniteLattice([f"e{i}" for i in range(len(masks))], covers + again)
+    assert lat.covers() == _hasse_edges(lat)
+
+
 def test_m3_structure(diamond):
     for x, y in itertools.combinations(["a", "b", "c"], 2):
         assert diamond.meet(x, y) == "0"

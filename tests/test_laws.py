@@ -531,6 +531,55 @@ def test_budget_triggers_sampling(chain3):
     assert assoc.checked == 100
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 8, 9, 86, 118, 128, 129, 4097])
+def test_sample_is_the_per_coordinate_randrange_stream(count):
+    for arity in (1, 2, 3):
+        for seed in (0, 3, 7, 1601):
+            rng = random.Random(seed)
+            expected = [tuple(rng.randrange(count) for _ in range(arity)) for _ in range(300)]
+            assert laws._sample(count, arity, 300, seed) == expected, (arity, seed)
+
+
+def test_sampled_run_draws_without_randrange(monkeypatch, diamond):
+    """The sampled tuples come from ``getrandbits`` alone, and the pinned
+    sampled witnesses and counts still hold."""
+    def refuse(self, *args):
+        raise RuntimeError("randrange called")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    reports = run_suite("all", diamond, GRADES3, budget=300, seed=3)
+    assert any(c.mode.startswith("sampled(") for r in reports for c in r.checks)
+    doc = json.dumps([r.as_json() for r in reports], sort_keys=True)
+    assert (hashlib.sha256(doc.encode()).hexdigest()
+            == PINNED_REPORTS[("m3", "halves", "sampled")])
+
+
+def test_op_tables_intern_like_an_equality_scan(diamond):
+    """On m3 over four grades, fuzzy intervals of one cut shape at other
+    grades share a hash; the tables must still tell them apart."""
+    fis = enumerate_fuzzy_intervals(diamond, GRADES4)
+    assert len({hash(fi) for fi in fis}) < len(fis)
+    tabs = laws._OpTables(fis, FuzzyInterval.join, FuzzyInterval.meet)
+    pool = list(fis)
+
+    def intern(value):
+        for k, member in enumerate(pool):
+            if member == value:
+                return k
+        pool.append(value)
+        return len(pool) - 1
+
+    join_t = [[0] * len(fis) for _ in fis]
+    meet_t = [[0] * len(fis) for _ in fis]
+    for i, a in enumerate(fis):  # the tables' order: each pair's join, then its meet
+        for j, b in enumerate(fis):
+            join_t[i][j] = intern(a.join(b))
+            meet_t[i][j] = intern(a.meet(b))
+    assert tabs.join_t == join_t
+    assert tabs.meet_t == meet_t
+    assert tabs.pool == pool
+
+
 def test_sampling_is_deterministic(chain3):
     fis = enumerate_fuzzy_intervals(chain3, GRADES3)
     kw = dict(suite="axioms", lattice_name="chain3", grades=GRADES3, budget=50, seed=7)
