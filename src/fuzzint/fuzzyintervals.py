@@ -12,18 +12,23 @@ first two classes coincide, so ``classify`` decides membership by the
 cut-shape check alone and runs the pointwise searches only to explain a
 rejection.
 
-A :class:`FuzzyInterval` is stored with its *endpoint chain*: the ranks
-of its thresholds in the fuzzy set's grade chain, ascending, and per
-threshold the ``(lo, hi)`` element indices of that cut.  The public
-constructor takes a fuzzy set and builds the endpoint chain in the same
-full scan that validates it, bucketing the elements by grade rank.
+A :class:`FuzzyInterval` is stored as its *endpoint chain*: a grade
+chain, the ranks of its thresholds in that chain, ascending, and per
+threshold the ``(lo, hi)`` element indices of that cut.  The cuts of a
+fuzzy interval are closed intervals, so the chain determines it.  The
+public constructor takes a fuzzy set and builds the endpoint chain in the
+same full scan that validates it, bucketing the elements by grade rank;
+it keeps the fuzzy set too.
 
-Op results skip that scan: they are built from their endpoint chains.
-Meet is the pointwise minimum, and cutwise the intersection of the operand
-cuts.  Join is *not* the pointwise maximum: cutwise it is the hull of the
-operand cuts, the smallest fuzzy interval above both operands.  Both take
-their cuts level by level from the operands' endpoint chains, and the
-result is checked only for being a nested chain of intervals.
+Op results skip that scan and build no fuzzy set: they are stored as
+their cut chains alone, and their memberships are derived from the cut
+ends on first read.  Meet is the pointwise minimum, and cutwise the
+intersection of the operand cuts.  Join is *not* the pointwise maximum:
+cutwise it is the hull of the operand cuts, the smallest fuzzy interval
+above both operands.  Both take their cuts level by level from the
+operands' endpoint chains, and the result is checked only for being a
+nested chain of intervals.  Equality and the hash compare endpoint
+chains, so interning an op result derives nothing.
 """
 
 from __future__ import annotations
@@ -244,20 +249,22 @@ class EndpointFunctions:
 
 
 class FuzzyInterval:
-    """A fuzzy set whose every cut is a crisp closed interval, with its
-    endpoint chain: ``_levels``, the ranks of the thresholds in
-    ``fuzzy.chain`` ascending, and ``_ends[t]``, the ``(lo, hi)`` element
-    indices of the cut at rank ``_levels[t]`` (``(None, None)`` when the
-    cut is empty).
+    """A fuzzy set whose every cut is a crisp closed interval, stored as its
+    endpoint chain over ``lattice``: ``_chain``, a grade chain; ``_levels``,
+    the ranks of the thresholds in ``_chain``, ascending; and ``_ends[t]``,
+    the ``(lo, hi)`` element indices of the cut at rank ``_levels[t]``
+    (``(None, None)`` when the cut is empty).
 
-    The constructor validates its argument by the full cut scan and keeps
-    the endpoints it finds.  ``meet`` and ``join`` build their results'
-    endpoint chains from their operands' and check only that they nest.
-    ``thresholds``, ``cut_interval`` and ``endpoint_functions`` read the
-    endpoint chain instead of cutting the fuzzy set again.
+    The constructor validates its argument by the full cut scan, keeps the
+    endpoints it finds and keeps the fuzzy set.  ``meet`` and ``join`` build
+    only their results' endpoint chains, from their operands', and check
+    that they nest; a result's membership function, ``fuzzy``, is derived
+    from its cut ends on first read.  ``thresholds``, ``cut_interval``,
+    ``endpoint_functions``, equality and the hash read the endpoint chain,
+    so they derive nothing.
     """
 
-    __slots__ = ("fuzzy", "_levels", "_ends")
+    __slots__ = ("lattice", "_chain", "_levels", "_ends", "_fuzzy")
 
     def __init__(self, fuzzy: FuzzySet):
         levels, ends, witness = _endpoint_chain(fuzzy)
@@ -266,21 +273,23 @@ class FuzzyInterval:
             raise NotAFuzzyInterval(
                 f"cut at {format_grade(fuzzy.chain[r])} is not a closed interval: it omits "
                 f"{format_element(fuzzy.lattice.elements[z])} between its bounds")
-        self.fuzzy = fuzzy
+        self.lattice = fuzzy.lattice
+        self._chain = fuzzy.chain
         self._levels = levels
         self._ends = ends
+        self._fuzzy = fuzzy
 
     @classmethod
-    def _from_chain(cls, fuzzy: FuzzySet, cuts: list) -> "FuzzyInterval":
+    def _from_chain(cls, lattice: FiniteLattice, chain: tuple, cuts: list) -> "FuzzyInterval":
         """An op result, from ``(rank, lo, hi)`` per cut, ranks ascending in
-        ``fuzzy.chain`` from 0 to grade 1.
+        the grade chain ``chain`` from 0 to grade 1.
 
         Keeps rank 0, the top, and every rank whose cut differs from the one
         above it, as :func:`_endpoint_chain` does.  The only check is that
         the chain is nested: going up, ``lo`` rises, ``hi`` falls, and no
         nonempty cut sits above an empty one.
         """
-        leq = fuzzy.lattice.leq_index
+        up = lattice._up  # up[i] >> j & 1: i ⊑ j
         levels, ends = [], []
         below_lo = below_hi = -1  # no cut below rank 0
         for r, lo, hi in cuts:
@@ -288,8 +297,7 @@ class FuzzyInterval:
                 levels[-1] = r  # the same cut: no element has the lower rank
                 continue
             if lo is not None and levels and (
-                    below_lo is None or not (leq(below_lo, lo) and leq(hi, below_hi))):
-                chain = fuzzy.chain
+                    below_lo is None or not (up[below_lo] >> lo & 1 and up[hi] >> below_hi & 1)):
                 raise NotAFuzzyInterval(
                     f"cut chain is not nested: the cut at {format_grade(chain[levels[-1]])} "
                     f"does not contain the cut at {format_grade(chain[r])}")
@@ -297,9 +305,11 @@ class FuzzyInterval:
             ends.append((lo, hi))
             below_lo, below_hi = lo, hi
         self = object.__new__(cls)
-        self.fuzzy = fuzzy
+        self.lattice = lattice
+        self._chain = chain
         self._levels = tuple(levels)
         self._ends = tuple(ends)
+        self._fuzzy = None
         return self
 
     @classmethod
@@ -312,8 +322,23 @@ class FuzzyInterval:
         return cls(FuzzySet.constant(lattice, grade))
 
     @property
-    def lattice(self) -> FiniteLattice:
-        return self.fuzzy.lattice
+    def fuzzy(self) -> FuzzySet:
+        """The membership function.  An op result derives it on first read:
+        each element gets the largest level whose cut contains it, filled
+        from the top level down."""
+        fuzzy = self._fuzzy
+        if fuzzy is None:
+            lat = self.lattice
+            ranks = [0] * len(lat.elements)
+            cut = 0
+            for r, (lo, hi) in zip(reversed(self._levels), reversed(self._ends)):
+                if lo is not None:  # cuts grow downward
+                    mask = lat.between_mask(lo, hi)
+                    for i in iter_bits(mask & ~cut):  # only the elements new at this level
+                        ranks[i] = r
+                    cut = mask
+            fuzzy = self._fuzzy = FuzzySet._from_ranks(lat, self._chain, tuple(ranks))
+        return fuzzy
 
     @property
     def values(self):
@@ -323,14 +348,14 @@ class FuzzyInterval:
         return self.fuzzy(element)
 
     def thresholds(self) -> tuple[Fraction, ...]:
-        chain = self.fuzzy.chain
+        chain = self._chain
         return tuple([chain[r] for r in self._levels])
 
     def cut(self, p) -> frozenset:
         return self.fuzzy.cut(p)
 
     def _rank_endpoints(self, rank: int) -> tuple[int | None, int | None]:
-        """``(lo, hi)`` element indices of the cut at ``fuzzy.chain[rank]``,
+        """``(lo, hi)`` element indices of the cut at ``_chain[rank]``,
         ``(None, None)`` if empty."""
         return self._ends[bisect_left(self._levels, rank)]
 
@@ -340,7 +365,7 @@ class FuzzyInterval:
         Read off the endpoint chain: a grade strictly between two
         thresholds cuts like the next threshold up.
         """
-        rank = bisect_left(self.fuzzy.chain, as_grade(p))
+        rank = bisect_left(self._chain, as_grade(p))
         return CrispInterval._from_indices(self.lattice, *self._rank_endpoints(rank))
 
     def endpoint_functions(self) -> EndpointFunctions:
@@ -362,49 +387,51 @@ class FuzzyInterval:
         """Pointwise minimum; cutwise, the intersection of the operand cuts:
         ``[a_lo ⊔ b_lo, a_hi ⊓ b_hi]`` at each level, or the empty cut where
         that is crossed, the rule of :meth:`CrispInterval.intersection`."""
-        fuzzy = self.fuzzy.meet(other.fuzzy)
-        lat = fuzzy.lattice
+        lat = _require_same_lattice(self.lattice, other.lattice)
+        join_t, meet_t, up = lat._join, lat._meet, lat._up
+        chain, steps = _merged_ends(self, other)
         cuts = []
-        for r, (a_lo, a_hi), (b_lo, b_hi) in _merged_ends(self, other)[1]:
+        for r, (a_lo, a_hi), (b_lo, b_hi) in steps:
             lo = hi = None
             if a_lo is not None and b_lo is not None:
-                lo, hi = lat.join_index(a_lo, b_lo), lat.meet_index(a_hi, b_hi)
-                if not lat.leq_index(lo, hi):
+                lo, hi = join_t[a_lo][b_lo], meet_t[a_hi][b_hi]
+                if not up[lo] >> hi & 1:
                     lo = hi = None
             cuts.append((r, lo, hi))
-        return FuzzyInterval._from_chain(fuzzy, cuts)
+        return FuzzyInterval._from_chain(lat, chain, cuts)
 
     def join(self, other: "FuzzyInterval") -> "FuzzyInterval":
         """Smallest fuzzy interval above both operands.
 
         Built cutwise: at every level of either operand take the hull of
-        the two cuts, ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]``, then give each element
-        the largest level whose hull contains it.  Cuts are constant between
-        consecutive levels, so no other grade can matter.
+        the two cuts, ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]``.  Cuts are constant
+        between consecutive levels, so no other grade can matter.
         """
         lat = _require_same_lattice(self.lattice, other.lattice)
+        join_t, meet_t = lat._join, lat._meet
         chain, steps = _merged_ends(self, other)
         cuts = []
         for r, (lo, hi), (b_lo, b_hi) in steps:
             if lo is None:
                 lo, hi = b_lo, b_hi
             elif b_lo is not None:
-                lo, hi = lat.meet_index(lo, b_lo), lat.join_index(hi, b_hi)
+                lo, hi = meet_t[lo][b_lo], join_t[hi][b_hi]
             cuts.append((r, lo, hi))
-        ranks = [0] * len(lat.elements)
-        cut = 0
-        for r, lo, hi in reversed(cuts):  # hulls grow downward
-            if lo is not None:
-                mask = lat.between_mask(lo, hi)
-                for i in iter_bits(mask & ~cut):  # only the elements new at this level
-                    ranks[i] = r
-                cut = mask
-        return FuzzyInterval._from_chain(FuzzySet._from_ranks(lat, chain, tuple(ranks)), cuts)
+        return FuzzyInterval._from_chain(lat, chain, cuts)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, FuzzyInterval):
-            return self.fuzzy == other.fuzzy
-        return NotImplemented
+        # _levels are exactly the thresholds and _ends the cut at each, so
+        # equal cut ends at equal grades over one lattice are equal sets
+        if not isinstance(other, FuzzyInterval):
+            return NotImplemented
+        if self._ends != other._ends:
+            return False
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
+            return False
+        if self._chain is other._chain:
+            return self._levels == other._levels
+        a, b = self._chain, other._chain
+        return all(a[r] == b[s] for r, s in zip(self._levels, other._levels))
 
     def __hash__(self) -> int:
         # _ends holds the cut ends at grade 0, at each grade in (0, 1) the
@@ -422,9 +449,9 @@ def _merged_ends(a: FuzzyInterval, b: FuzzyInterval) -> tuple[tuple, list]:
     """``(chain, steps)``: the operands' grade chains merged, and for every
     level of either operand, ascending, ``(rank, a_end, b_end)`` with each
     operand's ``(lo, hi)`` cut ends at that rank of ``chain``."""
-    chain, ta, tb = a.fuzzy.chain, a._levels, b._levels
-    if chain is not b.fuzzy.chain:
-        chain, pos_a, pos_b = _merge_chains(chain, b.fuzzy.chain)
+    chain, ta, tb = a._chain, a._levels, b._levels
+    if chain is not b._chain:
+        chain, pos_a, pos_b = _merge_chains(chain, b._chain)
         ta, tb = [pos_a[r] for r in ta], [pos_b[r] for r in tb]
     ea, eb = a._ends, b._ends
     steps = []

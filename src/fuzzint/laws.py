@@ -546,18 +546,23 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
 
     With ``tabs`` built over ``fis`` a pair's meet and join are read from
     the tables and each pool member is cut pointwise once; without, the op
-    is evaluated and its result cut.  The reference side is the crisp
-    route: each cut is looked up in ``crisp``, the table over the crisp
-    intervals (hull is its join, intersection its meet), and the masks of
-    its pool give the cut of each entry.
+    is evaluated and its result looked up in ``fis``.  Either way the cut
+    is taken from the membership of the enumerated member that equals the
+    result, never from one derived from the chain under test; only a
+    result outside the collection is cut by its derived membership.  The
+    reference side is the crisp route: each cut is looked up in ``crisp``,
+    the table over the crisp intervals (hull is its join, intersection its
+    meet), and the masks of its pool give the cut of each entry.
     """
     chain = report.grades
     full = lattice.all_mask
     ranks = _threshold_ranks(fis)
     cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]  # by grade rank
     crisp_masks = [iv.members_mask() for iv in crisp.pool]
-    pointwise = None if tabs is None else [
-        [fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))] for fi in tabs.pool]
+    if tabs is None:
+        index = {fi: k for k, fi in enumerate(fis)}
+    else:
+        pointwise = [[fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))] for fi in tabs.pool]
     crisp_tables = {"meet": crisp.meet_t, "join": crisp.join_t}
 
     def family(i, j, table):
@@ -573,7 +578,9 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
         def probe(i, j):
             if fi_table is None:
                 a, b = fis[i], fis[j]
-                cut_mask = (a.meet(b) if op_name == "meet" else a.join(b)).fuzzy._rank_cut_mask
+                result = a.meet(b) if op_name == "meet" else a.join(b)
+                k = index.get(result)
+                cut_mask = (result if k is None else fis[k]).fuzzy._rank_cut_mask
             else:
                 cut_mask = pointwise[fi_table[i][j]].__getitem__
             for r, mask in family(i, j, table):

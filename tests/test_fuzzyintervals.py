@@ -389,18 +389,30 @@ def test_op_results_match_their_endpoint_chains_on_random_lattices(pair):
 @given(fuzzy_interval_pairs())
 def test_equal_intervals_hash_alike_from_every_route(pair):
     """Each operand and op result, rebuilt by the public constructor on its
-    own grades and on a wider chain, and as an op result on that wider chain,
-    is equal to itself and hashes alike."""
+    own grades, on a wider chain and over an equal but distinct lattice, and
+    as an op result on those, is equal to itself and hashes alike.  Across
+    operands, results and rebuilds on each chain and lattice, equality of
+    the endpoint chains is equality of the fuzzy sets."""
     a, b = pair
     lat = a.lattice
+    twin = FiniteLattice(lat.elements, lat.covers())
+    assert twin == lat and twin is not lat
     wider = tuple(sorted(set(a.fuzzy.chain) | set(b.fuzzy.chain) | set(GRADES4) | {H}))
+    seen = []
     for fi in (a, b, a.join(b), a.meet(b), b.join(a), b.meet(a)):
         values = fi.values
         own = FuzzyInterval(FuzzySet.from_values(lat, values))
         wide = FuzzyInterval(FuzzySet._from_ranks(lat, wider, tuple(map(wider.index, values))))
-        for same in (own, wide, wide.join(wide), wide.meet(fi), fi.join(wide)):
+        over_twin = FuzzyInterval(FuzzySet.from_values(twin, values))
+        sames = (own, wide, wide.join(wide), wide.meet(fi), fi.join(wide),
+                 over_twin, over_twin.meet(over_twin), over_twin.join(fi), fi.meet(over_twin))
+        for same in sames:
             assert same == fi
             assert hash(same) == hash(fi), (fi, same)
+        seen += (fi, wide, over_twin, fi.join(wide), fi.meet(over_twin))
+    for x, y in itertools.product(seen, repeat=2):
+        assert (x == y) == (x.fuzzy == y.fuzzy), (x, y)
+        assert x != y or hash(x) == hash(y), (x, y)
 
 
 NOT_NESTED = {  # (rank, lo, hi) per cut over chain3 at grades 0, 1/2, 1; the flaw going up
@@ -414,9 +426,8 @@ NOT_NESTED = {  # (rank, lo, hi) per cut over chain3 at grades 0, 1/2, 1; the fl
 def test_op_chain_that_is_not_nested_raises(chain3, case):
     """The nesting check on op results is not an assert, so it also holds
     under ``python -O``."""
-    fuzzy = FuzzySet(chain3, {"0": "1/2", "1": "1", "2": "1/2"})
     with pytest.raises(NotAFuzzyInterval, match="not nested"):
-        FuzzyInterval._from_chain(fuzzy, NOT_NESTED[case])
+        FuzzyInterval._from_chain(chain3, GRADES3, NOT_NESTED[case])
 
 
 def test_two_valued_fuzzy_intervals_match_crisp_intervals():

@@ -580,6 +580,44 @@ def test_op_tables_intern_like_an_equality_scan(diamond):
     assert tabs.pool == pool
 
 
+def test_op_tables_build_no_fuzzy_sets(diamond, monkeypatch):
+    """On m3 over four grades the op tables intern every result by its
+    endpoint chain and build no fuzzy set.  Read afterwards, a result's
+    derived membership is the pointwise minimum (meet) and the definitional
+    join (join)."""
+    fis = enumerate_fuzzy_intervals(diamond, GRADES4)
+    built = []
+    from_ranks = FuzzySet._from_ranks.__func__
+    monkeypatch.setattr(FuzzySet, "_from_ranks",
+                        classmethod(lambda cls, *args: built.append(args) or from_ranks(cls, *args)))
+    laws._OpTables(fis, FuzzyInterval.join, FuzzyInterval.meet)
+    results = [(a, b, a.join(b), a.meet(b))
+               for a, b in itertools.product(fis[::7], fis[3::5])]
+    assert built == []
+    for a, b, join, meet in results:
+        assert meet.values == tuple(map(min, a.values, b.values)), (a, b)
+        assert join.values == oracle_join(fis, a, b).values, (a, b)
+    assert built  # the count sees the sets the reads derive
+
+
+def test_law_runs_cut_no_derived_membership(diamond, monkeypatch):
+    """On a closed collection no law cuts a membership derived from the chain
+    under test: both cut-identity routes look each op result up among the
+    enumerated members and cut that member's own ranks."""
+    alone = [r.as_json() for r in run_suite("cut-identities", diamond, GRADES4)]
+    derive = FuzzyInterval.fuzzy.fget
+
+    def enumerated_only(fi):
+        if fi._fuzzy is None:
+            pytest.fail(f"a law read a derived membership (cut ends {fi._ends})")
+        return derive(fi)
+
+    monkeypatch.setattr(FuzzyInterval, "fuzzy", property(enumerated_only))
+    assert [r.as_json() for r in run_suite("cut-identities", diamond, GRADES4)] == alone
+    shared = run_suite("all", diamond, GRADES4)
+    assert [r.as_json() for r in shared if r.suite == "cut-identities"] == alone
+
+
 def test_sampling_is_deterministic(chain3):
     fis = enumerate_fuzzy_intervals(chain3, GRADES3)
     kw = dict(suite="axioms", lattice_name="chain3", grades=GRADES3, budget=50, seed=7)
