@@ -25,9 +25,9 @@ their cut chains alone, and their memberships are derived from the cut
 ends on first read.  Meet is the pointwise minimum, and cutwise the
 intersection of the operand cuts.  Join is *not* the pointwise maximum:
 cutwise it is the hull of the operand cuts, the smallest fuzzy interval
-above both operands.  Both take their cuts level by level from the
-operands' endpoint chains, and the result is checked only for being a
-nested chain of intervals.  Equality and the hash compare endpoint
+above both operands.  Each op is only its rule for one cut; one walk over
+both operands' levels applies it, folds repeated cuts and checks only
+that the result is a nested chain of intervals.  Equality and the hash compare endpoint
 chains, so interning an op result derives nothing.
 """
 
@@ -257,9 +257,9 @@ class FuzzyInterval:
 
     The constructor validates its argument by the full cut scan, keeps the
     endpoints it finds and keeps the fuzzy set.  ``meet`` and ``join`` build
-    only their results' endpoint chains, from their operands', and check
-    that they nest; a result's membership function, ``fuzzy``, is derived
-    from its cut ends on first read.  ``thresholds``, ``cut_interval``,
+    only their results' endpoint chains, in one walk over their operands'
+    levels that checks that the cuts nest; a result's membership function,
+    ``fuzzy``, is derived from its cut ends on first read.  ``thresholds``, ``cut_interval``,
     ``endpoint_functions``, equality and the hash read the endpoint chain,
     so they derive nothing.
     """
@@ -278,39 +278,6 @@ class FuzzyInterval:
         self._levels = levels
         self._ends = ends
         self._fuzzy = fuzzy
-
-    @classmethod
-    def _from_chain(cls, lattice: FiniteLattice, chain: tuple, cuts: list) -> "FuzzyInterval":
-        """An op result, from ``(rank, lo, hi)`` per cut, ranks ascending in
-        the grade chain ``chain`` from 0 to grade 1.
-
-        Keeps rank 0, the top, and every rank whose cut differs from the one
-        above it, as :func:`_endpoint_chain` does.  The only check is that
-        the chain is nested: going up, ``lo`` rises, ``hi`` falls, and no
-        nonempty cut sits above an empty one.
-        """
-        up = lattice._up  # up[i] >> j & 1: i ⊑ j
-        levels, ends = [], []
-        below_lo = below_hi = -1  # no cut below rank 0
-        for r, lo, hi in cuts:
-            if lo == below_lo and hi == below_hi and levels[-1]:
-                levels[-1] = r  # the same cut: no element has the lower rank
-                continue
-            if lo is not None and levels and (
-                    below_lo is None or not (up[below_lo] >> lo & 1 and up[hi] >> below_hi & 1)):
-                raise NotAFuzzyInterval(
-                    f"cut chain is not nested: the cut at {format_grade(chain[levels[-1]])} "
-                    f"does not contain the cut at {format_grade(chain[r])}")
-            levels.append(r)
-            ends.append((lo, hi))
-            below_lo, below_hi = lo, hi
-        self = object.__new__(cls)
-        self.lattice = lattice
-        self._chain = chain
-        self._levels = tuple(levels)
-        self._ends = tuple(ends)
-        self._fuzzy = None
-        return self
 
     @classmethod
     def from_interval(cls, interval: CrispInterval) -> "FuzzyInterval":
@@ -389,16 +356,14 @@ class FuzzyInterval:
         that is crossed, the rule of :meth:`CrispInterval.intersection`."""
         lat = _require_same_lattice(self.lattice, other.lattice)
         join_t, meet_t, up = lat._join, lat._meet, lat._up
-        chain, steps = _merged_ends(self, other)
-        cuts = []
-        for r, (a_lo, a_hi), (b_lo, b_hi) in steps:
-            lo = hi = None
-            if a_lo is not None and b_lo is not None:
-                lo, hi = join_t[a_lo][b_lo], meet_t[a_hi][b_hi]
-                if not up[lo] >> hi & 1:
-                    lo = hi = None
-            cuts.append((r, lo, hi))
-        return FuzzyInterval._from_chain(lat, chain, cuts)
+
+        def cut(a, b):
+            (a_lo, a_hi), (b_lo, b_hi) = a, b
+            if a_lo is None or b_lo is None:
+                return None, None
+            lo, hi = join_t[a_lo][b_lo], meet_t[a_hi][b_hi]
+            return (lo, hi) if up[lo] >> hi & 1 else (None, None)
+        return _combined(lat, self, other, cut)
 
     def join(self, other: "FuzzyInterval") -> "FuzzyInterval":
         """Smallest fuzzy interval above both operands.
@@ -409,15 +374,15 @@ class FuzzyInterval:
         """
         lat = _require_same_lattice(self.lattice, other.lattice)
         join_t, meet_t = lat._join, lat._meet
-        chain, steps = _merged_ends(self, other)
-        cuts = []
-        for r, (lo, hi), (b_lo, b_hi) in steps:
-            if lo is None:
-                lo, hi = b_lo, b_hi
-            elif b_lo is not None:
-                lo, hi = meet_t[lo][b_lo], join_t[hi][b_hi]
-            cuts.append((r, lo, hi))
-        return FuzzyInterval._from_chain(lat, chain, cuts)
+
+        def cut(a, b):
+            (a_lo, a_hi), (b_lo, b_hi) = a, b
+            if a_lo is None:
+                return b
+            if b_lo is None:
+                return a
+            return meet_t[a_lo][b_lo], join_t[a_hi][b_hi]
+        return _combined(lat, self, other, cut)
 
     def __eq__(self, other) -> bool:
         # _levels are exactly the thresholds and _ends the cut at each, so
@@ -445,25 +410,47 @@ class FuzzyInterval:
         return f"FuzzyInterval({self.fuzzy!r})"
 
 
-def _merged_ends(a: FuzzyInterval, b: FuzzyInterval) -> tuple[tuple, list]:
-    """``(chain, steps)``: the operands' grade chains merged, and for every
-    level of either operand, ascending, ``(rank, a_end, b_end)`` with each
-    operand's ``(lo, hi)`` cut ends at that rank of ``chain``."""
+def _combined(lat: FiniteLattice, a: FuzzyInterval, b: FuzzyInterval, cut) -> FuzzyInterval:
+    """The op result whose cut at every level of either operand is
+    ``cut(a_end, b_end)`` of the operands' ``(lo, hi)`` cut ends there.
+
+    One walk over both operands' levels, merged by rank in the union of
+    their grade chains.  A cut equal to the one below it is folded into
+    it, keeping rank 0, as :func:`_endpoint_chain` keeps only rank 0, the
+    top and the ranks some element takes.  The only check is that the
+    chain is nested: going up, ``lo`` rises, ``hi`` falls, and no nonempty
+    cut sits above an empty one.
+    """
     chain, ta, tb = a._chain, a._levels, b._levels
     if chain is not b._chain:
         chain, pos_a, pos_b = _merge_chains(chain, b._chain)
         ta, tb = [pos_a[r] for r in ta], [pos_b[r] for r in tb]
     ea, eb = a._ends, b._ends
-    steps = []
+    up = lat._up  # up[i] >> j & 1: i ⊑ j
+    levels, ends = [], []
+    below_lo = below_hi = -1  # no cut below rank 0
     ia = ib = 0
     while ia < len(ta):  # both end at the rank of grade 1
-        pa, pb = ta[ia], tb[ib]
-        if pa <= pb:  # a cut holds down to the level below its own
-            steps.append((pa, ea[ia], eb[ib]))
-            ia += 1
-            if pa == pb:
-                ib += 1
-        else:
-            steps.append((pb, ea[ia], eb[ib]))
-            ib += 1
-    return chain, steps
+        end = lo, hi = cut(ea[ia], eb[ib])  # a cut holds down to the level below its own
+        ra, rb = ta[ia], tb[ib]
+        r = ra if ra <= rb else rb
+        ia += ra <= rb
+        ib += rb <= ra
+        if lo == below_lo and hi == below_hi and levels[-1]:
+            levels[-1] = r  # the same cut: no element has the lower rank
+            continue
+        if lo is not None and levels and (
+                below_lo is None or not (up[below_lo] >> lo & 1 and up[hi] >> below_hi & 1)):
+            raise NotAFuzzyInterval(
+                f"cut chain is not nested: the cut at {format_grade(chain[levels[-1]])} "
+                f"does not contain the cut at {format_grade(chain[r])}")
+        levels.append(r)
+        ends.append(end)
+        below_lo, below_hi = lo, hi
+    out = object.__new__(FuzzyInterval)
+    out.lattice = lat
+    out._chain = chain
+    out._levels = tuple(levels)
+    out._ends = tuple(ends)
+    out._fuzzy = None
+    return out

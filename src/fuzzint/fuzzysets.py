@@ -264,7 +264,12 @@ class CutFamily:
     __slots__ = ("lattice", "thresholds", "sets")
 
     def __init__(self, lattice: FiniteLattice, sets: Mapping):
-        converted = {as_grade(p): frozenset(members) for p, members in sets.items()}
+        converted: dict = {}
+        for p, members in sets.items():
+            grade = as_grade(p)
+            if grade in converted:  # e.g. "1/2" and "0.5"
+                raise InvalidFamily(f"the family names grade {format_grade(grade)} twice")
+            converted[grade] = frozenset(members)
         self.lattice = lattice
         self.thresholds = tuple(sorted(converted))
         self.sets = converted

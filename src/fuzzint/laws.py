@@ -11,7 +11,8 @@ Loops are exhaustive while the instance count fits the budget (default
 ``random.Random(seed).getrandbits``: the index tuples that per-coordinate
 ``randrange`` calls would give, in the same order (see :func:`_sample`),
 and the check is marked ``sampled(...)``.  The budget caps the probes
-only: the op tables and the closure checks still cover all n² pairs.
+only: the op tables and the closure checks still cover all n² pairs.  A
+budget below 1 is refused with ``ValueError``.
 
 ``run_suite`` is the one entry for the named suites.  ``run_suite("all")``
 enumerates each collection once and builds one op table per collection,
@@ -187,6 +188,11 @@ def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInter
 # -- instance planning -------------------------------------------------------
 
 
+def _require_positive(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget!r}")
+
+
 def _plan(count: int, arity: int, budget: int, seed: int):
     """(iterable of index tuples, mode string) — every tuple in enumeration
     order while the ``count ** arity`` of them fit the budget, otherwise
@@ -348,8 +354,10 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
 
     The collection must list each member once (results are compared by
     index); a member listed twice raises ``ValueError`` naming both
-    indices, before any op is evaluated.
+    indices, before any op is evaluated.  A budget below 1 raises
+    ``ValueError``.
     """
+    _require_positive(budget)
     return _lattice_axioms(LawReport(suite, lattice_name, tuple(grades)),
                            _OpTables(list(collection), join_op, meet_op), leq_op,
                            budget=budget, seed=seed)
@@ -459,8 +467,10 @@ def check_distributivity(collection, join_op, meet_op, *,
     """Evaluate both distributive laws over all (budgeted) triples.
 
     The collection must list each member once, as for
-    :func:`check_lattice_axioms`; a duplicate raises ``ValueError``.
+    :func:`check_lattice_axioms`; a duplicate raises ``ValueError``, and
+    so does a budget below 1.
     """
+    _require_positive(budget)
     return _distributivity(LawReport(suite, lattice_name, tuple(grades)),
                            _OpTables(list(collection), join_op, meet_op),
                            asserted=True, budget=budget, seed=seed)
@@ -534,9 +544,8 @@ def _first_failing_pair(chain: tuple, family, op) -> str | None:
 # -- cut identities ----------------------------------------------------------
 
 
-def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
-                    tabs: _OpTables | None, crisp: _OpTables, *, budget: int,
-                    seed: int) -> LawReport:
+def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
+                    crisp: _OpTables, *, budget: int, seed: int) -> LawReport:
     """Cutwise characterization of the fuzzy-interval ops.
 
     For every pair and every threshold of the union of threshold sets, the
@@ -544,25 +553,21 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
     join is the hull of the cuts; both per-grade families are antitone,
     start at the whole carrier, and intersect down to their largest index.
 
-    With ``tabs`` built over ``fis`` a pair's meet and join are read from
-    the tables and each pool member is cut pointwise once; without, the op
-    is evaluated and its result looked up in ``fis``.  Either way the cut
-    is taken from the membership of the enumerated member that equals the
-    result, never from one derived from the chain under test; only a
+    A pair's meet and join are read from ``tabs``, the op table over the
+    fuzzy intervals, and each pool member is cut pointwise once.  So the
+    cut is taken from the membership of the enumerated member that equals
+    the result, never from one derived from the chain under test; only a
     result outside the collection is cut by its derived membership.  The
     reference side is the crisp route: each cut is looked up in ``crisp``,
     the table over the crisp intervals (hull is its join, intersection its
     meet), and the masks of its pool give the cut of each entry.
     """
-    chain = report.grades
+    chain, fis = report.grades, tabs.items
     full = lattice.all_mask
     ranks = _threshold_ranks(fis)
     cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]  # by grade rank
     crisp_masks = [iv.members_mask() for iv in crisp.pool]
-    if tabs is None:
-        index = {fi: k for k, fi in enumerate(fis)}
-    else:
-        pointwise = [[fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))] for fi in tabs.pool]
+    pointwise = [[fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))] for fi in tabs.pool]
     crisp_tables = {"meet": crisp.meet_t, "join": crisp.join_t}
 
     def family(i, j, table):
@@ -573,18 +578,12 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, fis: list,
 
     def identity(op_name):
         table = crisp_tables[op_name]
-        fi_table = None if tabs is None else (tabs.meet_t if op_name == "meet" else tabs.join_t)
+        fi_table = tabs.meet_t if op_name == "meet" else tabs.join_t
 
         def probe(i, j):
-            if fi_table is None:
-                a, b = fis[i], fis[j]
-                result = a.meet(b) if op_name == "meet" else a.join(b)
-                k = index.get(result)
-                cut_mask = (result if k is None else fis[k]).fuzzy._rank_cut_mask
-            else:
-                cut_mask = pointwise[fi_table[i][j]].__getitem__
+            cut_masks = pointwise[fi_table[i][j]]
             for r, mask in family(i, j, table):
-                if cut_mask(r) != mask:
+                if cut_masks[r] != mask:
                     return f"threshold {format_grade(chain[r])}"
             return None
         return probe
@@ -741,10 +740,11 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
 
     The suites of one call share each collection, its op table and the
     carrier's distributivity verdict, each built on first use.  The
-    fuzzy-interval table is built only when the call runs the axiom or
-    distributivity suite, so ``cut-identities`` alone evaluates its
-    fuzzy-interval ops pair by pair.  Only the axiom suites build ``leq``
-    rows.
+    fuzzy-interval table is built by the first of ``axioms``,
+    ``distributivity`` or ``cut-identities`` to run, and the crisp table
+    by the first of ``cut-identities`` and the crisp suites.  Only the
+    axiom suites build ``leq`` rows.  A budget below 1 raises
+    ``ValueError`` before anything is built.
     """
     if name == "all":
         names = SUITES
@@ -752,6 +752,7 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
         names = (name,)
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES + ('all',))}")
+    _require_positive(budget)
     chain = validate_grades(grades)
     label = lattice.name or f"<{len(lattice.elements)} elements>"
     budgeted = {"budget": budget, "seed": seed}
@@ -760,14 +761,11 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     crisp = functools.cache(lambda: _OpTables(enumerate_intervals(lattice), CrispInterval.hull,
                                               CrispInterval.intersection))
     distributive = functools.cache(lambda: is_distributive(lattice)[0])
-    tabulated = "axioms" in names or "distributivity" in names
     suites = {
         "axioms": lambda r: _lattice_axioms(r, fi_table(), FuzzyInterval.leq, **budgeted),
         "distributivity": lambda r: _distributivity(r, fi_table(), asserted=distributive(),
                                                     **budgeted),
-        "cut-identities": lambda r: _cut_identities(r, lattice, fis(),
-                                                    fi_table() if tabulated else None, crisp(),
-                                                    **budgeted),
+        "cut-identities": lambda r: _cut_identities(r, lattice, fi_table(), crisp(), **budgeted),
         "endpoints": lambda r: _endpoint_lemmas(r, lattice, fis(), distributive(), **budgeted),
         "structure": lambda r: _interval_structure(r, fis(), **budgeted),
         "crisp-axioms": lambda r: _lattice_axioms(r, crisp(), CrispInterval.issubset,

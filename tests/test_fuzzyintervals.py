@@ -425,9 +425,18 @@ NOT_NESTED = {  # (rank, lo, hi) per cut over chain3 at grades 0, 1/2, 1; the fl
 @pytest.mark.parametrize("case", sorted(NOT_NESTED))
 def test_op_chain_that_is_not_nested_raises(chain3, case):
     """The nesting check on op results is not an assert, so it also holds
-    under ``python -O``."""
+    under ``python -O``.  Constant 1/2 has levels 0, 1 and 2, so the op walk
+    asks ``cut`` once per planted cut, in rank order."""
+    half = FuzzyInterval.constant(chain3, H)
+    assert half._chain == GRADES3 and half._levels == (0, 1, 2)
+    planted = iter(NOT_NESTED[case])
+
+    def cut(a_end, b_end):
+        _, lo, hi = next(planted)
+        return lo, hi
+
     with pytest.raises(NotAFuzzyInterval, match="not nested"):
-        FuzzyInterval._from_chain(chain3, GRADES3, NOT_NESTED[case])
+        fuzzyintervals._combined(chain3, half, half, cut)
 
 
 def test_two_valued_fuzzy_intervals_match_crisp_intervals():

@@ -130,6 +130,11 @@ def test_invalid_families(chain3):
         }))
     with pytest.raises(InvalidFamily):
         from_cut_family(CutFamily(chain3, {Fraction(0): frozenset(chain3) | {"zz"}}))
+    # two keys for one grade would leave the family to the dict's order
+    for sets in ({0: chain3, "1/2": {"1"}, "0.5": {"1", "2"}},
+                 {0: chain3, "0.5": {"1", "2"}, H: {"1"}}):
+        with pytest.raises(InvalidFamily, match="names grade 1/2 twice"):
+            from_cut_family(CutFamily(chain3, sets))
 
 
 def test_equal_by_cuts_agrees_with_pointwise(chain3):

@@ -463,22 +463,27 @@ def test_pairwise_subset_laws_match_the_literal_subset_loop(lattice):
     b, t = lattice.index(lattice.bottom), lattice.index(lattice.top)
     a = next(i for i in range(n) if i not in (b, t))
     planted = ((b, t), (a, a), (t, b), (a, a), (b, t))
+    # the cut identities read the fuzzy-interval table of a clean enumeration;
+    # only the endpoint half below corrupts its own
+    tabs = laws._OpTables(enumerate_fuzzy_intervals(lattice, grades), FuzzyInterval.join,
+                          FuzzyInterval.meet)
     failed = set()
     for seed in range(8):
         rng = random.Random(seed)
-        fis = enumerate_fuzzy_intervals(lattice, grades)
         crisp = laws._OpTables(enumerate_intervals(lattice), CrispInterval.hull,
                                CrispInterval.intersection)
         for table in (crisp.meet_t, crisp.join_t):
             for pos in rng.sample(range(crisp.n ** 2), crisp.n ** 2 // 8):
                 table[pos // crisp.n][pos % crisp.n] = rng.randrange(crisp.n)
-        report = laws._cut_identities(LawReport("cut-identities", "", grades), lattice, fis,
-                                      None, crisp, **budget)
-        _assert_matches_references(report, fis,
-                                   _cut_family_references(lattice, fis, grades, crisp), failed)
+        report = laws._cut_identities(LawReport("cut-identities", "", grades), lattice, tabs,
+                                      crisp, **budget)
+        _assert_matches_references(report, tabs.items,
+                                   _cut_family_references(lattice, tabs.items, grades, crisp),
+                                   failed)
 
         # corrupted endpoint chains cut outside the crisp table, so they come
         # second; the endpoint laws read nothing else
+        fis = enumerate_fuzzy_intervals(lattice, grades)
         rng.choice([fi for fi in fis if len(fi._levels) == 5])._ends = planted
         for fi in rng.sample([fi for fi in fis if len(fi._levels) >= 4], 2):
             fi._ends = tuple((rng.randrange(n), rng.randrange(n)) for _ in fi._ends)
@@ -517,6 +522,24 @@ def test_endpoint_lemmas_make_quadratically_many_lattice_lookups(monkeypatch):
     singles = sum(cost(len(a)) for a in levels)
     pairs = sum(cost(len(a | b)) for a in levels for b in levels)
     assert sum(calls.values()) <= 2 * singles + 2 * pairs
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_nonpositive_budget_is_refused_before_any_work(monkeypatch, chain3, budget):
+    """A budget below 1 would pass every law with ``checked=0`` or report a
+    negative sample; it is refused before anything is enumerated or built."""
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for name in ("enumerate_fuzzy_intervals", "enumerate_intervals", "_OpTables"):
+        monkeypatch.setattr(laws, name, refuse)
+    for suite in SUITES + ("all",):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            run_suite(suite, chain3, GRADES3, budget=budget)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        check_lattice_axioms([0, 1], refuse, refuse, refuse, budget=budget)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        check_distributivity([0, 1], refuse, refuse, budget=budget)
 
 
 def test_budget_triggers_sampling(chain3):
