@@ -7,12 +7,14 @@ met (e.g. distributivity suites over a non-distributive carrier) are still
 evaluated but recorded as not asserted; they never fail a run.
 
 Loops are exhaustive while the instance count fits the budget (default
-10^7).  Beyond that a law draws its sample in one pass from
+10^7).  Beyond that a law reads a sample drawn in one pass from
 ``random.Random(seed).getrandbits``: the index tuples that per-coordinate
 ``randrange`` calls would give, in the same order (see :func:`_sample`),
-and the check is marked ``sampled(...)``.  The budget caps the probes
-only: the op tables and the closure checks still cover all n² pairs.  A
-budget below 1 is refused with ``ValueError``.
+and the check is marked ``sampled(...)``.  Each (count, arity) space is
+drawn once per call and read by every law over it.  The budget caps the
+probes only: the op tables and the closure checks still cover all n²
+pairs.  A budget that is not a positive int (a bool included) is refused
+with ``ValueError``.
 
 ``run_suite`` is the one entry for the named suites.  ``run_suite("all")``
 enumerates each collection once and builds one op table per collection,
@@ -20,9 +22,12 @@ shared by its suites: the fuzzy-interval table serves the axiom and
 distributivity suites and supplies the meets and joins of the cut-identity
 suite; the crisp-interval table serves the crisp suites and supplies the
 hulls and intersections of the cuts, the cut-identity suite's reference
-side.  Nothing is kept between calls.  ``check_lattice_axioms`` and
-``check_distributivity`` run the axiom and distributivity bodies over an
-arbitrary collection of distinct members and its ops.
+side.  The axiom suites read the order as bitmask rows built from the
+members' memberships (see :func:`_order_rows`).  Nothing is kept between
+calls.  ``check_lattice_axioms`` and ``check_distributivity`` run the
+axiom and distributivity bodies over an arbitrary collection of distinct
+members and its ops; only ``check_lattice_axioms`` evaluates its
+``leq_op`` pairwise.
 
 In exhaustive mode the triple laws (associativity, distributivity) are
 checked a row at a time when the collection is closed under the ops: for
@@ -154,6 +159,34 @@ def enumerate_intervals(lattice: FiniteLattice) -> list[CrispInterval]:
     return out
 
 
+def _order_rows(vectors: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """(up, down) rows of the pointwise order: bit j of ``up[i]`` is set when
+    ``vectors[i] <= vectors[j]`` everywhere, and ``down`` is the transpose.
+    Row i ANDs, per coordinate, the mask of the items at least (at most)
+    as large there: O(n·m) big-int ANDs for n vectors of length m."""
+    n = len(vectors)
+    up, down = [(1 << n) - 1] * n, [(1 << n) - 1] * n
+    top = max(map(max, vectors), default=0)
+    for column in zip(*vectors):
+        exact = [0] * (top + 1)
+        for j, v in enumerate(column):
+            exact[v] |= 1 << j
+        at_most = list(itertools.accumulate(exact, int.__or__))
+        at_least = list(itertools.accumulate(reversed(exact), int.__or__))[::-1]
+        for i, v in enumerate(column):
+            up[i] &= at_least[v]
+            down[i] &= at_most[v]
+    return up, down
+
+
+def _inclusion_rows(lattice: FiniteLattice, intervals) -> tuple[list[int], list[int]]:
+    """(superset, subset) rows of inclusion among crisp intervals: the
+    :func:`_order_rows` of their 0/1 memberships."""
+    elements = range(len(lattice.elements))
+    return _order_rows([[m >> e & 1 for e in elements]
+                        for m in map(CrispInterval.members_mask, intervals)])
+
+
 def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInterval]:
     """All fuzzy intervals with values in ``grades``.
 
@@ -168,8 +201,7 @@ def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInter
     chain = validate_grades(grades)
     intervals = enumerate_intervals(lattice)
     masks = [iv.members_mask() for iv in intervals]
-    contained = [[j for j, inner in enumerate(intervals) if inner.issubset(outer)]
-                 for outer in intervals]
+    contained = [list(iter_bits(row)) for row in _inclusion_rows(lattice, intervals)[1]]
 
     chains: list[tuple[int, ...]] = [()]
     for level in range(len(chain) - 1):  # extending each chain in turn keeps depth-first order
@@ -189,19 +221,22 @@ def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInter
 
 
 def _require_positive(budget: int) -> None:
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget!r}")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"budget must be a positive int, got {budget!r}")
 
 
-def _plan(count: int, arity: int, budget: int, seed: int):
-    """(iterable of index tuples, mode string) — every tuple in enumeration
-    order while the ``count ** arity`` of them fit the budget, otherwise
-    ``min(budget, SAMPLE_SIZE)`` tuples drawn by :func:`_sample`."""
-    total = count ** arity
-    if total <= budget:
-        return itertools.product(range(count), repeat=arity), "exhaustive"
+def _planner(budget: int, seed: int) -> Callable:
+    """``plan(count, arity)`` -> (index tuples, mode): all of them while they
+    fit the budget, else the :func:`_sample` of the space, drawn once."""
     draws = min(budget, SAMPLE_SIZE)
-    return _sample(count, arity, draws, seed), f"sampled({draws} of {total}, seed={seed})"
+    sample = functools.cache(lambda count, arity: _sample(count, arity, draws, seed))
+
+    def plan(count: int, arity: int):
+        total = count ** arity
+        if total <= budget:
+            return itertools.product(range(count), repeat=arity), "exhaustive"
+        return sample(count, arity), f"sampled({draws} of {total}, seed={seed})"
+    return plan
 
 
 def _sample(count: int, arity: int, draws: int, seed: int) -> list[tuple[int, ...]]:
@@ -235,8 +270,8 @@ def _scan(instances, probe):
 
 
 def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
-             probe: Callable, *, budget: int, seed: int,
-             asserted: bool = True, note: str = "", row: Callable | None = None) -> None:
+             probe: Callable, *, plan: Callable, asserted: bool = True, note: str = "",
+             row: Callable | None = None) -> None:
     """Evaluate ``probe`` over index tuples; record the first failure.
 
     ``probe`` returns None for a pass and a detail (possibly "") for a fail.
@@ -250,7 +285,7 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
     ``checked`` are the probe's own.
     Sampled instances are always probed one by one.
     """
-    instances, mode = _plan(len(items), arity, budget, seed)
+    instances, mode = plan(len(items), arity)
     if row is None or mode != "exhaustive":
         checked, tup, detail = _scan(instances, probe)
     else:
@@ -358,27 +393,25 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
     ``ValueError``.
     """
     _require_positive(budget)
-    return _lattice_axioms(LawReport(suite, lattice_name, tuple(grades)),
-                           _OpTables(list(collection), join_op, meet_op), leq_op,
-                           budget=budget, seed=seed)
-
-
-def _lattice_axioms(report: LawReport, tabs: _OpTables, leq_op, *, budget: int,
-                    seed: int) -> LawReport:
-    """Body of :func:`check_lattice_axioms` over a built op table."""
-    items, J, M = tabs.items, tabs.join, tabs.meet
-    n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
-    # upper-bound bitmask rows from the independent order, and their transpose
-    leq_rows, down_rows = [0] * n, [0] * n
+    tabs = _OpTables(list(collection), join_op, meet_op)
+    items, n = tabs.items, tabs.n
+    leq_rows, down_rows = [0] * n, [0] * n  # pairwise upper-bound rows, and their transpose
     for i in range(n):
-        mask = 0
         for j in range(n):
             if leq_op(items[i], items[j]):
-                mask |= 1 << j
-        leq_rows[i] = mask
-    for i in range(n):
-        for j in iter_bits(leq_rows[i]):
-            down_rows[j] |= 1 << i
+                leq_rows[i] |= 1 << j
+                down_rows[j] |= 1 << i
+    return _lattice_axioms(LawReport(suite, lattice_name, tuple(grades)), tabs,
+                           (leq_rows, down_rows), plan=_planner(budget, seed))
+
+
+def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
+                    plan: Callable) -> LawReport:
+    """Body of :func:`check_lattice_axioms` over a built op table and the
+    (upper-bound, lower-bound) bitmask rows of the independent order."""
+    items, J, M = tabs.items, tabs.join, tabs.meet
+    n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
+    leq_rows, down_rows = rows
 
     def closure_check(law, first_bad):
         witness = None
@@ -392,7 +425,7 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, leq_op, *, budget: int,
     closure_check("closure-join", tabs.closure_join)
     closure_check("closure-meet", tabs.closure_meet)
     run = lambda law, arity, probe: _run_law(report, items, law, arity, probe,  # noqa: E731
-                                             budget=budget, seed=seed)
+                                             plan=plan)
 
     run("commutativity-join", 2, lambda i, j: None if jt[i][j] == jt[j][i] else "")
     run("commutativity-meet", 2, lambda i, j: None if mt[i][j] == mt[j][i] else "")
@@ -409,7 +442,7 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, leq_op, *, budget: int,
     for law, op, table, first_bad in (("associativity-join", J, jt, tabs.closure_join),
                                       ("associativity-meet", M, mt, tabs.closure_meet)):
         probe, row = assoc(op, table, first_bad is None)
-        _run_law(report, items, law, 3, probe, budget=budget, seed=seed, row=row)
+        _run_law(report, items, law, 3, probe, plan=plan, row=row)
 
     run("absorption-meet-join", 2, lambda i, j: None if M(i, J(i, j)) == i else "")
     run("absorption-join-meet", 2, lambda i, j: None if J(i, M(i, j)) == i else "")
@@ -473,11 +506,11 @@ def check_distributivity(collection, join_op, meet_op, *,
     _require_positive(budget)
     return _distributivity(LawReport(suite, lattice_name, tuple(grades)),
                            _OpTables(list(collection), join_op, meet_op),
-                           asserted=True, budget=budget, seed=seed)
+                           asserted=True, plan=_planner(budget, seed))
 
 
 def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
-                    budget: int, seed: int) -> LawReport:
+                    plan: Callable) -> LawReport:
     """Body of :func:`check_distributivity`; reads only the op tables.
 
     With ``asserted=False`` failures are recorded as findings only — the
@@ -500,8 +533,8 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
 
     for name, (probe, row) in (("meet-over-join", law(M, J, tabs.meet_t, tabs.join_t)),
                                ("join-over-meet", law(J, M, tabs.join_t, tabs.meet_t))):
-        _run_law(report, items, name, 3, probe, budget=budget, seed=seed,
-                 asserted=asserted, note=note, row=row)
+        _run_law(report, items, name, 3, probe, plan=plan, asserted=asserted, note=note,
+                 row=row)
     return report
 
 
@@ -509,18 +542,10 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
 
 
 def _threshold_ranks(fis: Sequence[FuzzyInterval]) -> list[int]:
-    """Per item, the bitmask of its thresholds' ranks in the grade chain.
-
-    Rank order is grade order, so the set bits of ``ranks[i] | ranks[j]``
-    visit a pair's thresholds ascending without sorting any grades.
-    """
-    out = []
-    for fi in fis:
-        mask = 0
-        for r in fi._levels:
-            mask |= 1 << r
-        out.append(mask)
-    return out
+    """Per item, the bitmask of its thresholds' ranks in the grade chain:
+    the set bits of ``ranks[i] | ranks[j]`` visit a pair's thresholds in
+    grade order."""
+    return [sum(1 << r for r in fi._levels) for fi in fis]
 
 
 def _first_failing_pair(chain: tuple, family, op) -> str | None:
@@ -545,7 +570,7 @@ def _first_failing_pair(chain: tuple, family, op) -> str | None:
 
 
 def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
-                    crisp: _OpTables, *, budget: int, seed: int) -> LawReport:
+                    crisp: _OpTables, *, plan: Callable) -> LawReport:
     """Cutwise characterization of the fuzzy-interval ops.
 
     For every pair and every threshold of the union of threshold sets, the
@@ -568,7 +593,6 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
     cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]  # by grade rank
     crisp_masks = [iv.members_mask() for iv in crisp.pool]
     pointwise = [[fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))] for fi in tabs.pool]
-    crisp_tables = {"meet": crisp.meet_t, "join": crisp.join_t}
 
     def family(i, j, table):
         """(rank, mask of op(cut_i, cut_j)) over the pair's thresholds, ascending."""
@@ -576,10 +600,7 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
         for r in iter_bits(ranks[i] | ranks[j]):
             yield r, crisp_masks[table[ci[r]][cj[r]]]
 
-    def identity(op_name):
-        table = crisp_tables[op_name]
-        fi_table = tabs.meet_t if op_name == "meet" else tabs.join_t
-
+    def identity(table, fi_table):
         def probe(i, j):
             cut_masks = pointwise[fi_table[i][j]]
             for r, mask in family(i, j, table):
@@ -588,9 +609,7 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
             return None
         return probe
 
-    def family_laws(op_name):
-        table = crisp_tables[op_name]
-
+    def family_laws(table):
         def antitone(i, j):
             masks = [mask for _, mask in family(i, j, table)]
             for lower, higher in zip(masks, masks[1:]):
@@ -608,12 +627,11 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
 
         return antitone, at_zero, closed_under_intersection
 
-    run = lambda law, probe: _run_law(report, fis, law, 2, probe,  # noqa: E731
-                                      budget=budget, seed=seed)
-    run("meet-cut-identity", identity("meet"))
-    run("join-cut-identity", identity("join"))
-    for op_name in ("meet", "join"):
-        antitone, at_zero, closed = family_laws(op_name)
+    run = lambda law, probe: _run_law(report, fis, law, 2, probe, plan=plan)  # noqa: E731
+    run("meet-cut-identity", identity(crisp.meet_t, tabs.meet_t))
+    run("join-cut-identity", identity(crisp.join_t, tabs.join_t))
+    for op_name, table in (("meet", crisp.meet_t), ("join", crisp.join_t)):
+        antitone, at_zero, closed = family_laws(table)
         run(f"{op_name}-cut-family-antitone", antitone)
         run(f"{op_name}-cut-family-at-zero", at_zero)
         run(f"{op_name}-cut-family-intersection", closed)
@@ -624,7 +642,7 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
 
 
 def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
-                     distributive: bool, *, budget: int, seed: int) -> LawReport:
+                     distributive: bool, *, plan: Callable) -> LawReport:
     """Finite-supremum identities for cut endpoints.
 
     For P a nonempty set of thresholds: the join of the lower endpoints
@@ -675,16 +693,14 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
         ("paired-upper-join-infimum", 2, paired(uppers, lattice.join_index, lattice.meet_index)),
     ]
     for law, arity, probe in laws:
-        _run_law(report, fis, law, arity, probe, budget=budget, seed=seed,
-                 asserted=distributive, note=note)
+        _run_law(report, fis, law, arity, probe, plan=plan, asserted=distributive, note=note)
     return report
 
 
 # -- structural identities ----------------------------------------------------
 
 
-def _interval_structure(report: LawReport, fis: list, *, budget: int,
-                        seed: int) -> LawReport:
+def _interval_structure(report: LawReport, fis: list, *, plan: Callable) -> LawReport:
     """Per-cut boundary-grade identities for fuzzy intervals.
 
     At every threshold with a nonempty cut: the meet of the boundary
@@ -720,10 +736,8 @@ def _interval_structure(report: LawReport, fis: list, *, budget: int,
                 return f"threshold {format_grade(fuzzy.chain[r])}"
         return None
 
-    _run_law(report, fis, "cut-boundary-grade-meet", 1, boundary_meet,
-             budget=budget, seed=seed)
-    _run_law(report, fis, "cut-recovery-from-boundary-grades", 1, cut_recovery,
-             budget=budget, seed=seed)
+    _run_law(report, fis, "cut-boundary-grade-meet", 1, boundary_meet, plan=plan)
+    _run_law(report, fis, "cut-recovery-from-boundary-grades", 1, cut_recovery, plan=plan)
     return report
 
 
@@ -742,8 +756,10 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     carrier's distributivity verdict, each built on first use.  The
     fuzzy-interval table is built by the first of ``axioms``,
     ``distributivity`` or ``cut-identities`` to run, and the crisp table
-    by the first of ``cut-identities`` and the crisp suites.  Only the
-    axiom suites build ``leq`` rows.  A budget below 1 raises
+    by the first of ``cut-identities`` and the crisp suites.  Each sampled
+    (count, arity) space is drawn once and read by every law over it.
+    Only the axiom suites build order rows, from the members' memberships
+    by :func:`_order_rows`.  A budget that is not a positive int raises
     ``ValueError`` before anything is built.
     """
     if name == "all":
@@ -755,23 +771,24 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     _require_positive(budget)
     chain = validate_grades(grades)
     label = lattice.name or f"<{len(lattice.elements)} elements>"
-    budgeted = {"budget": budget, "seed": seed}
+    plan = _planner(budget, seed)
     fis = functools.cache(lambda: enumerate_fuzzy_intervals(lattice, chain))
     fi_table = functools.cache(lambda: _OpTables(fis(), FuzzyInterval.join, FuzzyInterval.meet))
     crisp = functools.cache(lambda: _OpTables(enumerate_intervals(lattice), CrispInterval.hull,
                                               CrispInterval.intersection))
     distributive = functools.cache(lambda: is_distributive(lattice)[0])
     suites = {
-        "axioms": lambda r: _lattice_axioms(r, fi_table(), FuzzyInterval.leq, **budgeted),
+        "axioms": lambda r: _lattice_axioms(
+            r, fi_table(), _order_rows([fi.fuzzy.ranks for fi in fis()]), plan=plan),
         "distributivity": lambda r: _distributivity(r, fi_table(), asserted=distributive(),
-                                                    **budgeted),
-        "cut-identities": lambda r: _cut_identities(r, lattice, fi_table(), crisp(), **budgeted),
-        "endpoints": lambda r: _endpoint_lemmas(r, lattice, fis(), distributive(), **budgeted),
-        "structure": lambda r: _interval_structure(r, fis(), **budgeted),
-        "crisp-axioms": lambda r: _lattice_axioms(r, crisp(), CrispInterval.issubset,
-                                                  **budgeted),
+                                                    plan=plan),
+        "cut-identities": lambda r: _cut_identities(r, lattice, fi_table(), crisp(), plan=plan),
+        "endpoints": lambda r: _endpoint_lemmas(r, lattice, fis(), distributive(), plan=plan),
+        "structure": lambda r: _interval_structure(r, fis(), plan=plan),
+        "crisp-axioms": lambda r: _lattice_axioms(
+            r, crisp(), _inclusion_rows(lattice, crisp().items), plan=plan),
         "crisp-distributivity": lambda r: _distributivity(r, crisp(), asserted=distributive(),
-                                                          **budgeted),
+                                                          plan=plan),
     }
     # the crisp suites are graded by no chain
     return [suites[suite](LawReport(suite, label, () if suite.startswith("crisp-") else chain))

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import importlib
+import inspect
 import itertools
 import json
 import random
@@ -18,7 +19,7 @@ from conftest import GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets, random_lat
 from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
                      GradeSetInvalid, boolean_lattice, chain, classify, format_grade,
                      is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice,
-                     m3, n5, run_suite, validate_grades)
+                     m3, n5, run_suite, standard_lattice, validate_grades)
 from fuzzint import laws
 from fuzzint.fuzzysets import meet_family
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
@@ -301,6 +302,75 @@ def test_duplicate_member_is_refused_before_any_op(chain2):
     assert check_lattice_axioms(ivs[:-1], join, meet, leq).passed
 
 
+def _leq_row(items, a, leq):
+    """Bitmask of the items ``b`` with ``leq(a, b)``."""
+    return sum(1 << j for j, b in enumerate(items) if leq(a, b))
+
+
+# the fixture x grade chain cases of the laws-exhaustive and laws-sampled
+# benchmark workloads
+LAW_WORKLOAD_CASES = [("chain2", GRADES4), ("chain3", GRADES3), ("boolean2", GRADES3),
+                      ("m3", GRADES3), ("n5", GRADES3), ("chain4", GRADES3),
+                      ("m3", GRADES4), ("chain5", GRADES3)]
+
+
+@pytest.mark.parametrize("fixture, grades", LAW_WORKLOAD_CASES,
+                         ids=[f"{f}-{len(g)}" for f, g in LAW_WORKLOAD_CASES])
+def test_order_rows_match_pairwise_leq(fixture, grades):
+    """The bit-parallel rows from the memberships are the rows of pairwise
+    ``FuzzyInterval.leq``, and the down rows are their transpose."""
+    fis = enumerate_fuzzy_intervals(standard_lattice(fixture), grades)
+    up, down = laws._order_rows([fi.fuzzy.ranks for fi in fis])
+    assert up == [_leq_row(fis, a, FuzzyInterval.leq) for a in fis]
+    assert down == [sum((up[j] >> i & 1) << j for j in range(len(fis)))
+                    for i in range(len(fis))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_lattices(), st.sampled_from([GRADES2, GRADES3, GRADES4]), st.data())
+def test_order_rows_match_pairwise_leq_on_random_lattices(case, grades, data):
+    """Up to 1,800 fuzzy intervals: drawn rows of both directions are
+    checked against pairwise ``leq``."""
+    fis = enumerate_fuzzy_intervals(_lattice_of(case), grades)
+    up, down = laws._order_rows([fi.fuzzy.ranks for fi in fis])
+    assert len(up) == len(down) == len(fis)
+    for i in data.draw(st.lists(st.integers(0, len(fis) - 1), min_size=1, max_size=8)):
+        assert up[i] == _leq_row(fis, fis[i], FuzzyInterval.leq)
+        assert down[i] == _leq_row(fis, fis[i], lambda a, b: b.leq(a))
+
+
+# sha256 of json.dumps(axioms.as_json(), sort_keys=True) from
+# run_suite("axioms", ..., {0, 1/2, 1}) with FuzzyInterval.join replaced by
+# one that returns its right operand, captured while the order rows were
+# still built from pairwise FuzzyInterval.leq calls
+RIGHT_OPERAND_JOIN_AXIOMS = {
+    ("chain3", "exhaustive"):
+        "38ec24aff6359e1f18ff973c3dd67b49beab9c7146d07374868ca0807972a656",
+    ("chain3", "sampled"):
+        "449a320fa5d9fb80b9996d05d6b4da01833a2e24b134ba1c4558a67c4a520f26",
+    ("m3", "exhaustive"):
+        "188f6a3b082f8acb64d897f2943ba3889ecab61a90ceb7f8de510535bcd0088b",
+    ("m3", "sampled"):
+        "abde2d238e4358d14439ebc6a578b3259b6adf29fb0dd4327a651ef3ba4c14bc",
+}
+
+
+def test_order_rows_catch_a_join_that_returns_its_right_operand(monkeypatch, chain3, diamond):
+    """The order rows come from the enumerated memberships, not from the ops,
+    so a broken join fails the order laws with the witnesses it had when
+    the rows came from pairwise ``leq``."""
+    monkeypatch.setattr(FuzzyInterval, "join", lambda a, b: b)
+    lattices = {"chain3": chain3, "m3": diamond}
+    budgets = {"exhaustive": {}, "sampled": dict(budget=300, seed=3)}
+    for (lat, mode), digest in RIGHT_OPERAND_JOIN_AXIOMS.items():
+        (report,) = run_suite("axioms", lattices[lat], GRADES3, **budgets[mode])
+        failed = {c.law for c in report.checks if c.status == "fail"}
+        assert {"order-consistency", "join-least-upper-bound",
+                "join-definitional-oracle"} <= failed, (lat, mode)
+        doc = json.dumps(report.as_json(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest, (lat, mode)
+
+
 TRIPLE_LAWS = {
     "associativity-join": (lambda J, M, a, b, c: J(a, J(b, c)),
                            lambda J, M, a, b, c: J(J(a, b), c)),
@@ -454,7 +524,7 @@ def test_pairwise_subset_laws_match_the_literal_subset_loop(lattice):
     entries, the pairwise checks of the six threshold-set laws give the
     status, checked count and witness of the literal 2^k subset loop."""
     grades = validate_grades((0, Fraction(1, 4), H, Fraction(3, 4), 1))
-    budget = {"budget": laws.DEFAULT_BUDGET, "seed": 0}
+    budget = {"plan": laws._planner(laws.DEFAULT_BUDGET, 0)}
     n = len(lattice.elements)
     # lowers b a t a b, uppers t a b a t at ranks 0-4 (b, a, t the bottom,
     # an inner element and the top): the first failing pair is ranks {1, 4},
@@ -512,7 +582,7 @@ def test_endpoint_lemmas_make_quadratically_many_lattice_lookups(monkeypatch):
     for name in ("join_index", "meet_index", "join_indices", "meet_indices"):
         monkeypatch.setattr(FiniteLattice, name, counted(name, getattr(FiniteLattice, name)))
     report = laws._endpoint_lemmas(LawReport("endpoints", "chain2", grades), lattice, fis,
-                                   True, budget=laws.DEFAULT_BUDGET, seed=0)
+                                   True, plan=laws._planner(laws.DEFAULT_BUDGET, 0))
     assert report.passed and len(report.checks) == 4
 
     def cost(k):
@@ -524,21 +594,23 @@ def test_endpoint_lemmas_make_quadratically_many_lattice_lookups(monkeypatch):
     assert sum(calls.values()) <= 2 * singles + 2 * pairs
 
 
-@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("budget", [0, -5, 2.5, True, "10"])
 def test_nonpositive_budget_is_refused_before_any_work(monkeypatch, chain3, budget):
     """A budget below 1 would pass every law with ``checked=0`` or report a
-    negative sample; it is refused before anything is enumerated or built."""
+    negative sample, and one that is not an int fails inside ``range`` once
+    a law is sampled (or, as ``True``, runs as 1); each is refused before
+    anything is enumerated or built."""
     def refuse(*args):
         raise AssertionError("work started")
 
     for name in ("enumerate_fuzzy_intervals", "enumerate_intervals", "_OpTables"):
         monkeypatch.setattr(laws, name, refuse)
     for suite in SUITES + ("all",):
-        with pytest.raises(ValueError, match="budget must be positive"):
+        with pytest.raises(ValueError, match="budget must be a positive int"):
             run_suite(suite, chain3, GRADES3, budget=budget)
-    with pytest.raises(ValueError, match="budget must be positive"):
+    with pytest.raises(ValueError, match="budget must be a positive int"):
         check_lattice_axioms([0, 1], refuse, refuse, refuse, budget=budget)
-    with pytest.raises(ValueError, match="budget must be positive"):
+    with pytest.raises(ValueError, match="budget must be a positive int"):
         check_distributivity([0, 1], refuse, refuse, budget=budget)
 
 
@@ -641,6 +713,26 @@ def test_law_runs_cut_no_derived_membership(diamond, monkeypatch):
     assert [r.as_json() for r in shared if r.suite == "cut-identities"] == alone
 
 
+def test_each_sample_space_is_drawn_once_per_call(monkeypatch, diamond):
+    """m3 x {0,1/3,2/3,1} at budget 2000 samples 26 checks over three index
+    spaces: pairs and triples of the 118 fuzzy intervals, and triples of the
+    13 crisp intervals.  Each space is drawn once per call and every law
+    over it reads that draw; the next call draws again."""
+    spaces = []
+    sample = laws._sample
+
+    def counted(count, arity, draws, seed):
+        spaces.append((count, arity))
+        return sample(count, arity, draws, seed)
+
+    monkeypatch.setattr(laws, "_sample", counted)
+    reports = run_suite("all", diamond, GRADES4, budget=2000)
+    assert sum(c.mode != "exhaustive" for r in reports for c in r.checks) == 26
+    assert sorted(spaces) == [(13, 3), (118, 2), (118, 3)]
+    run_suite("all", diamond, GRADES4, budget=2000)
+    assert len(spaces) == 6
+
+
 def test_sampling_is_deterministic(chain3):
     fis = enumerate_fuzzy_intervals(chain3, GRADES3)
     kw = dict(suite="axioms", lattice_name="chain3", grades=GRADES3, budget=50, seed=7)
@@ -699,7 +791,7 @@ def test_structure_suite(diamond, pentagon):
     fi = FuzzyInterval(FuzzySet(chain(3), {"0": "0", "1": "1", "2": "0"}))
     fi._ends = fi._ends[:-1] + ((0, 2),)
     report = laws._interval_structure(LawReport("structure", "chain3", GRADES3), [fi],
-                                      budget=laws.DEFAULT_BUDGET, seed=0)
+                                      plan=laws._planner(laws.DEFAULT_BUDGET, 0))
     assert [(c.law, c.status, c.witness["detail"]) for c in report.checks] == [
         ("cut-boundary-grade-meet", "fail", "threshold 1"),
         ("cut-recovery-from-boundary-grades", "fail", "threshold 1")]
@@ -833,11 +925,25 @@ def test_all_matches_standalone_suites(chain2, chain3, diamond, pentagon):
 
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     """The benchmark's tracer names library functions by string (among them
-    ``_OpTables.__init__`` and ``_run_law``); building one resolves them all,
-    so a rename fails here and not only in a traced benchmark run."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    ``_OpTables.__init__`` and ``_run_law``); building one against ``src/``,
+    with nothing installed, resolves them all, so a rename fails here and
+    not only in a traced benchmark run.  Its ``_run_law`` hook reads
+    ``report, items, law, arity`` as the first four positional arguments."""
+    root = Path(__file__).resolve().parent.parent
+    assert Path(laws.__file__).resolve().parent == root / "src" / "fuzzint"
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
     tracing = importlib.import_module("tracing")
-    tracing.Tracer()
+    tracer = tracing.Tracer()
+    params = list(inspect.signature(laws._run_law).parameters.values())[:4]
+    assert [p.name for p in params] == ["report", "items", "law", "arity"]
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    tracer.install()
+    try:
+        reports = run_suite("all", chain(2), GRADES2)
+    finally:
+        tracer.uninstall()
+    assert tracer.values["laws.checked"] == sum(c.checked for r in reports for c in r.checks
+                                                if not c.law.startswith("closure"))
     monkeypatch.delattr(laws, "_run_law")
     with pytest.raises(tracing.TraceError, match="fuzzint.laws._run_law is missing"):
         tracing.Tracer()
