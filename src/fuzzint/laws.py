@@ -29,6 +29,13 @@ axiom and distributivity bodies over an arbitrary collection of distinct
 members and its ops; only ``check_lattice_axioms`` evaluates its
 ``leq_op`` pairwise.
 
+Two pair laws are decided by another route and probed only to name a
+witness: ``*-cut-family-intersection`` takes the verdict of the antitone
+law over the same masks, and the ``paired-*`` endpoint laws pass without a
+probe when every item's endpoint row is monotone (see
+:func:`_cut_identities` and :func:`_endpoint_lemmas`).  Both keep the
+probe's status, ``checked`` and witness.
+
 In exhaustive mode the triple laws (associativity, distributivity) are
 checked a row at a time when the collection is closed under the ops: for
 each ``(i, j)`` one list comparison covers every ``k``, and only a row
@@ -48,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import GradeSetInvalid, InvalidGrade
+from .errors import GradeSetInvalid, InvalidGrade, RouteDisagreement
 from .formats import memberships_to_json
 from .fuzzysets import GRADE_ONE, GRADE_ZERO, FuzzySet, as_grade, format_grade
 from .fuzzyintervals import FuzzyInterval
@@ -271,7 +278,7 @@ def _scan(instances, probe):
 
 def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
              probe: Callable, *, plan: Callable, asserted: bool = True, note: str = "",
-             row: Callable | None = None) -> None:
+             row: Callable | None = None, verdict: str | tuple | None = None) -> None:
     """Evaluate ``probe`` over index tuples; record the first failure.
 
     ``probe`` returns None for a pass and a detail (possibly "") for a fail.
@@ -284,9 +291,23 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
     visited in enumeration order, so the first failure, its detail and
     ``checked`` are the probe's own.
     Sampled instances are always probed one by one.
+
+    ``verdict``, given when another route has decided the law over this
+    plan, skips the scan: ``"pass"`` counts the planned instances without
+    probing them, and ``(checked, tup)`` names the first failing tuple and
+    the instances evaluated up to it, and probes ``tup`` alone for its
+    detail.  A probe that passes that tuple raises
+    :class:`RouteDisagreement`.
     """
     instances, mode = plan(len(items), arity)
-    if row is None or mode != "exhaustive":
+    if verdict == "pass":
+        checked, tup = (len(items) ** arity if mode == "exhaustive" else len(instances)), None
+    elif verdict is not None:
+        checked, tup = verdict
+        detail = probe(*tup)
+        if detail is None:
+            raise RouteDisagreement(law, tup, {"decided": "fail", "probe": "pass"})
+    elif row is None or mode != "exhaustive":
         checked, tup, detail = _scan(instances, probe)
     else:
         n = len(items)
@@ -586,6 +607,14 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
     reference side is the crisp route: each cut is looked up in ``crisp``,
     the table over the crisp intervals (hull is its join, intersection its
     meet), and the masks of its pool give the cut of each entry.
+
+    The intersection law reads the same family masks as the antitone law
+    and fails on a pair exactly when some mask is not inside every mask
+    below it; set inclusion is transitive, so that happens exactly when
+    some consecutive mask is not inside the one below, the antitone law's
+    failure.  Both read one plan, so the intersection row takes the
+    antitone row's status, ``checked`` and failing tuple, and probes only
+    that tuple, for its ``P = {r, s}``.
     """
     chain, fis = report.grades, tabs.items
     full = lattice.all_mask
@@ -627,14 +656,18 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
 
         return antitone, at_zero, closed_under_intersection
 
-    run = lambda law, probe: _run_law(report, fis, law, 2, probe, plan=plan)  # noqa: E731
+    run = lambda law, probe, verdict=None: _run_law(  # noqa: E731
+        report, fis, law, 2, probe, plan=plan, verdict=verdict)
     run("meet-cut-identity", identity(crisp.meet_t, tabs.meet_t))
     run("join-cut-identity", identity(crisp.join_t, tabs.join_t))
     for op_name, table in (("meet", crisp.meet_t), ("join", crisp.join_t)):
         antitone, at_zero, closed = family_laws(table)
         run(f"{op_name}-cut-family-antitone", antitone)
+        scanned = report.checks[-1]
         run(f"{op_name}-cut-family-at-zero", at_zero)
-        run(f"{op_name}-cut-family-intersection", closed)
+        run(f"{op_name}-cut-family-intersection", closed,
+            "pass" if scanned.witness is None
+            else (scanned.checked, tuple(scanned.witness["indices"])))
     return report
 
 
@@ -657,6 +690,14 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
     ``upper``), or of the meet (join) of two such functions, and holds on
     every lattice.  The suite is still asserted only on a distributive
     carrier, with a note on any other, as the pinned reports record.
+
+    A paired law is decided first from the items alone: if every item's
+    ``lower`` row over all grade ranks steps up under the carrier's join
+    (``join(x_r, x_r+1) == x_r+1``), the order is transitive and ⊓ is
+    monotone, so every pair's ``lower₁ ⊓ lower₂`` is isotone on every set
+    of ranks, its thresholds included, and no pair is probed; dually for
+    ``upper`` under the meet.  If some item fails, every pair is scanned
+    as above.  This is O(n·k) for n items and k grades.
     """
     chain = report.grades
     note = ("" if distributive else
@@ -686,14 +727,23 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
                                               for r in iter_bits(ranks[i] | ranks[j])), op)
         return probe
 
+    def every_row_steps(table, op):
+        """``"pass"`` when ``op(x_r, x_r+1) == x_r+1`` along every item's row."""
+        ok = all(op(a, b) == b for row in table for a, b in zip(row, row[1:]))
+        return "pass" if ok else None
+
+    join, meet = lattice.join_index, lattice.meet_index
     laws = [
-        ("lower-endpoint-supremum", 1, single(lowers, lattice.join_index)),
-        ("upper-endpoint-infimum", 1, single(uppers, lattice.meet_index)),
-        ("paired-lower-meet-supremum", 2, paired(lowers, lattice.meet_index, lattice.join_index)),
-        ("paired-upper-join-infimum", 2, paired(uppers, lattice.join_index, lattice.meet_index)),
+        ("lower-endpoint-supremum", 1, single(lowers, join), None),
+        ("upper-endpoint-infimum", 1, single(uppers, meet), None),
+        ("paired-lower-meet-supremum", 2, paired(lowers, meet, join),
+         every_row_steps(lowers, join)),
+        ("paired-upper-join-infimum", 2, paired(uppers, join, meet),
+         every_row_steps(uppers, meet)),
     ]
-    for law, arity, probe in laws:
-        _run_law(report, fis, law, arity, probe, plan=plan, asserted=distributive, note=note)
+    for law, arity, probe, verdict in laws:
+        _run_law(report, fis, law, arity, probe, plan=plan, asserted=distributive, note=note,
+                 verdict=verdict)
     return report
 
 

@@ -21,6 +21,7 @@ from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
                      is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice,
                      m3, n5, run_suite, standard_lattice, validate_grades)
 from fuzzint import laws
+from fuzzint.errors import RouteDisagreement
 from fuzzint.fuzzysets import meet_family
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
                           check_lattice_axioms, enumerate_fuzzy_intervals,
@@ -594,6 +595,283 @@ def test_endpoint_lemmas_make_quadratically_many_lattice_lookups(monkeypatch):
     assert sum(calls.values()) <= 2 * singles + 2 * pairs
 
 
+# -- decided rows: cut-family intersection and the paired endpoint laws -------
+
+
+DECIDED_LAWS = ("meet-cut-family-intersection", "join-cut-family-intersection",
+                "paired-lower-meet-supremum", "paired-upper-join-infimum")
+SAMPLED = dict(budget=300, seed=3)
+
+
+def _fold_calls_by_law(monkeypatch):
+    """Counter of ``_first_failing_pair`` calls, keyed by the law that
+    ``_run_law`` is evaluating when each is made."""
+    calls, running = Counter(), []
+    run_law, first_failing_pair = laws._run_law, laws._first_failing_pair
+
+    def tracked(report, items, law, *args, **kwargs):
+        running.append(law)
+        try:
+            return run_law(report, items, law, *args, **kwargs)
+        finally:
+            running.pop()
+
+    def counted(*args):
+        calls[running[-1] if running else None] += 1
+        return first_failing_pair(*args)
+
+    monkeypatch.setattr(laws, "_run_law", tracked)
+    monkeypatch.setattr(laws, "_first_failing_pair", counted)
+    return calls
+
+
+def test_a_passing_verdict_probes_no_instance(monkeypatch, chain3):
+    """On chain3 x {0,1/2,1} every endpoint chain is monotone and every cut
+    family nests, so the four decided rows count their 22^2 pairs without
+    folding any; only the single-item endpoint laws fold, once per item."""
+    calls = _fold_calls_by_law(monkeypatch)
+    reports = run_suite("all", chain3, GRADES3)
+    checks = {c.law: c for r in reports for c in r.checks}
+    for law in DECIDED_LAWS:
+        assert (checks[law].status, checks[law].checked) == ("pass", 22 ** 2), law
+    assert calls == {"lower-endpoint-supremum": 22, "upper-endpoint-infimum": 22}
+
+
+def test_a_decided_failure_the_probe_passes_is_a_disagreement(chain2):
+    """A failing tuple named by another route is probed for its detail; a
+    probe that passes it raises instead of reporting a fail with no detail.
+    A decided pass counts the planned instances: all of them, or the
+    sample's draws."""
+    items = enumerate_intervals(chain2)
+    report = LawReport("crisp", "chain2")
+    with pytest.raises(RouteDisagreement, match="some-law"):
+        laws._run_law(report, items, "some-law", 2, lambda i, j: None,
+                      plan=laws._planner(laws.DEFAULT_BUDGET, 0), verdict=(3, (0, 2)))
+    for budget, checked in ((laws.DEFAULT_BUDGET, 16), (5, 5)):
+        laws._run_law(report, items, "some-law", 2, lambda i, j: "", plan=laws._planner(budget, 0),
+                      verdict="pass")
+        assert (report.checks[-1].status, report.checks[-1].checked) == ("pass", checked)
+
+
+_HULL, _INTERSECTION = CrispInterval.hull, CrispInterval.intersection
+
+
+def _intersection_or_whole(a, b):
+    out = _INTERSECTION(a, b)
+    return CrispInterval.whole(a.lattice) if out.is_empty else out
+
+
+def _hull_of_disjoint(a, b):
+    out = _INTERSECTION(a, b)
+    return _HULL(a, b) if out.is_empty and not (a.is_empty or b.is_empty) else out
+
+
+# (hull, intersection) pairs that the crisp tables are built from
+CUT_FAMILY_FAULTS = {
+    "hull-empty-on-equal-operands":
+        (lambda a, b: CrispInterval.empty(a.lattice) if a == b else _HULL(a, b), _INTERSECTION),
+    "intersection-whole-when-empty": (_HULL, _intersection_or_whole),
+    "ops-swapped": (_INTERSECTION, _HULL),
+    "intersection-hull-of-disjoint": (_HULL, _hull_of_disjoint),
+}
+
+# sha256 of json.dumps(report.as_json(), sort_keys=True) for
+# run_suite("cut-identities", ..., {0, 1/2, 1}) under each fault, captured
+# while the intersection rows were still scanned pair by pair
+CUT_FAMILY_FAULT_REPORTS = {
+    ("hull-empty-on-equal-operands", "chain3", "exhaustive"):
+        "8c0874b3d248c22a38ec654922cf41eee88c33633dbb9429947707855e918eb5",
+    ("hull-empty-on-equal-operands", "chain3", "sampled"):
+        "9221cfc0c8c7578e8edb623ab850b604e8c8003d74e9f98e4839eb42eb66bfc9",
+    ("hull-empty-on-equal-operands", "m3", "exhaustive"):
+        "62d8aeac89a2867f1eb8d30c506bd69166ad8ae41563960f93cb5bebc1a69128",
+    ("hull-empty-on-equal-operands", "m3", "sampled"):
+        "e312b08075d82132b634122fd3396ddbb54414853b1b9a9a7e11b98937534de4",
+    ("hull-empty-on-equal-operands", "chain4", "exhaustive"):
+        "8b00555e31bbcd486d6a42a2b2691c87f20c0904a3de7785e8982ccc5b8cd2ac",
+    ("hull-empty-on-equal-operands", "chain4", "sampled"):
+        "1f67effd97178779d22fee4c72e67ec3e0ed9322a2f1d50d70793fa2e4bf7223",
+    ("intersection-hull-of-disjoint", "chain3", "exhaustive"):
+        "131eb035267559e0d378bdd77500346f495ffa08b658e844f21269ddd17b783e",
+    ("intersection-hull-of-disjoint", "chain3", "sampled"):
+        "f5672d1e3567141b415d458a37022b3806af196f88edbb24e4717897bfecdf0a",
+    ("intersection-hull-of-disjoint", "m3", "exhaustive"):
+        "3a6aa4e2ed8f1db30ec9c10481ed176bbe5fe7915ee26c53bc4a655b53c539af",
+    ("intersection-hull-of-disjoint", "m3", "sampled"):
+        "5d6a7a5f508058fbfc68a2232ba77fb165da12ef7bacc8a69bcd72191b4ae0e5",
+    ("intersection-hull-of-disjoint", "chain4", "exhaustive"):
+        "7d512dbe621cf91261497d2a70c52c3fc647b9310bb475c12c7040ddc3cd1a95",
+    ("intersection-hull-of-disjoint", "chain4", "sampled"):
+        "e370139cfcbe112c8698d41936db8a04e948afabaa3cc117d21d249ff31d4422",
+    ("intersection-whole-when-empty", "chain3", "exhaustive"):
+        "d9c1c0e249823d26a173a687accefd08bb9e4a27b8f830e51342b1465e7a84f5",
+    ("intersection-whole-when-empty", "chain3", "sampled"):
+        "1acbda6e804595e43f7a535ded28352b63b30b1d1de6f7b1039076ede06ba047",
+    ("intersection-whole-when-empty", "m3", "exhaustive"):
+        "9e0fd9273cc6947500d1592075939b0d82b6cfc9fd173d5ee48f932a19f871d4",
+    ("intersection-whole-when-empty", "m3", "sampled"):
+        "5d6a7a5f508058fbfc68a2232ba77fb165da12ef7bacc8a69bcd72191b4ae0e5",
+    ("intersection-whole-when-empty", "chain4", "exhaustive"):
+        "282773ff742afd4eaa1aa782c1db490003bfa16afff6d2dc057d3cca29ef5001",
+    ("intersection-whole-when-empty", "chain4", "sampled"):
+        "e370139cfcbe112c8698d41936db8a04e948afabaa3cc117d21d249ff31d4422",
+    ("ops-swapped", "chain3", "exhaustive"):
+        "67f08e3286929885fb7412481fd9e34e7d34b0e378516db7ddb6df29e3945261",
+    ("ops-swapped", "chain3", "sampled"):
+        "b2cbf08d7fc81ba29f9a152bf18e2e9462420ff0df8269b5533c3a3e2149fcb4",
+    ("ops-swapped", "m3", "exhaustive"):
+        "4fe666a47c4a1b7035e78770a4a13ee39cfe08efabbb0fbfc2154f87f30d778b",
+    ("ops-swapped", "m3", "sampled"):
+        "25063e75b07e882efb8336330758511ffd792a8270b9bc63298341393b1f0656",
+    ("ops-swapped", "chain4", "exhaustive"):
+        "ec375886d423c0e28f3c8f79296840503729cd3f3ab06dade3cb2b15e2c424b4",
+    ("ops-swapped", "chain4", "sampled"):
+        "a287220ae498686dd4a0b766375532553753af298ef014e3a9e4c3cc1dbb98bd",
+}
+
+
+def _cut_family_fault_report(monkeypatch, fault, lattice, mode):
+    hull, intersection = CUT_FAMILY_FAULTS[fault]
+    monkeypatch.setattr(CrispInterval, "hull", hull)
+    monkeypatch.setattr(CrispInterval, "intersection", intersection)
+    (report,) = run_suite("cut-identities", lattice, GRADES3,
+                          **(SAMPLED if mode == "sampled" else {}))
+    return report
+
+
+@pytest.mark.parametrize("fault", sorted(CUT_FAMILY_FAULTS))
+def test_cut_family_faults_keep_their_reports(monkeypatch, fault, chain3, diamond):
+    """Faulty crisp ops give the cut-family rows the reports they had when
+    every row was probed pair by pair, and each intersection row agrees
+    with its antitone row on status, ``checked`` and the failing tuple."""
+    lattices = {"chain3": chain3, "m3": diamond, "chain4": chain(4)}
+    family_failed = False
+    for lat, mode in itertools.product(lattices, ("exhaustive", "sampled")):
+        report = _cut_family_fault_report(monkeypatch, fault, lattices[lat], mode)
+        doc = json.dumps(report.as_json(), sort_keys=True)
+        assert (hashlib.sha256(doc.encode()).hexdigest()
+                == CUT_FAMILY_FAULT_REPORTS[(fault, lat, mode)]), (lat, mode)
+        checks = {c.law: c for c in report.checks}
+        for op in ("meet", "join"):
+            antitone = checks[f"{op}-cut-family-antitone"]
+            closed = checks[f"{op}-cut-family-intersection"]
+            assert ((antitone.status, antitone.checked, (antitone.witness or {}).get("indices"))
+                    == (closed.status, closed.checked, (closed.witness or {}).get("indices")))
+            family_failed |= closed.status == "fail"
+    assert family_failed == (fault != "ops-swapped")
+
+
+def _lowers_reversed(fis):
+    """Reverse the lower ends of one item past the middle whose cuts are all
+    nonempty and whose lower ends differ, so its ``lower`` is not isotone."""
+    fi = next(fi for fi in fis[len(fis) // 2:]
+              if all(lo is not None for lo, _ in fi._ends)
+              and len({lo for lo, _ in fi._ends}) > 1)
+    lows = [lo for lo, _ in fi._ends]
+    fi._ends = tuple(zip(reversed(lows), (hi for _, hi in fi._ends)))
+    return fis
+
+
+# sha256 of json.dumps of the two paired-* rows of run_suite("endpoints",
+# ..., {0, 1/2, 1}) over an enumeration corrupted by _lowers_reversed,
+# captured while the paired rows were still scanned pair by pair
+PAIRED_CORRUPTION_REPORTS = {
+    ("chain3", "exhaustive"):
+        "0efd30c18298ba0d380f530df6bfffb955932f6dc118c8ea7fa83744c277a5b9",
+    ("chain3", "sampled"):
+        "a97837c9024a56bcdc9cbd9741eb807d85f94197d2015594838b1d7d39afb06c",
+    ("m3", "exhaustive"):
+        "80bbac2da5dbd6396e33c7cee879ffa6a4cc578537b643cd5f05bd7ee0a7bbdb",
+    ("m3", "sampled"):
+        "de7036b21a13fa39595db9a3c7a09edea3004e2165b1133f667d571f0f66fe93",
+    ("chain4", "exhaustive"):
+        "25975cd0f4963d6c9fe392d098dd3dfa2cb1a89786077421ad53cf7f765cbe77",
+    ("chain4", "sampled"):
+        "46cecb4b03b762885bc618004984a1288b0360375d4330ca3c955669b9f1b706",
+}
+
+
+def test_a_non_isotone_lower_falls_back_to_the_pair_scan(monkeypatch, chain3, diamond):
+    """One item's lower ends run backwards: the per-item check fails, every
+    pair is scanned as before, and the paired rows keep their reports."""
+    enumerate_clean = laws.enumerate_fuzzy_intervals
+    monkeypatch.setattr(laws, "enumerate_fuzzy_intervals",
+                        lambda *args: _lowers_reversed(enumerate_clean(*args)))
+    calls = _fold_calls_by_law(monkeypatch)
+    lattices = {"chain3": chain3, "m3": diamond, "chain4": chain(4)}
+    for lat, mode in itertools.product(lattices, ("exhaustive", "sampled")):
+        calls.clear()
+        (report,) = run_suite("endpoints", lattices[lat], GRADES3,
+                              **(SAMPLED if mode == "sampled" else {}))
+        paired = [c for c in report.checks if c.law.startswith("paired-")]
+        # the sample misses the failing pairs, so only a scan can pass it
+        assert paired[0].status == ("pass" if mode == "sampled" else "fail"), (lat, mode)
+        assert calls["paired-lower-meet-supremum"] == paired[0].checked, (lat, mode)
+        doc = json.dumps([c.as_json() for c in paired], sort_keys=True)
+        assert (hashlib.sha256(doc.encode()).hexdigest()
+                == PAIRED_CORRUPTION_REPORTS[(lat, mode)]), (lat, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_lattices(), st.sampled_from([GRADES2, GRADES3, GRADES4]), st.data())
+def test_decided_rows_match_the_full_pair_scan_on_random_lattices(case, grades, data):
+    """The four decided rows equal the plain scans of their literal subset
+    references, over up to 14 drawn items: clean, and with crisp op-table
+    entries and a few items' endpoint chains randomly corrupted."""
+    lattice = _lattice_of(case)
+    n = len(lattice.elements)
+    everything = enumerate_fuzzy_intervals(lattice, grades)
+    picked = data.draw(st.lists(st.integers(0, len(everything) - 1), min_size=1,
+                                max_size=14, unique=True))
+    tabs = laws._OpTables([everything[i] for i in picked], FuzzyInterval.join,
+                          FuzzyInterval.meet)
+    crisp = laws._OpTables(enumerate_intervals(lattice), CrispInterval.hull,
+                           CrispInterval.intersection)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    for table in (crisp.meet_t, crisp.join_t):
+        entries = data.draw(st.sampled_from([0, crisp.n, crisp.n ** 2 // 4]))
+        for pos in rng.sample(range(crisp.n ** 2), entries):
+            table[pos // crisp.n][pos % crisp.n] = rng.randrange(crisp.n)
+    plan = laws._planner(laws.DEFAULT_BUDGET, 0)
+    report = laws._cut_identities(LawReport("cut-identities", "", grades), lattice, tabs,
+                                  crisp, plan=plan)
+    _assert_matches_references(report, tabs.items,
+                               _cut_family_references(lattice, tabs.items, grades, crisp),
+                               set())
+
+    fis = tabs.items
+    for i in data.draw(st.lists(st.integers(0, len(fis) - 1), max_size=3)):
+        fis[i]._ends = tuple((data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+                             for _ in fis[i]._ends)
+    report = laws._endpoint_lemmas(LawReport("endpoints", "", grades), lattice, fis, True,
+                                   plan=plan)
+    references = _endpoint_references(lattice, fis, grades)
+    _assert_matches_references(report, fis, {law: references[law] for law in DECIDED_LAWS[2:]},
+                               set())
+
+
+# laws-exhaustive fixtures at their workload grade count, each with a second
+# grade set of that size
+RELABELED_GRADES = [("chain2", GRADES4, (0, Fraction(1, 4), H, 1))] + [
+    (fixture, GRADES3, (0, Fraction(1, 3), 1))
+    for fixture in ("chain3", "boolean2", "m3", "n5", "chain4")]
+
+
+@pytest.mark.parametrize("fixture, grades, relabeled", RELABELED_GRADES,
+                         ids=[case[0] for case in RELABELED_GRADES])
+def test_reports_depend_on_the_grades_only_through_their_count(fixture, grades, relabeled):
+    """Two grade sets of one size give every check the same law, status,
+    ``checked``, ``asserted``, mode and witness indices; only the rendered
+    grades differ."""
+    def shape(reports):
+        return [(r.suite, [(c.law, c.status, c.checked, c.asserted, c.mode,
+                            (c.witness or {}).get("indices")) for c in r.checks])
+                for r in reports]
+
+    lattice = standard_lattice(fixture)
+    assert shape(run_suite("all", lattice, grades)) == shape(run_suite("all", lattice, relabeled))
+
+
 @pytest.mark.parametrize("budget", [0, -5, 2.5, True, "10"])
 def test_nonpositive_budget_is_refused_before_any_work(monkeypatch, chain3, budget):
     """A budget below 1 would pass every law with ``checked=0`` or report a
@@ -933,17 +1211,21 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     assert Path(laws.__file__).resolve().parent == root / "src" / "fuzzint"
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     tracing = importlib.import_module("tracing")
-    tracer = tracing.Tracer()
     params = list(inspect.signature(laws._run_law).parameters.values())[:4]
     assert [p.name for p in params] == ["report", "items", "law", "arity"]
     assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
-    tracer.install()
-    try:
-        reports = run_suite("all", chain(2), GRADES2)
-    finally:
-        tracer.uninstall()
-    assert tracer.values["laws.checked"] == sum(c.checked for r in reports for c in r.checks
-                                                if not c.law.startswith("closure"))
+    # exhaustive on chain2, and sampled on chain3, whose pairs exceed the budget
+    for lattice, grades, budget in ((chain(2), GRADES2, {}), (chain(3), GRADES3, SAMPLED)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            reports = run_suite("all", lattice, grades, **budget)
+        finally:
+            tracer.uninstall()
+        modes = {c.mode != "exhaustive" for r in reports for c in r.checks}
+        assert modes == ({False, True} if budget else {False})
+        assert tracer.values["laws.checked"] == sum(c.checked for r in reports for c in r.checks
+                                                    if not c.law.startswith("closure"))
     monkeypatch.delattr(laws, "_run_law")
     with pytest.raises(tracing.TraceError, match="fuzzint.laws._run_law is missing"):
         tracing.Tracer()
