@@ -29,20 +29,16 @@ axiom and distributivity bodies over an arbitrary collection of distinct
 members and its ops; only ``check_lattice_axioms`` evaluates its
 ``leq_op`` pairwise.
 
-Two pair laws are decided by another route and probed only to name a
-witness: ``*-cut-family-intersection`` takes the verdict of the antitone
-law over the same masks, and the ``paired-*`` endpoint laws pass without a
-probe when every item's endpoint row is monotone (see
-:func:`_cut_identities` and :func:`_endpoint_lemmas`).  Both keep the
-probe's status, ``checked`` and witness.
-
-In exhaustive mode the triple laws (associativity, distributivity) are
-checked a row at a time when the collection is closed under the ops: for
-each ``(i, j)`` one list comparison covers every ``k``, and only a row
-that does not match is probed instance by instance.  Over such a table a
-row matches exactly when every instance in it passes, and rows are
-visited in enumeration order, so the first witness and the ``checked``
-count are those of the instance-by-instance loop.
+Some laws are decided by another route, and :func:`_run_law` takes the
+verdict in place of its scan: ``"pass"``, or the first failing tuple, which
+alone is probed, for its detail.  ``*-cut-family-intersection`` takes the
+verdict of the antitone law over the same masks, and the ``paired-*``
+endpoint laws pass without a probe when their single-item law passed over
+every item (see :func:`_cut_identities` and :func:`_endpoint_lemmas`).  In
+exhaustive mode over a closed collection, the triple laws (associativity,
+distributivity) are decided a row at a time by :func:`_row_verdict`: for
+each ``(i, j)`` one list comparison covers every ``k``.  Each verdict
+gives the status, ``checked`` and witness that the scan would.
 """
 
 from __future__ import annotations
@@ -144,7 +140,13 @@ def render_operand(value):
 
 
 def validate_grades(grades) -> tuple[Fraction, ...]:
-    """Sorted distinct grades; must contain both 0 and 1."""
+    """Sorted distinct grades; must contain both 0 and 1.
+
+    A string (or bytes) is refused, not read one character at a time:
+    pass its grades as a sequence, e.g. ``["0", "1/2", "1"]``.
+    """
+    if isinstance(grades, (str, bytes)):
+        raise GradeSetInvalid(f"the grade set must be a sequence of grades, not {grades!r}")
     try:
         chain = tuple(sorted({as_grade(g) for g in grades}))
     except (InvalidGrade, TypeError) as exc:  # a bad grade; not an iterable
@@ -265,69 +267,75 @@ def _sample(count: int, arity: int, draws: int, seed: int) -> list[tuple[int, ..
     return list(zip(*[iter(values)] * arity))
 
 
-def _scan(instances, probe):
-    """(instances evaluated, first failing tuple or None, its detail)."""
-    checked = 0
-    for tup in instances:
-        checked += 1
-        detail = probe(*tup)
-        if detail is not None:
-            return checked, tup, detail
-    return checked, None, None
+def _record(report: LawReport, items: Sequence, law: str, checked: int, tup, detail, *,
+            asserted: bool = True, note: str = "", mode: str = "exhaustive") -> None:
+    """Append the check of ``law``: a pass when ``tup`` is None, else a
+    fail whose witness renders the items at ``tup``, with ``detail`` when
+    it is nonempty."""
+    witness = None
+    if tup is not None:
+        witness = {"indices": list(tup), "operands": [render_operand(items[i]) for i in tup]}
+        if detail:
+            witness["detail"] = detail
+    report.checks.append(LawCheck(law, "pass" if witness is None else "fail", checked, witness,
+                                  asserted, note, mode))
 
 
 def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
              probe: Callable, *, plan: Callable, asserted: bool = True, note: str = "",
-             row: Callable | None = None, verdict: str | tuple | None = None) -> None:
+             verdict: str | tuple | None = None) -> None:
     """Evaluate ``probe`` over index tuples; record the first failure.
 
     ``probe`` returns None for a pass and a detail (possibly "") for a fail.
-
-    ``row(i, j)``, given for a triple law, says whether ``probe(i, j, k)``
-    passes for every ``k``; the caller passes it only when it is exact,
-    i.e. when every entry of the tables it reads is a collection index.
-    In exhaustive mode a matching row counts its n instances without
-    probing them; any other row is probed ``k`` by ``k``.  Rows are
-    visited in enumeration order, so the first failure, its detail and
-    ``checked`` are the probe's own.
-    Sampled instances are always probed one by one.
+    Without a ``verdict`` it is called on the planned tuples in order until
+    one fails.
 
     ``verdict``, given when another route has decided the law over this
-    plan, skips the scan: ``"pass"`` counts the planned instances without
-    probing them, and ``(checked, tup)`` names the first failing tuple and
-    the instances evaluated up to it, and probes ``tup`` alone for its
-    detail.  A probe that passes that tuple raises
+    plan, replaces the scan: ``"pass"`` counts the planned instances
+    without probing them, and ``(checked, tup)`` names the first failing
+    tuple and the instances evaluated up to it, and probes ``tup`` alone
+    for its detail.  A probe that passes that tuple raises
     :class:`RouteDisagreement`.
     """
     instances, mode = plan(len(items), arity)
+    tup = detail = None
     if verdict == "pass":
-        checked, tup = (len(items) ** arity if mode == "exhaustive" else len(instances)), None
+        checked = len(items) ** arity if mode == "exhaustive" else len(instances)
     elif verdict is not None:
         checked, tup = verdict
         detail = probe(*tup)
         if detail is None:
             raise RouteDisagreement(law, tup, {"decided": "fail", "probe": "pass"})
-    elif row is None or mode != "exhaustive":
-        checked, tup, detail = _scan(instances, probe)
     else:
-        n = len(items)
-        checked, tup = 0, None
-        for i, j in itertools.product(range(n), repeat=2):
-            if row(i, j):
-                checked += n
-                continue
-            count, tup, detail = _scan(((i, j, k) for k in range(n)), probe)
-            checked += count
-            if tup is not None:
+        checked = 0
+        for tup in instances:
+            checked += 1
+            detail = probe(*tup)
+            if detail is not None:
                 break
-    witness = None
-    if tup is not None:
-        witness = {"indices": list(tup),
-                   "operands": [render_operand(items[i]) for i in tup]}
-        if detail:
-            witness["detail"] = detail
-    status = "pass" if witness is None else "fail"
-    report.checks.append(LawCheck(law, status, checked, witness, asserted, note, mode))
+        else:
+            tup = None
+    _record(report, items, law, checked, tup, detail, asserted=asserted, note=note, mode=mode)
+
+
+def _row_verdict(plan: Callable, n: int, closed: bool, row: Callable) -> str | tuple | None:
+    """The :func:`_run_law` verdict of a triple law decided a row at a time.
+
+    ``row(i, j)`` gives the two sides of the law as lists over every ``k``;
+    over a closed table each entry is a collection index, so the law holds
+    at ``(i, j, k)`` exactly when the lists agree at ``k``.  Only in
+    exhaustive mode over a closed table: ``"pass"``, or the first failing
+    tuple in enumeration order with the instances up to it.  Otherwise
+    None, and the law is scanned.
+    """
+    if not closed or plan(n, 3)[1] != "exhaustive":
+        return None
+    for i, j in itertools.product(range(n), repeat=2):
+        lhs, rhs = row(i, j)
+        if lhs != rhs:
+            k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return (i * n + j) * n + k + 1, (i, j, k)
+    return "pass"
 
 
 # -- op tables ---------------------------------------------------------------
@@ -434,19 +442,10 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
     leq_rows, down_rows = rows
 
-    def closure_check(law, first_bad):
-        witness = None
-        if first_bad is not None:
-            i, j = first_bad
-            witness = {"indices": [i, j],
-                       "operands": [render_operand(items[i]), render_operand(items[j])]}
-        report.checks.append(LawCheck(law, "pass" if witness is None else "fail",
-                                      n * n, witness))
-
-    closure_check("closure-join", tabs.closure_join)
-    closure_check("closure-meet", tabs.closure_meet)
-    run = lambda law, arity, probe: _run_law(report, items, law, arity, probe,  # noqa: E731
-                                             plan=plan)
+    _record(report, items, "closure-join", n * n, tabs.closure_join, None)
+    _record(report, items, "closure-meet", n * n, tabs.closure_meet, None)
+    run = lambda law, arity, probe, verdict=None: _run_law(  # noqa: E731
+        report, items, law, arity, probe, plan=plan, verdict=verdict)
 
     run("commutativity-join", 2, lambda i, j: None if jt[i][j] == jt[j][i] else "")
     run("commutativity-meet", 2, lambda i, j: None if mt[i][j] == mt[j][i] else "")
@@ -454,16 +453,15 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
     run("idempotence-meet", 1, lambda i: None if mt[i][i] == i else "")
 
     def assoc(op, table, closed):
-        """(probe, row); the row compares a(b c) with (a b)c over every c."""
+        """(probe, verdict); the rows are a(b c) and (a b)c over every c."""
         def row(i, j):
-            return list(map(table[i].__getitem__, table[j])) == table[table[i][j]]
+            return list(map(table[i].__getitem__, table[j])), table[table[i][j]]
         return (lambda i, j, k: None if op(i, op(j, k)) == op(op(i, j), k) else "",
-                row if closed else None)
+                _row_verdict(plan, n, closed, row))
 
     for law, op, table, first_bad in (("associativity-join", J, jt, tabs.closure_join),
                                       ("associativity-meet", M, mt, tabs.closure_meet)):
-        probe, row = assoc(op, table, first_bad is None)
-        _run_law(report, items, law, 3, probe, plan=plan, row=row)
+        run(law, 3, *assoc(op, table, first_bad is None))
 
     run("absorption-meet-join", 2, lambda i, j: None if M(i, J(i, j)) == i else "")
     run("absorption-join-meet", 2, lambda i, j: None if J(i, M(i, j)) == i else "")
@@ -544,18 +542,18 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
     closed = tabs.closure_join is None and tabs.closure_meet is None
 
     def law(outer, inner, outer_t, inner_t):
-        """(probe, row) for outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))."""
+        """(probe, verdict) for outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))."""
         def row(i, j):
             a_outer = outer_t[i]
-            return (list(map(a_outer.__getitem__, inner_t[j]))
-                    == list(map(inner_t[a_outer[j]].__getitem__, a_outer)))
+            return (list(map(a_outer.__getitem__, inner_t[j])),
+                    list(map(inner_t[a_outer[j]].__getitem__, a_outer)))
         return (lambda i, j, k: None if outer(i, inner(j, k)) == inner(outer(i, j), outer(i, k))
-                else "", row if closed else None)
+                else "", _row_verdict(plan, tabs.n, closed, row))
 
-    for name, (probe, row) in (("meet-over-join", law(M, J, tabs.meet_t, tabs.join_t)),
-                               ("join-over-meet", law(J, M, tabs.join_t, tabs.meet_t))):
+    for name, (probe, verdict) in (("meet-over-join", law(M, J, tabs.meet_t, tabs.join_t)),
+                                   ("join-over-meet", law(J, M, tabs.join_t, tabs.meet_t))):
         _run_law(report, items, name, 3, probe, plan=plan, asserted=asserted, note=note,
-                 row=row)
+                 verdict=verdict)
     return report
 
 
@@ -691,13 +689,14 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
     every lattice.  The suite is still asserted only on a distributive
     carrier, with a note on any other, as the pinned reports record.
 
-    A paired law is decided first from the items alone: if every item's
-    ``lower`` row over all grade ranks steps up under the carrier's join
-    (``join(x_r, x_r+1) == x_r+1``), the order is transitive and ⊓ is
-    monotone, so every pair's ``lower₁ ⊓ lower₂`` is isotone on every set
-    of ranks, its thresholds included, and no pair is probed; dually for
-    ``upper`` under the meet.  If some item fails, every pair is scanned
-    as above.  This is O(n·k) for n items and k grades.
+    A paired law takes a pass from its single-item law when that law
+    passed over every item, i.e. in exhaustive mode.  An item's row over
+    all grade ranks is its threshold values, each repeated up to the next
+    threshold, and the order is transitive, so every item's ``lower`` is
+    then isotone on all ranks; ⊓ is monotone, so every pair's
+    ``lower₁ ⊓ lower₂`` is isotone on every set of ranks, its thresholds
+    included, and no pair is probed; dually for ``upper`` under the meet.
+    Otherwise every planned pair is scanned as above.
     """
     chain = report.grades
     note = ("" if distributive else
@@ -727,23 +726,17 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
                                               for r in iter_bits(ranks[i] | ranks[j])), op)
         return probe
 
-    def every_row_steps(table, op):
-        """``"pass"`` when ``op(x_r, x_r+1) == x_r+1`` along every item's row."""
-        ok = all(op(a, b) == b for row in table for a, b in zip(row, row[1:]))
-        return "pass" if ok else None
-
     join, meet = lattice.join_index, lattice.meet_index
-    laws = [
-        ("lower-endpoint-supremum", 1, single(lowers, join), None),
-        ("upper-endpoint-infimum", 1, single(uppers, meet), None),
-        ("paired-lower-meet-supremum", 2, paired(lowers, meet, join),
-         every_row_steps(lowers, join)),
-        ("paired-upper-join-infimum", 2, paired(uppers, join, meet),
-         every_row_steps(uppers, meet)),
-    ]
-    for law, arity, probe, verdict in laws:
-        _run_law(report, fis, law, arity, probe, plan=plan, asserted=distributive, note=note,
-                 verdict=verdict)
+    run = lambda law, arity, probe, verdict=None: _run_law(  # noqa: E731
+        report, fis, law, arity, probe, plan=plan, asserted=distributive, note=note,
+        verdict=verdict)
+    run("lower-endpoint-supremum", 1, single(lowers, join))
+    run("upper-endpoint-infimum", 1, single(uppers, meet))
+    for (law, table, inner, op), by_item in zip(
+            (("paired-lower-meet-supremum", lowers, meet, join),
+             ("paired-upper-join-infimum", uppers, join, meet)), report.checks[-2:]):
+        run(law, 2, paired(table, inner, op),
+            "pass" if by_item.status == "pass" and by_item.mode == "exhaustive" else None)
     return report
 
 

@@ -7,7 +7,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import comb
 from pathlib import Path
 
@@ -63,6 +63,20 @@ def test_validate_grades():
         validate_grades(5)  # not an iterable
     with pytest.raises(GradeSetInvalid):
         validate_grades(["x"])  # not a grade
+
+
+@pytest.mark.parametrize("text", ["01", "0,1", "0,1/2,1", "", b"\x00\x01"])
+def test_a_string_grade_set_is_refused(chain2, text):
+    """A string is not read one character at a time: "01" is not {0, 1},
+    and "0,1" does not fail on its comma; nor are bytes read as ints."""
+    refused = "must be a sequence of grades"
+    with pytest.raises(GradeSetInvalid, match=refused):
+        validate_grades(text)
+    with pytest.raises(GradeSetInvalid, match=refused):
+        run_suite("structure", chain2, text)
+    with pytest.raises(GradeSetInvalid, match=refused):
+        enumerate_fuzzy_intervals(chain2, text)
+    assert validate_grades(["0", "1/2", "1"]) == GRADES3  # a sequence of strings is read
 
 
 def test_enumerate_fuzzy_sets_counts(chain3):
@@ -426,7 +440,7 @@ def test_row_checks_match_a_plain_scan(chain3):
     _assert_triple_checks_match_plain_scan(reports, ivs, broken_join,
                                            CrispInterval.intersection, TRIPLE_LAWS)
 
-    # -1 entries: intersections of nonempty intervals may leave the pool
+    # an open table: intersections of nonempty intervals may leave the pool
     nonempty = ivs[1:]
     reports = [check_lattice_axioms(nonempty, CrispInterval.hull, CrispInterval.intersection,
                                     CrispInterval.issubset),
@@ -441,6 +455,22 @@ def test_row_checks_match_a_plain_scan(chain3):
     _assert_triple_checks_match_plain_scan(reports, fis, FuzzyInterval.join,
                                            FuzzyInterval.meet,
                                            ["meet-over-join", "join-over-meet"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_lattices(), st.booleans())
+def test_row_checks_match_a_plain_scan_on_random_lattices(case, broken):
+    """The row verdicts name the first failing triple and its ``checked``
+    count on every small carrier: over its crisp intervals with the hull,
+    or with the :func:`_broken_join` swap, which keeps the table closed."""
+    lattice = _lattice_of(case)
+    ivs = enumerate_intervals(lattice)
+    join = cache(_broken_join(lattice) if broken else CrispInterval.hull)
+    meet = cache(CrispInterval.intersection)
+    reports = [check_lattice_axioms(ivs, join, meet, CrispInterval.issubset),
+               check_distributivity(ivs, join, meet)]
+    assert {c.law: c.status for c in reports[0].checks}["closure-join"] == "pass"
+    _assert_triple_checks_match_plain_scan(reports, ivs, join, meet, TRIPLE_LAWS)
 
 
 def _subsets(ranks):
@@ -810,6 +840,42 @@ def test_a_non_isotone_lower_falls_back_to_the_pair_scan(monkeypatch, chain3, di
         doc = json.dumps([c.as_json() for c in paired], sort_keys=True)
         assert (hashlib.sha256(doc.encode()).hexdigest()
                 == PAIRED_CORRUPTION_REPORTS[(lat, mode)]), (lat, mode)
+
+
+# sha256 of json.dumps of the checks of _endpoint_lemmas over chain3 and m3 x
+# {0, 1/2, 1}, corrupted by _lowers_reversed, under the plan of
+# _single_rows_miss, captured while the paired rows were decided from every
+# item's row over all grade ranks
+SINGLE_ROWS_MISS_REPORTS = {
+    "chain3": "d97de2c144bb9f382d87169f2fffbecba26c79ce591e78049a600e92737de9f7",
+    "m3": "c9fe4c7cc57ba69afa90805907f5192af6d019aa2e3efe49f3e468dcf0f74a46",
+}
+
+
+def _single_rows_miss(skipped):
+    """A plan whose single-item space is sampled and leaves out the item
+    ``skipped``, while the pair space is exhaustive."""
+    def plan(count, arity):
+        if arity == 1:
+            return [(i,) for i in range(count) if i != skipped], "sampled(all but one)"
+        return itertools.product(range(count), repeat=arity), "exhaustive"
+    return plan
+
+
+def test_a_sampled_single_row_does_not_decide_the_paired_rows(chain3, diamond):
+    """A single-item row that passed on a sample says nothing about the
+    items it missed: the paired rows are scanned and fail as before."""
+    for lat, lattice in (("chain3", chain3), ("m3", diamond)):
+        clean = enumerate_fuzzy_intervals(lattice, GRADES3)
+        fis = _lowers_reversed(enumerate_fuzzy_intervals(lattice, GRADES3))
+        (skipped,) = [i for i, (a, b) in enumerate(zip(clean, fis)) if a._ends != b._ends]
+        report = laws._endpoint_lemmas(LawReport("endpoints", lat, GRADES3), lattice, fis, True,
+                                       plan=_single_rows_miss(skipped))
+        checks = {c.law: c for c in report.checks}
+        assert checks["lower-endpoint-supremum"].status == "pass", lat
+        assert checks["paired-lower-meet-supremum"].status == "fail", lat
+        doc = json.dumps([c.as_json() for c in report.checks], sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == SINGLE_ROWS_MISS_REPORTS[lat], lat
 
 
 @settings(max_examples=40, deadline=None)
