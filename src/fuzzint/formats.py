@@ -153,11 +153,11 @@ def dumps_canonical(doc) -> str:
 def _read_json(path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -222,13 +222,12 @@ def classify(m: FuzzySet) -> Classification:
     """
     if interval_cut_violation(m) is None:
         return Classification("fuzzy-interval")
-    witness = sublattice_violation(m)
-    if witness is not None:
-        return Classification("none", "fuzzy-sublattice", witness)
-    witness = convex_violation(m)
+    witness = convex_violation(m)  # a sublattice pair first, else a convexity triple
     if witness is None:
         raise RouteDisagreement("fuzzy-interval", m,
                                 {"cut-shape": False, "pointwise-convexity": True})
+    if len(witness) == 2:
+        return Classification("none", "fuzzy-sublattice", witness)
     return Classification("fuzzy-sublattice", "fuzzy-convex-sublattice", witness)
 
 

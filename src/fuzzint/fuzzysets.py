@@ -23,7 +23,6 @@ from .lattice import Element, FiniteLattice, _require_same_lattice, format_eleme
 GRADE_ZERO = Fraction(0)
 GRADE_ONE = Fraction(1)
 _GRADE_TYPES = {Fraction, int}  # exactly these; bool and float are refused
-_ratio = Fraction.as_integer_ratio
 
 
 def as_grade(value) -> Fraction:
@@ -218,10 +217,8 @@ class FuzzySet:
         return self.values == other.values
 
     def __hash__(self) -> int:
-        # by grade, not rank, so equal sets on different chains hash alike;
-        # a lowest-terms ratio is cheaper to hash than the Fraction itself
-        chain = self.chain
-        return hash(tuple([_ratio(chain[r]) for r in self.ranks]))
+        # by grade, not rank, so equal sets on different chains hash alike
+        return hash(self.values)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{format_element(e)}: {format_grade(v)}"

@@ -473,27 +473,24 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
 
     run("order-consistency", 2, order_consistency)
 
-    def join_lub(i, j):  # a join outside the collection is in no row
-        common = leq_rows[i] & leq_rows[j]
-        jj = jt[i][j]
-        if not common >> jj & 1:
-            return "join is not a common upper bound"
-        if common & ~leq_rows[jj]:
-            return "a smaller common upper bound exists"
-        return None
+    def nearest_bound(rows, table, op, bound, nearer):
+        """Probe that ``table`` gives each pair its nearest common ``bound``
+        (least upper, greatest lower), ``rows[i]`` holding the bounds of i;
+        a result outside the collection is in no row."""
+        def probe(i, j):
+            common = rows[i] & rows[j]
+            k = table[i][j]
+            if not common >> k & 1:
+                return f"{op} is not a common {bound}"
+            if common & ~rows[k]:
+                return f"a {nearer} common {bound} exists"
+            return None
+        return probe
 
-    run("join-least-upper-bound", 2, join_lub)
-
-    def meet_glb(i, j):
-        lowers = down_rows[i] & down_rows[j]
-        mm = mt[i][j]
-        if not lowers >> mm & 1:
-            return "meet is not a common lower bound"
-        if lowers & ~down_rows[mm]:
-            return "a greater common lower bound exists"
-        return None
-
-    run("meet-greatest-lower-bound", 2, meet_glb)
+    run("join-least-upper-bound", 2,
+        nearest_bound(leq_rows, jt, "join", "upper bound", "smaller"))
+    run("meet-greatest-lower-bound", 2,
+        nearest_bound(down_rows, mt, "meet", "lower bound", "greater"))
 
     def join_oracle(i, j):
         common = leq_rows[i] & leq_rows[j]
@@ -689,6 +686,10 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
     every lattice.  The suite is still asserted only on a distributive
     carrier, with a note on any other, as the pinned reports record.
 
+    One fold probe per side serves both its laws: the single-item law is
+    the paired law at ``(i, i)``, since ⊓ and ⊔ are idempotent and the
+    pair's thresholds are then the item's own.
+
     A paired law takes a pass from its single-item law when that law
     passed over every item, i.e. in exhaustive mode.  An item's row over
     all grade ranks is its threshold values, each repeated up to the next
@@ -701,25 +702,14 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
     chain = report.grades
     note = ("" if distributive else
             "reference lattice is not distributive: hypothesis not met, lemma not asserted")
-    top_i = lattice.index(lattice.top)
-    bottom_i = lattice.index(lattice.bottom)
-
-    def endpoint_indices(fi: FuzzyInterval, rank: int) -> tuple[int, int]:
-        lo, hi = fi._rank_endpoints(rank)
-        return (top_i, bottom_i) if lo is None else (lo, hi)
-
+    top_i, bottom_i = lattice.index(lattice.top), lattice.index(lattice.bottom)
     ranks = _threshold_ranks(fis)
-    ends = [[endpoint_indices(fi, r) for r in range(len(chain))] for fi in fis]  # by grade rank
-    lowers = [[lo for lo, _ in row] for row in ends]
-    uppers = [[hi for _, hi in row] for row in ends]
+    ends = [[fi._rank_endpoints(r) for r in range(len(chain))] for fi in fis]  # by grade rank
+    # an empty cut ends at (top, bottom): the meet and the join of no members
+    lowers = [[top_i if lo is None else lo for lo, _ in row] for row in ends]
+    uppers = [[bottom_i if hi is None else hi for _, hi in row] for row in ends]
 
-    def single(table, op):
-        def probe(i):
-            ends_i = table[i]
-            return _first_failing_pair(chain, ((r, ends_i[r]) for r in iter_bits(ranks[i])), op)
-        return probe
-
-    def paired(table, inner, op):
+    def fold(table, inner, op):
         def probe(i, j):
             ends_i, ends_j = table[i], table[j]
             return _first_failing_pair(chain, ((r, inner(ends_i[r], ends_j[r]))
@@ -730,12 +720,12 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
     run = lambda law, arity, probe, verdict=None: _run_law(  # noqa: E731
         report, fis, law, arity, probe, plan=plan, asserted=distributive, note=note,
         verdict=verdict)
-    run("lower-endpoint-supremum", 1, single(lowers, join))
-    run("upper-endpoint-infimum", 1, single(uppers, meet))
-    for (law, table, inner, op), by_item in zip(
-            (("paired-lower-meet-supremum", lowers, meet, join),
-             ("paired-upper-join-infimum", uppers, join, meet)), report.checks[-2:]):
-        run(law, 2, paired(table, inner, op),
+    sides = (("lower-endpoint-supremum", "paired-lower-meet-supremum", fold(lowers, meet, join)),
+             ("upper-endpoint-infimum", "paired-upper-join-infimum", fold(uppers, join, meet)))
+    for law, _, probe in sides:
+        run(law, 1, lambda i: probe(i, i))
+    for (_, law, probe), by_item in zip(sides, report.checks[-2:]):
+        run(law, 2, probe,
             "pass" if by_item.status == "pass" and by_item.mode == "exhaustive" else None)
     return report
 

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -70,9 +72,12 @@ def test_validate_not_a_lattice_exits_1(tmp_path, capsys):
 
 
 def test_validate_malformed_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{broken")
-    assert main(["validate", str(path)]) == 2
+    for name, content in (("bad.json", b"{broken"), ("deep.json", b"[" * 200_000),
+                          ("latin.json", b'{"name": "\xe9"}')):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err  # the message names the file
 
 
 def test_missing_file_exits_2(capsys):
@@ -430,3 +435,13 @@ def test_python_dash_m_runs_without_install():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout.splitlines()
+
+
+def test_python_dash_m_exits_with_the_command_status(m3_file, monkeypatch, capsys):
+    """``python -m fuzzint``, run in-process: ``__main__`` calls ``entry``,
+    which exits with the status ``main`` returns."""
+    monkeypatch.setattr(sys, "argv", ["fuzzint", "validate", m3_file])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fuzzint", run_name="__main__")
+    assert exc.value.code == 0
+    assert "distributive: false" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,11 @@ def test_load_errors(tmp_path):
     top.write_text('["array"]')
     with pytest.raises(FormatError):
         load_lattice(top)
+    deep = tmp_path / "deep.json"  # nested past the decoder's recursion limit
+    deep.write_text("[" * 200_000)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(deep))} is not valid JSON: "):
+        load_lattice(deep)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "\xe9"}')
+    with pytest.raises(FormatError, match=f"^cannot read {re.escape(str(latin))}: 'utf-8' codec"):
+        load_lattice(latin)

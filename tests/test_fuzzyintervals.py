@@ -241,6 +241,19 @@ def test_cut_interval_and_thresholds(chain3):
     assert fi.cut_interval(H) == CrispInterval(chain3, "0", "2")
     assert fi.cut_interval(Fraction(1)) == CrispInterval(chain3, "1", "1")
     assert fi.cut(Fraction(1)) == frozenset({"1"})
+    assert [fi(e) for e in chain3] == [H, 1, H]
+    assert repr(fi) == "FuzzyInterval({0: 1/2, 1: 1, 2: 1/2})"
+
+
+def test_intervals_compare_by_lattice_and_endpoint_chain(chain3):
+    """Equal endpoint chains on another lattice differ; on an equal copy of
+    the lattice they are equal."""
+    fi = FuzzyInterval(FuzzySet(chain3, {"0": "1/2", "1": "1", "2": "1/2"}))
+    assert fi.__eq__(fi.fuzzy) is NotImplemented and fi != fi.fuzzy
+    xyz = FiniteLattice(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    other = FuzzyInterval(FuzzySet(xyz, {"x": "1/2", "y": "1", "z": "1/2"}))
+    assert other._ends == fi._ends and other != fi
+    assert FuzzyInterval(FuzzySet(chain(3), {"0": "1/2", "1": "1", "2": "1/2"})) == fi
 
 
 def test_endpoint_functions(chain3):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRADES3, GRADES4, enumerate_fuzzy_sets
-from fuzzint import (CutFamily, FuzzyInterval, FuzzySet, InvalidFamily, InvalidGrade,
-                     LatticeMismatch, UnknownElement, as_grade, chain,
+from fuzzint import (CutFamily, FiniteLattice, FuzzyInterval, FuzzySet, InvalidFamily,
+                     InvalidGrade, LatticeMismatch, UnknownElement, as_grade, chain,
                      equal_by_cuts, format_grade, from_cut_family)
 from fuzzint.fuzzysets import meet_family
 from fuzzint.laws import check_distributivity, check_lattice_axioms
@@ -223,6 +223,14 @@ def test_meet_family_of_no_sets_is_constant_one(chain3):
 def test_repr_is_readable(chain2):
     m = FuzzySet(chain2, {"0": "1", "1": "1/2"})
     assert "1/2" in repr(m)
+
+
+def test_sets_compare_by_lattice_and_grades(chain2):
+    m = FuzzySet(chain2, {"0": "1", "1": "1/2"})
+    assert m.__eq__({"0": 1, "1": H}) is NotImplemented and m != {"0": 1, "1": H}
+    assert m != FuzzySet(FiniteLattice(["x", "y"], [("x", "y")]), {"x": "1", "y": "1/2"})
+    assert m == FuzzySet(chain(2), {"0": "1", "1": "1/2"})
+    assert hash(m) == hash(FuzzySet(chain(2), {"0": "1", "1": "1/2"}))
 
 
 @settings(max_examples=150, deadline=None)

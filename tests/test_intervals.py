@@ -48,6 +48,11 @@ def test_whole_and_empty(pentagon):
 def test_empty_intervals_are_equal(diamond):
     assert CrispInterval(diamond, "1", "0") == CrispInterval.empty(diamond)
     assert hash(CrispInterval(diamond, "a", "b")) == hash(CrispInterval.empty(diamond))
+    assert CrispInterval.empty(diamond).__eq__(frozenset()) is NotImplemented
+    # equal bound indices on another lattice, and on an equal copy of one
+    xyz = FiniteLattice(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    assert CrispInterval.whole(chain(3)) != CrispInterval.whole(xyz)
+    assert CrispInterval.whole(chain(3)) == CrispInterval.whole(chain(3))
 
 
 def test_intersection_is_set_intersection():
@@ -134,6 +139,8 @@ def test_render(diamond):
     assert CrispInterval(diamond, "a", "1").render(ascii_only=True) == "[a,1]"
     assert CrispInterval.empty(diamond).render(ascii_only=True) == "empty"
     assert CrispInterval.empty(diamond).render() == "∅"
+    assert str(CrispInterval(diamond, "a", "1")) == "[a,1]"
+    assert str(CrispInterval.empty(diamond)) == "∅"
 
 
 @settings(max_examples=100, deadline=None)

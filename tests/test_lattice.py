@@ -250,6 +250,8 @@ def test_structural_equality_ignores_name():
     b = FiniteLattice(["x", "y"], [("x", "y")], name="two")
     assert a == b
     assert hash(a) == hash(b)
+    assert a == a and a.__eq__("x < y") is NotImplemented and a != "x < y"
+    assert a != FiniteLattice(["y", "x"], [("y", "x")])
 
 
 def test_size_limit():

@@ -296,6 +296,14 @@ def test_fault_injection_out_of_pool_result(chain3):
     assert closure.status == "fail"
 
 
+def test_witness_operands_that_are_plain_values_render_by_str():
+    """Addition leaves {0, 1}: 1 + 1 is the first join outside it."""
+    report = check_lattice_axioms([0, 1], int.__add__, min, int.__le__)
+    closure = report.checks[0]
+    assert closure.law == "closure-join" and not report.passed
+    assert closure.witness == {"indices": [1, 1], "operands": ["1", "1"]}
+
+
 def test_duplicate_member_is_refused_before_any_op(chain2):
     ivs = enumerate_intervals(chain2) + [CrispInterval.empty(chain2)]
     calls = Counter()
