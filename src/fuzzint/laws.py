@@ -34,11 +34,17 @@ verdict in place of its scan: ``"pass"``, or the first failing tuple, which
 alone is probed, for its detail.  ``*-cut-family-intersection`` takes the
 verdict of the antitone law over the same masks, and the ``paired-*``
 endpoint laws pass without a probe when their single-item law passed over
-every item (see :func:`_cut_identities` and :func:`_endpoint_lemmas`).  In
-exhaustive mode over a closed collection, the triple laws (associativity,
-distributivity) are decided a row at a time by :func:`_row_verdict`: for
-each ``(i, j)`` one list comparison covers every ``k``.  Each verdict
-gives the status, ``checked`` and witness that the scan would.
+every item (see :func:`_cut_identities` and :func:`_endpoint_lemmas`).
+
+In exhaustive mode the pair and triple laws that are list comparisons are
+decided a row at a time by :func:`_row_verdict`: one list comparison
+covers every last index.  Over a closed table (for absorption and
+associativity, closed under the inner op) these are commutativity,
+absorption, order consistency, associativity and distributivity; over
+the cut masks, the cut-family antitone and at-zero laws.  Each verdict
+gives the status, ``checked`` and witness that the scan would.  The cut
+identities compare every grade rank, more than each pair's thresholds, so
+their rows only prove a pass; on a mismatch the pairs are scanned.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -318,23 +325,25 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
     _record(report, items, law, checked, tup, detail, asserted=asserted, note=note, mode=mode)
 
 
-def _row_verdict(plan: Callable, n: int, closed: bool, row: Callable) -> str | tuple | None:
-    """The :func:`_run_law` verdict of a triple law decided a row at a time.
+def _row_verdict(plan: Callable, n: int, arity: int, exact: bool,
+                 row: Callable) -> str | tuple | None:
+    """The :func:`_run_law` verdict of a pair or triple law decided a row
+    at a time.
 
-    ``row(i, j)`` gives the two sides of the law as lists over every ``k``;
-    over a closed table each entry is a collection index, so the law holds
-    at ``(i, j, k)`` exactly when the lists agree at ``k``.  Only in
-    exhaustive mode over a closed table: ``"pass"``, or the first failing
-    tuple in enumeration order with the instances up to it.  Otherwise
-    None, and the law is scanned.
+    ``row`` takes all indices but the last and gives the two sides of the
+    law as lists over every last index; when ``exact``, the law holds at a
+    tuple exactly when the lists agree there (over a closed table, say,
+    every entry is a collection index).  Only in exhaustive mode when
+    ``exact``: ``"pass"``, or the first failing tuple in enumeration order
+    with the instances up to it.  Otherwise None, and the law is scanned.
     """
-    if not closed or plan(n, 3)[1] != "exhaustive":
+    if not exact or plan(n, arity)[1] != "exhaustive":
         return None
-    for i, j in itertools.product(range(n), repeat=2):
-        lhs, rhs = row(i, j)
+    for key in itertools.product(range(n), repeat=arity - 1):
+        lhs, rhs = row(*key)
         if lhs != rhs:
-            k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            return (i * n + j) * n + k + 1, (i, j, k)
+            tup = key + (next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b),)
+            return functools.reduce(lambda acc, i: acc * n + i, tup) + 1, tup
     return "pass"
 
 
@@ -437,7 +446,18 @@ def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
 def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
                     plan: Callable) -> LawReport:
     """Body of :func:`check_lattice_axioms` over a built op table and the
-    (upper-bound, lower-bound) bitmask rows of the independent order."""
+    (upper-bound, lower-bound) bitmask rows of the independent order.
+
+    In exhaustive mode :func:`_row_verdict` decides commutativity (row i
+    against column i), absorption (outer(i, inner(i, j)) over every j
+    against i repeated), order consistency (whether the meet is i and the
+    join is j, against bit j of i's upper-bound row, twice) and
+    associativity.  Commutativity and order consistency compare table
+    entries as their probes do, so their rows are exact over any table;
+    absorption and associativity read the table at an op result, so only
+    when that op stays in the collection.  Otherwise each is scanned.
+    The bound laws and the definitional oracle are always scanned.
+    """
     items, J, M = tabs.items, tabs.join, tabs.meet
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
     leq_rows, down_rows = rows
@@ -447,8 +467,14 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
     run = lambda law, arity, probe, verdict=None: _run_law(  # noqa: E731
         report, items, law, arity, probe, plan=plan, verdict=verdict)
 
-    run("commutativity-join", 2, lambda i, j: None if jt[i][j] == jt[j][i] else "")
-    run("commutativity-meet", 2, lambda i, j: None if mt[i][j] == mt[j][i] else "")
+    def commutativity(table):
+        """(probe, verdict); the rows are row i and column i of ``table``."""
+        return (lambda i, j: None if table[i][j] == table[j][i] else "",
+                _row_verdict(plan, n, 2, True,
+                             lambda i: (table[i], list(map(operator.itemgetter(i), table)))))
+
+    run("commutativity-join", 2, *commutativity(jt))
+    run("commutativity-meet", 2, *commutativity(mt))
     run("idempotence-join", 1, lambda i: None if jt[i][i] == i else "")
     run("idempotence-meet", 1, lambda i: None if mt[i][i] == i else "")
 
@@ -457,21 +483,34 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
         def row(i, j):
             return list(map(table[i].__getitem__, table[j])), table[table[i][j]]
         return (lambda i, j, k: None if op(i, op(j, k)) == op(op(i, j), k) else "",
-                _row_verdict(plan, n, closed, row))
+                _row_verdict(plan, n, 3, closed, row))
 
     for law, op, table, first_bad in (("associativity-join", J, jt, tabs.closure_join),
                                       ("associativity-meet", M, mt, tabs.closure_meet)):
         run(law, 3, *assoc(op, table, first_bad is None))
 
-    run("absorption-meet-join", 2, lambda i, j: None if M(i, J(i, j)) == i else "")
-    run("absorption-join-meet", 2, lambda i, j: None if J(i, M(i, j)) == i else "")
+    def absorption(outer, inner, outer_t, inner_t, closed):
+        """(probe, verdict) for outer(a, inner(a, b)) == a; the rows are
+        outer(a, inner(a, b)) over every b and a repeated."""
+        return (lambda i, j: None if outer(i, inner(i, j)) == i else "",
+                _row_verdict(plan, n, 2, closed,
+                             lambda i: (list(map(outer_t[i].__getitem__, inner_t[i])), [i] * n)))
+
+    run("absorption-meet-join", 2, *absorption(M, J, mt, jt, tabs.closure_join is None))
+    run("absorption-join-meet", 2, *absorption(J, M, jt, mt, tabs.closure_meet is None))
 
     def order_consistency(i, j):
         ordered = leq_rows[i] >> j & 1 == 1
         ok = ordered == (mt[i][j] == i) == (jt[i][j] == j)
         return None if ok else ""
 
-    run("order-consistency", 2, order_consistency)
+    def order_row(i):
+        """Per j, (meet is i, join is j) against (i <= j, i <= j)."""
+        ordered = list(map("1".__eq__, reversed(format(leq_rows[i], f"0{n}b"))))
+        return (list(zip(map(i.__eq__, mt[i]), map(int.__eq__, jt[i], range(n)))),
+                list(zip(ordered, ordered)))
+
+    run("order-consistency", 2, order_consistency, _row_verdict(plan, n, 2, True, order_row))
 
     def nearest_bound(rows, table, op, bound, nearer):
         """Probe that ``table`` gives each pair its nearest common ``bound``
@@ -545,7 +584,7 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
             return (list(map(a_outer.__getitem__, inner_t[j])),
                     list(map(inner_t[a_outer[j]].__getitem__, a_outer)))
         return (lambda i, j, k: None if outer(i, inner(j, k)) == inner(outer(i, j), outer(i, k))
-                else "", _row_verdict(plan, tabs.n, closed, row))
+                else "", _row_verdict(plan, tabs.n, 3, closed, row))
 
     for name, (probe, verdict) in (("meet-over-join", law(M, J, tabs.meet_t, tabs.join_t)),
                                    ("join-over-meet", law(J, M, tabs.join_t, tabs.meet_t))):
@@ -610,13 +649,26 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
     failure.  Both read one plan, so the intersection row takes the
     antitone row's status, ``checked`` and failing tuple, and probes only
     that tuple, for its ``P = {r, s}``.
+
+    In exhaustive mode the other laws are decided from rows: per item i and
+    grade rank r, the masks of op(cut_i, cut_j) at r over every j, built on
+    first read.  Between two of a pair's thresholds each cut equals the cut
+    at the next threshold up, so over every rank a pair's family is its
+    family over its thresholds with members repeated.  It is antitone over
+    every rank exactly when it is over its thresholds, and the antitone and
+    at-zero rows are exact.  The identity rows compare the cut of the
+    result at every rank too, but the result of a faulty op can change
+    between the pair's thresholds, where the law does not look.  So a full
+    match proves the law, and on any mismatch the pairs are scanned, and
+    the scan names the witness.
     """
     chain, fis = report.grades, tabs.items
-    full = lattice.all_mask
+    n, full = len(fis), lattice.all_mask
     ranks = _threshold_ranks(fis)
     cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]  # by grade rank
     crisp_masks = [iv.members_mask() for iv in crisp.pool]
-    pointwise = [[fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))] for fi in tabs.pool]
+    pointwise = [tuple([fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))])
+                 for fi in tabs.pool]
 
     def family(i, j, table):
         """(rank, mask of op(cut_i, cut_j)) over the pair's thresholds, ascending."""
@@ -624,22 +676,48 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
         for r in iter_bits(ranks[i] | ranks[j]):
             yield r, crisp_masks[table[ci[r]][cj[r]]]
 
-    def identity(table, fi_table):
+    def mask_rows(table):
+        """``rows(i)``: per grade rank r, the masks of op(cut_i, cut_j) at r
+        over every j; built on first read, so only for a row verdict."""
+        columns = list(zip(*cuts))  # by grade rank, every item's cut
+
+        @functools.cache
+        def rows(i):
+            return [list(map(crisp_masks.__getitem__, map(table[c].__getitem__, column)))
+                    for c, column in zip(cuts[i], columns)]
+        return rows
+
+    def decide(row):
+        return _row_verdict(plan, n, 2, True, row)
+
+    def identity(table, fi_table, rows):
+        """(probe, verdict); the rows only prove a pass (see above)."""
         def probe(i, j):
             cut_masks = pointwise[fi_table[i][j]]
             for r, mask in family(i, j, table):
                 if cut_masks[r] != mask:
                     return f"threshold {format_grade(chain[r])}"
             return None
-        return probe
 
-    def family_laws(table):
+        def row(i):
+            return list(map(pointwise.__getitem__, fi_table[i])), list(zip(*rows(i)))
+        return probe, "pass" if decide(row) == "pass" else None
+
+    def family_laws(table, rows):
+        """(probe, verdict) of the antitone and the at-zero law, and the
+        intersection probe."""
         def antitone(i, j):
             masks = [mask for _, mask in family(i, j, table)]
             for lower, higher in zip(masks, masks[1:]):
                 if higher & ~lower:
                     return "family grows with the threshold"
             return None
+
+        def antitone_row(i):
+            """Per j, higher & lower against higher over consecutive ranks."""
+            masks = rows(i)
+            kept = [map(int.__and__, higher, lower) for lower, higher in zip(masks, masks[1:])]
+            return list(zip(*kept)), list(zip(*masks[1:]))
 
         def at_zero(i, j):
             return None if crisp_masks[table[cuts[i][0]][cuts[j][0]]] == full else ""
@@ -649,17 +727,20 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
             pairs, which is complete (see :func:`_first_failing_pair`)."""
             return _first_failing_pair(chain, family(i, j, table), int.__and__)
 
-        return antitone, at_zero, closed_under_intersection
+        return ((antitone, decide(antitone_row)),
+                (at_zero, decide(lambda i: (rows(i)[0], [full] * n))),
+                closed_under_intersection)
 
     run = lambda law, probe, verdict=None: _run_law(  # noqa: E731
         report, fis, law, 2, probe, plan=plan, verdict=verdict)
-    run("meet-cut-identity", identity(crisp.meet_t, tabs.meet_t))
-    run("join-cut-identity", identity(crisp.join_t, tabs.join_t))
+    rows = {"meet": mask_rows(crisp.meet_t), "join": mask_rows(crisp.join_t)}
+    run("meet-cut-identity", *identity(crisp.meet_t, tabs.meet_t, rows["meet"]))
+    run("join-cut-identity", *identity(crisp.join_t, tabs.join_t, rows["join"]))
     for op_name, table in (("meet", crisp.meet_t), ("join", crisp.join_t)):
-        antitone, at_zero, closed = family_laws(table)
-        run(f"{op_name}-cut-family-antitone", antitone)
+        antitone, at_zero, closed = family_laws(table, rows[op_name])
+        run(f"{op_name}-cut-family-antitone", *antitone)
         scanned = report.checks[-1]
-        run(f"{op_name}-cut-family-at-zero", at_zero)
+        run(f"{op_name}-cut-family-at-zero", *at_zero)
         run(f"{op_name}-cut-family-intersection", closed,
             "pass" if scanned.witness is None
             else (scanned.checked, tuple(scanned.witness["indices"])))

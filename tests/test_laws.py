@@ -436,6 +436,26 @@ def _assert_triple_checks_match_plain_scan(reports, items, join, meet, laws):
         assert (checks[law].status, checks[law].checked, checks[law].witness) == expected, law
 
 
+PAIR_LAWS = {
+    "commutativity-join": lambda J, M, leq, a, b: J(a, b) == J(b, a),
+    "commutativity-meet": lambda J, M, leq, a, b: M(a, b) == M(b, a),
+    "absorption-meet-join": lambda J, M, leq, a, b: M(a, J(a, b)) == a,
+    "absorption-join-meet": lambda J, M, leq, a, b: J(a, M(a, b)) == a,
+    "order-consistency": lambda J, M, leq, a, b: leq(a, b) == (M(a, b) == a) == (J(a, b) == b),
+}
+
+
+def _assert_pair_checks_match_plain_scan(report, items, join, meet, leq):
+    """Each pair check decided by rows has the status, checked count and
+    witness of a lexicographic scan that calls the public ops directly."""
+    checks = {c.law: c for c in report.checks if c.law in PAIR_LAWS}
+    assert set(checks) == set(PAIR_LAWS)
+    for law, holds in PAIR_LAWS.items():
+        expected = _plain_scan(items, 2, lambda i, j: None if holds(
+            join, meet, leq, items[i], items[j]) else "")
+        assert (checks[law].status, checks[law].checked, checks[law].witness) == expected, law
+
+
 def test_row_checks_match_a_plain_scan(chain3):
     # a closed table with one wrong entry: the row path decides every row
     ivs = enumerate_intervals(chain3)
@@ -445,8 +465,11 @@ def test_row_checks_match_a_plain_scan(chain3):
                check_distributivity(ivs, broken_join, CrispInterval.intersection)]
     status = {c.law: c.status for c in reports[0].checks}
     assert status["closure-join"] == "pass" and status["associativity-join"] == "fail"
+    assert status["order-consistency"] == "fail"
     _assert_triple_checks_match_plain_scan(reports, ivs, broken_join,
                                            CrispInterval.intersection, TRIPLE_LAWS)
+    _assert_pair_checks_match_plain_scan(reports[0], ivs, broken_join,
+                                         CrispInterval.intersection, CrispInterval.issubset)
 
     # an open table: intersections of nonempty intervals may leave the pool
     nonempty = ivs[1:]
@@ -456,6 +479,8 @@ def test_row_checks_match_a_plain_scan(chain3):
     assert {c.law: c.status for c in reports[0].checks}["closure-meet"] == "fail"
     _assert_triple_checks_match_plain_scan(reports, nonempty, CrispInterval.hull,
                                            CrispInterval.intersection, TRIPLE_LAWS)
+    _assert_pair_checks_match_plain_scan(reports[0], nonempty, CrispInterval.hull,
+                                         CrispInterval.intersection, CrispInterval.issubset)
 
     fis = enumerate_fuzzy_intervals(chain3, GRADES3)
     reports = run_suite("distributivity", chain3, GRADES3)
@@ -468,17 +493,25 @@ def test_row_checks_match_a_plain_scan(chain3):
 @settings(max_examples=40, deadline=None)
 @given(random_lattices(), st.booleans())
 def test_row_checks_match_a_plain_scan_on_random_lattices(case, broken):
-    """The row verdicts name the first failing triple and its ``checked``
-    count on every small carrier: over its crisp intervals with the hull,
-    or with the :func:`_broken_join` swap, which keeps the table closed."""
+    """The row verdicts name the first failing pair or triple and its
+    ``checked`` count on every small carrier: over its crisp intervals with
+    the hull, or with the :func:`_broken_join` swap, which keeps the table
+    closed; and over the first one and none of them, which check 1 and 0
+    instances of each law."""
     lattice = _lattice_of(case)
     ivs = enumerate_intervals(lattice)
     join = cache(_broken_join(lattice) if broken else CrispInterval.hull)
     meet = cache(CrispInterval.intersection)
-    reports = [check_lattice_axioms(ivs, join, meet, CrispInterval.issubset),
-               check_distributivity(ivs, join, meet)]
-    assert {c.law: c.status for c in reports[0].checks}["closure-join"] == "pass"
-    _assert_triple_checks_match_plain_scan(reports, ivs, join, meet, TRIPLE_LAWS)
+    for items in (ivs, ivs[:1], ivs[:0]):
+        reports = [check_lattice_axioms(items, join, meet, CrispInterval.issubset),
+                   check_distributivity(items, join, meet)]
+        assert {c.law: c.status for c in reports[0].checks}["closure-join"] == "pass"
+        _assert_triple_checks_match_plain_scan(reports, items, join, meet, TRIPLE_LAWS)
+        _assert_pair_checks_match_plain_scan(reports[0], items, join, meet,
+                                             CrispInterval.issubset)
+        if len(items) < 2:
+            assert {c.checked for r in reports for c in r.checks
+                    if c.law in PAIR_LAWS or c.law in TRIPLE_LAWS} == {len(items)}
 
 
 def _subsets(ranks):
@@ -675,6 +708,57 @@ def test_a_passing_verdict_probes_no_instance(monkeypatch, chain3):
     assert calls == {"lower-endpoint-supremum": 22, "upper-endpoint-infimum": 22}
 
 
+def _probe_calls_by_law(monkeypatch):
+    """Counter of the calls of the probe that ``_run_law`` is given, by law."""
+    calls = Counter()
+    run_law = laws._run_law
+
+    def tracked(report, items, law, arity, probe, **kwargs):
+        def counted(*tup):
+            calls[law] += 1
+            return probe(*tup)
+        return run_law(report, items, law, arity, counted, **kwargs)
+
+    monkeypatch.setattr(laws, "_run_law", tracked)
+    return calls
+
+
+# laws that an exhaustive run decides from whole rows, probing no more than
+# the first failing tuple
+ROW_LAWS = (*PAIR_LAWS, *TRIPLE_LAWS, "meet-cut-identity", "join-cut-identity",
+            "meet-cut-family-antitone", "meet-cut-family-at-zero",
+            "join-cut-family-antitone", "join-cut-family-at-zero")
+
+
+def test_row_decided_laws_probe_only_a_witness(monkeypatch, chain3):
+    """Over chain3 x {0,1/2,1} a sampled run probes every drawn instance of
+    a row-decided law up to its first failure.  An exhaustive run probes no
+    instance of one that passes and one tuple of each that fails: the
+    distributive laws, over the fuzzy and the crisp intervals (criterion
+    7).  An identity whose rows over every grade rank disagree, though no
+    pair fails at its own thresholds, is scanned in full."""
+    calls = _probe_calls_by_law(monkeypatch)
+    for budget in (SAMPLED, {}):
+        calls.clear()
+        expected = Counter()
+        for c in (c for r in run_suite("all", chain3, GRADES3, **budget) for c in r.checks):
+            if c.law in DECIDED_LAWS or c.law in ROW_LAWS and c.mode == "exhaustive":
+                expected[c.law] += c.status == "fail"
+            elif c.law in ROW_LAWS:
+                expected[c.law] += c.checked
+        assert {law: calls[law] for law in expected} == expected, budget
+    assert sum(expected.values()) == 4  # the two distributive laws, over both collections
+
+    monkeypatch.setattr(FuzzyInterval, "meet", FI_OP_FAULTS["meet-lifts-crisp-squares"][0])
+    calls.clear()
+    (report,) = run_suite("cut-identities", chain3, GRADES3)
+    assert report.passed
+    assert {law: calls[law] for law in ROW_LAWS[-6:]} == {
+        "meet-cut-identity": 22 ** 2, "join-cut-identity": 0,
+        "meet-cut-family-antitone": 0, "meet-cut-family-at-zero": 0,
+        "join-cut-family-antitone": 0, "join-cut-family-at-zero": 0}
+
+
 def test_a_decided_failure_the_probe_passes_is_a_disagreement(chain2):
     """A failing tuple named by another route is probed for its detail; a
     probe that passes it raises instead of reporting a fail with no detail.
@@ -797,6 +881,104 @@ def test_cut_family_faults_keep_their_reports(monkeypatch, fault, chain3, diamon
                     == (closed.status, closed.checked, (closed.witness or {}).get("indices")))
             family_failed |= closed.status == "fail"
     assert family_failed == (fault != "ops-swapped")
+
+
+_FI_MEET, _FI_JOIN = FuzzyInterval.meet, FuzzyInterval.join
+
+
+def _lifted(fi):
+    """The fuzzy interval that is 1 where ``fi`` is and 1/2 elsewhere: over
+    a {0, 1}-valued ``fi`` it has the same cuts at 0 and at 1."""
+    return FuzzyInterval(FuzzySet.from_values(fi.lattice, [v if v == 1 else H
+                                                           for v in fi.values]))
+
+
+def _swapped_on_incomparable():
+    def swap(op, other):
+        return lambda a, b: op(a, b) if a.leq(b) or b.leq(a) else other(a, b)
+    return swap(_FI_MEET, _FI_JOIN), swap(_FI_JOIN, _FI_MEET)
+
+
+# (meet, join) pairs that the fuzzy-interval table is built from; every
+# result is an enumerated member, so the table stays closed
+FI_OP_FAULTS = {
+    "ops-swapped": (_FI_JOIN, _FI_MEET),
+    "swapped-on-incomparable": _swapped_on_incomparable(),
+    "meet-gives-the-join": (_FI_JOIN, _FI_JOIN),
+    # wrong only at 1/2, between the thresholds of a {0, 1}-valued (i, i), where no law looks
+    "meet-lifts-crisp-squares": (lambda a, b: _lifted(a) if a == b and set(a.values) <= {0, 1}
+                                 else _FI_MEET(a, b), _FI_JOIN),
+}
+
+# sha256 of json.dumps(report.as_json(), sort_keys=True) for
+# run_suite("cut-identities", ..., {0, 1/2, 1}) under each fault, captured
+# while the cut identities were still scanned pair by pair
+FI_OP_FAULT_REPORTS = {
+    ("meet-gives-the-join", "chain3", "exhaustive"):
+        "365eab5a6d8937c216cf2a65a35119fc55841a7015fed278e69bc23d287991d5",
+    ("meet-gives-the-join", "chain3", "sampled"):
+        "532282dd0e8bd18caddc508243d2e43a8d49cd6a4d6d7b9a4000061b6d83622f",
+    ("meet-gives-the-join", "chain4", "exhaustive"):
+        "f7d6352f104dc56530e11730700bcb045d5724783b2634d8e45734c0aadbf514",
+    ("meet-gives-the-join", "chain4", "sampled"):
+        "eb8cf786c4a393761766875b446aeadda10492f4231866a00fd68336725407f8",
+    ("meet-gives-the-join", "m3", "exhaustive"):
+        "37fdb5ab247e284aae0819fe5c0ac4750744e3dcf0831f15bf94c9fd98315d98",
+    ("meet-gives-the-join", "m3", "sampled"):
+        "26975729e3cfccc693474f0c25ea2b5c8d80d0ea44fd3d9c8a4364670dfa925f",
+    ("meet-lifts-crisp-squares", "chain3", "exhaustive"):
+        "3af31f22b5fc459c8b3b42f7c4b30a5d867c2dfb55ad0000dc54ace74525d1d0",
+    ("meet-lifts-crisp-squares", "chain3", "sampled"):
+        "2850c868e882c81c2bf4f7cb4e02445ae25654803cf39c50c9d9594d78c095fe",
+    ("meet-lifts-crisp-squares", "chain4", "exhaustive"):
+        "48526f608d27c518cbef180e942e24a03d81e15d46a30e52d498d6d55203d49b",
+    ("meet-lifts-crisp-squares", "chain4", "sampled"):
+        "260e4437f85d7e608085fbc275dbbfa62367401799fcf51f905c076cf8f475a4",
+    ("meet-lifts-crisp-squares", "m3", "exhaustive"):
+        "77bfd8beeb792991111eca1e36d7f1c9a221d7b10bd8f4ddc6bc61298498632d",
+    ("meet-lifts-crisp-squares", "m3", "sampled"):
+        "d6a9fde443ad86b9fbb307fb1dc6778f490414818cd94c00f073694a63343202",
+    ("ops-swapped", "chain3", "exhaustive"):
+        "67f08e3286929885fb7412481fd9e34e7d34b0e378516db7ddb6df29e3945261",
+    ("ops-swapped", "chain3", "sampled"):
+        "b2cbf08d7fc81ba29f9a152bf18e2e9462420ff0df8269b5533c3a3e2149fcb4",
+    ("ops-swapped", "chain4", "exhaustive"):
+        "ec375886d423c0e28f3c8f79296840503729cd3f3ab06dade3cb2b15e2c424b4",
+    ("ops-swapped", "chain4", "sampled"):
+        "a287220ae498686dd4a0b766375532553753af298ef014e3a9e4c3cc1dbb98bd",
+    ("ops-swapped", "m3", "exhaustive"):
+        "4fe666a47c4a1b7035e78770a4a13ee39cfe08efabbb0fbfc2154f87f30d778b",
+    ("ops-swapped", "m3", "sampled"):
+        "25063e75b07e882efb8336330758511ffd792a8270b9bc63298341393b1f0656",
+    ("swapped-on-incomparable", "chain3", "exhaustive"):
+        "b6a984539040f816e02ae928018019f384d8d111d0baaab61e7277fbc4a19793",
+    ("swapped-on-incomparable", "chain3", "sampled"):
+        "b2cbf08d7fc81ba29f9a152bf18e2e9462420ff0df8269b5533c3a3e2149fcb4",
+    ("swapped-on-incomparable", "chain4", "exhaustive"):
+        "1ee96193560c4adb89e88f260bc6ee57702335b50fea92bff51a2bfa09de5c02",
+    ("swapped-on-incomparable", "chain4", "sampled"):
+        "a287220ae498686dd4a0b766375532553753af298ef014e3a9e4c3cc1dbb98bd",
+    ("swapped-on-incomparable", "m3", "exhaustive"):
+        "4381d2c9530ff5ab9b266d970fab7d74b3c593cebb6517d9751d286c56b8ffe7",
+    ("swapped-on-incomparable", "m3", "sampled"):
+        "25063e75b07e882efb8336330758511ffd792a8270b9bc63298341393b1f0656",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FI_OP_FAULTS))
+def test_fuzzy_op_faults_keep_their_cut_identity_reports(monkeypatch, fault, chain3, diamond):
+    """Faulty fuzzy-interval ops over a closed table give the cut-identity
+    rows the reports they had when every pair was probed."""
+    meet, join = FI_OP_FAULTS[fault]
+    monkeypatch.setattr(FuzzyInterval, "meet", meet)
+    monkeypatch.setattr(FuzzyInterval, "join", join)
+    lattices = {"chain3": chain3, "m3": diamond, "chain4": chain(4)}
+    for lat, mode in itertools.product(lattices, ("exhaustive", "sampled")):
+        (report,) = run_suite("cut-identities", lattices[lat], GRADES3,
+                              **(SAMPLED if mode == "sampled" else {}))
+        doc = json.dumps(report.as_json(), sort_keys=True)
+        assert (hashlib.sha256(doc.encode()).hexdigest()
+                == FI_OP_FAULT_REPORTS[(fault, lat, mode)]), (lat, mode)
 
 
 def _lowers_reversed(fis):
@@ -1303,6 +1485,24 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     monkeypatch.delattr(laws, "_run_law")
     with pytest.raises(tracing.TraceError, match="fuzzint.laws._run_law is missing"):
         tracing.Tracer()
+
+
+@pytest.mark.parametrize("name", ["laws-exhaustive", "laws-sampled"])
+def test_law_workloads_match_their_goldens(monkeypatch, name):
+    """Every request of the law benchmark workloads passes the workload's
+    own output check against the committed goldens, so a report byte that
+    moves fails here and not only in a benchmark run.  The goldens were
+    captured at sampling seed 0, so at that seed even the sampled checks
+    match byte for byte.  The workload reads the already imported library:
+    its ``setup`` would import a second copy."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workload = importlib.import_module("workloads").WORKLOADS[name]()
+    workload.laws, workload.seed = laws, 0
+    workload.lattices = {fixture: standard_lattice(fixture) for fixture, _ in workload.specs}
+    for request in workload.specs:
+        reports = workload.execute(request)
+        assert workload.check(request, reports), request
+        assert [r.as_json() for r in reports] == workload.golden["|".join(request)], request
 
 
 def test_every_report_carries_the_same_label():
