@@ -31,20 +31,23 @@ members and its ops; only ``check_lattice_axioms`` evaluates its
 
 Some laws are decided by another route, and :func:`_run_law` takes the
 verdict in place of its scan: ``"pass"``, or the first failing tuple, which
-alone is probed, for its detail.  ``*-cut-family-intersection`` takes the
-verdict of the antitone law over the same masks, and the ``paired-*``
-endpoint laws pass without a probe when their single-item law passed over
-every item (see :func:`_cut_identities` and :func:`_endpoint_lemmas`).
+alone is probed, for its detail.  It returns the verdict it recorded, in
+that form, so a law reused by another is passed on as a value:
+``*-cut-family-intersection`` takes the verdict of the antitone law over
+the same masks, and the ``paired-*`` endpoint laws pass without a probe
+when their single-item law passed over an exhaustive plan (see
+:func:`_cut_identities` and :func:`_endpoint_lemmas`).
 
 In exhaustive mode the pair and triple laws that are list comparisons are
 decided a row at a time by :func:`_row_verdict`: one list comparison
 covers every last index.  Over a closed table (for absorption and
 associativity, closed under the inner op) these are commutativity,
 absorption, order consistency, associativity and distributivity; over
-the cut masks, the cut-family antitone and at-zero laws.  Each verdict
-gives the status, ``checked`` and witness that the scan would.  The cut
-identities compare every grade rank, more than each pair's thresholds, so
-their rows only prove a pass; on a mismatch the pairs are scanned.
+the cut masks, the cut identities and the cut-family antitone and at-zero
+laws.  Each verdict gives the status, ``checked`` and witness that the
+scan would.  The cut identities are stated at the thresholds of both
+operands and of the result, and every cut is constant between two points
+of that union, so a row over every grade rank decides them exactly.
 """
 
 from __future__ import annotations
@@ -290,7 +293,7 @@ def _record(report: LawReport, items: Sequence, law: str, checked: int, tup, det
 
 def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
              probe: Callable, *, plan: Callable, asserted: bool = True, note: str = "",
-             verdict: str | tuple | None = None) -> None:
+             verdict: str | tuple | None = None) -> str | tuple:
     """Evaluate ``probe`` over index tuples; record the first failure.
 
     ``probe`` returns None for a pass and a detail (possibly "") for a fail.
@@ -303,6 +306,9 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
     tuple and the instances evaluated up to it, and probes ``tup`` alone
     for its detail.  A probe that passes that tuple raises
     :class:`RouteDisagreement`.
+
+    Returns the verdict recorded, in the same form, so a law decided by
+    this one takes it as a value: ``"pass"``, or ``(checked, tup)``.
     """
     instances, mode = plan(len(items), arity)
     tup = detail = None
@@ -323,6 +329,7 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
         else:
             tup = None
     _record(report, items, law, checked, tup, detail, asserted=asserted, note=note, mode=mode)
+    return "pass" if tup is None else (checked, tup)
 
 
 def _row_verdict(plan: Callable, n: int, arity: int, exact: bool,
@@ -628,10 +635,11 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
                     crisp: _OpTables, *, plan: Callable) -> LawReport:
     """Cutwise characterization of the fuzzy-interval ops.
 
-    For every pair and every threshold of the union of threshold sets, the
-    cut of the meet is the intersection of the cuts and the cut of the
-    join is the hull of the cuts; both per-grade families are antitone,
-    start at the whole carrier, and intersect down to their largest index.
+    For every pair, the cut of the meet is the intersection of the cuts and
+    the cut of the join is the hull of the cuts, at every threshold of the
+    two operands and of the result; both per-grade families over the
+    operands' thresholds are antitone, start at the whole carrier, and
+    intersect down to their largest index.
 
     A pair's meet and join are read from ``tabs``, the op table over the
     fuzzy intervals, and each pool member is cut pointwise once.  So the
@@ -646,34 +654,34 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
     and fails on a pair exactly when some mask is not inside every mask
     below it; set inclusion is transitive, so that happens exactly when
     some consecutive mask is not inside the one below, the antitone law's
-    failure.  Both read one plan, so the intersection row takes the
-    antitone row's status, ``checked`` and failing tuple, and probes only
-    that tuple, for its ``P = {r, s}``.
+    failure.  Both read one plan, so the intersection law takes the
+    verdict that the antitone law's :func:`_run_law` returns, and probes
+    only its failing tuple, for its ``P = {r, s}``.
 
     In exhaustive mode the other laws are decided from rows: per item i and
     grade rank r, the masks of op(cut_i, cut_j) at r over every j, built on
-    first read.  Between two of a pair's thresholds each cut equals the cut
-    at the next threshold up, so over every rank a pair's family is its
-    family over its thresholds with members repeated.  It is antitone over
-    every rank exactly when it is over its thresholds, and the antitone and
-    at-zero rows are exact.  The identity rows compare the cut of the
-    result at every rank too, but the result of a faulty op can change
-    between the pair's thresholds, where the law does not look.  So a full
-    match proves the law, and on any mismatch the pairs are scanned, and
-    the scan names the witness.
+    first read.  Every item's thresholds include the top rank, and between
+    two of them its cut equals the cut at the next one up.  So between two
+    points of a threshold union, each cut it covers is constant, and a law
+    over that union holds at every rank exactly when it holds at the
+    union's points: the antitone and at-zero rows over every rank decide
+    the laws over the operands' thresholds, and the identity rows, which
+    compare the result's cut too, the identities over the operands' and
+    the result's thresholds.
     """
     chain, fis = report.grades, tabs.items
     n, full = len(fis), lattice.all_mask
-    ranks = _threshold_ranks(fis)
+    ranks = _threshold_ranks(tabs.pool)  # the items' first, then any result outside
     cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]  # by grade rank
     crisp_masks = [iv.members_mask() for iv in crisp.pool]
     pointwise = [tuple([fi.fuzzy._rank_cut_mask(r) for r in range(len(chain))])
                  for fi in tabs.pool]
 
-    def family(i, j, table):
-        """(rank, mask of op(cut_i, cut_j)) over the pair's thresholds, ascending."""
+    def family(i, j, table, also=0):
+        """(rank, mask of op(cut_i, cut_j)) over the pair's thresholds and
+        the ranks in ``also``, ascending."""
         ci, cj = cuts[i], cuts[j]
-        for r in iter_bits(ranks[i] | ranks[j]):
+        for r in iter_bits(ranks[i] | ranks[j] | also):
             yield r, crisp_masks[table[ci[r]][cj[r]]]
 
     def mask_rows(table):
@@ -691,17 +699,18 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
         return _row_verdict(plan, n, 2, True, row)
 
     def identity(table, fi_table, rows):
-        """(probe, verdict); the rows only prove a pass (see above)."""
+        """(probe, verdict); the probe reads the result's thresholds too."""
         def probe(i, j):
-            cut_masks = pointwise[fi_table[i][j]]
-            for r, mask in family(i, j, table):
+            k = fi_table[i][j]
+            cut_masks = pointwise[k]
+            for r, mask in family(i, j, table, ranks[k]):
                 if cut_masks[r] != mask:
                     return f"threshold {format_grade(chain[r])}"
             return None
 
         def row(i):
             return list(map(pointwise.__getitem__, fi_table[i])), list(zip(*rows(i)))
-        return probe, "pass" if decide(row) == "pass" else None
+        return probe, decide(row)
 
     def family_laws(table, rows):
         """(probe, verdict) of the antitone and the at-zero law, and the
@@ -738,12 +747,9 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
     run("join-cut-identity", *identity(crisp.join_t, tabs.join_t, rows["join"]))
     for op_name, table in (("meet", crisp.meet_t), ("join", crisp.join_t)):
         antitone, at_zero, closed = family_laws(table, rows[op_name])
-        run(f"{op_name}-cut-family-antitone", *antitone)
-        scanned = report.checks[-1]
+        antitone_verdict = run(f"{op_name}-cut-family-antitone", *antitone)
         run(f"{op_name}-cut-family-at-zero", *at_zero)
-        run(f"{op_name}-cut-family-intersection", closed,
-            "pass" if scanned.witness is None
-            else (scanned.checked, tuple(scanned.witness["indices"])))
+        run(f"{op_name}-cut-family-intersection", closed, antitone_verdict)
     return report
 
 
@@ -771,13 +777,14 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
     the paired law at ``(i, i)``, since ⊓ and ⊔ are idempotent and the
     pair's thresholds are then the item's own.
 
-    A paired law takes a pass from its single-item law when that law
-    passed over every item, i.e. in exhaustive mode.  An item's row over
-    all grade ranks is its threshold values, each repeated up to the next
-    threshold, and the order is transitive, so every item's ``lower`` is
-    then isotone on all ranks; ⊓ is monotone, so every pair's
-    ``lower₁ ⊓ lower₂`` is isotone on every set of ranks, its thresholds
-    included, and no pair is probed; dually for ``upper`` under the meet.
+    A paired law takes a pass from its single-item law when that law's
+    :func:`_run_law` returned ``"pass"`` over an exhaustive plan, i.e. over
+    every item.  An item's row over all grade ranks is its threshold
+    values, each repeated up to the next threshold, and the order is
+    transitive, so every item's ``lower`` is then isotone on all ranks; ⊓
+    is monotone, so every pair's ``lower₁ ⊓ lower₂`` is isotone on every
+    set of ranks, its thresholds included, and no pair is probed; dually
+    for ``upper`` under the meet.
     Otherwise every planned pair is scanned as above.
     """
     chain = report.grades
@@ -803,11 +810,10 @@ def _endpoint_lemmas(report: LawReport, lattice: FiniteLattice, fis: list,
         verdict=verdict)
     sides = (("lower-endpoint-supremum", "paired-lower-meet-supremum", fold(lowers, meet, join)),
              ("upper-endpoint-infimum", "paired-upper-join-infimum", fold(uppers, join, meet)))
-    for law, _, probe in sides:
-        run(law, 1, lambda i: probe(i, i))
-    for (_, law, probe), by_item in zip(sides, report.checks[-2:]):
-        run(law, 2, probe,
-            "pass" if by_item.status == "pass" and by_item.mode == "exhaustive" else None)
+    by_item = [run(law, 1, lambda i: probe(i, i)) for law, _, probe in sides]
+    every_item = plan(len(fis), 1)[1] == "exhaustive"
+    for (_, law, probe), verdict in zip(sides, by_item):
+        run(law, 2, probe, "pass" if verdict == "pass" and every_item else None)
     return report
 
 

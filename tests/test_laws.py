@@ -735,8 +735,8 @@ def test_row_decided_laws_probe_only_a_witness(monkeypatch, chain3):
     a row-decided law up to its first failure.  An exhaustive run probes no
     instance of one that passes and one tuple of each that fails: the
     distributive laws, over the fuzzy and the crisp intervals (criterion
-    7).  An identity whose rows over every grade rank disagree, though no
-    pair fails at its own thresholds, is scanned in full."""
+    7).  So is an identity that fails only at a result's threshold,
+    between those of its operands."""
     calls = _probe_calls_by_law(monkeypatch)
     for budget in (SAMPLED, {}):
         calls.clear()
@@ -752,9 +752,9 @@ def test_row_decided_laws_probe_only_a_witness(monkeypatch, chain3):
     monkeypatch.setattr(FuzzyInterval, "meet", FI_OP_FAULTS["meet-lifts-crisp-squares"][0])
     calls.clear()
     (report,) = run_suite("cut-identities", chain3, GRADES3)
-    assert report.passed
+    assert not report.passed
     assert {law: calls[law] for law in ROW_LAWS[-6:]} == {
-        "meet-cut-identity": 22 ** 2, "join-cut-identity": 0,
+        "meet-cut-identity": 1, "join-cut-identity": 0,
         "meet-cut-family-antitone": 0, "meet-cut-family-at-zero": 0,
         "join-cut-family-antitone": 0, "join-cut-family-at-zero": 0}
 
@@ -905,14 +905,17 @@ FI_OP_FAULTS = {
     "ops-swapped": (_FI_JOIN, _FI_MEET),
     "swapped-on-incomparable": _swapped_on_incomparable(),
     "meet-gives-the-join": (_FI_JOIN, _FI_JOIN),
-    # wrong only at 1/2, between the thresholds of a {0, 1}-valued (i, i), where no law looks
+    # wrong only at 1/2: between the thresholds of a {0, 1}-valued (i, i), at one of the result's
     "meet-lifts-crisp-squares": (lambda a, b: _lifted(a) if a == b and set(a.values) <= {0, 1}
                                  else _FI_MEET(a, b), _FI_JOIN),
 }
 
 # sha256 of json.dumps(report.as_json(), sort_keys=True) for
 # run_suite("cut-identities", ..., {0, 1/2, 1}) under each fault, captured
-# while the cut identities were still scanned pair by pair
+# while the cut identities were still scanned pair by pair; the
+# meet-lifts-crisp-squares reports, but for chain4 sampled, which draws no
+# crisp square, were captured once the identities read the result's
+# thresholds too, and fail meet-cut-identity at threshold 1/2
 FI_OP_FAULT_REPORTS = {
     ("meet-gives-the-join", "chain3", "exhaustive"):
         "365eab5a6d8937c216cf2a65a35119fc55841a7015fed278e69bc23d287991d5",
@@ -927,17 +930,17 @@ FI_OP_FAULT_REPORTS = {
     ("meet-gives-the-join", "m3", "sampled"):
         "26975729e3cfccc693474f0c25ea2b5c8d80d0ea44fd3d9c8a4364670dfa925f",
     ("meet-lifts-crisp-squares", "chain3", "exhaustive"):
-        "3af31f22b5fc459c8b3b42f7c4b30a5d867c2dfb55ad0000dc54ace74525d1d0",
+        "95b6d385df383db4cae9e99bae7222bcbc17fc6ef85096f1f370581c7ae3fce3",
     ("meet-lifts-crisp-squares", "chain3", "sampled"):
-        "2850c868e882c81c2bf4f7cb4e02445ae25654803cf39c50c9d9594d78c095fe",
+        "e602245c15c2e414cfbb5a6e887df1c8093197fa2db570118a4b43f13b2485bf",
     ("meet-lifts-crisp-squares", "chain4", "exhaustive"):
-        "48526f608d27c518cbef180e942e24a03d81e15d46a30e52d498d6d55203d49b",
+        "7106e34bdb3636e8fa52d9d621ea3dca678fa2fc89728c5c3dfca3ee34a4ac45",
     ("meet-lifts-crisp-squares", "chain4", "sampled"):
         "260e4437f85d7e608085fbc275dbbfa62367401799fcf51f905c076cf8f475a4",
     ("meet-lifts-crisp-squares", "m3", "exhaustive"):
-        "77bfd8beeb792991111eca1e36d7f1c9a221d7b10bd8f4ddc6bc61298498632d",
+        "4437043a0e6855109b4482eee67ab4fc38108b7dc939da0533056cbd6f738717",
     ("meet-lifts-crisp-squares", "m3", "sampled"):
-        "d6a9fde443ad86b9fbb307fb1dc6778f490414818cd94c00f073694a63343202",
+        "865773f0ddf9befd2f721756ce35c9190e4701a2ab534acc54c069fbc7b398e1",
     ("ops-swapped", "chain3", "exhaustive"):
         "67f08e3286929885fb7412481fd9e34e7d34b0e378516db7ddb6df29e3945261",
     ("ops-swapped", "chain3", "sampled"):
@@ -968,7 +971,8 @@ FI_OP_FAULT_REPORTS = {
 @pytest.mark.parametrize("fault", sorted(FI_OP_FAULTS))
 def test_fuzzy_op_faults_keep_their_cut_identity_reports(monkeypatch, fault, chain3, diamond):
     """Faulty fuzzy-interval ops over a closed table give the cut-identity
-    rows the reports they had when every pair was probed."""
+    rows the reports of a scan that probes every pair at the thresholds of
+    its operands and of its result."""
     meet, join = FI_OP_FAULTS[fault]
     monkeypatch.setattr(FuzzyInterval, "meet", meet)
     monkeypatch.setattr(FuzzyInterval, "join", join)
@@ -979,6 +983,106 @@ def test_fuzzy_op_faults_keep_their_cut_identity_reports(monkeypatch, fault, cha
         doc = json.dumps(report.as_json(), sort_keys=True)
         assert (hashlib.sha256(doc.encode()).hexdigest()
                 == FI_OP_FAULT_REPORTS[(fault, lat, mode)]), (lat, mode)
+
+
+def _cut_identity_scan(fis, op, crisp_op, with_result):
+    """(status, checked, witness) of a pair scan through the public API: the
+    cut of ``op(a, b)`` against ``crisp_op`` of the cuts, at the thresholds
+    of a and b, and of the result when ``with_result``."""
+    cut_interval = cache(FuzzyInterval.cut_interval)
+    cut_mask = cache(lambda fi, p: fi.fuzzy.cut_mask(p))
+
+    def probe(i, j):
+        a, b = fis[i], fis[j]
+        c = op(a, b)
+        grades = {*a.thresholds(), *b.thresholds(), *(c.thresholds() if with_result else ())}
+        for p in sorted(grades):
+            if cut_mask(c, p) != crisp_op(cut_interval(a, p), cut_interval(b, p)).members_mask():
+                return f"threshold {format_grade(p)}"
+        return None
+    return _plain_scan(fis, 2, probe)
+
+
+def test_cut_identity_rows_match_a_scan_at_every_threshold():
+    """Fuzzy-interval ops that are right but on up to three drawn pairs,
+    each mapped to a drawn member, keep the table closed.  Half the time the
+    member is drawn among those whose cuts agree with the right result at
+    the operands' thresholds.  Both identity checks, decided from rows,
+    equal a public-API scan at the thresholds of the operands and of the
+    result, on status, ``checked`` and witness; and some of these faults
+    show only at a result's threshold, where a scan at the operands'
+    thresholds alone passes or names another pair or threshold."""
+    only_at_results = 0
+    for lattice, grades in ((chain(2), GRADES4), (chain(3), GRADES3), (m3(), GRADES3)):
+        fis = enumerate_fuzzy_intervals(lattice, grades)
+        n, position = len(fis), {fi: i for i, fi in enumerate(fis)}
+        crisp = laws._OpTables(enumerate_intervals(lattice), _HULL, _INTERSECTION)
+        for seed in range(4):
+            rng = random.Random(seed)
+
+            def faulty(op):
+                wrong = {}
+                for _ in range(rng.randrange(4)):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    right = op(fis[i], fis[j])
+                    levels = {*fis[i].thresholds(), *fis[j].thresholds()}
+                    hidden = [fi for fi in fis if all(fi.cut_interval(p) == right.cut_interval(p)
+                                                      for p in levels)]
+                    wrong[i, j] = rng.choice(hidden if rng.random() < 0.5 else fis)
+                return cache(lambda a, b: wrong.get((position[a], position[b])) or op(a, b))
+
+            meet, join = faulty(_FI_MEET), faulty(_FI_JOIN)
+            tabs = laws._OpTables(fis, join, meet)
+            assert tabs.closure_join is tabs.closure_meet is None
+            report = laws._cut_identities(LawReport("cut-identities", "", grades), lattice,
+                                          tabs, crisp, plan=laws._planner(laws.DEFAULT_BUDGET, 0))
+            checks = {c.law: c for c in report.checks}
+            for law, op, crisp_op in (("meet-cut-identity", meet, _INTERSECTION),
+                                      ("join-cut-identity", join, _HULL)):
+                got = (checks[law].status, checks[law].checked, checks[law].witness)
+                assert got == _cut_identity_scan(fis, op, crisp_op, True), (lattice, seed, law)
+                only_at_results += got != _cut_identity_scan(fis, op, crisp_op, False)
+    assert only_at_results
+
+
+def _verdict_of(check):
+    return "pass" if check.witness is None else (check.checked, tuple(check.witness["indices"]))
+
+
+def test_run_law_returns_the_verdict_it_records(monkeypatch, chain2):
+    """``_run_law`` returns what it recorded, ``"pass"`` or ``(checked,
+    tup)``: scanned, exhaustive or sampled, and given.  Each intersection
+    law is given, and records, the verdict its antitone law returns."""
+    items = enumerate_intervals(chain2)
+    report = LawReport("crisp", "chain2")
+    fails_at_1_2 = lambda i, j: "" if (i, j) == (1, 2) else None  # noqa: E731
+    for budget, probe, verdict, expected in (
+            (laws.DEFAULT_BUDGET, lambda i, j: None, None, "pass"),
+            (laws.DEFAULT_BUDGET, fails_at_1_2, None, (7, (1, 2))),
+            (5, fails_at_1_2, None, "pass"),  # the five draws miss (1, 2)
+            (9, fails_at_1_2, None, (6, (1, 2))),
+            (laws.DEFAULT_BUDGET, lambda i, j: "", "pass", "pass"),
+            (laws.DEFAULT_BUDGET, lambda i, j: "", (3, (0, 2)), (3, (0, 2)))):
+        got = laws._run_law(report, items, "some-law", 2, probe,
+                            plan=laws._planner(budget, 0), verdict=verdict)
+        assert got == expected == _verdict_of(report.checks[-1]), (budget, verdict)
+
+    returned, run_law = {}, laws._run_law
+
+    def kept(report, items, law, *args, **kwargs):
+        returned[law] = run_law(report, items, law, *args, **kwargs)
+        return returned[law]
+
+    monkeypatch.setattr(laws, "_run_law", kept)
+    hull, _ = CUT_FAMILY_FAULTS["hull-empty-on-equal-operands"]
+    monkeypatch.setattr(CrispInterval, "hull", hull)
+    for budget in ({}, SAMPLED):
+        (report,) = run_suite("cut-identities", chain(3), GRADES3, **budget)
+        checks = {c.law: c for c in report.checks}
+        for op in ("meet", "join"):
+            antitone, closed = f"{op}-cut-family-antitone", f"{op}-cut-family-intersection"
+            assert returned[antitone] == returned[closed] == _verdict_of(checks[closed]), budget
+        assert returned["join-cut-family-intersection"] != "pass", budget
 
 
 def _lowers_reversed(fis):
@@ -1485,6 +1589,30 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     monkeypatch.delattr(laws, "_run_law")
     with pytest.raises(tracing.TraceError, match="fuzzint.laws._run_law is missing"):
         tracing.Tracer()
+
+
+def test_a_traced_exhaustive_pass_reaches_every_layer_it_is_primary_for(monkeypatch):
+    """A traced benchmark run fails when a layer metric reads zero on the
+    workload named its primary one.  One traced pass of every
+    ``laws-exhaustive`` request reads none of its metrics as zero, so a law
+    that stops reaching a layer (the cut identities reading cuts without
+    ``cut_interval``, say) fails here and not only in a traced run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workload = importlib.import_module("workloads").WORKLOADS["laws-exhaustive"]()
+    workload.laws, workload.seed = laws, 0
+    workload.lattices = {fixture: standard_lattice(fixture) for fixture, _ in workload.specs}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for rid, request in enumerate(workload.specs):
+            tracer.request(rid, workload.label(request), lambda: workload.execute(request))
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    primary = [k for k, name in tracing.PRIMARY_WORKLOAD.items() if name == "laws-exhaustive"]
+    assert "fuzzyintervals.cut_interval.calls" in primary
+    assert [k for k in primary if not metrics[k]] == []
 
 
 @pytest.mark.parametrize("name", ["laws-exhaustive", "laws-sampled"])
