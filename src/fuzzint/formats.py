@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import FormatError, FuzzintError, InvalidGrade, LatticeMismatch, UnknownElement
 from .fuzzysets import FuzzySet, as_grade, format_grade
-from .lattice import FiniteLattice, format_element, order_closure, standard_lattice
+from .lattice import FiniteLattice, _fixture, format_element, order_closure
 
 
 def _require_keys(doc: dict, keys: set[str], what: str) -> None:
@@ -71,13 +71,14 @@ def lattice_to_json(lattice: FiniteLattice) -> dict:
 
 
 def _lattice_reference(lattice: FiniteLattice):
-    """Fixture name when it faithfully reproduces the lattice, else inline."""
+    """Fixture name when it faithfully reproduces the lattice, else inline.
+    A fixture of another size is not built."""
     if lattice.name:
         try:
-            fixture = standard_lattice(lattice.name)
+            count, build = _fixture(lattice.name)
         except (ValueError, FuzzintError):
-            fixture = None
-        if fixture is not None and fixture == lattice:
+            count = None
+        if count == len(lattice) and (fixture := build()) == lattice:
             return fixture.name
     return lattice_to_json(lattice)
 
@@ -85,11 +86,14 @@ def _lattice_reference(lattice: FiniteLattice):
 def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
     if isinstance(ref, str):
         try:
-            resolved = standard_lattice(ref)
+            count, build = _fixture(ref)
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
         if lattice is None:
-            return resolved
+            return build()
+        if count != len(lattice):  # a fixture of another size is not built
+            raise LatticeMismatch("the fuzzy set's lattice does not match the provided lattice")
+        resolved = build()
         if resolved == lattice:
             return lattice
         # a product fixture's elements are tuples; a lattice file has their renderings

@@ -413,10 +413,16 @@ def standard_lattice(spec: str) -> FiniteLattice:
     factor is built, and one nested more than ``MAX_FIXTURE_DEPTH`` levels
     deep raises ``ValueError``.
     """
+    return _fixture(spec)[1]()
+
+
+def _fixture(spec: str):
+    """``(element count, builder)`` for a fixture name, building nothing;
+    raises as :func:`standard_lattice` does for a spec it refuses."""
     parsed = _parse_fixture(spec.replace(" ", "").lower())
     if parsed is None:
         raise ValueError(f"unknown lattice fixture {spec!r}")
-    return parsed[1]()
+    return parsed
 
 
 def _parse_fixture(text: str, level: int = 0):

@@ -29,25 +29,11 @@ axiom and distributivity bodies over an arbitrary collection of distinct
 members and its ops; only ``check_lattice_axioms`` evaluates its
 ``leq_op`` pairwise.
 
-Some laws are decided by another route, and :func:`_run_law` takes the
-verdict in place of its scan: ``"pass"``, or the first failing tuple, which
-alone is probed, for its detail.  It returns the verdict it recorded, in
-that form, so a law reused by another is passed on as a value:
-``*-cut-family-intersection`` takes the verdict of the antitone law over
-the same masks, and the ``paired-*`` endpoint laws pass without a probe
-when their single-item law passed over an exhaustive plan (see
-:func:`_cut_identities` and :func:`_endpoint_lemmas`).
-
-In exhaustive mode the pair and triple laws that are list comparisons are
-decided a row at a time by :func:`_row_verdict`: one list comparison
-covers every last index.  Over a closed table (for absorption and
-associativity, closed under the inner op) these are commutativity,
-absorption, order consistency, associativity and distributivity; over
-the cut masks, the cut identities and the cut-family antitone and at-zero
-laws.  Each verdict gives the status, ``checked`` and witness that the
-scan would.  The cut identities are stated at the thresholds of both
-operands and of the result, and every cut is constant between two points
-of that union, so a row over every grade rank decides them exactly.
+:func:`_run_law` decides each law by one route: whole rows in exhaustive
+mode, a verdict reused from another law (``*-cut-family-intersection`` and
+``paired-*``; see :func:`_cut_identities` and :func:`_endpoint_lemmas`),
+or a scan of the planned instances.  Each gives the status, ``checked``
+and witness that the scan would.
 """
 
 from __future__ import annotations
@@ -293,27 +279,43 @@ def _record(report: LawReport, items: Sequence, law: str, checked: int, tup, det
 
 def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
              probe: Callable, *, plan: Callable, asserted: bool = True, note: str = "",
-             verdict: str | tuple | None = None) -> str | tuple:
+             verdict: str | tuple | None = None, row: Callable | None = None) -> str | tuple:
     """Evaluate ``probe`` over index tuples; record the first failure.
 
     ``probe`` returns None for a pass and a detail (possibly "") for a fail.
-    Without a ``verdict`` it is called on the planned tuples in order until
-    one fails.
+    The law is decided by the first of these routes that applies:
 
-    ``verdict``, given when another route has decided the law over this
-    plan, replaces the scan: ``"pass"`` counts the planned instances
-    without probing them, and ``(checked, tup)`` names the first failing
-    tuple and the instances evaluated up to it, and probes ``tup`` alone
-    for its detail.  A probe that passes that tuple raises
-    :class:`RouteDisagreement`.
+    - ``row``, on an exhaustive plan: ``row`` takes all indices but the
+      last and gives the two sides of the law as lists over every last
+      index, equal exactly where the law holds (a caller passes it only
+      then).  The rows are compared in enumeration order; a pass counts
+      every instance, and the first differing tuple alone is probed, with
+      its lexicographic position + 1 as ``checked``.
+    - ``verdict``, given when another route has decided the law over this
+      plan: ``"pass"`` counts the planned instances without probing them,
+      and ``(checked, tup)`` names the first failing tuple and the
+      instances evaluated up to it, and probes ``tup`` alone.
+    - Otherwise ``probe`` is called on the planned tuples in order until
+      one fails.
 
-    Returns the verdict recorded, in the same form, so a law decided by
-    this one takes it as a value: ``"pass"``, or ``(checked, tup)``.
+    A probe that passes a tuple decided failing raises
+    :class:`RouteDisagreement`.  Returns the verdict recorded, in the same
+    form, so a law decided by this one takes it as a value: ``"pass"``, or
+    ``(checked, tup)``.
     """
-    instances, mode = plan(len(items), arity)
+    n = len(items)
+    instances, mode = plan(n, arity)
+    if row is not None and mode == "exhaustive":
+        verdict = "pass"
+        for key in itertools.product(range(n), repeat=arity - 1):
+            lhs, rhs = row(*key)
+            if lhs != rhs:
+                tup = key + (next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b),)
+                verdict = functools.reduce(lambda acc, i: acc * n + i, tup) + 1, tup
+                break
     tup = detail = None
     if verdict == "pass":
-        checked = len(items) ** arity if mode == "exhaustive" else len(instances)
+        checked = n ** arity if mode == "exhaustive" else len(instances)
     elif verdict is not None:
         checked, tup = verdict
         detail = probe(*tup)
@@ -330,28 +332,6 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
             tup = None
     _record(report, items, law, checked, tup, detail, asserted=asserted, note=note, mode=mode)
     return "pass" if tup is None else (checked, tup)
-
-
-def _row_verdict(plan: Callable, n: int, arity: int, exact: bool,
-                 row: Callable) -> str | tuple | None:
-    """The :func:`_run_law` verdict of a pair or triple law decided a row
-    at a time.
-
-    ``row`` takes all indices but the last and gives the two sides of the
-    law as lists over every last index; when ``exact``, the law holds at a
-    tuple exactly when the lists agree there (over a closed table, say,
-    every entry is a collection index).  Only in exhaustive mode when
-    ``exact``: ``"pass"``, or the first failing tuple in enumeration order
-    with the instances up to it.  Otherwise None, and the law is scanned.
-    """
-    if not exact or plan(n, arity)[1] != "exhaustive":
-        return None
-    for key in itertools.product(range(n), repeat=arity - 1):
-        lhs, rhs = row(*key)
-        if lhs != rhs:
-            tup = key + (next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b),)
-            return functools.reduce(lambda acc, i: acc * n + i, tup) + 1, tup
-    return "pass"
 
 
 # -- op tables ---------------------------------------------------------------
@@ -455,15 +435,10 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
     """Body of :func:`check_lattice_axioms` over a built op table and the
     (upper-bound, lower-bound) bitmask rows of the independent order.
 
-    In exhaustive mode :func:`_row_verdict` decides commutativity (row i
-    against column i), absorption (outer(i, inner(i, j)) over every j
-    against i repeated), order consistency (whether the meet is i and the
-    join is j, against bit j of i's upper-bound row, twice) and
-    associativity.  Commutativity and order consistency compare table
-    entries as their probes do, so their rows are exact over any table;
-    absorption and associativity read the table at an op result, so only
-    when that op stays in the collection.  Otherwise each is scanned.
-    The bound laws and the definitional oracle are always scanned.
+    Commutativity and order consistency compare table entries as their
+    probes do, so their rows are exact over any table; absorption and
+    associativity read the table at an op result, so they get rows only
+    when that op stays in the collection.
     """
     items, J, M = tabs.items, tabs.join, tabs.meet
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
@@ -471,14 +446,13 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
 
     _record(report, items, "closure-join", n * n, tabs.closure_join, None)
     _record(report, items, "closure-meet", n * n, tabs.closure_meet, None)
-    run = lambda law, arity, probe, verdict=None: _run_law(  # noqa: E731
-        report, items, law, arity, probe, plan=plan, verdict=verdict)
+    run = lambda law, arity, probe, row=None: _run_law(  # noqa: E731
+        report, items, law, arity, probe, plan=plan, row=row)
 
     def commutativity(table):
-        """(probe, verdict); the rows are row i and column i of ``table``."""
+        """(probe, row); the rows are row i and column i of ``table``."""
         return (lambda i, j: None if table[i][j] == table[j][i] else "",
-                _row_verdict(plan, n, 2, True,
-                             lambda i: (table[i], list(map(operator.itemgetter(i), table)))))
+                lambda i: (table[i], list(map(operator.itemgetter(i), table))))
 
     run("commutativity-join", 2, *commutativity(jt))
     run("commutativity-meet", 2, *commutativity(mt))
@@ -486,22 +460,22 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
     run("idempotence-meet", 1, lambda i: None if mt[i][i] == i else "")
 
     def assoc(op, table, closed):
-        """(probe, verdict); the rows are a(b c) and (a b)c over every c."""
+        """(probe, row); the rows are a(b c) and (a b)c over every c."""
         def row(i, j):
             return list(map(table[i].__getitem__, table[j])), table[table[i][j]]
         return (lambda i, j, k: None if op(i, op(j, k)) == op(op(i, j), k) else "",
-                _row_verdict(plan, n, 3, closed, row))
+                row if closed else None)
 
     for law, op, table, first_bad in (("associativity-join", J, jt, tabs.closure_join),
                                       ("associativity-meet", M, mt, tabs.closure_meet)):
         run(law, 3, *assoc(op, table, first_bad is None))
 
     def absorption(outer, inner, outer_t, inner_t, closed):
-        """(probe, verdict) for outer(a, inner(a, b)) == a; the rows are
+        """(probe, row) for outer(a, inner(a, b)) == a; the rows are
         outer(a, inner(a, b)) over every b and a repeated."""
-        return (lambda i, j: None if outer(i, inner(i, j)) == i else "",
-                _row_verdict(plan, n, 2, closed,
-                             lambda i: (list(map(outer_t[i].__getitem__, inner_t[i])), [i] * n)))
+        def row(i):
+            return list(map(outer_t[i].__getitem__, inner_t[i])), [i] * n
+        return lambda i, j: None if outer(i, inner(i, j)) == i else "", row if closed else None
 
     run("absorption-meet-join", 2, *absorption(M, J, mt, jt, tabs.closure_join is None))
     run("absorption-join-meet", 2, *absorption(J, M, jt, mt, tabs.closure_meet is None))
@@ -517,7 +491,7 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
         return (list(zip(map(i.__eq__, mt[i]), map(int.__eq__, jt[i], range(n)))),
                 list(zip(ordered, ordered)))
 
-    run("order-consistency", 2, order_consistency, _row_verdict(plan, n, 2, True, order_row))
+    run("order-consistency", 2, order_consistency, order_row)
 
     def nearest_bound(rows, table, op, bound, nearer):
         """Probe that ``table`` gives each pair its nearest common ``bound``
@@ -585,18 +559,17 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
     closed = tabs.closure_join is None and tabs.closure_meet is None
 
     def law(outer, inner, outer_t, inner_t):
-        """(probe, verdict) for outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))."""
+        """(probe, row) for outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))."""
         def row(i, j):
             a_outer = outer_t[i]
             return (list(map(a_outer.__getitem__, inner_t[j])),
                     list(map(inner_t[a_outer[j]].__getitem__, a_outer)))
         return (lambda i, j, k: None if outer(i, inner(j, k)) == inner(outer(i, j), outer(i, k))
-                else "", _row_verdict(plan, tabs.n, 3, closed, row))
+                else "", row if closed else None)
 
-    for name, (probe, verdict) in (("meet-over-join", law(M, J, tabs.meet_t, tabs.join_t)),
-                                   ("join-over-meet", law(J, M, tabs.join_t, tabs.meet_t))):
-        _run_law(report, items, name, 3, probe, plan=plan, asserted=asserted, note=note,
-                 verdict=verdict)
+    for name, (probe, row) in (("meet-over-join", law(M, J, tabs.meet_t, tabs.join_t)),
+                               ("join-over-meet", law(J, M, tabs.join_t, tabs.meet_t))):
+        _run_law(report, items, name, 3, probe, plan=plan, asserted=asserted, note=note, row=row)
     return report
 
 
@@ -658,16 +631,15 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
     verdict that the antitone law's :func:`_run_law` returns, and probes
     only its failing tuple, for its ``P = {r, s}``.
 
-    In exhaustive mode the other laws are decided from rows: per item i and
-    grade rank r, the masks of op(cut_i, cut_j) at r over every j, built on
-    first read.  Every item's thresholds include the top rank, and between
-    two of them its cut equals the cut at the next one up.  So between two
-    points of a threshold union, each cut it covers is constant, and a law
-    over that union holds at every rank exactly when it holds at the
-    union's points: the antitone and at-zero rows over every rank decide
-    the laws over the operands' thresholds, and the identity rows, which
-    compare the result's cut too, the identities over the operands' and
-    the result's thresholds.
+    The other laws' rows read, per item i and grade rank r, the masks of
+    op(cut_i, cut_j) at r over every j, built on first read.  Every item's
+    thresholds include the top rank, and between two of them its cut equals
+    the cut at the next one up.  So between two points of a threshold
+    union, each cut it covers is constant, and a law over that union holds
+    at every rank exactly when it holds at the union's points: rows over
+    every rank are exact for the antitone and at-zero laws over the
+    operands' thresholds, and, comparing the result's cut too, for the
+    identities over the operands' and the result's thresholds.
     """
     chain, fis = report.grades, tabs.items
     n, full = len(fis), lattice.all_mask
@@ -686,7 +658,7 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
 
     def mask_rows(table):
         """``rows(i)``: per grade rank r, the masks of op(cut_i, cut_j) at r
-        over every j; built on first read, so only for a row verdict."""
+        over every j; built on first read, so only on an exhaustive plan."""
         columns = list(zip(*cuts))  # by grade rank, every item's cut
 
         @functools.cache
@@ -695,11 +667,8 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
                     for c, column in zip(cuts[i], columns)]
         return rows
 
-    def decide(row):
-        return _row_verdict(plan, n, 2, True, row)
-
     def identity(table, fi_table, rows):
-        """(probe, verdict); the probe reads the result's thresholds too."""
+        """(probe, row); the probe reads the result's thresholds too."""
         def probe(i, j):
             k = fi_table[i][j]
             cut_masks = pointwise[k]
@@ -710,10 +679,10 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
 
         def row(i):
             return list(map(pointwise.__getitem__, fi_table[i])), list(zip(*rows(i)))
-        return probe, decide(row)
+        return probe, row
 
     def family_laws(table, rows):
-        """(probe, verdict) of the antitone and the at-zero law, and the
+        """(probe, row) of the antitone and the at-zero law, and the
         intersection probe."""
         def antitone(i, j):
             masks = [mask for _, mask in family(i, j, table)]
@@ -736,12 +705,11 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
             pairs, which is complete (see :func:`_first_failing_pair`)."""
             return _first_failing_pair(chain, family(i, j, table), int.__and__)
 
-        return ((antitone, decide(antitone_row)),
-                (at_zero, decide(lambda i: (rows(i)[0], [full] * n))),
+        return ((antitone, antitone_row), (at_zero, lambda i: (rows(i)[0], [full] * n)),
                 closed_under_intersection)
 
-    run = lambda law, probe, verdict=None: _run_law(  # noqa: E731
-        report, fis, law, 2, probe, plan=plan, verdict=verdict)
+    run = lambda law, probe, row=None, verdict=None: _run_law(  # noqa: E731
+        report, fis, law, 2, probe, plan=plan, row=row, verdict=verdict)
     rows = {"meet": mask_rows(crisp.meet_t), "join": mask_rows(crisp.join_t)}
     run("meet-cut-identity", *identity(crisp.meet_t, tabs.meet_t, rows["meet"]))
     run("join-cut-identity", *identity(crisp.join_t, tabs.join_t, rows["join"]))
@@ -749,7 +717,7 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
         antitone, at_zero, closed = family_laws(table, rows[op_name])
         antitone_verdict = run(f"{op_name}-cut-family-antitone", *antitone)
         run(f"{op_name}-cut-family-at-zero", *at_zero)
-        run(f"{op_name}-cut-family-intersection", closed, antitone_verdict)
+        run(f"{op_name}-cut-family-intersection", closed, verdict=antitone_verdict)
     return report
 
 

@@ -216,6 +216,26 @@ def test_matching_inline_documents_build_one_lattice_per_request(
     assert capsys.readouterr().err == ""
 
 
+def test_a_fixture_name_of_another_size_is_never_built(monkeypatch):
+    """A lattice named after a fixture of another size is dumped inline and
+    refused as a document's lattice without building that fixture."""
+    small = FiniteLattice(["x", "y"], [("x", "y")], name="chain4000")
+    m = FuzzySet.constant(small, 1)
+    init = FiniteLattice.__init__
+
+    def refusing_init(self, elements, *args, **kwargs):
+        if len(elements) > 64:
+            raise RuntimeError(f"built a {len(elements)}-element lattice")
+        init(self, elements, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteLattice, "__init__", refusing_init)
+    doc = fuzzy_set_to_json(m)
+    assert doc["lattice"] == lattice_to_json(small)
+    with pytest.raises(LatticeMismatch,
+                       match="^the fuzzy set's lattice does not match the provided lattice$"):
+        fuzzy_set_from_json({**doc, "lattice": "chain4000"}, small)
+
+
 def test_fixture_name_emitted_for_standard_lattices():
     m = FuzzySet.constant(chain(3), 1)
     assert fuzzy_set_to_json(m)["lattice"] == "chain3"

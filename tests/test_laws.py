@@ -763,16 +763,52 @@ def test_a_decided_failure_the_probe_passes_is_a_disagreement(chain2):
     """A failing tuple named by another route is probed for its detail; a
     probe that passes it raises instead of reporting a fail with no detail.
     A decided pass counts the planned instances: all of them, or the
-    sample's draws."""
+    sample's draws.
+
+    Rows decide a law only over an exhaustive plan: there the first
+    differing tuple alone is probed, and ``checked`` is its lexicographic
+    position + 1; a sampled plan never reads a row and scans its draws."""
     items = enumerate_intervals(chain2)
     report = LawReport("crisp", "chain2")
+    exhaustive = laws._planner(laws.DEFAULT_BUDGET, 0)
     with pytest.raises(RouteDisagreement, match="some-law"):
         laws._run_law(report, items, "some-law", 2, lambda i, j: None,
-                      plan=laws._planner(laws.DEFAULT_BUDGET, 0), verdict=(3, (0, 2)))
+                      plan=exhaustive, verdict=(3, (0, 2)))
     for budget, checked in ((laws.DEFAULT_BUDGET, 16), (5, 5)):
         laws._run_law(report, items, "some-law", 2, lambda i, j: "", plan=laws._planner(budget, 0),
                       verdict="pass")
         assert (report.checks[-1].status, report.checks[-1].checked) == ("pass", checked)
+
+    probed = []
+
+    def probe(*tup):
+        probed.append(tup)
+        return "" if tup in ((2, 1), (1, 2, 3)) else None
+
+    def unread_row(*key):
+        raise AssertionError("a sampled plan read a row")
+
+    sampled = laws._planner(5, 0)
+    laws._run_law(report, items, "some-law", 2, probe, plan=sampled, row=unread_row)
+    assert (report.checks[-1].checked, probed) == (5, sampled(4, 2)[0])
+
+    def differing_at(*bad):
+        """Rows over every last index that differ at each tuple in ``bad``."""
+        return lambda *key: ([0] * 4, [int(key + (k,) in bad) for k in range(4)])
+
+    for arity, bad, checked in ((2, [(2, 1), (3, 0)], 2 * 4 + 1 + 1),
+                                (3, [(1, 2, 3), (3, 0, 0)], 1 * 16 + 2 * 4 + 3 + 1)):
+        probed.clear()
+        got = laws._run_law(report, items, "some-law", arity, probe, plan=exhaustive,
+                            row=differing_at(*bad))
+        assert got == (checked, bad[0]) == _verdict_of(report.checks[-1])
+        assert probed == [bad[0]]
+        assert laws._run_law(report, items, "some-law", arity, probe, plan=exhaustive,
+                             row=differing_at()) == "pass"
+        assert (report.checks[-1].checked, probed) == (4 ** arity, [bad[0]])
+    with pytest.raises(RouteDisagreement, match="some-law"):
+        laws._run_law(report, items, "some-law", 2, probe, plan=exhaustive,
+                      row=differing_at((0, 3)))
 
 
 _HULL, _INTERSECTION = CrispInterval.hull, CrispInterval.intersection
@@ -1596,7 +1632,9 @@ def test_a_traced_exhaustive_pass_reaches_every_layer_it_is_primary_for(monkeypa
     workload named its primary one.  One traced pass of every
     ``laws-exhaustive`` request reads none of its metrics as zero, so a law
     that stops reaching a layer (the cut identities reading cuts without
-    ``cut_interval``, say) fails here and not only in a traced run."""
+    ``cut_interval``, say) fails here and not only in a traced run.  Its
+    ``laws.checked`` and ``laws.planned`` are pinned, so a change of route
+    that moves either count fails here too."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     tracing = importlib.import_module("tracing")
     workload = importlib.import_module("workloads").WORKLOADS["laws-exhaustive"]()
@@ -1613,6 +1651,8 @@ def test_a_traced_exhaustive_pass_reaches_every_layer_it_is_primary_for(monkeypa
     primary = [k for k, name in tracing.PRIMARY_WORKLOAD.items() if name == "laws-exhaustive"]
     assert "fuzzyintervals.cut_interval.calls" in primary
     assert [k for k in primary if not metrics[k]] == []
+    # the workload samples nothing, so these totals hold at every seed
+    assert (metrics["laws.checked"], metrics["laws.planned"]) == (1_182_792, 2_098_690)
 
 
 @pytest.mark.parametrize("name", ["laws-exhaustive", "laws-sampled"])
