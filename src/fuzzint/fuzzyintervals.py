@@ -25,9 +25,10 @@ their cut chains alone, and their memberships are derived from the cut
 ends on first read.  Meet is the pointwise minimum, and cutwise the
 intersection of the operand cuts.  Join is *not* the pointwise maximum:
 cutwise it is the hull of the operand cuts, the smallest fuzzy interval
-above both operands.  Each op is only its rule for one cut; one walk over
-both operands' levels applies it, folds repeated cuts and checks only
-that the result is a nested chain of intervals.  Equality and the hash compare endpoint
+above both operands.  Each op is one walk over both operands' levels
+that applies its rule to each pair of cuts inline, by lookups in the
+carrier's tables, folds repeated cuts and checks only that the result is
+a nested chain of intervals.  Equality and the hash compare endpoint
 chains, so interning an op result derives nothing.
 """
 
@@ -353,35 +354,17 @@ class FuzzyInterval:
         """Pointwise minimum; cutwise, the intersection of the operand cuts:
         ``[a_lo ⊔ b_lo, a_hi ⊓ b_hi]`` at each level, or the empty cut where
         that is crossed, the rule of :meth:`CrispInterval.intersection`."""
-        lat = _require_same_lattice(self.lattice, other.lattice)
-        join_t, meet_t, up = lat._join, lat._meet, lat._up
-
-        def cut(a, b):
-            (a_lo, a_hi), (b_lo, b_hi) = a, b
-            if a_lo is None or b_lo is None:
-                return None, None
-            lo, hi = join_t[a_lo][b_lo], meet_t[a_hi][b_hi]
-            return (lo, hi) if up[lo] >> hi & 1 else (None, None)
-        return _combined(lat, self, other, cut)
+        return _walk(self, other, hull=False)
 
     def join(self, other: "FuzzyInterval") -> "FuzzyInterval":
         """Smallest fuzzy interval above both operands.
 
         Built cutwise: at every level of either operand take the hull of
-        the two cuts, ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]``.  Cuts are constant
-        between consecutive levels, so no other grade can matter.
+        the two cuts, ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]``, or the other cut where
+        one is empty.  Cuts are constant between consecutive levels, so no
+        other grade can matter.
         """
-        lat = _require_same_lattice(self.lattice, other.lattice)
-        join_t, meet_t = lat._join, lat._meet
-
-        def cut(a, b):
-            (a_lo, a_hi), (b_lo, b_hi) = a, b
-            if a_lo is None:
-                return b
-            if b_lo is None:
-                return a
-            return meet_t[a_lo][b_lo], join_t[a_hi][b_hi]
-        return _combined(lat, self, other, cut)
+        return _walk(self, other, hull=True)
 
     def __eq__(self, other) -> bool:
         # _levels are exactly the thresholds and _ends the cut at each, so
@@ -409,32 +392,46 @@ class FuzzyInterval:
         return f"FuzzyInterval({self.fuzzy!r})"
 
 
-def _combined(lat: FiniteLattice, a: FuzzyInterval, b: FuzzyInterval, cut) -> FuzzyInterval:
-    """The op result whose cut at every level of either operand is
-    ``cut(a_end, b_end)`` of the operands' ``(lo, hi)`` cut ends there.
+def _walk(a: FuzzyInterval, b: FuzzyInterval, hull: bool) -> FuzzyInterval:
+    """The op result whose cut at every level of either operand is the hull
+    (``hull``) or the intersection of the operands' cuts there.
 
     One walk over both operands' levels, merged by rank in the union of
-    their grade chains.  A cut equal to the one below it is folded into
-    it, keeping rank 0, as :func:`_endpoint_chain` keeps only rank 0, the
-    top and the ranks some element takes.  The only check is that the
-    chain is nested: going up, ``lo`` rises, ``hi`` falls, and no nonempty
-    cut sits above an empty one.
+    their grade chains, applies the rule inline from the carrier's tables.
+    A cut equal to the one below it is folded into it, keeping rank 0, as
+    :func:`_endpoint_chain` keeps only rank 0, the top and the ranks some
+    element takes.  The only check is that the chain is nested: going up,
+    ``lo`` rises, ``hi`` falls, and no nonempty cut sits above an empty one.
     """
+    lat = _require_same_lattice(a.lattice, b.lattice)
     chain, ta, tb = a._chain, a._levels, b._levels
     if chain is not b._chain:
         chain, pos_a, pos_b = _merge_chains(chain, b._chain)
         ta, tb = [pos_a[r] for r in ta], [pos_b[r] for r in tb]
     ea, eb = a._ends, b._ends
     up = lat._up  # up[i] >> j & 1: i ⊑ j
+    lo_t, hi_t = (lat._meet, lat._join) if hull else (lat._join, lat._meet)
     levels, ends = [], []
     below_lo = below_hi = -1  # no cut below rank 0
     ia = ib = 0
     while ia < len(ta):  # both end at the rank of grade 1
-        end = lo, hi = cut(ea[ia], eb[ib])  # a cut holds down to the level below its own
+        lo, hi = end = ea[ia]  # a cut holds down to the level below its own
+        b_lo, b_hi = other = eb[ib]
         ra, rb = ta[ia], tb[ib]
         r = ra if ra <= rb else rb
         ia += ra <= rb
         ib += rb <= ra
+        if lo is None or b_lo is None:  # the hull is the other cut, the intersection empty
+            if not hull:
+                end, lo, hi = (None, None), None, None
+            elif lo is None:
+                end, lo, hi = other, b_lo, b_hi
+        else:
+            lo, hi = lo_t[lo][b_lo], hi_t[hi][b_hi]
+            if hull or up[lo] >> hi & 1:  # a hull is never crossed
+                end = lo, hi
+            else:
+                end, lo, hi = (None, None), None, None
         if lo == below_lo and hi == below_hi and levels[-1]:
             levels[-1] = r  # the same cut: no element has the lower rank
             continue

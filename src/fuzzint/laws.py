@@ -286,11 +286,13 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
     The law is decided by the first of these routes that applies:
 
     - ``row``, on an exhaustive plan: ``row`` takes all indices but the
-      last and gives the two sides of the law as lists over every last
-      index, equal exactly where the law holds (a caller passes it only
-      then).  The rows are compared in enumeration order; a pass counts
-      every instance, and the first differing tuple alone is probed, with
-      its lexicographic position + 1 as ``checked``.
+      last and gives the two sides of the law as two sequences of one type
+      over every last index (``bytes`` where every index fits a byte, as
+      :meth:`_OpTables.row_ops` builds them), equal exactly where the law
+      holds (a caller passes it only then).  The rows are compared in
+      enumeration order; a pass counts every instance, and the first
+      differing tuple alone is probed, with its lexicographic position + 1
+      as ``checked``.
     - ``verdict``, given when another route has decided the law over this
       plan: ``"pass"`` counts the planned instances without probing them,
       and ``(checked, tup)`` names the first failing tuple and the
@@ -398,6 +400,20 @@ class _OpTables:
         return (self.meet_t[i][j] if i < n and j < n
                 else self._intern(self.meet_op(self.pool[i], self.pool[j])))
 
+    def row_ops(self, table) -> tuple:
+        """``(seq, rows, compose)`` over ``table``, one of the two tables:
+        ``rows[i]`` is row i as a ``seq``, and ``compose(i, s)`` maps every
+        index in ``s`` through row i.  ``seq`` is ``bytes`` where every
+        index fits a byte, so ``compose`` is one ``bytes.translate`` through
+        row i padded to a 256-byte map, and ``list`` otherwise.  ``compose``
+        is exact when ``s`` holds item indices only, as on a closed table.
+        """
+        if len(self.pool) > 256:
+            return list, table, lambda i, s: list(map(table[i].__getitem__, s))
+        rows = [bytes(row) for row in table]
+        maps = [row.ljust(256, b"\0") for row in rows]
+        return bytes, rows, lambda i, s: s.translate(maps[i])
+
 
 def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
                          suite: str = "axioms", lattice_name: str = "",
@@ -442,6 +458,7 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
     """
     items, J, M = tabs.items, tabs.join, tabs.meet
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
+    join_ops, meet_ops = tabs.row_ops(jt), tabs.row_ops(mt)
     leq_rows, down_rows = rows
 
     _record(report, items, "closure-join", n * n, tabs.closure_join, None)
@@ -449,36 +466,43 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
     run = lambda law, arity, probe, row=None: _run_law(  # noqa: E731
         report, items, law, arity, probe, plan=plan, row=row)
 
-    def commutativity(table):
+    def commutativity(table, ops):
         """(probe, row); the rows are row i and column i of ``table``."""
+        seq, rows, _ = ops
         return (lambda i, j: None if table[i][j] == table[j][i] else "",
-                lambda i: (table[i], list(map(operator.itemgetter(i), table))))
+                lambda i: (rows[i], seq(map(operator.itemgetter(i), table))))
 
-    run("commutativity-join", 2, *commutativity(jt))
-    run("commutativity-meet", 2, *commutativity(mt))
+    run("commutativity-join", 2, *commutativity(jt, join_ops))
+    run("commutativity-meet", 2, *commutativity(mt, meet_ops))
     run("idempotence-join", 1, lambda i: None if jt[i][i] == i else "")
     run("idempotence-meet", 1, lambda i: None if mt[i][i] == i else "")
 
-    def assoc(op, table, closed):
+    def assoc(op, ops, closed):
         """(probe, row); the rows are a(b c) and (a b)c over every c."""
+        _, rows, compose = ops
+
         def row(i, j):
-            return list(map(table[i].__getitem__, table[j])), table[table[i][j]]
+            return compose(i, rows[j]), rows[rows[i][j]]
         return (lambda i, j, k: None if op(i, op(j, k)) == op(op(i, j), k) else "",
                 row if closed else None)
 
-    for law, op, table, first_bad in (("associativity-join", J, jt, tabs.closure_join),
-                                      ("associativity-meet", M, mt, tabs.closure_meet)):
-        run(law, 3, *assoc(op, table, first_bad is None))
+    run("associativity-join", 3, *assoc(J, join_ops, tabs.closure_join is None))
+    run("associativity-meet", 3, *assoc(M, meet_ops, tabs.closure_meet is None))
 
-    def absorption(outer, inner, outer_t, inner_t, closed):
+    def absorption(outer, inner, outer_ops, inner_ops, closed):
         """(probe, row) for outer(a, inner(a, b)) == a; the rows are
         outer(a, inner(a, b)) over every b and a repeated."""
+        seq, _, compose = outer_ops
+        inner_rows = inner_ops[1]
+
         def row(i):
-            return list(map(outer_t[i].__getitem__, inner_t[i])), [i] * n
+            return compose(i, inner_rows[i]), seq((i,)) * n
         return lambda i, j: None if outer(i, inner(i, j)) == i else "", row if closed else None
 
-    run("absorption-meet-join", 2, *absorption(M, J, mt, jt, tabs.closure_join is None))
-    run("absorption-join-meet", 2, *absorption(J, M, jt, mt, tabs.closure_meet is None))
+    run("absorption-meet-join", 2,
+        *absorption(M, J, meet_ops, join_ops, tabs.closure_join is None))
+    run("absorption-join-meet", 2,
+        *absorption(J, M, join_ops, meet_ops, tabs.closure_meet is None))
 
     def order_consistency(i, j):
         ordered = leq_rows[i] >> j & 1 == 1
@@ -558,17 +582,20 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
     items, J, M = tabs.items, tabs.join, tabs.meet
     closed = tabs.closure_join is None and tabs.closure_meet is None
 
-    def law(outer, inner, outer_t, inner_t):
+    join_ops, meet_ops = tabs.row_ops(tabs.join_t), tabs.row_ops(tabs.meet_t)
+
+    def law(outer, inner, outer_ops, inner_ops):
         """(probe, row) for outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))."""
+        (_, outer_rows, outer_of), (_, inner_rows, inner_of) = outer_ops, inner_ops
+
         def row(i, j):
-            a_outer = outer_t[i]
-            return (list(map(a_outer.__getitem__, inner_t[j])),
-                    list(map(inner_t[a_outer[j]].__getitem__, a_outer)))
+            a_outer = outer_rows[i]
+            return outer_of(i, inner_rows[j]), inner_of(a_outer[j], a_outer)
         return (lambda i, j, k: None if outer(i, inner(j, k)) == inner(outer(i, j), outer(i, k))
                 else "", row if closed else None)
 
-    for name, (probe, row) in (("meet-over-join", law(M, J, tabs.meet_t, tabs.join_t)),
-                               ("join-over-meet", law(J, M, tabs.join_t, tabs.meet_t))):
+    for name, (probe, row) in (("meet-over-join", law(M, J, meet_ops, join_ops)),
+                               ("join-over-meet", law(J, M, join_ops, meet_ops))):
         _run_law(report, items, name, 3, probe, plan=plan, asserted=asserted, note=note, row=row)
     return report
 

@@ -440,18 +440,15 @@ NOT_NESTED = {  # (rank, lo, hi) per cut over chain3 at grades 0, 1/2, 1; the fl
 @pytest.mark.parametrize("case", sorted(NOT_NESTED))
 def test_op_chain_that_is_not_nested_raises(chain3, case):
     """The nesting check on op results is not an assert, so it also holds
-    under ``python -O``.  Constant 1/2 has levels 0, 1 and 2, so the op walk
-    asks ``cut`` once per planted cut, in rank order."""
-    half = FuzzyInterval.constant(chain3, H)
-    assert half._chain == GRADES3 and half._levels == (0, 1, 2)
-    planted = iter(NOT_NESTED[case])
-
-    def cut(a_end, b_end):
-        _, lo, hi = next(planted)
-        return lo, hi
-
-    with pytest.raises(NotAFuzzyInterval, match="not nested"):
-        fuzzyintervals._combined(chain3, half, half, cut)
+    under ``python -O``.  Constant 1/2 has levels 0, 1 and 2; planting a
+    chain as its ends makes an operand whose meet and join with itself
+    keep every planted cut, since both rules are idempotent on one cut."""
+    bad = FuzzyInterval.constant(chain3, H)
+    assert bad._chain == GRADES3 and bad._levels == (0, 1, 2)
+    bad._ends = tuple((lo, hi) for _, lo, hi in NOT_NESTED[case])
+    for op in (FuzzyInterval.meet, FuzzyInterval.join):
+        with pytest.raises(NotAFuzzyInterval, match="not nested"):
+            op(bad, bad)
 
 
 def test_two_valued_fuzzy_intervals_match_crisp_intervals():

@@ -304,6 +304,23 @@ def test_witness_operands_that_are_plain_values_render_by_str():
     assert closure.witness == {"indices": [1, 1], "operands": ["1", "1"]}
 
 
+def test_each_closure_witness_is_its_own_ops_first_outside_pair():
+    """Both ops intern into one pool: ``meet(0, 1)`` adds 7 to it first, and
+    ``join(1, 2)`` then finds 7 already pooled.  It still lies outside the
+    items, so each closure check names its own op's first such pair."""
+    def join(a, b):
+        return 7 if {a, b} == {1, 2} else max(a, b)
+
+    def meet(a, b):
+        return 7 if {a, b} == {0, 1} else min(a, b)
+
+    report = check_lattice_axioms([0, 1, 2], join, meet, int.__le__)
+    closure = {c.law: c for c in report.checks if c.law.startswith("closure")}
+    assert closure["closure-join"].status == closure["closure-meet"].status == "fail"
+    assert closure["closure-join"].witness["indices"] == [1, 2]
+    assert closure["closure-meet"].witness["indices"] == [0, 1]
+
+
 def test_duplicate_member_is_refused_before_any_op(chain2):
     ivs = enumerate_intervals(chain2) + [CrispInterval.empty(chain2)]
     calls = Counter()
@@ -512,6 +529,53 @@ def test_row_checks_match_a_plain_scan_on_random_lattices(case, broken):
         if len(items) < 2:
             assert {c.checked for r in reports for c in r.checks
                     if c.law in PAIR_LAWS or c.law in TRIPLE_LAWS} == {len(items)}
+
+
+def _planted(op, n, faults):
+    """``op`` over 0..n-1 with the entries in ``faults`` replaced."""
+    table = [[op(a, b) for b in range(n)] for a in range(n)]
+    for (a, b), value in faults.items():
+        table[a][b] = value
+    return lambda a, b: table[a][b]
+
+
+@pytest.mark.parametrize("n, seq", [(256, bytes), (257, list)])
+def test_rows_as_bytes_or_lists_match_a_scan_at_the_byte_boundary(monkeypatch, n, seq):
+    """Up to 256 items every index fits a byte and the rows are bytes; from
+    257 they are lists.  Either way each report equals the one a scan with
+    no rows gives.  The ints under max and min get one planted
+    associativity fault, ``1 ⊔ 2 = 4`` and ``2 ⊓ 3 = 0`` (one way round
+    only, so commutativity fails early too), and one planted distributivity
+    fault, M3 on 1, 2 and 3 under 4.  The budget makes the triples
+    exhaustive, and every triple law fails within about n² scanned
+    tuples, so the scans stay short."""
+    run_law, row_ops = laws._run_law, laws._OpTables.row_ops
+    seqs = set()
+
+    def spied(tabs, table):
+        ops = row_ops(tabs, table)
+        seqs.add(ops[0])
+        return ops
+    monkeypatch.setattr(laws._OpTables, "row_ops", spied)
+    m3_pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
+    cases = [(check_lattice_axioms, _planted(max, n, {(1, 2): 4}),
+              _planted(min, n, {(2, 3): 0}), int.__le__),
+             (check_distributivity, _planted(max, n, dict.fromkeys(m3_pairs, 4)),
+              _planted(min, n, dict.fromkeys(m3_pairs, 0)))]
+    reports = []
+    for scan in (False, True):
+        if scan:  # the same laws with no rows given, so each is scanned
+            monkeypatch.setattr(laws, "_run_law",
+                                lambda *args, row=None, **kw: run_law(*args, **kw))
+        reports.append([check(range(n), *ops, budget=257 ** 3).as_json()
+                        for check, *ops in cases])
+    assert seqs == {seq}
+    rows, scanned = reports
+    assert rows == scanned
+    failed = {c["law"] for r in rows for c in r["checks"] if c["status"] == "fail"}
+    assert {"associativity-join", "associativity-meet", "meet-over-join",
+            "join-over-meet"} <= failed
+    assert "absorption-join-meet" not in failed  # its rows pass whole
 
 
 def _subsets(ranks):
@@ -1634,7 +1698,10 @@ def test_a_traced_exhaustive_pass_reaches_every_layer_it_is_primary_for(monkeypa
     that stops reaching a layer (the cut identities reading cuts without
     ``cut_interval``, say) fails here and not only in a traced run.  Its
     ``laws.checked`` and ``laws.planned`` are pinned, so a change of route
-    that moves either count fails here too."""
+    that moves either count fails here too.  So are the public op calls:
+    the fuzzy-interval table evaluates ``join`` and ``meet`` on every
+    ordered pair, n² per case, and never copies ``(j, i)`` from ``(i, j)``,
+    which would make commutativity hold by construction."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     tracing = importlib.import_module("tracing")
     workload = importlib.import_module("workloads").WORKLOADS["laws-exhaustive"]()
@@ -1653,6 +1720,10 @@ def test_a_traced_exhaustive_pass_reaches_every_layer_it_is_primary_for(monkeypa
     assert [k for k in primary if not metrics[k]] == []
     # the workload samples nothing, so these totals hold at every seed
     assert (metrics["laws.checked"], metrics["laws.planned"]) == (1_182_792, 2_098_690)
+    pairs = sum(len(enumerate_fuzzy_intervals(workload.lattices[fixture], grades.split(","))) ** 2
+                for fixture, grades in workload.specs)
+    assert pairs == 9_866
+    assert metrics["fuzzyintervals.join.calls"] == metrics["fuzzyintervals.meet.calls"] == pairs
 
 
 @pytest.mark.parametrize("name", ["laws-exhaustive", "laws-sampled"])
