@@ -161,7 +161,7 @@ def _read_json(path) -> object:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
+    except (ValueError, RecursionError) as exc:  # also an over-long number; too deep a nesting
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -23,6 +23,8 @@ from .lattice import Element, FiniteLattice, _require_same_lattice, format_eleme
 GRADE_ZERO = Fraction(0)
 GRADE_ONE = Fraction(1)
 _GRADE_TYPES = {Fraction, int}  # exactly these; bool and float are refused
+MAX_GRADE_DIGITS = 4300  # Python's default int-to-str limit, which format_grade must meet
+_GRADE_BOUND = 10 ** MAX_GRADE_DIGITS  # numerators and denominators stay below it
 
 
 def as_grade(value) -> Fraction:
@@ -32,14 +34,27 @@ def as_grade(value) -> Fraction:
     strings parse exactly).  Floats are rejected: cut computation relies on
     exact comparisons and a float would smuggle in rounding error.  Booleans
     are rejected too, as by :meth:`FuzzySet.from_values` and the JSON reader.
+
+    A grade must render in lowest terms with at most ``MAX_GRADE_DIGITS``
+    digits above and below the bar.  A string whose exponent alone exceeds
+    that many is refused before ``Fraction`` computes ten to its power.
     """
     if isinstance(value, (bool, float)):
         raise InvalidGrade(f"refusing {type(value).__name__} grade {value!r}; "
                            "pass a Fraction or a string")
+    if isinstance(value, str):
+        sep, exponent = value.lower().rpartition("e")[1:]
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if sep and digits.isdecimal() and (len(digits) > len(str(MAX_GRADE_DIGITS))
+                                           or int(digits) > MAX_GRADE_DIGITS):
+            raise InvalidGrade(f"grade {value!r} has an exponent beyond {MAX_GRADE_DIGITS}")
     try:
         grade = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InvalidGrade(f"cannot parse grade {value!r}") from exc
+    if abs(grade.numerator) >= _GRADE_BOUND or grade.denominator >= _GRADE_BOUND:
+        raise InvalidGrade(f"grade has more than {MAX_GRADE_DIGITS} digits "
+                           "in its numerator or denominator")
     if not GRADE_ZERO <= grade <= GRADE_ONE:
         raise InvalidGrade(f"grade {grade} lies outside [0, 1]")
     return grade

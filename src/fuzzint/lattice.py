@@ -7,6 +7,11 @@ constructor materializes full meet/join tables so that every later query
 is a table lookup.  Element subsets are kept as integer bitmasks over the
 canonical element order.
 
+One iterative depth-first walk over the covers gives the closure: an
+element's up-set is written as the walk leaves it, and a cover back to an
+element still on the walk's path is a cycle, so the covers do not define
+an order (``CycleError``).
+
 The bounds follow the principal-filter characterisation: ``x ⊔ y`` exists
 exactly when the common upper bounds ``↑x ∩ ↑y`` are the up-set of one
 element, which then is the join (dually for meets).  Up-sets are distinct,
@@ -65,7 +70,15 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
     """``(ordered elements, index, up-masks, cover-masks)``: the validated
     elements in canonical order, the reflexive-transitive closure of the
     covers as one up-set bitmask each (equal results mean the same order),
-    and per element the bitmask of its upper ends among the covers."""
+    and per element the bitmask of its upper ends among the covers.
+
+    The walk starts from each element not yet reached, in canonical order,
+    and follows each element's covers in input order.  Leaving element i, it
+    sets ``up[i]`` to bit i ORed with the up-sets of i's covers, which are all
+    written by then.  The first cover that reaches an element still on the
+    path raises ``CycleError``; its witness is that stretch of the path,
+    closed at its start.  A self-cover is refused before the walk.
+    """
     elems = list(elements)
     if not elems:
         raise ValueError("a lattice needs at least one element")
@@ -90,49 +103,30 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
             direct[i] |= 1 << j
             succ[i].append(j)
 
-    up = [0] * n
-    for i in reversed(_topological_order(succ, ordered)):
-        mask = 1 << i
-        for j in succ[i]:
-            mask |= up[j]
-        up[i] = mask
+    up = [0] * n  # 0 until the walk reaches i, -1 while i is on its path
+    for root in range(n):
+        if up[root]:
+            continue
+        up[root] = -1
+        path, todo = [root], [iter(succ[root])]
+        while path:
+            for j in todo[-1]:
+                if up[j] < 0:
+                    cycle = path[path.index(j):] + [j]
+                    raise CycleError(tuple(ordered[k] for k in cycle))
+                if not up[j]:
+                    up[j] = -1
+                    path.append(j)
+                    todo.append(iter(succ[j]))
+                    break
+            else:
+                i = path.pop()
+                todo.pop()
+                mask = 1 << i
+                for j in succ[i]:
+                    mask |= up[j]
+                up[i] = mask
     return ordered, index, up, direct
-
-
-def _topological_order(succ, ordered) -> list:
-    n = len(ordered)
-    remaining = [0] * n  # in-degrees among the nodes not yet placed
-    for i in range(n):
-        for j in succ[i]:
-            remaining[j] += 1
-    stack = [i for i in range(n) if remaining[i] == 0]
-    topo = []
-    while stack:
-        i = stack.pop()
-        topo.append(i)
-        for j in succ[i]:
-            remaining[j] -= 1
-            if remaining[j] == 0:
-                stack.append(j)
-    if len(topo) < n:
-        # every blocked node keeps at least one blocked predecessor, so a
-        # predecessor walk inside the blocked set must revisit a node
-        blocked = {i for i in range(n) if remaining[i] > 0}
-        preds = {i: [] for i in blocked}
-        for i in blocked:
-            for j in succ[i]:
-                if j in blocked:
-                    preds[j].append(i)
-        trail, seen_at = [], {}
-        node = min(blocked)
-        while node not in seen_at:
-            seen_at[node] = len(trail)
-            trail.append(node)
-            node = preds[node][0]
-        seg = trail[seen_at[node]:]
-        cycle = [seg[0]] + list(reversed(seg[1:])) + [seg[0]]
-        raise CycleError(tuple(ordered[i] for i in cycle))
-    return topo
 
 
 class FiniteLattice:

@@ -60,7 +60,7 @@ def test_validate_cyclic_exits_1(tmp_path, capsys):
     path.write_text(json.dumps({"name": "c", "elements": ["x", "y"],
                                 "covers": [["x", "y"], ["y", "x"]]}))
     assert main(["validate", str(path)]) == 1
-    assert "cycle" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: cover relation contains a cycle: 'x' -> 'y' -> 'x'\n"
 
 
 def test_validate_not_a_lattice_exits_1(tmp_path, capsys):
@@ -73,7 +73,8 @@ def test_validate_not_a_lattice_exits_1(tmp_path, capsys):
 
 def test_validate_malformed_exits_2(tmp_path, capsys):
     for name, content in (("bad.json", b"{broken"), ("deep.json", b"[" * 200_000),
-                          ("latin.json", b'{"name": "\xe9"}')):
+                          ("latin.json", b'{"name": "\xe9"}'),
+                          ("long.json", b'{"name": ' + b"1" * 5000 + b"}")):
         path = tmp_path / name
         path.write_bytes(content)
         assert main(["validate", str(path)]) == 2
@@ -302,6 +303,23 @@ def test_laws_bad_grades_exit_2(capsys):
     assert main(["laws", "--fixture", "chain2", "--grades", "1/2,1"]) == 2
     assert main(["laws", "--fixture", "chain2", "--grades", "0,half,1"]) == 2
     assert main(["laws", "--fixture", "chain2", "--grades", "0,3/2,1"]) == 2
+    capsys.readouterr()
+    assert main(["laws", "--fixture", "chain2", "--grades", "0,1e-100000000,1"]) == 2
+    assert capsys.readouterr().err == "error: grade '1e-100000000' has an exponent beyond 4300\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "op"])
+def test_a_grade_too_long_to_render_exits_2_naming_its_element(chain3_file, tmp_path, capsys,
+                                                               command):
+    fs = str(tmp_path / "long.json")
+    (tmp_path / "long.json").write_text(json.dumps(
+        {"lattice": CHAIN3_DOC, "memberships": {"0": "1e-5000", "1": "0", "2": "0"}}))
+    assert main(["classify", chain3_file, fs] if command == "classify"
+                else ["op", "meet", chain3_file, fs, fs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad grade for '0': grade '1e-5000' has an exponent "
+                            "beyond 4300\n")
 
 
 def test_laws_unknown_fixture_exits_2(capsys):

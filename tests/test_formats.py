@@ -270,6 +270,10 @@ def test_load_errors(tmp_path):
     deep.write_text("[" * 200_000)
     with pytest.raises(FormatError, match=f"^{re.escape(str(deep))} is not valid JSON: "):
         load_lattice(deep)
+    long = tmp_path / "long.json"  # an integer literal past the int-conversion digit limit
+    long.write_text('{"name": ' + "1" * 5000 + "}")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(long))} is not valid JSON: Exceeds"):
+        load_lattice(long)
     latin = tmp_path / "latin.json"
     latin.write_bytes(b'{"name": "\xe9"}')
     with pytest.raises(FormatError, match=f"^cannot read {re.escape(str(latin))}: 'utf-8' codec"):

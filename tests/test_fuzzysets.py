@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ def test_as_grade_accepts_exact_forms():
     assert as_grade("2/4") == H
     assert as_grade(1) == 1
     assert as_grade(Fraction(3, 4)) == Fraction(3, 4)
+    assert as_grade("2.5e-1") == Fraction(1, 4)
+    assert format_grade(as_grade("1e-4299")) == "1/1" + "0" * 4299  # the most digits allowed
 
 
 def test_as_grade_rejects_floats_and_out_of_range():
@@ -31,6 +34,23 @@ def test_as_grade_rejects_floats_and_out_of_range():
         as_grade(-1)
     with pytest.raises(InvalidGrade):
         as_grade("zero")
+
+
+@pytest.mark.parametrize("value, text", [
+    ("1e-100000000", "grade '1e-100000000' has an exponent beyond 4300"),
+    ("1E-4_301", "grade '1E-4_301' has an exponent beyond 4300"),
+    ("0e99999999", "grade '0e99999999' has an exponent beyond 4300"),
+    ("1e-4300", "grade has more than 4300 digits in its numerator or denominator"),
+    ("0.5e-4300", "grade has more than 4300 digits in its numerator or denominator"),
+    (Fraction(1, 10 ** 4300), "grade has more than 4300 digits in its numerator or denominator"),
+])
+def test_as_grade_refuses_what_format_grade_cannot_render(value, text):
+    """A huge exponent is refused before ``Fraction`` computes ten to its power."""
+    start = time.perf_counter()
+    with pytest.raises(InvalidGrade) as exc:
+        as_grade(value)
+    assert time.perf_counter() - start < 0.2
+    assert str(exc.value) == text
 
 
 @pytest.mark.parametrize("value", [True, False])

@@ -10,7 +10,7 @@ from conftest import random_lattices
 from fuzzint import (CycleError, FiniteLattice, NotALattice, RouteDisagreement, SizeLimit,
                      UnknownElement, boolean_lattice, chain, is_distributive, m3, n5,
                      product_lattice, standard_lattice)
-from fuzzint.lattice import MAX_ELEMENTS
+from fuzzint.lattice import MAX_ELEMENTS, order_closure
 
 
 def test_chain_order(chain3):
@@ -37,12 +37,13 @@ def test_self_cover_is_a_cycle():
 def test_two_cycle():
     with pytest.raises(CycleError) as exc:
         FiniteLattice(["x", "y"], [("x", "y"), ("y", "x")])
-    assert "cycle" in str(exc.value)
+    assert str(exc.value) == "cover relation contains a cycle: 'x' -> 'y' -> 'x'"
 
 
 def test_longer_cycle_is_detected():
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError) as exc:
         FiniteLattice(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")])
+    assert str(exc.value) == "cover relation contains a cycle: 'b' -> 'c' -> 'd' -> 'b'"
 
 
 def test_empty_carrier_rejected():
@@ -350,6 +351,44 @@ def test_random_covers_build_or_raise_cleanly(case):
             assert lat.leq(x, y) == (m == x) == (j == y)
 
 
+def _warshall(labels, covers):
+    """``below[x, y]``: x reaches y through the covers (reflexively), by Warshall's closure."""
+    below = {(x, y): x == y for x in labels for y in labels}
+    for lo, hi in covers:
+        below[lo, hi] = True
+    for k in labels:
+        for x in labels:
+            for y in labels:
+                below[x, y] = below[x, y] or (below[x, k] and below[k, y])
+    return below
+
+
+def _has_cycle(labels, covers, below):
+    """A self-cover, or two distinct elements that reach each other."""
+    return (any(lo == hi for lo, hi in covers)
+            or any(below[x, y] and below[y, x] for x in labels for y in labels if x != y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_cover_sets())
+def test_order_closure_matches_a_warshall_closure(case):
+    """The walk raises on exactly the cyclic inputs, with a closed walk of input
+    covers as its witness, and otherwise gives the brute-force up-sets."""
+    labels, covers = case
+    below = _warshall(labels, covers)
+    try:
+        _, index, up, _ = order_closure(labels, covers)
+    except CycleError as exc:
+        assert _has_cycle(labels, covers, below)
+        cycle = exc.cycle
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert set(zip(cycle, cycle[1:])) <= set(covers)
+        return
+    assert not _has_cycle(labels, covers, below)
+    for x in labels:
+        assert up[index[x]] == sum(1 << index[y] for y in labels if below[x, y])
+
+
 def _first_missing_bound(labels, covers):
     """(pair, kind, candidates) of the first pair without a meet or join, by brute force.
 
@@ -357,13 +396,7 @@ def _first_missing_bound(labels, covers):
     the first two maximal common lower (minimal common upper) bounds.
     """
     elems = sorted(labels)
-    below = {(x, y): x == y for x in elems for y in elems}
-    for lo, hi in covers:
-        below[lo, hi] = True
-    for k in elems:
-        for x in elems:
-            for y in elems:
-                below[x, y] = below[x, y] or (below[x, k] and below[k, y])
+    below = _warshall(elems, covers)
     for i, x in enumerate(elems):
         for y in elems[i:]:
             for kind, le in (("meet", lambda a, b: below[a, b]), ("join", lambda a, b: below[b, a])):
@@ -381,6 +414,7 @@ def test_not_a_lattice_witness_matches_brute_force(case):
     try:
         FiniteLattice(labels, covers)
     except CycleError:
+        assert _has_cycle(labels, covers, _warshall(labels, covers))
         return
     except NotALattice as exc:
         got = (exc.pair, exc.kind, exc.candidates)
