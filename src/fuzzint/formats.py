@@ -13,11 +13,12 @@ covers in canonical order), so parse → emit is byte-stable.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import FormatError, FuzzintError, InvalidGrade, LatticeMismatch, UnknownElement
 from .fuzzysets import FuzzySet, as_grade, format_grade
-from .lattice import FiniteLattice, _fixture, format_element, order_closure
+from .lattice import FiniteLattice, _fixture, _has_covers, format_element, order_closure
 
 
 def _require_keys(doc: dict, keys: set[str], what: str) -> None:
@@ -31,28 +32,29 @@ def _require_keys(doc: dict, keys: set[str], what: str) -> None:
         raise FormatError(f"{what} is missing fields: {', '.join(sorted(missing))}")
 
 
-def _read_lattice_doc(doc, build):
-    # ``build`` is FiniteLattice or order_closure; both take the same fields
+def _lattice_fields(doc) -> tuple:
+    """``(name, elements, pairs)`` of a lattice document, each field checked once."""
     _require_keys(doc, {"name", "elements", "covers"}, "a lattice document")
     name = doc["name"]
     if not isinstance(name, str):
         raise FormatError("lattice name must be a string")
     elements = doc["elements"]
     if (not isinstance(elements, list) or not elements
-            or not all(isinstance(e, str) for e in elements)):
+            or not all(map(isinstance, elements, repeat(str)))):
         raise FormatError("elements must be a nonempty array of strings")
     if len(set(elements)) != len(elements):
         raise FormatError("element ids must be unique")
     covers = doc["covers"]
-    shape = "covers must be an array of [lower, upper] string pairs"
-    if not isinstance(covers, list):
-        raise FormatError(shape)
-    pairs = []
-    for c in covers:
-        if not (isinstance(c, list) and len(c) == 2
-                and isinstance(c[0], str) and isinstance(c[1], str)):
-            raise FormatError(shape)
-        pairs.append((c[0], c[1]))
+    if not (isinstance(covers, list) and all(map(isinstance, covers, repeat(list)))
+            and set(map(len, covers)) <= {2}
+            and all(map(isinstance, chain.from_iterable(covers), repeat(str)))):
+        raise FormatError("covers must be an array of [lower, upper] string pairs")
+    return name, elements, list(map(tuple, covers))
+
+
+def _build_lattice(fields, build):
+    # ``build`` is FiniteLattice or order_closure; both take the same fields
+    name, elements, pairs = fields
     try:
         return build(elements, pairs, name=name)
     except UnknownElement as exc:
@@ -60,7 +62,7 @@ def _read_lattice_doc(doc, build):
 
 
 def lattice_from_json(doc) -> FiniteLattice:
-    return _read_lattice_doc(doc, FiniteLattice)
+    return _build_lattice(_lattice_fields(doc), FiniteLattice)
 
 
 def lattice_to_json(lattice: FiniteLattice) -> dict:
@@ -102,11 +104,14 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
         raise FormatError("the lattice field must be a name or an inline lattice object")
     elif lattice is None:
         return lattice_from_json(ref)
-    # match by order alone; a mismatch builds, so NotALattice comes first
-    ordered, _, up, _ = _read_lattice_doc(ref, order_closure)
+    fields = _lattice_fields(ref)
+    if _has_covers(lattice, fields[1], fields[2]):
+        return lattice
+    # else match by order alone; a mismatch builds, so NotALattice comes first
+    ordered, _, up, _ = _build_lattice(fields, order_closure)
     if ordered == lattice.elements and up == lattice._up:
         return lattice
-    lattice_from_json(ref)
+    _build_lattice(fields, FiniteLattice)
     raise LatticeMismatch("the fuzzy set's lattice does not match the provided lattice")
 
 

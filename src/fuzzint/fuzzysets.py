@@ -13,6 +13,7 @@ chains are first put on the union of the two.  ``values``, ``__call__``,
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -22,9 +23,15 @@ from .lattice import Element, FiniteLattice, _require_same_lattice, format_eleme
 
 GRADE_ZERO = Fraction(0)
 GRADE_ONE = Fraction(1)
+_BOUND_IDS = {GRADE_ZERO: 0, GRADE_ONE: 1}
 _GRADE_TYPES = {Fraction, int}  # exactly these; bool and float are refused
-MAX_GRADE_DIGITS = 4300  # Python's default int-to-str limit, which format_grade must meet
+# the interpreter's int-to-str limit, which format_grade must meet: 4300 by
+# default, and kept at 4300 when the limit is off (or absent, before Python
+# 3.10.7) so a huge exponent still fails fast
+MAX_GRADE_DIGITS = min(getattr(sys, "get_int_max_str_digits", int)() or 4300, 4300)
 _GRADE_BOUND = 10 ** MAX_GRADE_DIGITS  # numerators and denominators stay below it
+_TOO_LONG = (f"grade has more than {MAX_GRADE_DIGITS} digits "
+             "in its numerator or denominator")
 
 
 def as_grade(value) -> Fraction:
@@ -53,9 +60,8 @@ def as_grade(value) -> Fraction:
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InvalidGrade(f"cannot parse grade {value!r}") from exc
     if abs(grade.numerator) >= _GRADE_BOUND or grade.denominator >= _GRADE_BOUND:
-        raise InvalidGrade(f"grade has more than {MAX_GRADE_DIGITS} digits "
-                           "in its numerator or denominator")
-    if not GRADE_ZERO <= grade <= GRADE_ONE:
+        raise InvalidGrade(_TOO_LONG)
+    if not 0 <= grade.numerator <= grade.denominator:
         raise InvalidGrade(f"grade {grade} lies outside [0, 1]")
     return grade
 
@@ -68,24 +74,33 @@ def format_grade(grade: Fraction) -> str:
 def _grade_chain(values) -> tuple[tuple, tuple]:
     """``(chain, ranks)`` for grades in element order.
 
-    Each grade is hashed once; ints 0 and 1 land on the ``Fraction`` bounds,
-    and every other distinct grade must be a ``Fraction`` strictly between.
-    A float or bool is refused even where it equals a bound.
+    Values repeat a few objects, so each distinct object is typed, hashed
+    and checked once.  Ints 0 and 1 land on the ``Fraction`` bounds, and
+    every other distinct grade must be a ``Fraction`` strictly between that
+    renders within ``MAX_GRADE_DIGITS``.  A float or bool is refused even
+    where it equals a bound.  The chain is sorted on the correctly rounded
+    float of each grade, which never reverses the exact order; only a float
+    tie compares the ``Fraction``s.
     """
-    if not set(map(type, values)) <= _GRADE_TYPES:
-        bad = next(v for v in values if type(v) not in _GRADE_TYPES)
+    objects = dict(zip(map(id, values), values))  # id -> object, first seen first
+    if not set(map(type, objects.values())) <= _GRADE_TYPES:
+        bad = next(v for v in objects.values() if type(v) not in _GRADE_TYPES)
         raise InvalidGrade(f"grade {bad!r} must be a Fraction in [0, 1]")
-    ids = {GRADE_ZERO: 0, GRADE_ONE: 1}  # grade -> first-seen id
-    seen = [ids.setdefault(v, len(ids)) for v in values]
+    ids = _BOUND_IDS.copy()  # grade -> first-seen id; a copy keeps the bounds' hashes
+    seen = [ids.setdefault(v, len(ids)) for v in objects.values()]
     grades = list(ids)
     for g in grades[2:]:
-        if not (isinstance(g, Fraction) and GRADE_ZERO < g < GRADE_ONE):
+        if abs(g.numerator) >= _GRADE_BOUND or g.denominator >= _GRADE_BOUND:
+            raise InvalidGrade(_TOO_LONG)
+        if not (isinstance(g, Fraction) and 0 < g.numerator < g.denominator):
             raise InvalidGrade(f"grade {g!r} must be a Fraction in [0, 1]")
-    order = sorted(range(len(grades)), key=grades.__getitem__)
+    order = sorted(range(len(grades)), key=[(g.numerator / g.denominator, g)
+                                            for g in grades].__getitem__)
     rank_of = [0] * len(grades)
     for r, k in enumerate(order):
         rank_of[k] = r
-    return tuple([grades[k] for k in order]), tuple([rank_of[k] for k in seen])
+    rank = dict(zip(objects, [rank_of[k] for k in seen]))  # id -> rank
+    return tuple([grades[k] for k in order]), tuple(map(rank.__getitem__, map(id, values)))
 
 
 def _merge_chains(a: tuple, b: tuple) -> tuple[tuple, list, list]:

@@ -129,6 +129,24 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
     return ordered, index, up, direct
 
 
+def _has_covers(lattice, elements, covers) -> bool:
+    """Whether ``elements`` are the lattice's elements and ``covers`` give
+    the same cover masks as its input pairs, in any order and with repeats.
+    Then the closure is the lattice's order and no check can fail, so
+    ``order_closure`` need not run.  Anything else is False, an unknown
+    element or a self-cover included."""
+    index = lattice._index
+    if index.keys() != set(elements):
+        return False
+    direct = [0] * len(index)
+    try:
+        for lo, hi in covers:
+            direct[index[lo]] |= 1 << index[hi]
+    except KeyError:
+        return False
+    return direct == lattice._succ
+
+
 class FiniteLattice:
     """A finite lattice with materialized meet/join tables.
 

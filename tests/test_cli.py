@@ -322,6 +322,23 @@ def test_a_grade_too_long_to_render_exits_2_naming_its_element(chain3_file, tmp_
                             "beyond 4300\n")
 
 
+def test_a_grade_beyond_a_lowered_int_digit_limit_exits_2_naming_it(chain3_file, tmp_path):
+    """Under ``PYTHONINTMAXSTRDIGITS=640`` a grade must render in 640 digits,
+    so ``1e-1000``, which the default limit takes, is refused up front."""
+    import os
+    import subprocess
+    import sys
+    fs = str(tmp_path / "long.json")
+    (tmp_path / "long.json").write_text(json.dumps(
+        {"lattice": CHAIN3_DOC, "memberships": {"0": "1e-1000", "1": "0", "2": "0"}}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="640")
+    proc = subprocess.run([sys.executable, "-m", "fuzzint", "op", "meet", chain3_file, fs, fs],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: bad grade for '0': grade '1e-1000' has an exponent beyond 640\n"
+
+
 def test_laws_unknown_fixture_exits_2(capsys):
     for spec in ("tetrahedron", "chain²", "boolean¹", "chain٣"):
         assert main(["laws", "--fixture", spec]) == 2

@@ -6,9 +6,11 @@ import pytest
 
 from fuzzint import (CycleError, FiniteLattice, FormatError, FuzzySet, LatticeMismatch,
                      NotALattice, chain, cli, m3, standard_lattice)
+from fuzzint import formats
 from fuzzint.formats import (dumps_canonical, fuzzy_set_from_json,
                              fuzzy_set_to_json, lattice_from_json,
                              lattice_to_json, load_fuzzy_set, load_lattice)
+from fuzzint.lattice import order_closure
 
 M3_DOC = {
     "name": "m3",
@@ -177,6 +179,35 @@ def _inline(covers, elements=DIAMOND):
 def test_inline_lattice_with_the_same_order_resolves_to_the_given_lattice(doc):
     lat = m3()
     assert fuzzy_set_from_json(doc, lat).lattice is lat
+
+
+@pytest.mark.parametrize("doc", [
+    _inline([["c", "1"], ["b", "1"], ["a", "1"], ["0", "c"], ["0", "b"], ["0", "a"]]),
+    _inline(M3_DOC["covers"] + [["0", "a"], ["c", "1"], ["0", "a"]]),
+    _inline(M3_DOC["covers"], ["1", "c", "b", "a", "0"]),
+], ids=["covers-reordered", "repeated-cover", "elements-permuted"])
+def test_an_inline_lattice_with_the_given_covers_resolves_without_a_closure(doc, monkeypatch):
+    lat = m3()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inline lattice took the closure route")
+
+    monkeypatch.setattr(formats, "order_closure", refuse)
+    assert fuzzy_set_from_json(doc, lat).lattice is lat
+
+
+def test_an_inline_lattice_with_other_covers_resolves_through_the_closure(monkeypatch):
+    lat = m3()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return order_closure(*args, **kwargs)
+
+    monkeypatch.setattr(formats, "order_closure", counting)
+    doc = _inline(M3_DOC["covers"] + [["0", "1"]])  # a transitive edge m3() was not built with
+    assert fuzzy_set_from_json(doc, lat).lattice is lat
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("covers, error, text", [

@@ -10,7 +10,7 @@ from conftest import GRADES3, GRADES4, enumerate_fuzzy_sets
 from fuzzint import (CutFamily, FiniteLattice, FuzzyInterval, FuzzySet, InvalidFamily,
                      InvalidGrade, LatticeMismatch, UnknownElement, as_grade, chain,
                      equal_by_cuts, format_grade, from_cut_family)
-from fuzzint.fuzzysets import meet_family
+from fuzzint.fuzzysets import _grade_chain, meet_family
 from fuzzint.laws import check_distributivity, check_lattice_axioms
 
 H = Fraction(1, 2)
@@ -224,6 +224,80 @@ def test_from_values_rejects_what_is_not_one_grade_per_element(chain3, values, e
     with pytest.raises(error) as exc:
         FuzzySet.from_values(chain3, values)
     assert type(exc.value) is error and str(exc.value) == text
+
+
+@pytest.mark.parametrize("values", [
+    (Fraction(1), Fraction(1, 10 ** 5000)),
+    (Fraction(10 ** 5000 + 1, 10 ** 5000), 0),
+    (0, 10 ** 5000),
+], ids=["tiny", "above-one", "huge-int"])
+def test_from_values_refuses_a_grade_too_long_to_render(chain2, values):
+    with pytest.raises(InvalidGrade) as exc:
+        FuzzySet.from_values(chain2, values)
+    assert str(exc.value) == "grade has more than 4300 digits in its numerator or denominator"
+
+
+@pytest.mark.parametrize("limit, bound", [("640", 640), ("0", 4300)])
+def test_the_grade_digit_bound_follows_a_lowered_interpreter_limit(limit, bound):
+    """A limit below 4300 bounds the grades; no limit keeps 4300, so a huge
+    exponent is still refused before it is computed."""
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = ("from fuzzint import InvalidGrade\n"
+              "from fuzzint.fuzzysets import MAX_GRADE_DIGITS, as_grade\n"
+              "print(MAX_GRADE_DIGITS)\n"
+              "for text in ('1e-1000', '1e-5000'):\n"
+              "    try:\n"
+              "        print(as_grade(text).denominator == 10 ** 1000)\n"
+              "    except InvalidGrade as exc:\n"
+              "        print(type(exc).__name__, exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS=limit))
+    assert proc.returncode == 0, proc.stderr
+    first = ("True" if bound > 1000
+             else f"InvalidGrade grade '1e-1000' has an exponent beyond {bound}")
+    assert proc.stdout.splitlines() == [
+        str(bound), first, f"InvalidGrade grade '1e-5000' has an exponent beyond {bound}"]
+
+
+THIRD = Fraction(1, 3)
+NEAR_THIRD = Fraction(10 ** 20 + 1, 3 * 10 ** 20)  # another grade with 1/3's float
+GRADE_POOL = (0, 1, Fraction(0), Fraction(1), THIRD, NEAR_THIRD, H, Fraction(2, 3))
+NOT_GRADES = (0.5, 1.0, True, "1/2", Fraction(3, 2), -1, 2)
+
+
+def _reference_chain(values):
+    """``(chain, ranks)`` the plain way: the sorted set of the grades and 0, 1."""
+    wrong_type = [v for v in values if type(v) not in (Fraction, int)]
+    for v in wrong_type or [v for v in values if not 0 <= v <= 1]:  # types first
+        raise InvalidGrade(f"grade {v!r} must be a Fraction in [0, 1]")
+    chain = sorted({Fraction(0), Fraction(1), *values})
+    return tuple(chain), tuple(chain.index(v) for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(GRADE_POOL), st.booleans()), max_size=12),
+       st.none() | st.tuples(st.sampled_from(NOT_GRADES), st.integers(0, 12)))
+def test_grade_chain_matches_a_sorted_set_of_the_grades(drawn, bad):
+    """Shared objects, equal but distinct ``Fraction``s, the ints 0 and 1, and
+    distinct grades with one float all land where a sorted set puts them; a
+    value that is no grade is refused with the reference's message."""
+    assert float(THIRD) == float(NEAR_THIRD) and THIRD < NEAR_THIRD
+    values = [Fraction(g) if fresh else g for g, fresh in drawn]  # a fresh copy is equal, not the same
+    if bad is not None:
+        values.insert(bad[1], bad[0])
+    try:
+        expected = _reference_chain(values)
+    except InvalidGrade as exc:
+        with pytest.raises(InvalidGrade) as got:
+            _grade_chain(values)
+        assert str(got.value) == str(exc)
+        return
+    chain, ranks = _grade_chain(values)
+    assert (chain, ranks) == expected
+    assert all(type(g) is Fraction for g in chain)
 
 
 def test_cut_family_equality_and_repr(chain3):
