@@ -153,15 +153,11 @@ def validate_grades(grades) -> tuple[Fraction, ...]:
 
 
 def enumerate_intervals(lattice: FiniteLattice) -> list[CrispInterval]:
-    """Every crisp interval: the empty one first, then [lo, hi] pairs in
-    canonical element order."""
-    out = [CrispInterval.empty(lattice)]
-    n = len(lattice.elements)
-    for i in range(n):
-        for j in range(n):
-            if lattice.leq_index(i, j):
-                out.append(CrispInterval._from_indices(lattice, i, j))
-    return out
+    """Every crisp interval: the empty one first, then [lo, hi] for each lo
+    and each hi in its up-set, in canonical element order."""
+    return [CrispInterval.empty(lattice)] + [
+        CrispInterval._from_indices(lattice, i, j)
+        for i, up in enumerate(lattice._up) for j in iter_bits(up)]
 
 
 def _order_rows(vectors: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -184,39 +180,41 @@ def _order_rows(vectors: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]
     return up, down
 
 
-def _inclusion_rows(lattice: FiniteLattice, intervals) -> tuple[list[int], list[int]]:
-    """(superset, subset) rows of inclusion among crisp intervals: the
-    :func:`_order_rows` of their 0/1 memberships."""
+def _interval_space(lattice: FiniteLattice) -> tuple[list, list[int], tuple]:
+    """Int(L), the crisp intervals with the empty one, as ``(items, masks,
+    (supersets, subsets))``: :func:`enumerate_intervals`, each item's
+    member bitmask, and the :func:`_order_rows` of their 0/1 memberships:
+    bit j of ``supersets[i]`` is set when item i lies inside item j."""
+    items = enumerate_intervals(lattice)
+    masks = [iv.members_mask() for iv in items]
     elements = range(len(lattice.elements))
-    return _order_rows([[m >> e & 1 for e in elements]
-                        for m in map(CrispInterval.members_mask, intervals)])
+    return items, masks, _order_rows([[m >> e & 1 for e in elements] for m in masks])
 
 
 def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInterval]:
     """All fuzzy intervals with values in ``grades``.
 
-    Generated as antitone interval chains: one crisp interval per positive
-    grade, each containing the next; the membership of an element is the
-    largest grade whose interval contains it.  Cuts of the result at the
-    chosen grades recover exactly the chain, so the construction is a
-    bijection onto the grade-valued fuzzy intervals.  Every result stores
-    its grades as ranks into one shared chain, the validated ``grades``,
-    so the ops between them compare ints.
+    Generated as antitone chains in Int(L) (see :func:`_interval_space`):
+    one crisp interval per grade, each containing the next, the one at
+    grade 0 the whole carrier; the membership of an element is the largest
+    grade whose interval contains it.  Cuts of the result at the chosen
+    grades recover exactly the chain, so the construction is a bijection
+    onto the grade-valued fuzzy intervals, in lexicographic order of the
+    chains.  Every result stores its grades as ranks into one shared
+    chain, the validated ``grades``, so the ops between them compare ints.
     """
     chain = validate_grades(grades)
-    intervals = enumerate_intervals(lattice)
-    masks = [iv.members_mask() for iv in intervals]
-    contained = [list(iter_bits(row)) for row in _inclusion_rows(lattice, intervals)[1]]
+    _, masks, (_, subsets) = _interval_space(lattice)
+    contained = [list(iter_bits(row)) for row in subsets]
 
-    chains: list[tuple[int, ...]] = [()]
-    for level in range(len(chain) - 1):  # extending each chain in turn keeps depth-first order
-        chains = [c + (j,) for c in chains
-                  for j in (contained[c[-1]] if level else range(len(intervals)))]
+    chains = [(masks.index(lattice.all_mask),)]  # every chain starts at the whole carrier
+    for _ in chain[1:]:  # extending each chain in turn keeps depth-first order
+        chains = [c + (j,) for c in chains for j in contained[c[-1]]]
     out: list[FuzzyInterval] = []
     for c in chains:
         ranks = [0] * len(lattice.elements)
-        for rank, idx in enumerate(c, 1):  # ascending: last write wins
-            for b in iter_bits(masks[idx]):
+        for rank in range(1, len(c)):  # ascending: last write wins
+            for b in iter_bits(masks[c[rank]]):
                 ranks[b] = rank
         out.append(FuzzyInterval(FuzzySet._from_ranks(lattice, chain, tuple(ranks))))
     return out
@@ -870,12 +868,13 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     The suites of one call share each collection, its op table and the
     carrier's distributivity verdict, each built on first use.  The
     fuzzy-interval table is built by the first of ``axioms``,
-    ``distributivity`` or ``cut-identities`` to run, and the crisp table
-    by the first of ``cut-identities`` and the crisp suites.  Each sampled
-    (count, arity) space is drawn once and read by every law over it.
-    Only the axiom suites build order rows, from the members' memberships
-    by :func:`_order_rows`.  A budget that is not a positive int raises
-    ``ValueError`` before anything is built.
+    ``distributivity`` or ``cut-identities`` to run, and Int(L) (the
+    crisp table's items and ``crisp-axioms``' order rows; see
+    :func:`_interval_space`) by the first of ``cut-identities`` and the
+    crisp suites.  Each sampled (count, arity) space is drawn once and
+    read by every law over it.  Only the axiom suites build order rows,
+    from the members' memberships by :func:`_order_rows`.  A budget that
+    is not a positive int raises ``ValueError`` before anything is built.
     """
     if name == "all":
         names = SUITES
@@ -889,7 +888,8 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     plan = _planner(budget, seed)
     fis = functools.cache(lambda: enumerate_fuzzy_intervals(lattice, chain))
     fi_table = functools.cache(lambda: _OpTables(fis(), FuzzyInterval.join, FuzzyInterval.meet))
-    crisp = functools.cache(lambda: _OpTables(enumerate_intervals(lattice), CrispInterval.hull,
+    space = functools.cache(lambda: _interval_space(lattice))
+    crisp = functools.cache(lambda: _OpTables(space()[0], CrispInterval.hull,
                                               CrispInterval.intersection))
     distributive = functools.cache(lambda: is_distributive(lattice)[0])
     suites = {
@@ -900,8 +900,7 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
         "cut-identities": lambda r: _cut_identities(r, lattice, fi_table(), crisp(), plan=plan),
         "endpoints": lambda r: _endpoint_lemmas(r, lattice, fis(), distributive(), plan=plan),
         "structure": lambda r: _interval_structure(r, fis(), plan=plan),
-        "crisp-axioms": lambda r: _lattice_axioms(
-            r, crisp(), _inclusion_rows(lattice, crisp().items), plan=plan),
+        "crisp-axioms": lambda r: _lattice_axioms(r, crisp(), space()[2], plan=plan),
         "crisp-distributivity": lambda r: _distributivity(r, crisp(), asserted=distributive(),
                                                           plan=plan),
     }

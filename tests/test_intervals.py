@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_lattices
 from fuzzint import (CrispInterval, EmptyInterval, FiniteLattice, LatticeMismatch,
-                     RouteDisagreement, chain, intersection_family, n5)
+                     RouteDisagreement, boolean_lattice, chain, intersection_family, n5)
+from fuzzint import laws
 from fuzzint.laws import enumerate_intervals
 
 
@@ -113,6 +115,35 @@ def test_interval_counts_fixtures(diamond, pentagon, b2, b3):
     assert len(enumerate_intervals(pentagon)) == 14
     assert len(enumerate_intervals(b2)) == 10
     assert len(enumerate_intervals(b3)) == 28
+
+
+def _random_lattice(case):
+    masks, covers = case
+    return FiniteLattice([f"e{i}" for i in range(len(masks))], covers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([chain(1), boolean_lattice(0)]),
+                 random_lattices().map(_random_lattice)))
+def test_interval_space_matches_brute_force(lattice):
+    """Int(L)'s items are the empty interval, then [lo, hi] for every pair
+    lo ⊑ hi in a scan of all element pairs in canonical order; its masks are
+    the member masks, and its rows are pairwise ``issubset``."""
+    items, masks, (supersets, subsets) = laws._interval_space(lattice)
+    elements = lattice.elements
+    scanned = [CrispInterval.empty(lattice)]
+    for lo in elements:
+        for hi in elements:
+            if lattice.leq(lo, hi):
+                scanned.append(CrispInterval(lattice, lo, hi))
+    assert items == scanned
+    assert enumerate_intervals(lattice) == scanned
+    assert masks == [iv.members_mask() for iv in items]
+    assert masks[1:] == [sum(1 << b for b, z in enumerate(elements)
+                             if lattice.leq(iv.lo, z) and lattice.leq(z, iv.hi))
+                         for iv in items[1:]]
+    assert supersets == [sum(a.issubset(b) << j for j, b in enumerate(items)) for a in items]
+    assert subsets == [sum(b.issubset(a) << j for j, b in enumerate(items)) for a in items]
 
 
 def test_enumeration_has_no_duplicates(pentagon):

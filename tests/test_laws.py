@@ -12,7 +12,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets, random_lattices
@@ -104,6 +104,33 @@ def test_generator_agrees_with_filter(chain3, b2, diamond, pentagon):
         gen = {fi.fuzzy for fi in enumerate_fuzzy_intervals(lat, GRADES3)}
         filt = {fi.fuzzy for fi in enumerate_fuzzy_intervals_by_filter(lat, GRADES3)}
         assert gen == filt
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_lattices(), st.data())
+def test_generator_agrees_with_filter_on_random_lattices(case, data):
+    """At one, two or three positive grades, wherever the |grades|^|L|
+    candidate sets number at most 1,000: the chains enumerate each fuzzy
+    interval once, and exactly those the filter finds."""
+    lattice = _lattice_of(case)
+    fitting = [g for g in (GRADES2, GRADES3, GRADES4) if len(g) ** len(lattice) <= 1000]
+    assume(fitting)
+    grades = data.draw(st.sampled_from(fitting))
+    fis = [fi.fuzzy for fi in enumerate_fuzzy_intervals(lattice, grades)]
+    assert len(set(fis)) == len(fis)
+    assert set(fis) == {fi.fuzzy for fi in enumerate_fuzzy_intervals_by_filter(lattice, grades)}
+
+
+@pytest.mark.parametrize("grades", [GRADES2, GRADES3, GRADES4], ids=["k1", "k2", "k3"])
+@pytest.mark.parametrize("lattice", [chain(1), boolean_lattice(0)], ids=["chain1", "boolean0"])
+def test_one_element_carriers_pass_every_suite(lattice, grades):
+    """Over one element, the fuzzy intervals are the k + 1 constants for k
+    positive grades, and every law of every suite passes."""
+    fis = enumerate_fuzzy_intervals(lattice, grades)
+    assert [fi.fuzzy.values for fi in fis] == [(g,) for g in grades]
+    for report in run_suite("all", lattice, grades):
+        assert report.passed, report.to_text()
+        assert all(c.status == "pass" for c in report.checks), report.to_text()
 
 
 def test_enumeration_is_duplicate_free(pentagon):
