@@ -123,11 +123,14 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
     raw = doc["memberships"]
     if not isinstance(raw, dict):
         raise FormatError("memberships must be an object")
-    by_name = {format_element(e): e for e in target.elements}
-    values = {}
+    index = target._index  # name -> element index, when every element is its own name
+    if not all(map(isinstance, target.elements, repeat(str))):  # product elements are tuples
+        index = {format_element(e): i for i, e in enumerate(target.elements)}
+    values = [None] * len(index)
     parsed = {}  # raw grade -> as_grade result; documents repeat grades
     for key, grade in raw.items():
-        if key not in by_name:
+        i = index.get(key)
+        if i is None:
             raise FormatError(f"membership for unknown element {key!r}")
         if isinstance(grade, float):
             raise FormatError(
@@ -139,11 +142,11 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
                 parsed[grade] = as_grade(grade)
             except InvalidGrade as exc:
                 raise FormatError(f"bad grade for {key!r}: {exc}") from exc
-        values[by_name[key]] = parsed[grade]
-    missing = [name for name in by_name if name not in raw]
-    if missing:
+        values[i] = parsed[grade]
+    if len(raw) < len(index):  # every key named a distinct element
+        missing = [name for name in index if name not in raw]
         raise FormatError("memberships must be total; missing: " + ", ".join(sorted(missing)))
-    return FuzzySet.from_values(target, [values[e] for e in target.elements])
+    return FuzzySet.from_values(target, values)
 
 
 def memberships_to_json(m) -> dict:

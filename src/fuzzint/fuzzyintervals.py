@@ -12,24 +12,26 @@ first two classes coincide, so ``classify`` decides membership by the
 cut-shape check alone and runs the pointwise searches only to explain a
 rejection.
 
-A :class:`FuzzyInterval` is stored as its *endpoint chain*: a grade
-chain, the ranks of its thresholds in that chain, ascending, and per
-threshold the ``(lo, hi)`` element indices of that cut.  The cuts of a
-fuzzy interval are closed intervals, so the chain determines it.  The
-public constructor takes a fuzzy set and builds the endpoint chain in the
-same full scan that validates it, bucketing the elements by grade rank;
-it keeps the fuzzy set too.
+A :class:`FuzzyInterval` is stored as its *cut chain*: a grade chain,
+the ranks of its thresholds in that chain, ascending, and per threshold
+the code of that cut in Int(L), the crisp intervals with the empty one
+(:class:`~fuzzint.intervals._IntervalCodes`).  The cuts of a fuzzy
+interval are closed intervals, so the chain determines it.  The public
+constructor takes a fuzzy set and finds the cut ends in the same full
+scan that validates it, bucketing the elements by grade rank, then codes
+them; it keeps the fuzzy set too.
 
 Op results skip that scan and build no fuzzy set: they are stored as
-their cut chains alone, and their memberships are derived from the cut
-ends on first read.  Meet is the pointwise minimum, and cutwise the
-intersection of the operand cuts.  Join is *not* the pointwise maximum:
-cutwise it is the hull of the operand cuts, the smallest fuzzy interval
-above both operands.  Each op is one walk over both operands' levels
-that applies its rule to each pair of cuts inline, by lookups in the
-carrier's tables, folds repeated cuts and checks only that the result is
-a nested chain of intervals.  Equality and the hash compare endpoint
-chains, so interning an op result derives nothing.
+their cut chains alone, and their memberships are derived from the
+decoded cut ends on first read.  Meet is the pointwise minimum, and
+cutwise the intersection of the operand cuts.  Join is *not* the
+pointwise maximum: cutwise it is the hull of the operand cuts, the
+smallest fuzzy interval above both operands.  Each op is one walk over
+both operands' levels that reads each result cut from one entry of a
+per-lattice table keyed by the two operand codes, filled entry by entry
+from the carrier's tables; it folds repeated cuts and checks only that
+the result is a nested chain of intervals.  Equality and the hash compare
+tuples of codes, so interning an op result derives nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Mapping
 
 from .errors import NotAFuzzyInterval, RouteDisagreement
 from .fuzzysets import FuzzySet, _merge_chains, as_grade, format_grade
-from .intervals import CrispInterval
+from .intervals import CrispInterval, _IntervalCodes
 from .lattice import Element, FiniteLattice, _require_same_lattice, format_element, iter_bits
 
 # -- violation searches (one per implementation route) ---------------------
@@ -235,6 +237,64 @@ def classify(m: FuzzySet) -> Classification:
 # -- the fuzzy interval type ------------------------------------------------
 
 
+def _cutwise(hull: bool, name: str, doc: str):
+    """The op ``FuzzyInterval.<name>``: the result whose cut at every level
+    of either operand is the hull (``hull``) or the intersection of the
+    operands' cuts there.
+
+    One walk over both operands' levels, merged by rank in the union of
+    their grade chains, reads each result cut from one entry of the
+    lattice's op table over cut codes, filling it on a miss.  A cut equal
+    to the one below it is folded into it, keeping rank 0, as
+    :func:`_endpoint_chain` keeps only rank 0, the top and the ranks some
+    element takes.  The only check is that the chain is nested: going up,
+    ``lo`` rises, ``hi`` falls, and no nonempty cut sits above an empty one,
+    one mask test of the entry's marks against the needs of the cut below.
+    Both ops share this body, and neither wraps it in a second call.
+    """
+    def op(a: FuzzyInterval, b: FuzzyInterval) -> FuzzyInterval:
+        lat = a.lattice
+        if lat is not b.lattice:
+            _require_same_lattice(lat, b.lattice)
+        chain, ta, tb = a._chain, a._levels, b._levels
+        if chain is not b._chain:
+            chain, pos_a, pos_b = _merge_chains(chain, b._chain)
+            ta, tb = list(map(pos_a.__getitem__, ta)), list(map(pos_b.__getitem__, tb))
+        ca, cb, count = a._cuts, b._cuts, len(ta)
+        codes = lat._codes or _IntervalCodes.of(lat)
+        get, fill, size = codes.tables[hull].get, codes.fill, codes.size
+        levels, cuts = [], []
+        below, need = -1, 0  # no cut below rank 0, so nothing to contain
+        ia = ib = 0
+        while ia < count:  # both end at the rank of grade 1
+            x, y = ca[ia], cb[ib]  # a cut holds down to the level below its own
+            code, marks, needs = get(x * size + y) or fill(hull, x, y)
+            ra, rb = ta[ia], tb[ib]
+            r = ra if ra <= rb else rb
+            ia += ra <= rb
+            ib += rb <= ra
+            if code == below and levels[-1]:
+                levels[-1] = r  # the same cut: no element has the lower rank
+                continue
+            if marks & need != need:  # the cut below does not contain this one
+                raise NotAFuzzyInterval(
+                    f"cut chain is not nested: the cut at {format_grade(chain[levels[-1]])} "
+                    f"does not contain the cut at {format_grade(chain[r])}")
+            levels.append(r)
+            cuts.append(code)
+            below, need = code, needs
+        out = object.__new__(FuzzyInterval)
+        out.lattice = lat
+        out._chain = chain
+        out._levels = tuple(levels)
+        out._cuts = tuple(cuts)
+        out._fuzzy = None
+        return out
+
+    op.__name__, op.__qualname__, op.__doc__ = name, f"FuzzyInterval.{name}", doc
+    return op
+
+
 @dataclass(frozen=True)
 class EndpointFunctions:
     """Cut endpoints per threshold.
@@ -250,21 +310,22 @@ class EndpointFunctions:
 
 class FuzzyInterval:
     """A fuzzy set whose every cut is a crisp closed interval, stored as its
-    endpoint chain over ``lattice``: ``_chain``, a grade chain; ``_levels``,
-    the ranks of the thresholds in ``_chain``, ascending; and ``_ends[t]``,
-    the ``(lo, hi)`` element indices of the cut at rank ``_levels[t]``
-    (``(None, None)`` when the cut is empty).
+    cut chain over ``lattice``: ``_chain``, a grade chain; ``_levels``, the
+    ranks of the thresholds in ``_chain``, ascending; and ``_cuts[t]``, the
+    Int(L) code of the cut at rank ``_levels[t]`` (0 when the cut is empty;
+    see :class:`~fuzzint.intervals._IntervalCodes`).
 
-    The constructor validates its argument by the full cut scan, keeps the
-    endpoints it finds and keeps the fuzzy set.  ``meet`` and ``join`` build
-    only their results' endpoint chains, in one walk over their operands'
-    levels that checks that the cuts nest; a result's membership function,
-    ``fuzzy``, is derived from its cut ends on first read.  ``thresholds``, ``cut_interval``,
-    ``endpoint_functions``, equality and the hash read the endpoint chain,
-    so they derive nothing.
+    The constructor validates its argument by the full cut scan, codes the
+    cut ends it finds and keeps the fuzzy set.  ``meet`` and ``join`` build
+    only their results' cut chains, in one walk over their operands' levels
+    that reads one table entry per level and checks that the cuts nest; a
+    result's membership function, ``fuzzy``, is derived from its decoded
+    cut ends on first read.  ``thresholds``, ``cut_interval`` and
+    ``endpoint_functions`` decode the cut chain, and equality and the hash
+    compare it, so they derive nothing.
     """
 
-    __slots__ = ("lattice", "_chain", "_levels", "_ends", "_fuzzy")
+    __slots__ = ("lattice", "_chain", "_levels", "_cuts", "_fuzzy")
 
     def __init__(self, fuzzy: FuzzySet):
         levels, ends, witness = _endpoint_chain(fuzzy)
@@ -273,10 +334,11 @@ class FuzzyInterval:
             raise NotAFuzzyInterval(
                 f"cut at {format_grade(fuzzy.chain[r])} is not a closed interval: it omits "
                 f"{format_element(fuzzy.lattice.elements[z])} between its bounds")
+        code = _IntervalCodes.of(fuzzy.lattice).code
         self.lattice = fuzzy.lattice
         self._chain = fuzzy.chain
         self._levels = levels
-        self._ends = ends
+        self._cuts = tuple([code(lo, hi) for lo, hi in ends])
         self._fuzzy = fuzzy
 
     @classmethod
@@ -298,7 +360,7 @@ class FuzzyInterval:
             lat = self.lattice
             ranks = [0] * len(lat.elements)
             cut = 0
-            for r, (lo, hi) in zip(reversed(self._levels), reversed(self._ends)):
+            for r, (lo, hi) in zip(reversed(self._levels), reversed(self._cut_ends())):
                 if lo is not None:  # cuts grow downward
                     mask = lat.between_mask(lo, hi)
                     for i in iter_bits(mask & ~cut):  # only the elements new at this level
@@ -321,10 +383,15 @@ class FuzzyInterval:
     def cut(self, p) -> frozenset:
         return self.fuzzy.cut(p)
 
+    def _cut_ends(self) -> tuple[tuple[int | None, int | None], ...]:
+        """Per level, the ``(lo, hi)`` element indices of its cut,
+        ``(None, None)`` if empty."""
+        return tuple(map(_IntervalCodes.of(self.lattice).ends, self._cuts))
+
     def _rank_endpoints(self, rank: int) -> tuple[int | None, int | None]:
         """``(lo, hi)`` element indices of the cut at ``_chain[rank]``,
         ``(None, None)`` if empty."""
-        return self._ends[bisect_left(self._levels, rank)]
+        return _IntervalCodes.of(self.lattice).ends(self._cuts[bisect_left(self._levels, rank)])
 
     def cut_interval(self, p) -> CrispInterval:
         """The p-cut as a crisp interval.
@@ -340,7 +407,7 @@ class FuzzyInterval:
         lower: dict = {}
         upper: dict = {}
         thresholds = self.thresholds()
-        for p, (lo, hi) in zip(thresholds, self._ends):
+        for p, (lo, hi) in zip(thresholds, self._cut_ends()):
             if lo is None:
                 lower[p], upper[p] = self.lattice.top, self.lattice.bottom
             else:
@@ -350,28 +417,24 @@ class FuzzyInterval:
     def leq(self, other: "FuzzyInterval") -> bool:
         return self.fuzzy.leq(other.fuzzy)
 
-    def meet(self, other: "FuzzyInterval") -> "FuzzyInterval":
-        """Pointwise minimum; cutwise, the intersection of the operand cuts:
-        ``[a_lo ⊔ b_lo, a_hi ⊓ b_hi]`` at each level, or the empty cut where
-        that is crossed, the rule of :meth:`CrispInterval.intersection`."""
-        return _walk(self, other, hull=False)
+    meet = _cutwise(False, "meet", """Pointwise minimum; cutwise, the intersection of the
+        operand cuts: ``[a_lo ⊔ b_lo, a_hi ⊓ b_hi]`` at each level, or the empty
+        cut where that is crossed, the rule of :meth:`CrispInterval.intersection`.""")
 
-    def join(self, other: "FuzzyInterval") -> "FuzzyInterval":
-        """Smallest fuzzy interval above both operands.
+    join = _cutwise(True, "join", """Smallest fuzzy interval above both operands.
 
         Built cutwise: at every level of either operand take the hull of
         the two cuts, ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]``, or the other cut where
         one is empty.  Cuts are constant between consecutive levels, so no
         other grade can matter.
-        """
-        return _walk(self, other, hull=True)
+        """)
 
     def __eq__(self, other) -> bool:
-        # _levels are exactly the thresholds and _ends the cut at each, so
-        # equal cut ends at equal grades over one lattice are equal sets
+        # _levels are exactly the thresholds and _cuts the cut at each, so
+        # equal cut codes at equal grades over one lattice are equal sets
         if not isinstance(other, FuzzyInterval):
             return NotImplemented
-        if self._ends != other._ends:
+        if self._cuts != other._cuts:
             return False
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             return False
@@ -381,72 +444,13 @@ class FuzzyInterval:
         return all(a[r] == b[s] for r, s in zip(self._levels, other._levels))
 
     def __hash__(self) -> int:
-        # _ends holds the cut ends at grade 0, at each grade in (0, 1) the
-        # set takes, and at grade 1; the chain ranks live in _levels.  So
-        # equal sets have equal _ends on any chain.  Sets of one cut shape at
-        # other grades collide and __eq__ settles them: hashing the grades
-        # as well kept only about a third of the speed-up in the op tables.
-        return hash(self._ends)
+        # _cuts holds the cut codes at grade 0, at each grade in (0, 1) the
+        # set takes, and at grade 1; the chain ranks live in _levels.  Equal
+        # lattices code alike, so equal sets have equal _cuts on any chain.
+        # Sets of one cut shape at other grades collide and __eq__ settles
+        # them: hashing the grades as well kept only about a third of the
+        # speed-up in the op tables.
+        return hash(self._cuts)
 
     def __repr__(self) -> str:
         return f"FuzzyInterval({self.fuzzy!r})"
-
-
-def _walk(a: FuzzyInterval, b: FuzzyInterval, hull: bool) -> FuzzyInterval:
-    """The op result whose cut at every level of either operand is the hull
-    (``hull``) or the intersection of the operands' cuts there.
-
-    One walk over both operands' levels, merged by rank in the union of
-    their grade chains, applies the rule inline from the carrier's tables.
-    A cut equal to the one below it is folded into it, keeping rank 0, as
-    :func:`_endpoint_chain` keeps only rank 0, the top and the ranks some
-    element takes.  The only check is that the chain is nested: going up,
-    ``lo`` rises, ``hi`` falls, and no nonempty cut sits above an empty one.
-    """
-    lat = _require_same_lattice(a.lattice, b.lattice)
-    chain, ta, tb = a._chain, a._levels, b._levels
-    if chain is not b._chain:
-        chain, pos_a, pos_b = _merge_chains(chain, b._chain)
-        ta, tb = [pos_a[r] for r in ta], [pos_b[r] for r in tb]
-    ea, eb = a._ends, b._ends
-    up = lat._up  # up[i] >> j & 1: i ⊑ j
-    lo_t, hi_t = (lat._meet, lat._join) if hull else (lat._join, lat._meet)
-    levels, ends = [], []
-    below_lo = below_hi = -1  # no cut below rank 0
-    ia = ib = 0
-    while ia < len(ta):  # both end at the rank of grade 1
-        lo, hi = end = ea[ia]  # a cut holds down to the level below its own
-        b_lo, b_hi = other = eb[ib]
-        ra, rb = ta[ia], tb[ib]
-        r = ra if ra <= rb else rb
-        ia += ra <= rb
-        ib += rb <= ra
-        if lo is None or b_lo is None:  # the hull is the other cut, the intersection empty
-            if not hull:
-                end, lo, hi = (None, None), None, None
-            elif lo is None:
-                end, lo, hi = other, b_lo, b_hi
-        else:
-            lo, hi = lo_t[lo][b_lo], hi_t[hi][b_hi]
-            if hull or up[lo] >> hi & 1:  # a hull is never crossed
-                end = lo, hi
-            else:
-                end, lo, hi = (None, None), None, None
-        if lo == below_lo and hi == below_hi and levels[-1]:
-            levels[-1] = r  # the same cut: no element has the lower rank
-            continue
-        if lo is not None and levels and (
-                below_lo is None or not (up[below_lo] >> lo & 1 and up[hi] >> below_hi & 1)):
-            raise NotAFuzzyInterval(
-                f"cut chain is not nested: the cut at {format_grade(chain[levels[-1]])} "
-                f"does not contain the cut at {format_grade(chain[r])}")
-        levels.append(r)
-        ends.append(end)
-        below_lo, below_hi = lo, hi
-    out = object.__new__(FuzzyInterval)
-    out.lattice = lat
-    out._chain = chain
-    out._levels = tuple(levels)
-    out._ends = tuple(ends)
-    out._fuzzy = None
-    return out

@@ -5,10 +5,15 @@ bounds.  Construction normalizes crossed bounds to the single empty value,
 so structural equality coincides with equality of member sets.  Under
 intersection (``&``) and hull (``|``, the smallest interval containing
 both operands) the intervals of a lattice form a lattice themselves.
+
+Int(L), the intervals with the empty one, is also coded by int: see
+:class:`_IntervalCodes`, which fuzzy intervals use to store their cuts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import EmptyInterval, RouteDisagreement
@@ -160,3 +165,97 @@ def intersection_family(lattice: FiniteLattice,
     for interval in intervals:
         acc = acc.intersection(interval)
     return acc
+
+
+class _IntervalCodes:
+    """Int(L) coded by position: code 0 is the empty interval, and the code
+    of ``[lo, hi]`` is its index in ``laws.enumerate_intervals``, which
+    lists ``[lo, hi]`` for each ``lo`` and each ``hi`` in its up-set, both
+    ascending.  So the code is ``offset[lo]`` plus the number of elements
+    of ``lo``'s up-set below ``hi``, with ``offset`` the running count of
+    up-set sizes from 1.  Equal lattices share the canonical order, so
+    their codes agree.
+
+    ``tables[hull]`` maps ``a * size + b`` to ``(code, marks, needs)`` for
+    the hull (``hull``) or the intersection of the intervals coded ``a``
+    and ``b``, filled one entry at a time by :meth:`fill` from the
+    carrier's tables.  ``marks`` and ``needs`` make containment one mask
+    test: c lies inside d exactly when ``marks(c) & needs(d) == needs(d)``.
+    Over n elements, ``[lo, hi]`` marks ``lo``'s down-set shifted by n and
+    ``hi``'s up-set, and needs bits ``n + lo`` and ``hi``; the empty
+    interval marks every bit and needs bit 2n, which no other one marks.
+
+    Entries with one code are one tuple, and the ends of each code are kept
+    as it is encoded or decoded.  Set-up is O(n), so a lattice that takes a
+    single op pays nothing of order |Int(L)|.
+    """
+
+    __slots__ = ("size", "tables", "_offset", "_up", "_down", "_meet", "_join", "_ends",
+                 "_entries")
+
+    def __init__(self, lattice: FiniteLattice):
+        self._up = lattice._up
+        self._down = lattice._down
+        self._meet = lattice._meet
+        self._join = lattice._join
+        self._offset = list(accumulate(map(int.bit_count, self._up), initial=1))
+        self.size = self._offset[-1]
+        self.tables = ({}, {})  # intersection, hull
+        self._ends = {0: (None, None)}
+        self._entries = {0: (0, -1, 1 << 2 * len(self._up))}
+
+    @staticmethod
+    def of(lattice: FiniteLattice) -> "_IntervalCodes":
+        """The lattice's coding, built on first use."""
+        codes = lattice._codes
+        if codes is None:
+            codes = lattice._codes = _IntervalCodes(lattice)
+        return codes
+
+    def code(self, lo: int | None, hi: int | None) -> int:
+        """The code of ``[lo, hi]``, with ``lo`` ⊑ ``hi``; 0 when ``lo`` is
+        None.  The ends are kept, so decoding the code reads them back."""
+        if lo is None:
+            return 0
+        code = self._offset[lo] + (self._up[lo] & ((1 << hi) - 1)).bit_count()
+        self._ends[code] = lo, hi
+        return code
+
+    def ends(self, code: int) -> tuple[int | None, int | None]:
+        """``(lo, hi)`` element indices of the interval coded ``code``,
+        ``(None, None)`` for the empty one: ``lo`` by bisection on the
+        offsets, ``hi`` the k-th element of ``lo``'s up-set."""
+        pair = self._ends.get(code)
+        if pair is None:
+            lo = bisect_right(self._offset, code) - 1
+            up = self._up[lo]
+            for _ in range(code - self._offset[lo]):
+                up &= up - 1
+            pair = self._ends[code] = lo, (up & -up).bit_length() - 1
+        return pair
+
+    def fill(self, hull: bool, a: int, b: int) -> tuple[int, int, int]:
+        """Fill and return the entry of ``tables[hull]`` for codes a and b.
+
+        The hull ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]`` is never crossed, and the
+        empty interval is its identity; the intersection ``[a_lo ⊔ b_lo,
+        a_hi ⊓ b_hi]`` is empty where that is crossed or an operand is."""
+        (a_lo, a_hi), (b_lo, b_hi) = self.ends(a), self.ends(b)
+        if a_lo is None or b_lo is None:  # the hull is the other interval, the intersection empty
+            lo, hi = (a_lo, a_hi) if b_lo is None else (b_lo, b_hi)
+            if not hull:
+                lo = hi = None
+        elif hull:
+            lo, hi = self._meet[a_lo][b_lo], self._join[a_hi][b_hi]
+        else:
+            lo, hi = self._join[a_lo][b_lo], self._meet[a_hi][b_hi]
+            if not self._up[lo] >> hi & 1:
+                lo = hi = None
+        code = self.code(lo, hi)
+        entry = self._entries.get(code)
+        if entry is None:
+            n = len(self._up)
+            entry = self._entries[code] = (code, self._down[lo] << n | self._up[hi],
+                                           1 << n + lo | 1 << hi)
+        self.tables[hull][a * self.size + b] = entry
+        return entry

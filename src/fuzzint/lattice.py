@@ -155,13 +155,14 @@ class FiniteLattice:
     ``i ≤ j`` in canonical order that lacks its meet (checked first) or
     join, naming up to two extremal common bounds as candidates.
 
-    Instances are immutable after construction and safe to share.  Equality
+    Instances are immutable after construction, but for the Int(L) coding
+    that fuzzy intervals fill on first use, and safe to share.  Equality
     is structural: same element set and same order relation (names are
     metadata and do not participate).
     """
 
     __slots__ = ("name", "elements", "_index", "_up", "_down", "_succ", "_meet", "_join",
-                 "_bottom", "_top", "_all_mask")
+                 "_bottom", "_top", "_all_mask", "_codes")
 
     def __init__(self, elements: Iterable[Element], covers, *, name: str = ""):
         ordered, index, up, succ = order_closure(elements, covers, name=name)
@@ -178,6 +179,7 @@ class FiniteLattice:
         self._down = down
         self._succ = succ  # the input cover pairs as bitmasks; covers() keeps the Hasse edges
         self._all_mask = (1 << n) - 1
+        self._codes = None  # Int(L)'s coding, built on first use (intervals._IntervalCodes)
 
         # x ⊓ y is the element whose down-set is ↓x ∩ ↓y, if any (dually ⊔)
         by_up = {mask: b for b, mask in enumerate(up)}

@@ -829,7 +829,7 @@ def _interval_structure(report: LawReport, fis: list, *, plan: Callable) -> LawR
         """
         fuzzy = fi.fuzzy
         vals = fuzzy.ranks
-        for r, (lo, hi) in zip(fi._levels, fi._ends):
+        for r, (lo, hi) in zip(fi._levels, fi._cut_ends()):
             mask = fuzzy._rank_cut_mask(r)
             if mask:
                 yield r, mask, min(vals[lo], vals[hi])

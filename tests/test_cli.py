@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from fuzzint import RouteDisagreement, cli
+from fuzzint import RouteDisagreement, boolean_lattice, cli, laws
 from fuzzint.cli import main
+from fuzzint.formats import lattice_to_json, load_lattice
 from fuzzint.laws import SUITES
 
 M3_DOC = {
@@ -181,6 +182,51 @@ def test_op_join_with_cuts(m3_file, tmp_path, capsys):
     assert doc["memberships"] == {"0": "1", "a": "1/2", "b": "1/2", "c": "1/2", "1": "1/2"}
     assert "cuts:" in captured.err
     assert "1/2: [0,1]" in captured.err
+
+
+def _graded(lattice, cuts):
+    """Memberships of the fuzzy interval whose cut at each ``(grade, lo, hi)``
+    is ``[lo, hi]``; ``cuts`` nest, ascending by grade."""
+    return {x: next((g for g, lo, hi in reversed(cuts)
+                     if lattice.leq(lo, x) and lattice.leq(x, hi)), "0")
+            for x in lattice.elements}
+
+
+@pytest.mark.parametrize("operation", ["join", "meet"])
+def test_op_on_a_fresh_lattice_fills_one_table_entry_per_level(tmp_path, monkeypatch, capsys,
+                                                              operation):
+    """An op over an inline boolean5 document derives no Int(L) (244 items)
+    and fills at most one op-table entry per level that its walk visits."""
+    b5 = boolean_lattice(5)
+    doc = lattice_to_json(b5)
+    lat_file = tmp_path / "b5.json"
+    lat_file.write_text(json.dumps(doc))
+    falling = _graded(b5, [("1/6", "00000", "11110"), ("1/3", "00000", "11100"),
+                           ("1/2", "00000", "11000"), ("2/3", "00000", "10000"),
+                           ("1", "00000", "00000")])
+    rising = _graded(b5, [("1/5", "00001", "11111"), ("2/5", "00011", "11111"),
+                          ("3/5", "00111", "11111"), ("4/5", "01111", "11111")])
+    operands = [fuzzy_file(tmp_path, f"{name}.json", memberships, lattice=doc)
+                for name, memberships in (("falling", falling), ("rising", rising))]
+    levels = len({"0", "1"} | set(falling.values()) | set(rising.values()))
+    assert levels == 10
+
+    def refuse(*args):
+        raise AssertionError("the op derived Int(L)")
+
+    monkeypatch.setattr(laws, "enumerate_intervals", refuse)
+    monkeypatch.setattr(laws, "_interval_space", refuse)
+    loaded = []
+
+    def load(path):
+        loaded.append(load_lattice(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_lattice", load)
+    assert main(["op", operation, str(lat_file), *operands, "--cuts"]) == 0
+    capsys.readouterr()
+    (lattice,) = loaded
+    assert 0 < sum(map(len, lattice._codes.tables)) <= levels
 
 
 # Operands with different grade sets, {0, 1/3, 1} and {0, 1/2, 1}; the

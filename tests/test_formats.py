@@ -110,7 +110,15 @@ NESTED = "product(" * 70 + "m3" + ",m3)" * 70
     (NESTED, {}, "lattice fixture nests product(...) more than 64 levels deep"),
     (7, {}, "the lattice field must be a name or an inline lattice object"),
     ("m3", ["1"] * 5, "memberships must be an object"),
-], ids=["unknown-fixture", "non-ascii-size", "nested", "not-a-name", "memberships-list"])
+    ("m3", {"0": "1", "zz": "1"}, "membership for unknown element 'zz'"),
+    ("m3", {"0": 0.5, "zz": "1"},
+     "grade for '0' is a JSON float; use a string for an exact value"),
+    ("m3", {"0": "1", "a": "1"}, "memberships must be total; missing: 1, b, c"),
+    ("product(chain2,chain2)", {"(0,0)": "1", "0": "1"}, "membership for unknown element '0'"),
+    ("product(chain2,chain2)", {"(0,0)": "1", "(0,1)": "1"},
+     "memberships must be total; missing: (1,0), (1,1)"),
+], ids=["unknown-fixture", "non-ascii-size", "nested", "not-a-name", "memberships-list",
+        "unknown-element", "float-first", "missing", "product-unknown", "product-missing"])
 def test_fuzzy_set_document_errors_keep_their_message(lattice, memberships, text):
     with pytest.raises(FormatError) as exc:
         fuzzy_set_from_json({"lattice": lattice, "memberships": memberships})

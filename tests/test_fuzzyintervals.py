@@ -18,6 +18,7 @@ from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet, Inva
 from fuzzint import fuzzyintervals
 from fuzzint.fuzzyintervals import (_endpoint_chain, convex_violation,
                                     interval_cut_violation, sublattice_violation)
+from fuzzint.intervals import _IntervalCodes
 from fuzzint.laws import enumerate_fuzzy_intervals, enumerate_intervals
 
 H = Fraction(1, 2)
@@ -252,7 +253,7 @@ def test_intervals_compare_by_lattice_and_endpoint_chain(chain3):
     assert fi.__eq__(fi.fuzzy) is NotImplemented and fi != fi.fuzzy
     xyz = FiniteLattice(["x", "y", "z"], [("x", "y"), ("y", "z")])
     other = FuzzyInterval(FuzzySet(xyz, {"x": "1/2", "y": "1", "z": "1/2"}))
-    assert other._ends == fi._ends and other != fi
+    assert other._cuts == fi._cuts and other != fi
     assert FuzzyInterval(FuzzySet(chain(3), {"0": "1/2", "1": "1", "2": "1/2"})) == fi
 
 
@@ -343,12 +344,12 @@ def test_meet_join_stay_within_grade_set(diamond):
 
 
 def _assert_ops_match_independent_routes(a, b):
-    """Both op results carry the endpoint chain that the full scan of their
-    fuzzy sets gives, with no witness, and the meet is the pointwise minimum
-    of the grades."""
+    """Both op results carry, decoded, the endpoint chain that the full scan
+    of their fuzzy sets gives, with no witness, and the meet is the pointwise
+    minimum of the grades."""
     meet = a.meet(b)
     for result in (a.join(b), meet):
-        assert (result._levels, result._ends, None) == _endpoint_chain(result.fuzzy), (a, b)
+        assert (result._levels, result._cut_ends(), None) == _endpoint_chain(result.fuzzy), (a, b)
     assert meet.values == tuple(map(min, a.values, b.values)), (a, b)
 
 
@@ -442,10 +443,12 @@ def test_op_chain_that_is_not_nested_raises(chain3, case):
     """The nesting check on op results is not an assert, so it also holds
     under ``python -O``.  Constant 1/2 has levels 0, 1 and 2; planting a
     chain as its ends makes an operand whose meet and join with itself
-    keep every planted cut, since both rules are idempotent on one cut."""
+    keep every planted cut, since both rules are idempotent on one cut.
+    Every planted cut is an interval, so it is planted as its code."""
     bad = FuzzyInterval.constant(chain3, H)
     assert bad._chain == GRADES3 and bad._levels == (0, 1, 2)
-    bad._ends = tuple((lo, hi) for _, lo, hi in NOT_NESTED[case])
+    code = _IntervalCodes.of(chain3).code
+    bad._cuts = tuple(code(lo, hi) for _, lo, hi in NOT_NESTED[case])
     for op in (FuzzyInterval.meet, FuzzyInterval.join):
         with pytest.raises(NotAFuzzyInterval, match="not nested"):
             op(bad, bad)

@@ -8,6 +8,7 @@ from conftest import random_lattices
 from fuzzint import (CrispInterval, EmptyInterval, FiniteLattice, LatticeMismatch,
                      RouteDisagreement, boolean_lattice, chain, intersection_family, n5)
 from fuzzint import laws
+from fuzzint.intervals import _IntervalCodes
 from fuzzint.laws import enumerate_intervals
 
 
@@ -144,6 +145,35 @@ def test_interval_space_matches_brute_force(lattice):
                          for iv in items[1:]]
     assert supersets == [sum(a.issubset(b) << j for j, b in enumerate(items)) for a in items]
     assert subsets == [sum(b.issubset(a) << j for j, b in enumerate(items)) for a in items]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([chain(1), boolean_lattice(0)]),
+                 random_lattices().map(_random_lattice)))
+def test_interval_codes_are_positions_in_int_l(lattice):
+    """The empty interval codes to 0 and ``[lo, hi]`` to its index in
+    ``enumerate_intervals``, and decoding inverts coding.  With every pair
+    forced, each op-table entry codes the ``intersection`` (``hull``) of
+    its two items, and its marks and needs decide ``issubset``.  The crisp
+    methods are the reference here only: the coding never calls them."""
+    items = enumerate_intervals(lattice)
+    assert _IntervalCodes.of(lattice) is _IntervalCodes.of(lattice)
+    codes = _IntervalCodes(lattice)  # fresh: nothing encoded or decoded yet
+    assert codes.size == len(items)
+    assert codes.ends(0) == (None, None)
+    assert [codes.ends(k) for k in range(1, len(items))] == [(iv._lo, iv._hi) for iv in items[1:]]
+    assert [codes.code(iv._lo, iv._hi) for iv in items] == list(range(len(items)))
+    for hull, reference in ((False, CrispInterval.intersection), (True, CrispInterval.hull)):
+        for (a, x), (b, y) in itertools.product(enumerate(items), repeat=2):
+            code, marks, needs = codes.fill(hull, a, b)
+            assert items[code] == reference(x, y), (hull, x, y)
+            assert codes.tables[hull][a * codes.size + b] == (code, marks, needs)
+        assert len(codes.tables[hull]) == len(items) ** 2
+    # the hull with the empty interval is the item itself
+    entries = [codes.tables[True][c * codes.size] for c in range(len(items))]
+    for (x, (_, marks, _)), (y, (_, _, needs)) in itertools.product(zip(items, entries),
+                                                                  repeat=2):
+        assert (marks & needs == needs) == x.issubset(y), (x, y)
 
 
 def test_enumeration_has_no_duplicates(pentagon):

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import json
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
@@ -23,6 +24,7 @@ from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
 from fuzzint import laws
 from fuzzint.errors import RouteDisagreement
 from fuzzint.fuzzysets import meet_family
+from fuzzint.intervals import _IntervalCodes
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
                           check_lattice_axioms, enumerate_fuzzy_intervals,
                           enumerate_intervals, render_operand)
@@ -634,6 +636,26 @@ def _assert_matches_references(report, fis, references, failed):
             failed.add(law)
 
 
+class _PlantedEnds(FuzzyInterval):
+    """A fuzzy interval whose endpoint laws read ``planted``, one ``(lo, hi)``
+    pair per level, crossed pairs included, which have no Int(L) code.
+    Everything else reads the cut chain and the fuzzy set it copies."""
+
+    __slots__ = ("planted",)
+
+    def _rank_endpoints(self, rank):
+        return self.planted[bisect_left(self._levels, rank)]
+
+
+def _with_ends(fi, planted):
+    """A copy of ``fi`` whose endpoint laws read the ``planted`` pairs."""
+    out = object.__new__(_PlantedEnds)
+    for slot in FuzzyInterval.__slots__:
+        setattr(out, slot, getattr(fi, slot))
+    out.planted = tuple(planted)
+    return out
+
+
 def _endpoint_references(lattice, fis, chain):
     """Law name -> (arity, probe) over the stored endpoint chains, folding
     with the carrier's tables over every threshold set."""
@@ -717,9 +739,11 @@ def test_pairwise_subset_laws_match_the_literal_subset_loop(lattice):
         # corrupted endpoint chains cut outside the crisp table, so they come
         # second; the endpoint laws read nothing else
         fis = enumerate_fuzzy_intervals(lattice, grades)
-        rng.choice([fi for fi in fis if len(fi._levels) == 5])._ends = planted
-        for fi in rng.sample([fi for fi in fis if len(fi._levels) >= 4], 2):
-            fi._ends = tuple((rng.randrange(n), rng.randrange(n)) for _ in fi._ends)
+        k = rng.choice([k for k, fi in enumerate(fis) if len(fi._levels) == 5])
+        fis[k] = _with_ends(fis[k], planted)
+        for k in rng.sample([k for k, fi in enumerate(fis) if len(fi._levels) >= 4], 2):
+            fis[k] = _with_ends(fis[k], [(rng.randrange(n), rng.randrange(n))
+                                         for _ in fis[k]._cuts])
         report = laws._endpoint_lemmas(LawReport("endpoints", "", grades), lattice, fis,
                                        True, **budget)
         _assert_matches_references(report, fis, _endpoint_references(lattice, fis, grades),
@@ -1214,12 +1238,14 @@ def test_run_law_returns_the_verdict_it_records(monkeypatch, chain2):
 
 def _lowers_reversed(fis):
     """Reverse the lower ends of one item past the middle whose cuts are all
-    nonempty and whose lower ends differ, so its ``lower`` is not isotone."""
-    fi = next(fi for fi in fis[len(fis) // 2:]
-              if all(lo is not None for lo, _ in fi._ends)
-              and len({lo for lo, _ in fi._ends}) > 1)
-    lows = [lo for lo, _ in fi._ends]
-    fi._ends = tuple(zip(reversed(lows), (hi for _, hi in fi._ends)))
+    nonempty and whose lower ends differ, so its ``lower`` is not isotone.
+    The reversed pairs cross, so they are planted where the endpoint laws
+    read them (:class:`_PlantedEnds`)."""
+    k = next(k for k in range(len(fis) // 2, len(fis))
+             if all(lo is not None for lo, _ in fis[k]._cut_ends())
+             and len({lo for lo, _ in fis[k]._cut_ends()}) > 1)
+    ends = fis[k]._cut_ends()
+    fis[k] = _with_ends(fis[k], zip(reversed([lo for lo, _ in ends]), (hi for _, hi in ends)))
     return fis
 
 
@@ -1287,9 +1313,8 @@ def test_a_sampled_single_row_does_not_decide_the_paired_rows(chain3, diamond):
     """A single-item row that passed on a sample says nothing about the
     items it missed: the paired rows are scanned and fail as before."""
     for lat, lattice in (("chain3", chain3), ("m3", diamond)):
-        clean = enumerate_fuzzy_intervals(lattice, GRADES3)
         fis = _lowers_reversed(enumerate_fuzzy_intervals(lattice, GRADES3))
-        (skipped,) = [i for i, (a, b) in enumerate(zip(clean, fis)) if a._ends != b._ends]
+        (skipped,) = [i for i, fi in enumerate(fis) if isinstance(fi, _PlantedEnds)]
         report = laws._endpoint_lemmas(LawReport("endpoints", lat, GRADES3), lattice, fis, True,
                                        plan=_single_rows_miss(skipped))
         checks = {c.law: c for c in report.checks}
@@ -1328,8 +1353,8 @@ def test_decided_rows_match_the_full_pair_scan_on_random_lattices(case, grades, 
 
     fis = tabs.items
     for i in data.draw(st.lists(st.integers(0, len(fis) - 1), max_size=3)):
-        fis[i]._ends = tuple((data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-                             for _ in fis[i]._ends)
+        fis[i] = _with_ends(fis[i], [(data.draw(st.integers(0, n - 1)),
+                                      data.draw(st.integers(0, n - 1))) for _ in fis[i]._cuts])
     report = laws._endpoint_lemmas(LawReport("endpoints", "", grades), lattice, fis, True,
                                    plan=plan)
     references = _endpoint_references(lattice, fis, grades)
@@ -1469,7 +1494,7 @@ def test_law_runs_cut_no_derived_membership(diamond, monkeypatch):
 
     def enumerated_only(fi):
         if fi._fuzzy is None:
-            pytest.fail(f"a law read a derived membership (cut ends {fi._ends})")
+            pytest.fail(f"a law read a derived membership (cut codes {fi._cuts})")
         return derive(fi)
 
     monkeypatch.setattr(FuzzyInterval, "fuzzy", property(enumerated_only))
@@ -1552,9 +1577,10 @@ def test_structure_suite(diamond, pentagon):
             "cut-boundary-grade-meet", "cut-recovery-from-boundary-grades"}
 
     # fault injection: the 1-cut {1} of a chain3 interval is given the
-    # endpoints 0 and 2, whose grade 0 is neither its minimum nor cuts it again
+    # endpoints 0 and 2, whose grade 0 is neither its minimum nor cuts it
+    # again; [0, 2] is an interval, so it is planted as its code
     fi = FuzzyInterval(FuzzySet(chain(3), {"0": "0", "1": "1", "2": "0"}))
-    fi._ends = fi._ends[:-1] + ((0, 2),)
+    fi._cuts = fi._cuts[:-1] + (_IntervalCodes.of(fi.lattice).code(0, 2),)
     report = laws._interval_structure(LawReport("structure", "chain3", GRADES3), [fi],
                                       plan=laws._planner(laws.DEFAULT_BUDGET, 0))
     assert [(c.law, c.status, c.witness["detail"]) for c in report.checks] == [
