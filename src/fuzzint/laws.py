@@ -347,6 +347,19 @@ class _OpTables:
     witness.  :meth:`join` and :meth:`meet` read the table for two items
     and evaluate the op on pool members for any other pair.
 
+    The build interns in two steps.  A result of type
+    :class:`FuzzyInterval` (a subclass may compare otherwise) on the first
+    item's grade chain and lattice, the same objects, is looked up by its
+    ``(_levels, _cuts)`` among the items of that type on those objects; on
+    one chain and lattice, equal cut chains are exactly equal intervals, so
+    a hit is the member an equality lookup finds.  A miss, and any other
+    result, falls through to ``index``, so a member equal on another chain
+    or lattice object, or a result already added to the pool, is found.
+    The pool, the tables and the closure witnesses are thus those of an
+    equality scan, and a result of ``run_suite``'s ops, all on the shared
+    chain, calls neither ``FuzzyInterval.__hash__`` nor ``__eq__`` when it
+    is in the collection.
+
     The items must be distinct: the probes compare results by index, so a
     member listed twice would make equal results look different.  A
     duplicate raises ``ValueError`` before any op is evaluated.
@@ -368,17 +381,29 @@ class _OpTables:
         self.n = n
         self.join_t = [[0] * n for _ in range(n)]
         self.meet_t = [[0] * n for _ in range(n)]
-        self.closure_join = None
-        self.closure_meet = None
-        intern = self._intern
-        for i, (a, jt, mt) in enumerate(zip(items, self.join_t, self.meet_t)):
+        lead = items[0] if items else None
+        chain, lattice = ((lead._chain, lead.lattice) if type(lead) is FuzzyInterval
+                          else (None, None))
+        by_chain = {(x._levels, x._cuts): i for i, x in enumerate(items)
+                    if type(x) is FuzzyInterval and x._chain is chain and x.lattice is lattice}
+        pool, witnesses = self.pool, [None, None]
+        for i, a in enumerate(items):
+            slots = ((self.join_t[i], join_op, 0), (self.meet_t[i], meet_op, 1))
             for j, b in enumerate(items):
-                jt[j] = k = intern(join_op(a, b))
-                if k >= n and self.closure_join is None:
-                    self.closure_join = (i, j)
-                mt[j] = k = intern(meet_op(a, b))
-                if k >= n and self.closure_meet is None:
-                    self.closure_meet = (i, j)
+                for row, op, w in slots:  # each pair's join, then its meet
+                    r = op(a, b)
+                    key = ((r._levels, r._cuts) if type(r) is FuzzyInterval
+                           and r._chain is chain and r.lattice is lattice else None)
+                    k = by_chain.get(key)
+                    if k is None:
+                        k = index.get(r)
+                        if k is None:
+                            k = index[r] = len(pool)
+                            pool.append(r)
+                    row[j] = k
+                    if k >= n and witnesses[w] is None:
+                        witnesses[w] = (i, j)
+        self.closure_join, self.closure_meet = witnesses
 
     def _intern(self, value) -> int:
         """The pool index of ``value``, appended to the pool if new."""
@@ -453,6 +478,18 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
     probes do, so their rows are exact over any table; absorption and
     associativity read the table at an op result, so they get rows only
     when that op stays in the collection.
+
+    The bound laws and the join oracle get rows over any table too.  A
+    bound row takes, per j, the probe's own test: the common row ``c``
+    holds the result k, and no bound of ``c`` lies outside ``rows[k]``.
+    ``c`` has bits below n only, so a result outside the collection fails
+    the first test, as the probe fails it, and ``rows[k]`` is read only
+    inside.  The oracle row holds, per j, the meet-fold of the common upper
+    bounds, in the probe's bit order and with its exit when the fold
+    leaves the collection, or None for no bound or that exit; it equals the
+    join's index exactly where the probe passes, since a fold inside the
+    collection never equals an index outside.  Each distinct mask is
+    folded once per call, for the rows and the probes alike.
     """
     items, J, M = tabs.items, tabs.join, tabs.meet
     n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
@@ -515,10 +552,12 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
 
     run("order-consistency", 2, order_consistency, order_row)
 
+    every = [True] * n
+
     def nearest_bound(rows, table, op, bound, nearer):
-        """Probe that ``table`` gives each pair its nearest common ``bound``
-        (least upper, greatest lower), ``rows[i]`` holding the bounds of i;
-        a result outside the collection is in no row."""
+        """(probe, row) that ``table`` gives each pair its nearest common
+        ``bound`` (least upper, greatest lower), ``rows[i]`` holding the
+        bounds of i; a result outside the collection is in no row."""
         def probe(i, j):
             common = rows[i] & rows[j]
             k = table[i][j]
@@ -527,26 +566,51 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
             if common & ~rows[k]:
                 return f"a {nearer} common {bound} exists"
             return None
-        return probe
+
+        def row(i):
+            """Per j, whether the probe passes (i, j); ``rows[k]`` is read
+            only for a k in the common row, so inside the collection."""
+            ri = rows[i]
+            return ([(c := ri & rj) >> k & 1 and not c & ~rows[k]
+                     for rj, k in zip(rows, table[i])], every)
+        return probe, row
 
     run("join-least-upper-bound", 2,
-        nearest_bound(leq_rows, jt, "join", "upper bound", "smaller"))
+        *nearest_bound(leq_rows, jt, "join", "upper bound", "smaller"))
     run("meet-greatest-lower-bound", 2,
-        nearest_bound(down_rows, mt, "meet", "lower bound", "greater"))
+        *nearest_bound(down_rows, mt, "meet", "lower bound", "greater"))
+
+    folds: dict = {}
+
+    def fold(common):
+        """The meet-fold of the items in ``common``, in bit order, or None
+        when ``common`` is empty or the fold leaves the collection, stored
+        in ``folds``, which its callers read first."""
+        bounds = iter_bits(common)
+        acc = next(bounds, None)
+        for b in bounds:
+            acc = mt[acc][b]
+            if acc >= n:
+                acc = None
+                break
+        folds[common] = acc
+        return acc
 
     def join_oracle(i, j):
         common = leq_rows[i] & leq_rows[j]
         if not common:
             return "no common upper bound in the collection"
-        bounds = iter_bits(common)
-        acc = next(bounds)
-        for b in bounds:
-            acc = mt[acc][b]
-            if acc >= n:
-                return "meet-fold left the collection"
+        acc = folds[common] if common in folds else fold(common)
+        if acc is None:
+            return "meet-fold left the collection"
         return None if acc == jt[i][j] else "fold of upper bounds differs from join"
 
-    run("join-definitional-oracle", 2, join_oracle)
+    def oracle_row(i):
+        """Per j, the fold of the common upper bounds against the join."""
+        ri = leq_rows[i]
+        return [folds[c] if (c := ri & rj) in folds else fold(c) for rj in leq_rows], jt[i]
+
+    run("join-definitional-oracle", 2, join_oracle, oracle_row)
 
     return report
 

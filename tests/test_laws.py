@@ -482,12 +482,65 @@ def _assert_triple_checks_match_plain_scan(reports, items, join, meet, laws):
         assert (checks[law].status, checks[law].checked, checks[law].witness) == expected, law
 
 
+class _PairReference:
+    """What the pair laws read, from the public ops and pairwise ``leq``
+    alone: ``J``, ``M``, ``leq`` and the ``items``, and per item the
+    indices of the items above and below it."""
+
+    def __init__(self, items, join, meet, leq):
+        self.J, self.M, self.leq, self.items = join, meet, leq, items
+        self.above = {a: {k for k, c in enumerate(items) if leq(a, c)} for a in items}
+        self.below = {a: {k for k, c in enumerate(items) if leq(c, a)} for a in items}
+
+    def common(self, a, b, above):
+        """The items above (below) both ``a`` and ``b``, in index order."""
+        rows = self.above if above else self.below
+        return [self.items[k] for k in sorted(rows[a] & rows[b])]
+
+
+def _unless(holds):
+    return None if holds else ""
+
+
+def _nearest_bound(op, above, bound, nearer):
+    """Reference of the least-upper-bound (``above``) or greatest-lower-bound
+    law: the op's result is an item among the common bounds, and above
+    (below) each of them."""
+    def detail(ref, a, b):
+        common = ref.common(a, b, above)
+        result = (ref.J if above else ref.M)(a, b)
+        if result not in common:
+            return f"{op} is not a common {bound}"
+        if not all(ref.leq(result, c) if above else ref.leq(c, result) for c in common):
+            return f"a {nearer} common {bound} exists"
+        return None
+    return detail
+
+
+def _definitional_join(ref, a, b):
+    """Reference of the join oracle: the meet-fold of the common upper
+    bounds, in index order, stays among the items and equals the join."""
+    common = ref.common(a, b, True)
+    if not common:
+        return "no common upper bound in the collection"
+    acc = common[0]
+    for c in common[1:]:
+        acc = ref.M(acc, c)
+        if acc not in ref.items:
+            return "meet-fold left the collection"
+    return None if acc == ref.J(a, b) else "fold of upper bounds differs from join"
+
+
 PAIR_LAWS = {
-    "commutativity-join": lambda J, M, leq, a, b: J(a, b) == J(b, a),
-    "commutativity-meet": lambda J, M, leq, a, b: M(a, b) == M(b, a),
-    "absorption-meet-join": lambda J, M, leq, a, b: M(a, J(a, b)) == a,
-    "absorption-join-meet": lambda J, M, leq, a, b: J(a, M(a, b)) == a,
-    "order-consistency": lambda J, M, leq, a, b: leq(a, b) == (M(a, b) == a) == (J(a, b) == b),
+    "commutativity-join": lambda r, a, b: _unless(r.J(a, b) == r.J(b, a)),
+    "commutativity-meet": lambda r, a, b: _unless(r.M(a, b) == r.M(b, a)),
+    "absorption-meet-join": lambda r, a, b: _unless(r.M(a, r.J(a, b)) == a),
+    "absorption-join-meet": lambda r, a, b: _unless(r.J(a, r.M(a, b)) == a),
+    "order-consistency": lambda r, a, b: _unless(
+        r.leq(a, b) == (r.M(a, b) == a) == (r.J(a, b) == b)),
+    "join-least-upper-bound": _nearest_bound("join", True, "upper bound", "smaller"),
+    "meet-greatest-lower-bound": _nearest_bound("meet", False, "lower bound", "greater"),
+    "join-definitional-oracle": _definitional_join,
 }
 
 
@@ -496,9 +549,9 @@ def _assert_pair_checks_match_plain_scan(report, items, join, meet, leq):
     witness of a lexicographic scan that calls the public ops directly."""
     checks = {c.law: c for c in report.checks if c.law in PAIR_LAWS}
     assert set(checks) == set(PAIR_LAWS)
-    for law, holds in PAIR_LAWS.items():
-        expected = _plain_scan(items, 2, lambda i, j: None if holds(
-            join, meet, leq, items[i], items[j]) else "")
+    ref = _PairReference(items, join, meet, leq)
+    for law, detail in PAIR_LAWS.items():
+        expected = _plain_scan(items, 2, lambda i, j: detail(ref, items[i], items[j]))
         assert (checks[law].status, checks[law].checked, checks[law].witness) == expected, law
 
 
@@ -511,7 +564,8 @@ def test_row_checks_match_a_plain_scan(chain3):
                check_distributivity(ivs, broken_join, CrispInterval.intersection)]
     status = {c.law: c.status for c in reports[0].checks}
     assert status["closure-join"] == "pass" and status["associativity-join"] == "fail"
-    assert status["order-consistency"] == "fail"
+    assert status["order-consistency"] == status["join-least-upper-bound"] == "fail"
+    assert status["join-definitional-oracle"] == "fail"
     _assert_triple_checks_match_plain_scan(reports, ivs, broken_join,
                                            CrispInterval.intersection, TRIPLE_LAWS)
     _assert_pair_checks_match_plain_scan(reports[0], ivs, broken_join,
@@ -522,11 +576,29 @@ def test_row_checks_match_a_plain_scan(chain3):
     reports = [check_lattice_axioms(nonempty, CrispInterval.hull, CrispInterval.intersection,
                                     CrispInterval.issubset),
                check_distributivity(nonempty, CrispInterval.hull, CrispInterval.intersection)]
-    assert {c.law: c.status for c in reports[0].checks}["closure-meet"] == "fail"
+    status = {c.law: c.status for c in reports[0].checks}
+    assert status["closure-meet"] == status["meet-greatest-lower-bound"] == "fail"
     _assert_triple_checks_match_plain_scan(reports, nonempty, CrispInterval.hull,
                                            CrispInterval.intersection, TRIPLE_LAWS)
     _assert_pair_checks_match_plain_scan(reports[0], nonempty, CrispInterval.hull,
                                          CrispInterval.intersection, CrispInterval.issubset)
+
+    # each remaining failure of the bound and oracle laws: a common bound that
+    # is not the nearest, and a meet-fold that leaves the collection at 2 ⊓ 3
+    whole, empty = CrispInterval.whole(chain3), CrispInterval.empty(chain3)
+    ints = list(range(5))
+    for items, join, meet, leq, law, detail in (
+            (ivs, lambda a, b: a if a == b else whole, CrispInterval.intersection,
+             CrispInterval.issubset, "join-least-upper-bound",
+             "a smaller common upper bound exists"),
+            (ivs, CrispInterval.hull, lambda a, b: a if a == b else empty,
+             CrispInterval.issubset, "meet-greatest-lower-bound",
+             "a greater common lower bound exists"),
+            (ints, max, lambda a, b: 5 if (a, b) == (2, 3) else min(a, b), int.__le__,
+             "join-definitional-oracle", "meet-fold left the collection")):
+        report = check_lattice_axioms(items, join, meet, leq)
+        assert {c.law: c for c in report.checks}[law].witness["detail"] == detail
+        _assert_pair_checks_match_plain_scan(report, items, join, meet, leq)
 
     fis = enumerate_fuzzy_intervals(chain3, GRADES3)
     reports = run_suite("distributivity", chain3, GRADES3)
@@ -1439,13 +1511,10 @@ def test_sampled_run_draws_without_randrange(monkeypatch, diamond):
             == PINNED_REPORTS[("m3", "halves", "sampled")])
 
 
-def test_op_tables_intern_like_an_equality_scan(diamond):
-    """On m3 over four grades, fuzzy intervals of one cut shape at other
-    grades share a hash; the tables must still tell them apart."""
-    fis = enumerate_fuzzy_intervals(diamond, GRADES4)
-    assert len({hash(fi) for fi in fis}) < len(fis)
-    tabs = laws._OpTables(fis, FuzzyInterval.join, FuzzyInterval.meet)
-    pool = list(fis)
+def _interned_by_equality(items, join_op, meet_op):
+    """(join table, meet table, pool) of interning each pair's join, then
+    its meet, by a scan of the pool for an equal member."""
+    pool = list(items)
 
     def intern(value):
         for k, member in enumerate(pool):
@@ -1454,15 +1523,67 @@ def test_op_tables_intern_like_an_equality_scan(diamond):
         pool.append(value)
         return len(pool) - 1
 
-    join_t = [[0] * len(fis) for _ in fis]
-    meet_t = [[0] * len(fis) for _ in fis]
-    for i, a in enumerate(fis):  # the tables' order: each pair's join, then its meet
-        for j, b in enumerate(fis):
-            join_t[i][j] = intern(a.join(b))
-            meet_t[i][j] = intern(a.meet(b))
-    assert tabs.join_t == join_t
-    assert tabs.meet_t == meet_t
-    assert tabs.pool == pool
+    join_t = [[0] * len(items) for _ in items]
+    meet_t = [[0] * len(items) for _ in items]
+    for i, a in enumerate(items):
+        for j, b in enumerate(items):
+            join_t[i][j] = intern(join_op(a, b))
+            meet_t[i][j] = intern(meet_op(a, b))
+    return join_t, meet_t, pool
+
+
+def test_op_tables_intern_like_an_equality_scan(diamond):
+    """On m3 over four grades, fuzzy intervals of one cut shape at other
+    grades share a hash; the tables must still tell them apart.  Over three
+    grades, so must ops whose results are re-made, and a collection whose
+    members are: each a member's equal on a fresh grade chain, or over an
+    equal lattice that is another object, or a non-member whose cut codes
+    and levels a member has, on a chain of other grades or over an unequal
+    lattice of the same shape."""
+    fis = enumerate_fuzzy_intervals(diamond, GRADES4)
+    assert len({hash(fi) for fi in fis}) < len(fis)
+    tabs = laws._OpTables(fis, FuzzyInterval.join, FuzzyInterval.meet)
+    expected = _interned_by_equality(fis, FuzzyInterval.join, FuzzyInterval.meet)
+    assert (tabs.join_t, tabs.meet_t, tabs.pool) == expected
+
+    fis = enumerate_fuzzy_intervals(diamond, GRADES3)
+    twin = m3()
+    renamed = FiniteLattice(["0", "p", "q", "r", "1"],
+                            [("0", "p"), ("0", "q"), ("0", "r"),
+                             ("p", "1"), ("q", "1"), ("r", "1")])
+    assert twin == diamond and twin is not diamond and renamed != diamond
+    thirds = validate_grades((0, Fraction(1, 3), 1))
+
+    def fresh_chain(r):
+        return FuzzyInterval(FuzzySet.from_values(diamond, r.values))
+
+    def equal_lattice(r):
+        return FuzzyInterval(FuzzySet._from_ranks(twin, r._chain, r.fuzzy.ranks))
+
+    remakes = {
+        "fresh chain": fresh_chain,
+        "equal lattice": equal_lattice,
+        "equal lattice, fresh chain": lambda r: FuzzyInterval(
+            FuzzySet.from_values(twin, r.values)),
+        "other grades": lambda r: FuzzyInterval(
+            FuzzySet._from_ranks(diamond, thirds, r.fuzzy.ranks)),
+        "unequal lattice": lambda r: FuzzyInterval(
+            FuzzySet._from_ranks(renamed, r._chain, r.fuzzy.ranks)),
+    }
+    for name, remake in remakes.items():
+        join = cache(lambda a, b: remake(a.join(b)))
+        meet = cache(lambda a, b: remake(a.meet(b)))
+        tabs = laws._OpTables(fis, join, meet)
+        join_t, meet_t, pool = _interned_by_equality(fis, join, meet)
+        assert (tabs.join_t, tabs.meet_t, tabs.pool) == (join_t, meet_t, pool), name
+        assert (len(pool) > len(fis)) == (name in ("other grades", "unequal lattice")), name
+
+    mixed = [(fresh_chain, equal_lattice)[k % 2](fi) if k % 3 == 1 else fi
+             for k, fi in enumerate(fis)]
+    tabs = laws._OpTables(mixed, FuzzyInterval.join, FuzzyInterval.meet)
+    join_t, meet_t, pool = _interned_by_equality(mixed, FuzzyInterval.join, FuzzyInterval.meet)
+    assert (tabs.join_t, tabs.meet_t, tabs.pool) == (join_t, meet_t, pool)
+    assert len(pool) == len(mixed)  # the collection is closed
 
 
 def test_op_tables_build_no_fuzzy_sets(diamond, monkeypatch):
