@@ -12,26 +12,28 @@ first two classes coincide, so ``classify`` decides membership by the
 cut-shape check alone and runs the pointwise searches only to explain a
 rejection.
 
-A :class:`FuzzyInterval` is stored as its *cut chain*: a grade chain,
-the ranks of its thresholds in that chain, ascending, and per threshold
-the code of that cut in Int(L), the crisp intervals with the empty one
+A :class:`FuzzyInterval` is stored as its *cut chain*: a grade chain
+and, per rank of that chain, the code of the cut at that grade in Int(L),
+the crisp intervals with the empty one
 (:class:`~fuzzint.intervals._IntervalCodes`).  The cuts of a fuzzy
-interval are closed intervals, so the chain determines it.  The public
-constructor takes a fuzzy set and finds the cut ends in the same full
-scan that validates it, bucketing the elements by grade rank, then codes
-them; it keeps the fuzzy set too.
+interval are closed intervals, so the chain determines it.  Its
+thresholds are derived, not stored: rank 0, the top rank, and each rank
+whose cut differs from the one above.  The public constructor takes a
+fuzzy set and finds the cut ends in the same full scan that validates
+it, bucketing the elements by grade rank, then codes them; it keeps the
+fuzzy set too.
 
 Op results skip that scan and build no fuzzy set: they are stored as
 their cut chains alone, and their memberships are derived from the
 decoded cut ends on first read.  Meet is the pointwise minimum, and
 cutwise the intersection of the operand cuts.  Join is *not* the
 pointwise maximum: cutwise it is the hull of the operand cuts, the
-smallest fuzzy interval above both operands.  Each op is one walk over
-both operands' levels that reads each result cut from one entry of a
-per-lattice table keyed by the two operand codes, filled entry by entry
-from the carrier's tables; it folds repeated cuts and checks only that
+smallest fuzzy interval above both operands.  Each op is one pass over
+the grade chain, zipping the operands' codes: it reads each result cut
+from one entry of a per-lattice table keyed by the two operand codes,
+filled entry by entry from the carrier's tables, and checks only that
 the result is a nested chain of intervals.  Equality and the hash compare
-tuples of codes, so interning an op result derives nothing.
+codes, so interning an op result derives nothing.
 """
 
 from __future__ import annotations
@@ -143,37 +145,36 @@ def is_fuzzy_convex_sublattice(m: FuzzySet) -> bool:
 def _endpoint_chain(m: FuzzySet):
     """The endpoint chain of ``m`` and the first cut that is not an interval.
 
-    Returns ``(levels, ends, witness)``.  ``levels`` are the ranks of the
-    thresholds of ``m`` in ``m.chain``, ascending; ``ends[t]`` holds the
-    ``(lo, hi)`` element indices of the greatest lower and least upper
-    bound of the cut at rank ``levels[t]``, or ``(None, None)`` when that
-    cut is empty.  ``witness`` is ``(r, z)`` for the lowest threshold rank
-    ``r`` whose cut omits an element between its bounds, ``z`` the lowest
-    such element index, else None.  One pass: bucket the elements by
-    rank, then grow the cuts from the top threshold down.
+    Returns ``(ends, witness)``.  ``ends[r]`` holds the ``(lo, hi)``
+    element indices of the greatest lower and least upper bound of the cut
+    at ``m.chain[r]``, or ``(None, None)`` when that cut is empty.
+    ``witness`` is ``(r, z)`` for the lowest rank ``r`` that some element
+    takes whose cut omits an element between its bounds, ``z`` the lowest
+    such element index, else None; a rank that no element takes has the
+    cut of the rank above.  One pass: bucket the elements by rank, then
+    grow the cuts from the top rank down.
     """
     lat = m.lattice
-    members: dict = {0: [], len(m.chain) - 1: []}  # rank -> element indices
+    members = [[] for _ in m.chain]  # rank -> element indices
     for i, r in enumerate(m.ranks):
-        members.setdefault(r, []).append(i)
-    levels = tuple(sorted(members))
-    ends = [(None, None)] * len(levels)
+        members[r].append(i)
+    ends = [(None, None)] * len(members)
     witness = None
     cut = 0
     lo, hi = lat.index(lat.top), lat.index(lat.bottom)  # bounds of the empty cut
-    for t in range(len(levels) - 1, -1, -1):  # cuts grow downward
-        level = members[levels[t]]
+    for r in range(len(members) - 1, -1, -1):  # cuts grow downward
+        level = members[r]
         if level:
             lo = lat.meet_index(lo, lat.meet_indices(level))
             hi = lat.join_index(hi, lat.join_indices(level))
             for i in level:
                 cut |= 1 << i
-        if cut:
-            ends[t] = (lo, hi)
             outside = lat.between_mask(lo, hi) & ~cut
-            if outside:  # keep the lowest failing threshold
-                witness = (levels[t], next(iter_bits(outside)))
-    return levels, tuple(ends), witness
+            if outside:  # keep the lowest failing rank
+                witness = (r, next(iter_bits(outside)))
+        if cut:
+            ends[r] = (lo, hi)
+    return tuple(ends), witness
 
 
 def interval_cut_violation(m: FuzzySet):
@@ -183,7 +184,7 @@ def interval_cut_violation(m: FuzzySet):
     everything between its greatest lower and least upper bound.  This is
     the check the :class:`FuzzyInterval` constructor runs.
     """
-    witness = _endpoint_chain(m)[2]
+    witness = _endpoint_chain(m)[1]
     if witness is None:
         return None
     r, z = witness
@@ -238,55 +239,44 @@ def classify(m: FuzzySet) -> Classification:
 
 
 def _cutwise(hull: bool, name: str, doc: str):
-    """The op ``FuzzyInterval.<name>``: the result whose cut at every level
-    of either operand is the hull (``hull``) or the intersection of the
-    operands' cuts there.
+    """The op ``FuzzyInterval.<name>``: the result whose cut at every grade
+    is the hull (``hull``) or the intersection of the operands' cuts there.
 
-    One walk over both operands' levels, merged by rank in the union of
-    their grade chains, reads each result cut from one entry of the
-    lattice's op table over cut codes, filling it on a miss.  A cut equal
-    to the one below it is folded into it, keeping rank 0, as
-    :func:`_endpoint_chain` keeps only rank 0, the top and the ranks some
-    element takes.  The only check is that the chain is nested: going up,
-    ``lo`` rises, ``hi`` falls, and no nonempty cut sits above an empty one,
-    one mask test of the entry's marks against the needs of the cut below.
-    Both ops share this body, and neither wraps it in a second call.
+    One pass over the grade chain zips the operands' codes and reads each
+    result cut from one entry of the lattice's op table over cut codes,
+    filling it on a miss.  Operands on two chains are first spread onto
+    the merged chain: at each grade, an operand's cut is the one at its
+    least grade at or above it.  The only check is that the chain is
+    nested: going up, ``lo`` rises, ``hi`` falls, and no nonempty cut sits
+    above an empty one, one mask test of the entry's marks against the
+    needs of the cut below.  Both ops share this body, and neither wraps
+    it in a second call.
     """
     def op(a: FuzzyInterval, b: FuzzyInterval) -> FuzzyInterval:
         lat = a.lattice
         if lat is not b.lattice:
             _require_same_lattice(lat, b.lattice)
-        chain, ta, tb = a._chain, a._levels, b._levels
+        chain, ca, cb = a._chain, a._cuts, b._cuts
         if chain is not b._chain:
             chain, pos_a, pos_b = _merge_chains(chain, b._chain)
-            ta, tb = list(map(pos_a.__getitem__, ta)), list(map(pos_b.__getitem__, tb))
-        ca, cb, count = a._cuts, b._cuts, len(ta)
+            ca = [ca[bisect_left(pos_a, r)] for r in range(len(chain))]
+            cb = [cb[bisect_left(pos_b, r)] for r in range(len(chain))]
         codes = lat._codes or _IntervalCodes.of(lat)
         get, fill, size = codes.tables[hull].get, codes.fill, codes.size
-        levels, cuts = [], []
-        below, need = -1, 0  # no cut below rank 0, so nothing to contain
-        ia = ib = 0
-        while ia < count:  # both end at the rank of grade 1
-            x, y = ca[ia], cb[ib]  # a cut holds down to the level below its own
+        cuts = []
+        need = 0  # no cut below rank 0, so nothing to contain
+        for x, y in zip(ca, cb):
             code, marks, needs = get(x * size + y) or fill(hull, x, y)
-            ra, rb = ta[ia], tb[ib]
-            r = ra if ra <= rb else rb
-            ia += ra <= rb
-            ib += rb <= ra
-            if code == below and levels[-1]:
-                levels[-1] = r  # the same cut: no element has the lower rank
-                continue
             if marks & need != need:  # the cut below does not contain this one
+                r = len(cuts)
                 raise NotAFuzzyInterval(
-                    f"cut chain is not nested: the cut at {format_grade(chain[levels[-1]])} "
+                    f"cut chain is not nested: the cut at {format_grade(chain[r - 1])} "
                     f"does not contain the cut at {format_grade(chain[r])}")
-            levels.append(r)
             cuts.append(code)
-            below, need = code, needs
+            need = needs
         out = object.__new__(FuzzyInterval)
         out.lattice = lat
         out._chain = chain
-        out._levels = tuple(levels)
         out._cuts = tuple(cuts)
         out._fuzzy = None
         return out
@@ -310,25 +300,25 @@ class EndpointFunctions:
 
 class FuzzyInterval:
     """A fuzzy set whose every cut is a crisp closed interval, stored as its
-    cut chain over ``lattice``: ``_chain``, a grade chain; ``_levels``, the
-    ranks of the thresholds in ``_chain``, ascending; and ``_cuts[t]``, the
-    Int(L) code of the cut at rank ``_levels[t]`` (0 when the cut is empty;
-    see :class:`~fuzzint.intervals._IntervalCodes`).
+    cut chain over ``lattice``: ``_chain``, a grade chain, and ``_cuts[r]``,
+    the Int(L) code of the cut at ``_chain[r]`` (0 when the cut is empty;
+    see :class:`~fuzzint.intervals._IntervalCodes`).  ``_levels``, the
+    ranks of the thresholds, is derived from the codes.
 
     The constructor validates its argument by the full cut scan, codes the
     cut ends it finds and keeps the fuzzy set.  ``meet`` and ``join`` build
-    only their results' cut chains, in one walk over their operands' levels
-    that reads one table entry per level and checks that the cuts nest; a
+    only their results' cut chains, in one pass over the grade chain that
+    reads one table entry per rank and checks that the cuts nest; a
     result's membership function, ``fuzzy``, is derived from its decoded
     cut ends on first read.  ``thresholds``, ``cut_interval`` and
     ``endpoint_functions`` decode the cut chain, and equality and the hash
     compare it, so they derive nothing.
     """
 
-    __slots__ = ("lattice", "_chain", "_levels", "_cuts", "_fuzzy")
+    __slots__ = ("lattice", "_chain", "_cuts", "_fuzzy")
 
     def __init__(self, fuzzy: FuzzySet):
-        levels, ends, witness = _endpoint_chain(fuzzy)
+        ends, witness = _endpoint_chain(fuzzy)
         if witness is not None:
             r, z = witness
             raise NotAFuzzyInterval(
@@ -337,7 +327,6 @@ class FuzzyInterval:
         code = _IntervalCodes.of(fuzzy.lattice).code
         self.lattice = fuzzy.lattice
         self._chain = fuzzy.chain
-        self._levels = levels
         self._cuts = tuple([code(lo, hi) for lo, hi in ends])
         self._fuzzy = fuzzy
 
@@ -353,17 +342,19 @@ class FuzzyInterval:
     @property
     def fuzzy(self) -> FuzzySet:
         """The membership function.  An op result derives it on first read:
-        each element gets the largest level whose cut contains it, filled
-        from the top level down."""
+        each element gets the largest rank whose cut contains it, filled
+        from the top rank down."""
         fuzzy = self._fuzzy
         if fuzzy is None:
             lat = self.lattice
+            ends, cuts = _IntervalCodes.of(lat).ends, self._cuts
             ranks = [0] * len(lat.elements)
             cut = 0
-            for r, (lo, hi) in zip(reversed(self._levels), reversed(self._cut_ends())):
+            for r in range(len(cuts) - 1, -1, -1):
+                lo, hi = ends(cuts[r])
                 if lo is not None:  # cuts grow downward
                     mask = lat.between_mask(lo, hi)
-                    for i in iter_bits(mask & ~cut):  # only the elements new at this level
+                    for i in iter_bits(mask & ~cut):  # only the elements new at this rank
                         ranks[i] = r
                     cut = mask
             fuzzy = self._fuzzy = FuzzySet._from_ranks(lat, self._chain, tuple(ranks))
@@ -376,6 +367,14 @@ class FuzzyInterval:
     def __call__(self, element) -> Fraction:
         return self.fuzzy(element)
 
+    @property
+    def _levels(self) -> tuple[int, ...]:
+        """The ranks of the thresholds in ``_chain``, ascending: rank 0, the
+        top rank, and each rank whose cut differs from the one above."""
+        cuts = self._cuts
+        top = len(cuts) - 1
+        return (0, *[r for r in range(1, top) if cuts[r] != cuts[r + 1]], top)
+
     def thresholds(self) -> tuple[Fraction, ...]:
         chain = self._chain
         return tuple([chain[r] for r in self._levels])
@@ -384,20 +383,20 @@ class FuzzyInterval:
         return self.fuzzy.cut(p)
 
     def _cut_ends(self) -> tuple[tuple[int | None, int | None], ...]:
-        """Per level, the ``(lo, hi)`` element indices of its cut,
+        """Per threshold, the ``(lo, hi)`` element indices of its cut,
         ``(None, None)`` if empty."""
-        return tuple(map(_IntervalCodes.of(self.lattice).ends, self._cuts))
+        return tuple(map(_IntervalCodes.of(self.lattice).ends, self._threshold_cuts()))
 
     def _rank_endpoints(self, rank: int) -> tuple[int | None, int | None]:
         """``(lo, hi)`` element indices of the cut at ``_chain[rank]``,
         ``(None, None)`` if empty."""
-        return _IntervalCodes.of(self.lattice).ends(self._cuts[bisect_left(self._levels, rank)])
+        return _IntervalCodes.of(self.lattice).ends(self._cuts[rank])
 
     def cut_interval(self, p) -> CrispInterval:
         """The p-cut as a crisp interval.
 
-        Read off the endpoint chain: a grade strictly between two
-        thresholds cuts like the next threshold up.
+        Read off the endpoint chain: a grade between two grades of the
+        chain cuts like the next one up.
         """
         rank = bisect_left(self._chain, as_grade(p))
         return CrispInterval._from_indices(self.lattice, *self._rank_endpoints(rank))
@@ -418,39 +417,40 @@ class FuzzyInterval:
         return self.fuzzy.leq(other.fuzzy)
 
     meet = _cutwise(False, "meet", """Pointwise minimum; cutwise, the intersection of the
-        operand cuts: ``[a_lo ⊔ b_lo, a_hi ⊓ b_hi]`` at each level, or the empty
+        operand cuts: ``[a_lo ⊔ b_lo, a_hi ⊓ b_hi]`` at each grade, or the empty
         cut where that is crossed, the rule of :meth:`CrispInterval.intersection`.""")
 
     join = _cutwise(True, "join", """Smallest fuzzy interval above both operands.
 
-        Built cutwise: at every level of either operand take the hull of
-        the two cuts, ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]``, or the other cut where
-        one is empty.  Cuts are constant between consecutive levels, so no
-        other grade can matter.
+        Built cutwise: at every grade of either operand's chain take the
+        hull of the two cuts, ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]``, or the other
+        cut where one is empty.  Cuts are constant between consecutive
+        grades, so no other grade can matter.
         """)
 
     def __eq__(self, other) -> bool:
-        # _levels are exactly the thresholds and _cuts the cut at each, so
-        # equal cut codes at equal grades over one lattice are equal sets
+        # on one chain the codes are the cuts at each grade; across chains
+        # the thresholds and the cuts at them determine the set
         if not isinstance(other, FuzzyInterval):
             return NotImplemented
-        if self._cuts != other._cuts:
-            return False
-        if self.lattice is not other.lattice and self.lattice != other.lattice:
-            return False
         if self._chain is other._chain:
-            return self._levels == other._levels
-        a, b = self._chain, other._chain
-        return all(a[r] == b[s] for r, s in zip(self._levels, other._levels))
+            if self._cuts != other._cuts:
+                return False
+        elif (self._threshold_cuts() != other._threshold_cuts()
+              or self.thresholds() != other.thresholds()):
+            return False
+        return self.lattice is other.lattice or self.lattice == other.lattice
 
     def __hash__(self) -> int:
-        # _cuts holds the cut codes at grade 0, at each grade in (0, 1) the
-        # set takes, and at grade 1; the chain ranks live in _levels.  Equal
-        # lattices code alike, so equal sets have equal _cuts on any chain.
-        # Sets of one cut shape at other grades collide and __eq__ settles
-        # them: hashing the grades as well kept only about a third of the
-        # speed-up in the op tables.
-        return hash(self._cuts)
+        # equal lattices code alike, so equal sets have equal codes at their
+        # thresholds on any chain; sets of one cut shape at other grades
+        # collide and __eq__ settles them
+        return hash(self._threshold_cuts())
+
+    def _threshold_cuts(self) -> tuple[int, ...]:
+        """The codes of the cuts at the thresholds."""
+        cuts = self._cuts
+        return tuple([cuts[r] for r in self._levels])
 
     def __repr__(self) -> str:
         return f"FuzzyInterval({self.fuzzy!r})"

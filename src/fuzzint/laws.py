@@ -23,11 +23,15 @@ distributivity suites and supplies the meets and joins of the cut-identity
 suite; the crisp-interval table serves the crisp suites and supplies the
 hulls and intersections of the cuts, the cut-identity suite's reference
 side.  The axiom suites read the order as bitmask rows built from the
-members' memberships (see :func:`_order_rows`).  Nothing is kept between
-calls.  ``check_lattice_axioms`` and ``check_distributivity`` run the
-axiom and distributivity bodies over an arbitrary collection of distinct
-members and its ops; only ``check_lattice_axioms`` evaluates its
-``leq_op`` pairwise.
+members' memberships (see :func:`_order_rows`).  No sample draw or op
+table over the collection is kept between calls, but the fuzzy-interval
+ops fill entries of their lattice's op tables over cut codes
+(:class:`~fuzzint.intervals._IntervalCodes`), which stay on the
+:class:`~fuzzint.lattice.FiniteLattice`, so a later call on that lattice
+object reads them warm.  ``check_lattice_axioms`` and
+``check_distributivity`` run the axiom and distributivity bodies over an
+arbitrary collection of distinct members and its ops; only
+``check_lattice_axioms`` evaluates its ``leq_op`` pairwise.
 
 :func:`_run_law` decides each law by one route: whole rows in exhaustive
 mode, a verdict reused from another law (``*-cut-family-intersection`` and
@@ -350,8 +354,8 @@ class _OpTables:
     The build interns in two steps.  A result of type
     :class:`FuzzyInterval` (a subclass may compare otherwise) on the first
     item's grade chain and lattice, the same objects, is looked up by its
-    ``(_levels, _cuts)`` among the items of that type on those objects; on
-    one chain and lattice, equal cut chains are exactly equal intervals, so
+    ``_cuts`` among the items of that type on those objects; on one chain
+    and lattice, equal codes at every rank are exactly equal intervals, so
     a hit is the member an equality lookup finds.  A miss, and any other
     result, falls through to ``index``, so a member equal on another chain
     or lattice object, or a result already added to the pool, is found.
@@ -384,7 +388,7 @@ class _OpTables:
         lead = items[0] if items else None
         chain, lattice = ((lead._chain, lead.lattice) if type(lead) is FuzzyInterval
                           else (None, None))
-        by_chain = {(x._levels, x._cuts): i for i, x in enumerate(items)
+        by_chain = {x._cuts: i for i, x in enumerate(items)
                     if type(x) is FuzzyInterval and x._chain is chain and x.lattice is lattice}
         pool, witnesses = self.pool, [None, None]
         for i, a in enumerate(items):
@@ -392,7 +396,7 @@ class _OpTables:
             for j, b in enumerate(items):
                 for row, op, w in slots:  # each pair's join, then its meet
                     r = op(a, b)
-                    key = ((r._levels, r._cuts) if type(r) is FuzzyInterval
+                    key = (r._cuts if type(r) is FuzzyInterval
                            and r._chain is chain and r.lattice is lattice else None)
                     k = by_chain.get(key)
                     if k is None:

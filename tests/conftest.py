@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from fuzzint import FuzzySet, boolean_lattice, chain, m3, n5, product_lattice, validate_grades
+from fuzzint import (FiniteLattice, FuzzySet, boolean_lattice, chain, m3, n5, product_lattice,
+                     validate_grades)
 
 GRADES3 = (Fraction(0), Fraction(1, 2), Fraction(1))
 GRADES2 = (Fraction(0), Fraction(1))
@@ -85,3 +86,9 @@ def random_lattices(draw):
     extra = draw(st.lists(st.sampled_from(below), max_size=3)) if below else []
     covers = draw(st.permutations([(f"e{i}", f"e{j}") for i, j in hasse + extra]))
     return masks, covers
+
+
+def lattice_of(case):
+    """The lattice of a ``random_lattices()`` case, element ``e<i>`` at index i."""
+    masks, covers = case
+    return FiniteLattice([f"e{i}" for i in range(len(masks))], covers)

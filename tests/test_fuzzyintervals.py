@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets, random_lattices
+from conftest import (GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets, lattice_of,
+                      random_lattices)
 from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet, InvalidGrade,
                      NotAFuzzyInterval, RouteDisagreement, chain, classify,
                      is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice,
@@ -344,12 +345,13 @@ def test_meet_join_stay_within_grade_set(diamond):
 
 
 def _assert_ops_match_independent_routes(a, b):
-    """Both op results carry, decoded, the endpoint chain that the full scan
-    of their fuzzy sets gives, with no witness, and the meet is the pointwise
-    minimum of the grades."""
+    """Both op results carry, decoded rank by rank, the endpoint chain that
+    the full scan of their fuzzy sets gives, with no witness, and the meet
+    is the pointwise minimum of the grades."""
     meet = a.meet(b)
     for result in (a.join(b), meet):
-        assert (result._levels, result._cut_ends(), None) == _endpoint_chain(result.fuzzy), (a, b)
+        ends = tuple(map(_IntervalCodes.of(result.lattice).ends, result._cuts))
+        assert (ends, None) == _endpoint_chain(result.fuzzy), (a, b)
     assert meet.values == tuple(map(min, a.values, b.values)), (a, b)
 
 
@@ -379,8 +381,7 @@ def fuzzy_interval_pairs(draw):
     """Two fuzzy intervals on one random lattice, each on its own grade
     chain: per positive grade, ascending, the previous cut intersected with a
     drawn crisp interval."""
-    masks, covers = draw(random_lattices())
-    lat = FiniteLattice([f"e{i}" for i in range(len(masks))], covers)
+    lat = lattice_of(draw(random_lattices()))
     intervals = enumerate_intervals(lat)
     pair = []
     for _ in range(2):
@@ -471,3 +472,15 @@ def test_interval_cut_violation_reports_gap(diamond):
     bad = FuzzySet(diamond, {"0": "1", "a": "1", "b": "1", "c": "0", "1": "1"})
     p, z = interval_cut_violation(bad)
     assert p == 1 and z == "c"
+
+
+def test_gap_witness_names_a_grade_that_some_element_takes(diamond):
+    """No element takes 1/2, so its cut is the 1-cut {a, b}; the witness
+    names grade 1, where the elements of that cut take their grade."""
+    k = FuzzySet(diamond, {"0": "0", "a": "1", "b": "1", "c": "0", "1": "0"}).meet(
+        FuzzySet(diamond, {"0": "1/2", "a": "1", "b": "1", "c": "1/2", "1": "1/2"}))
+    assert k.chain == GRADES3 and H not in k.values
+    assert interval_cut_violation(k) == (1, "0")
+    with pytest.raises(NotAFuzzyInterval, match="cut at 1 is not a closed interval: "
+                                                "it omits 0 between its bounds"):
+        FuzzyInterval(k)

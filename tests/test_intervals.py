@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_lattices
+from conftest import lattice_of, random_lattices
 from fuzzint import (CrispInterval, EmptyInterval, FiniteLattice, LatticeMismatch,
                      RouteDisagreement, boolean_lattice, chain, intersection_family, n5)
 from fuzzint import laws
@@ -118,14 +118,9 @@ def test_interval_counts_fixtures(diamond, pentagon, b2, b3):
     assert len(enumerate_intervals(b3)) == 28
 
 
-def _random_lattice(case):
-    masks, covers = case
-    return FiniteLattice([f"e{i}" for i in range(len(masks))], covers)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.sampled_from([chain(1), boolean_lattice(0)]),
-                 random_lattices().map(_random_lattice)))
+                 random_lattices().map(lattice_of)))
 def test_interval_space_matches_brute_force(lattice):
     """Int(L)'s items are the empty interval, then [lo, hi] for every pair
     lo ⊑ hi in a scan of all element pairs in canonical order; its masks are
@@ -149,7 +144,7 @@ def test_interval_space_matches_brute_force(lattice):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.sampled_from([chain(1), boolean_lattice(0)]),
-                 random_lattices().map(_random_lattice)))
+                 random_lattices().map(lattice_of)))
 def test_interval_codes_are_positions_in_int_l(lattice):
     """The empty interval codes to 0 and ``[lo, hi]`` to its index in
     ``enumerate_intervals``, and decoding inverts coding.  With every pair

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets, random_lattices
+from conftest import (GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets, lattice_of,
+                      random_lattices)
 from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
                      GradeSetInvalid, boolean_lattice, chain, classify, format_grade,
                      is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice,
@@ -114,7 +115,7 @@ def test_generator_agrees_with_filter_on_random_lattices(case, data):
     """At one, two or three positive grades, wherever the |grades|^|L|
     candidate sets number at most 1,000: the chains enumerate each fuzzy
     interval once, and exactly those the filter finds."""
-    lattice = _lattice_of(case)
+    lattice = lattice_of(case)
     fitting = [g for g in (GRADES2, GRADES3, GRADES4) if len(g) ** len(lattice) <= 1000]
     assume(fitting)
     grades = data.draw(st.sampled_from(fitting))
@@ -176,11 +177,6 @@ def test_oracle_join_matches_fast_join(diamond):
         assert a.join(b) == oracle_join(fis, a, b)
 
 
-def _lattice_of(case):
-    masks, covers = case
-    return FiniteLattice([f"e{i}" for i in range(len(masks))], covers)
-
-
 @settings(max_examples=40, deadline=None)
 @given(random_lattices(), st.data())
 def test_ops_match_independent_routes_across_chains(case, data):
@@ -188,7 +184,7 @@ def test_ops_match_independent_routes_across_chains(case, data):
     ``leq`` against pointwise ``<=`` on the grades.  One operand comes from
     the enumeration, the other is rebuilt on its own grade chain, so every
     op first merges the two chains."""
-    lat = _lattice_of(case)
+    lat = lattice_of(case)
     fis = enumerate_fuzzy_intervals(lat, GRADES3)
     a, b = data.draw(st.sampled_from(fis)), data.draw(st.sampled_from(fis))
     rebuilt = FuzzyInterval(FuzzySet.from_values(lat, b.values))
@@ -207,7 +203,7 @@ def test_ops_match_independent_routes_across_chains(case, data):
 def test_fuzzy_set_routes_agree_across_grade_sets(case, data):
     """Pointwise ops of fuzzy sets over {0,1/2,1} and {0,1/3,2/3,1}, and the
     classification routes on each operand and result."""
-    lat = _lattice_of(case)
+    lat = lattice_of(case)
     n = len(lat.elements)
     m = FuzzySet.from_values(lat, data.draw(st.lists(st.sampled_from(GRADES3),
                                                      min_size=n, max_size=n)))
@@ -400,7 +396,7 @@ def test_order_rows_match_pairwise_leq(fixture, grades):
 def test_order_rows_match_pairwise_leq_on_random_lattices(case, grades, data):
     """Up to 1,800 fuzzy intervals: drawn rows of both directions are
     checked against pairwise ``leq``."""
-    fis = enumerate_fuzzy_intervals(_lattice_of(case), grades)
+    fis = enumerate_fuzzy_intervals(lattice_of(case), grades)
     up, down = laws._order_rows([fi.fuzzy.ranks for fi in fis])
     assert len(up) == len(down) == len(fis)
     for i in data.draw(st.lists(st.integers(0, len(fis) - 1), min_size=1, max_size=8)):
@@ -616,7 +612,7 @@ def test_row_checks_match_a_plain_scan_on_random_lattices(case, broken):
     the hull, or with the :func:`_broken_join` swap, which keeps the table
     closed; and over the first one and none of them, which check 1 and 0
     instances of each law."""
-    lattice = _lattice_of(case)
+    lattice = lattice_of(case)
     ivs = enumerate_intervals(lattice)
     join = cache(_broken_join(lattice) if broken else CrispInterval.hull)
     meet = cache(CrispInterval.intersection)
@@ -815,7 +811,7 @@ def test_pairwise_subset_laws_match_the_literal_subset_loop(lattice):
         fis[k] = _with_ends(fis[k], planted)
         for k in rng.sample([k for k, fi in enumerate(fis) if len(fi._levels) >= 4], 2):
             fis[k] = _with_ends(fis[k], [(rng.randrange(n), rng.randrange(n))
-                                         for _ in fis[k]._cuts])
+                                         for _ in fis[k]._levels])
         report = laws._endpoint_lemmas(LawReport("endpoints", "", grades), lattice, fis,
                                        True, **budget)
         _assert_matches_references(report, fis, _endpoint_references(lattice, fis, grades),
@@ -1402,7 +1398,7 @@ def test_decided_rows_match_the_full_pair_scan_on_random_lattices(case, grades, 
     """The four decided rows equal the plain scans of their literal subset
     references, over up to 14 drawn items: clean, and with crisp op-table
     entries and a few items' endpoint chains randomly corrupted."""
-    lattice = _lattice_of(case)
+    lattice = lattice_of(case)
     n = len(lattice.elements)
     everything = enumerate_fuzzy_intervals(lattice, grades)
     picked = data.draw(st.lists(st.integers(0, len(everything) - 1), min_size=1,
@@ -1426,7 +1422,7 @@ def test_decided_rows_match_the_full_pair_scan_on_random_lattices(case, grades, 
     fis = tabs.items
     for i in data.draw(st.lists(st.integers(0, len(fis) - 1), max_size=3)):
         fis[i] = _with_ends(fis[i], [(data.draw(st.integers(0, n - 1)),
-                                      data.draw(st.integers(0, n - 1))) for _ in fis[i]._cuts])
+                                      data.draw(st.integers(0, n - 1))) for _ in fis[i]._levels])
     report = laws._endpoint_lemmas(LawReport("endpoints", "", grades), lattice, fis, True,
                                    plan=plan)
     references = _endpoint_references(lattice, fis, grades)
