@@ -147,8 +147,9 @@ class FuzzySet:
 
     @classmethod
     def from_values(cls, lattice: FiniteLattice, values) -> "FuzzySet":
-        """The fuzzy set with ``values``, exact grades in canonical element order."""
-        chain, ranks = _grade_chain(values)
+        """The fuzzy set with ``values``, exact grades in canonical element
+        order; any iterable, read once."""
+        chain, ranks = _grade_chain(tuple(values))
         if len(ranks) != len(lattice.elements):
             raise ValueError(f"{len(ranks)} grades for {len(lattice.elements)} elements")
         return cls._from_ranks(lattice, chain, ranks)

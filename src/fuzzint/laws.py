@@ -188,7 +188,9 @@ def _interval_space(lattice: FiniteLattice) -> tuple[list, list[int], tuple]:
     """Int(L), the crisp intervals with the empty one, as ``(items, masks,
     (supersets, subsets))``: :func:`enumerate_intervals`, each item's
     member bitmask, and the :func:`_order_rows` of their 0/1 memberships:
-    bit j of ``supersets[i]`` is set when item i lies inside item j."""
+    bit j of ``supersets[i]`` is set when item i lies inside item j.
+    :func:`run_suite` derives it at most once per call, for the crisp op
+    table and the ``crisp-axioms`` order rows."""
     items = enumerate_intervals(lattice)
     masks = [iv.members_mask() for iv in items]
     elements = range(len(lattice.elements))
@@ -198,27 +200,34 @@ def _interval_space(lattice: FiniteLattice) -> tuple[list, list[int], tuple]:
 def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInterval]:
     """All fuzzy intervals with values in ``grades``.
 
-    Generated as antitone chains in Int(L) (see :func:`_interval_space`):
-    one crisp interval per grade, each containing the next, the one at
-    grade 0 the whole carrier; the membership of an element is the largest
-    grade whose interval contains it.  Cuts of the result at the chosen
-    grades recover exactly the chain, so the construction is a bijection
-    onto the grade-valued fuzzy intervals, in lexicographic order of the
-    chains.  Every result stores its grades as ranks into one shared
-    chain, the validated ``grades``, so the ops between them compare ints.
+    Generated as antitone chains of crisp intervals, as member masks: one
+    per grade, each containing the next, the one at grade 0 the whole
+    carrier; the membership of an element is the largest grade whose
+    interval contains it.  The intervals inside an interval mask ``m`` are
+    the empty one, then ``[x, y]`` for each ``x`` in ``m`` and each ``y`` in
+    its up-set within ``m``, both ascending: the order of
+    :func:`enumerate_intervals`, read from the carrier's up-sets, so Int(L)
+    is never built.  Cuts of the result at the chosen grades recover
+    exactly the chain, so the construction is a bijection onto the
+    grade-valued fuzzy intervals, in lexicographic order of the chains.
+    Every result stores its grades as ranks into one shared chain, the
+    validated ``grades``, so the ops between them compare ints.
     """
     chain = validate_grades(grades)
-    _, masks, (_, subsets) = _interval_space(lattice)
-    contained = [list(iter_bits(row)) for row in subsets]
+    up, between = lattice._up, lattice.between_mask
 
-    chains = [(masks.index(lattice.all_mask),)]  # every chain starts at the whole carrier
+    @functools.cache
+    def inside(m: int) -> list[int]:
+        return [0] + [between(x, y) for x in iter_bits(m) for y in iter_bits(up[x] & m)]
+
+    chains = [(lattice.all_mask,)]  # every chain starts at the whole carrier
     for _ in chain[1:]:  # extending each chain in turn keeps depth-first order
-        chains = [c + (j,) for c in chains for j in contained[c[-1]]]
+        chains = [c + (m,) for c in chains for m in inside(c[-1])]
     out: list[FuzzyInterval] = []
     for c in chains:
         ranks = [0] * len(lattice.elements)
         for rank in range(1, len(c)):  # ascending: last write wins
-            for b in iter_bits(masks[c[rank]]):
+            for b in iter_bits(c[rank]):
                 ranks[b] = rank
         out.append(FuzzyInterval(FuzzySet._from_ranks(lattice, chain, tuple(ranks))))
     return out
@@ -939,7 +948,8 @@ def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), 
     ``distributivity`` or ``cut-identities`` to run, and Int(L) (the
     crisp table's items and ``crisp-axioms``' order rows; see
     :func:`_interval_space`) by the first of ``cut-identities`` and the
-    crisp suites.  Each sampled (count, arity) space is drawn once and
+    crisp suites, once per call: the enumeration of the fuzzy intervals
+    does not derive it.  Each sampled (count, arity) space is drawn once and
     read by every law over it.  Only the axiom suites build order rows,
     from the members' memberships by :func:`_order_rows`.  A budget that
     is not a positive int raises ``ValueError`` before anything is built.

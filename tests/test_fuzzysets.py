@@ -206,6 +206,12 @@ def test_from_values_turns_ints_into_fractions(chain3):
     assert repr(m) == "{0: 0, 1: 1, 2: 0}"
 
 
+def test_from_values_reads_an_iterator_once():
+    grades = tuple(Fraction(i, 3) for i in range(4))
+    for values in ((g for g in grades), map(Fraction, grades), iter(list(grades))):
+        assert FuzzySet.from_values(chain(4), values).values == grades
+
+
 @pytest.mark.parametrize("values, error, text", [
     ((0, Fraction(3, 2), 1), InvalidGrade, "grade Fraction(3, 2) must be a Fraction in [0, 1]"),
     ((0, -1, 1), InvalidGrade, "grade -1 must be a Fraction in [0, 1]"),

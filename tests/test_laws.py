@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import importlib
@@ -8,7 +9,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from math import comb
 from pathlib import Path
 
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import (GRADES2, GRADES3, GRADES4, enumerate_fuzzy_sets, lattice_of,
                       random_lattices)
 from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
-                     GradeSetInvalid, boolean_lattice, chain, classify, format_grade,
+                     GradeSetInvalid, as_grade, boolean_lattice, chain, classify,
                      is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice,
                      m3, n5, run_suite, standard_lattice, validate_grades)
 from fuzzint import laws
@@ -28,9 +30,11 @@ from fuzzint.fuzzysets import meet_family
 from fuzzint.intervals import _IntervalCodes
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
                           check_lattice_axioms, enumerate_fuzzy_intervals,
-                          enumerate_intervals, render_operand)
+                          enumerate_intervals)
 
 H = Fraction(1, 2)
+SAMPLED = dict(budget=300, seed=3)
+_HULL, _INTERSECTION = CrispInterval.hull, CrispInterval.intersection
 
 
 # -- independent reference routes ----------------------------------------------
@@ -404,204 +408,57 @@ def test_order_rows_match_pairwise_leq_on_random_lattices(case, grades, data):
         assert down[i] == _leq_row(fis, fis[i], lambda a, b: b.leq(a))
 
 
-# sha256 of json.dumps(axioms.as_json(), sort_keys=True) from
-# run_suite("axioms", ..., {0, 1/2, 1}) with FuzzyInterval.join replaced by
-# one that returns its right operand, captured while the order rows were
-# still built from pairwise FuzzyInterval.leq calls
-RIGHT_OPERAND_JOIN_AXIOMS = {
-    ("chain3", "exhaustive"):
-        "38ec24aff6359e1f18ff973c3dd67b49beab9c7146d07374868ca0807972a656",
-    ("chain3", "sampled"):
-        "449a320fa5d9fb80b9996d05d6b4da01833a2e24b134ba1c4558a67c4a520f26",
-    ("m3", "exhaustive"):
-        "188f6a3b082f8acb64d897f2943ba3889ecab61a90ceb7f8de510535bcd0088b",
-    ("m3", "sampled"):
-        "abde2d238e4358d14439ebc6a578b3259b6adf29fb0dd4327a651ef3ba4c14bc",
-}
-
-
 def test_order_rows_catch_a_join_that_returns_its_right_operand(monkeypatch, chain3, diamond):
     """The order rows come from the enumerated memberships, not from the ops,
-    so a broken join fails the order laws with the witnesses it had when
-    the rows came from pairwise ``leq``."""
+    so a broken join fails the order laws, as the reference says."""
     monkeypatch.setattr(FuzzyInterval, "join", lambda a, b: b)
-    lattices = {"chain3": chain3, "m3": diamond}
-    budgets = {"exhaustive": {}, "sampled": dict(budget=300, seed=3)}
-    for (lat, mode), digest in RIGHT_OPERAND_JOIN_AXIOMS.items():
-        (report,) = run_suite("axioms", lattices[lat], GRADES3, **budgets[mode])
+    for lattice, budget in itertools.product((chain3, diamond), ({}, SAMPLED)):
+        (report,) = run_suite("axioms", lattice, GRADES3, **budget)
+        assert [report.as_json()] == reference.reports("axioms", lattice, GRADES3, **budget)
         failed = {c.law for c in report.checks if c.status == "fail"}
         assert {"order-consistency", "join-least-upper-bound",
-                "join-definitional-oracle"} <= failed, (lat, mode)
-        doc = json.dumps(report.as_json(), sort_keys=True)
-        assert hashlib.sha256(doc.encode()).hexdigest() == digest, (lat, mode)
+                "join-definitional-oracle"} <= failed, (lattice, budget)
 
 
-TRIPLE_LAWS = {
-    "associativity-join": (lambda J, M, a, b, c: J(a, J(b, c)),
-                           lambda J, M, a, b, c: J(J(a, b), c)),
-    "associativity-meet": (lambda J, M, a, b, c: M(a, M(b, c)),
-                           lambda J, M, a, b, c: M(M(a, b), c)),
-    "meet-over-join": (lambda J, M, a, b, c: M(a, J(b, c)),
-                       lambda J, M, a, b, c: J(M(a, b), M(a, c))),
-    "join-over-meet": (lambda J, M, a, b, c: J(a, M(b, c)),
-                       lambda J, M, a, b, c: M(J(a, b), J(a, c))),
-}
+def _checks_match_reference(items, join, meet, leq, budget=laws.DEFAULT_BUDGET):
+    """The checks of ``check_lattice_axioms`` and ``check_distributivity``,
+    by law, once each equals the reference's."""
+    plan = reference.planner(budget)
+    axioms = check_lattice_axioms(items, join, meet, leq, budget=budget).checks
+    distributivity = check_distributivity(items, join, meet, budget=budget).checks
+    assert axioms == reference.axioms(items, join, meet, leq, plan)
+    assert distributivity == reference.distributivity(items, join, meet, plan)
+    return {c.law: c for c in axioms + distributivity}
 
 
-def _plain_scan(items, arity, probe):
-    """(status, checked, witness) of a lexicographic scan over every tuple."""
-    checked = 0
-    for tup in itertools.product(range(len(items)), repeat=arity):
-        checked += 1
-        detail = probe(*tup)
-        if detail is not None:
-            witness = {"indices": list(tup),
-                       "operands": [render_operand(items[i]) for i in tup]}
-            if detail:
-                witness["detail"] = detail
-            return "fail", checked, witness
-    return "pass", checked, None
-
-
-def _assert_triple_checks_match_plain_scan(reports, items, join, meet, laws):
-    """Each triple check's status, checked count and witness equal those of
-    a lexicographic scan that calls the ops directly."""
-    checks = {c.law: c for r in reports for c in r.checks if c.law in TRIPLE_LAWS}
-    assert set(checks) == set(laws)
-    for law in laws:
-        lhs, rhs = TRIPLE_LAWS[law]
-
-        def probe(i, j, k):
-            a, b, c = items[i], items[j], items[k]
-            return None if lhs(join, meet, a, b, c) == rhs(join, meet, a, b, c) else ""
-        expected = _plain_scan(items, 3, probe)
-        assert (checks[law].status, checks[law].checked, checks[law].witness) == expected, law
-
-
-class _PairReference:
-    """What the pair laws read, from the public ops and pairwise ``leq``
-    alone: ``J``, ``M``, ``leq`` and the ``items``, and per item the
-    indices of the items above and below it."""
-
-    def __init__(self, items, join, meet, leq):
-        self.J, self.M, self.leq, self.items = join, meet, leq, items
-        self.above = {a: {k for k, c in enumerate(items) if leq(a, c)} for a in items}
-        self.below = {a: {k for k, c in enumerate(items) if leq(c, a)} for a in items}
-
-    def common(self, a, b, above):
-        """The items above (below) both ``a`` and ``b``, in index order."""
-        rows = self.above if above else self.below
-        return [self.items[k] for k in sorted(rows[a] & rows[b])]
-
-
-def _unless(holds):
-    return None if holds else ""
-
-
-def _nearest_bound(op, above, bound, nearer):
-    """Reference of the least-upper-bound (``above``) or greatest-lower-bound
-    law: the op's result is an item among the common bounds, and above
-    (below) each of them."""
-    def detail(ref, a, b):
-        common = ref.common(a, b, above)
-        result = (ref.J if above else ref.M)(a, b)
-        if result not in common:
-            return f"{op} is not a common {bound}"
-        if not all(ref.leq(result, c) if above else ref.leq(c, result) for c in common):
-            return f"a {nearer} common {bound} exists"
-        return None
-    return detail
-
-
-def _definitional_join(ref, a, b):
-    """Reference of the join oracle: the meet-fold of the common upper
-    bounds, in index order, stays among the items and equals the join."""
-    common = ref.common(a, b, True)
-    if not common:
-        return "no common upper bound in the collection"
-    acc = common[0]
-    for c in common[1:]:
-        acc = ref.M(acc, c)
-        if acc not in ref.items:
-            return "meet-fold left the collection"
-    return None if acc == ref.J(a, b) else "fold of upper bounds differs from join"
-
-
-PAIR_LAWS = {
-    "commutativity-join": lambda r, a, b: _unless(r.J(a, b) == r.J(b, a)),
-    "commutativity-meet": lambda r, a, b: _unless(r.M(a, b) == r.M(b, a)),
-    "absorption-meet-join": lambda r, a, b: _unless(r.M(a, r.J(a, b)) == a),
-    "absorption-join-meet": lambda r, a, b: _unless(r.J(a, r.M(a, b)) == a),
-    "order-consistency": lambda r, a, b: _unless(
-        r.leq(a, b) == (r.M(a, b) == a) == (r.J(a, b) == b)),
-    "join-least-upper-bound": _nearest_bound("join", True, "upper bound", "smaller"),
-    "meet-greatest-lower-bound": _nearest_bound("meet", False, "lower bound", "greater"),
-    "join-definitional-oracle": _definitional_join,
-}
-
-
-def _assert_pair_checks_match_plain_scan(report, items, join, meet, leq):
-    """Each pair check decided by rows has the status, checked count and
-    witness of a lexicographic scan that calls the public ops directly."""
-    checks = {c.law: c for c in report.checks if c.law in PAIR_LAWS}
-    assert set(checks) == set(PAIR_LAWS)
-    ref = _PairReference(items, join, meet, leq)
-    for law, detail in PAIR_LAWS.items():
-        expected = _plain_scan(items, 2, lambda i, j: detail(ref, items[i], items[j]))
-        assert (checks[law].status, checks[law].checked, checks[law].witness) == expected, law
+def _failing(checks):
+    return {law for law, c in checks.items() if c.status == "fail"}
 
 
 def test_row_checks_match_a_plain_scan(chain3):
     # a closed table with one wrong entry: the row path decides every row
     ivs = enumerate_intervals(chain3)
-    broken_join = _broken_join(chain3)
-    reports = [check_lattice_axioms(ivs, broken_join, CrispInterval.intersection,
-                                    CrispInterval.issubset),
-               check_distributivity(ivs, broken_join, CrispInterval.intersection)]
-    status = {c.law: c.status for c in reports[0].checks}
-    assert status["closure-join"] == "pass" and status["associativity-join"] == "fail"
-    assert status["order-consistency"] == status["join-least-upper-bound"] == "fail"
-    assert status["join-definitional-oracle"] == "fail"
-    _assert_triple_checks_match_plain_scan(reports, ivs, broken_join,
-                                           CrispInterval.intersection, TRIPLE_LAWS)
-    _assert_pair_checks_match_plain_scan(reports[0], ivs, broken_join,
-                                         CrispInterval.intersection, CrispInterval.issubset)
+    checks = _checks_match_reference(ivs, _broken_join(chain3), _INTERSECTION,
+                                     CrispInterval.issubset)
+    assert checks["closure-join"].status == "pass"
+    assert _failing(checks) >= {"associativity-join", "order-consistency",
+                                "join-least-upper-bound", "join-definitional-oracle"}
 
     # an open table: intersections of nonempty intervals may leave the pool
-    nonempty = ivs[1:]
-    reports = [check_lattice_axioms(nonempty, CrispInterval.hull, CrispInterval.intersection,
-                                    CrispInterval.issubset),
-               check_distributivity(nonempty, CrispInterval.hull, CrispInterval.intersection)]
-    status = {c.law: c.status for c in reports[0].checks}
-    assert status["closure-meet"] == status["meet-greatest-lower-bound"] == "fail"
-    _assert_triple_checks_match_plain_scan(reports, nonempty, CrispInterval.hull,
-                                           CrispInterval.intersection, TRIPLE_LAWS)
-    _assert_pair_checks_match_plain_scan(reports[0], nonempty, CrispInterval.hull,
-                                         CrispInterval.intersection, CrispInterval.issubset)
+    checks = _checks_match_reference(ivs[1:], _HULL, _INTERSECTION, CrispInterval.issubset)
+    assert _failing(checks) >= {"closure-meet", "meet-greatest-lower-bound"}
 
     # each remaining failure of the bound and oracle laws: a common bound that
     # is not the nearest, and a meet-fold that leaves the collection at 2 ⊓ 3
     whole, empty = CrispInterval.whole(chain3), CrispInterval.empty(chain3)
-    ints = list(range(5))
     for items, join, meet, leq, law, detail in (
-            (ivs, lambda a, b: a if a == b else whole, CrispInterval.intersection,
-             CrispInterval.issubset, "join-least-upper-bound",
-             "a smaller common upper bound exists"),
-            (ivs, CrispInterval.hull, lambda a, b: a if a == b else empty,
-             CrispInterval.issubset, "meet-greatest-lower-bound",
-             "a greater common lower bound exists"),
-            (ints, max, lambda a, b: 5 if (a, b) == (2, 3) else min(a, b), int.__le__,
+            (ivs, lambda a, b: a if a == b else whole, _INTERSECTION, CrispInterval.issubset,
+             "join-least-upper-bound", "a smaller common upper bound exists"),
+            (ivs, _HULL, lambda a, b: a if a == b else empty, CrispInterval.issubset,
+             "meet-greatest-lower-bound", "a greater common lower bound exists"),
+            (list(range(5)), max, lambda a, b: 5 if (a, b) == (2, 3) else min(a, b), int.__le__,
              "join-definitional-oracle", "meet-fold left the collection")):
-        report = check_lattice_axioms(items, join, meet, leq)
-        assert {c.law: c for c in report.checks}[law].witness["detail"] == detail
-        _assert_pair_checks_match_plain_scan(report, items, join, meet, leq)
-
-    fis = enumerate_fuzzy_intervals(chain3, GRADES3)
-    reports = run_suite("distributivity", chain3, GRADES3)
-    assert not reports[0].passed
-    _assert_triple_checks_match_plain_scan(reports, fis, FuzzyInterval.join,
-                                           FuzzyInterval.meet,
-                                           ["meet-over-join", "join-over-meet"])
+        assert _checks_match_reference(items, join, meet, leq)[law].witness["detail"] == detail
 
 
 @settings(max_examples=40, deadline=None)
@@ -617,15 +474,10 @@ def test_row_checks_match_a_plain_scan_on_random_lattices(case, broken):
     join = cache(_broken_join(lattice) if broken else CrispInterval.hull)
     meet = cache(CrispInterval.intersection)
     for items in (ivs, ivs[:1], ivs[:0]):
-        reports = [check_lattice_axioms(items, join, meet, CrispInterval.issubset),
-                   check_distributivity(items, join, meet)]
-        assert {c.law: c.status for c in reports[0].checks}["closure-join"] == "pass"
-        _assert_triple_checks_match_plain_scan(reports, items, join, meet, TRIPLE_LAWS)
-        _assert_pair_checks_match_plain_scan(reports[0], items, join, meet,
-                                             CrispInterval.issubset)
+        checks = _checks_match_reference(items, join, meet, CrispInterval.issubset)
+        assert checks["closure-join"].status == "pass"
         if len(items) < 2:
-            assert {c.checked for r in reports for c in r.checks
-                    if c.law in PAIR_LAWS or c.law in TRIPLE_LAWS} == {len(items)}
+            assert {c.checked for c in checks.values()} == {len(items)}
 
 
 def _planted(op, n, faults):
@@ -675,35 +527,6 @@ def test_rows_as_bytes_or_lists_match_a_scan_at_the_byte_boundary(monkeypatch, n
     assert "absorption-join-meet" not in failed  # its rows pass whole
 
 
-def _subsets(ranks):
-    """Nonempty subsets of ascending ranks, by size, each ascending."""
-    for size in range(1, len(ranks) + 1):
-        yield from itertools.combinations(ranks, size)
-
-
-def _literal_subset_probe(chain, family, fold):
-    """The fold identity checked on every nonempty threshold set P, as the
-    lemmas state it: the first P whose fold differs from the member at
-    max P, by size and then lexicographically."""
-    values = dict(family)
-    for subset in _subsets(list(values)):
-        if fold([values[r] for r in subset]) != values[max(subset)]:
-            return "P = {" + ", ".join(format_grade(chain[r]) for r in subset) + "}"
-    return None
-
-
-def _assert_matches_references(report, fis, references, failed):
-    """Each referenced check equals the plain scan of its reference probe;
-    ``failed`` collects the laws that fail."""
-    checks = {c.law: c for c in report.checks if c.law in references}
-    assert set(checks) == set(references)
-    for law, (arity, probe) in references.items():
-        got = checks[law]
-        assert (got.status, got.checked, got.witness) == _plain_scan(fis, arity, probe), law
-        if got.status == "fail":
-            failed.add(law)
-
-
 class _PlantedEnds(FuzzyInterval):
     """A fuzzy interval whose endpoint laws read ``planted``, one ``(lo, hi)``
     pair per level, crossed pairs included, which have no Int(L) code.
@@ -724,60 +547,27 @@ def _with_ends(fi, planted):
     return out
 
 
-def _endpoint_references(lattice, fis, chain):
-    """Law name -> (arity, probe) over the stored endpoint chains, folding
-    with the carrier's tables over every threshold set."""
-    top, bottom = lattice.index(lattice.top), lattice.index(lattice.bottom)
-
-    def ends(fi, r):
-        lo, hi = fi._rank_endpoints(r)
-        return (top, bottom) if lo is None else (lo, hi)
-
-    def single(side, fold):
-        return 1, lambda i: _literal_subset_probe(
-            chain, [(r, ends(fis[i], r)[side]) for r in fis[i]._levels], fold)
-
-    def paired(side, inner, fold):
-        def probe(i, j):
-            levels = sorted(set(fis[i]._levels) | set(fis[j]._levels))
-            return _literal_subset_probe(chain, [(r, inner(ends(fis[i], r)[side],
-                                                           ends(fis[j], r)[side]))
-                                                 for r in levels], fold)
-        return 2, probe
-
-    return {"lower-endpoint-supremum": single(0, lattice.join_indices),
-            "upper-endpoint-infimum": single(1, lattice.meet_indices),
-            "paired-lower-meet-supremum": paired(0, lattice.meet_index, lattice.join_indices),
-            "paired-upper-join-infimum": paired(1, lattice.join_index, lattice.meet_indices)}
+def _table_ops(crisp):
+    """(hull, intersection) read from the crisp op tables, corrupted entries
+    included."""
+    def op(table):
+        return lambda a, b: crisp.pool[table[crisp.index[a]][crisp.index[b]]]
+    return op(crisp.join_t), op(crisp.meet_t)
 
 
-def _cut_family_references(lattice, fis, chain, crisp):
-    """Law name -> (arity, probe): the masks of op(cut_i, cut_j), read from
-    the crisp table, intersected over every threshold set."""
-    full = lattice.all_mask
-    cuts = [[crisp.index[fi.cut_interval(g)] for g in chain] for fi in fis]
-
-    def law(table):
-        def probe(i, j):
-            levels = sorted(set(fis[i]._levels) | set(fis[j]._levels))
-            masks = [(r, crisp.items[table[cuts[i][r]][cuts[j][r]]].members_mask())
-                     for r in levels]
-            return _literal_subset_probe(chain, masks,
-                                         lambda ms: reduce(int.__and__, ms, full))
-        return 2, probe
-
-    return {"meet-cut-family-intersection": law(crisp.meet_t),
-            "join-cut-family-intersection": law(crisp.join_t)}
+SUBSET_LAWS = {"meet-cut-family-intersection", "join-cut-family-intersection",
+               "lower-endpoint-supremum", "upper-endpoint-infimum",
+               "paired-lower-meet-supremum", "paired-upper-join-infimum"}
 
 
 @pytest.mark.parametrize("lattice", [m3(), chain(3), boolean_lattice(2)],
                          ids=["m3", "chain3", "b2"])
 def test_pairwise_subset_laws_match_the_literal_subset_loop(lattice):
     """Fault injection: with corrupted endpoint chains and crisp op-table
-    entries, the pairwise checks of the six threshold-set laws give the
-    status, checked count and witness of the literal 2^k subset loop."""
+    entries, the cut-identity and endpoint checks equal the reference's,
+    whose six threshold-set laws fold over every nonempty subset."""
     grades = validate_grades((0, Fraction(1, 4), H, Fraction(3, 4), 1))
-    budget = {"plan": laws._planner(laws.DEFAULT_BUDGET, 0)}
+    plan = laws._planner(laws.DEFAULT_BUDGET, 0)
     n = len(lattice.elements)
     # lowers b a t a b, uppers t a b a t at ranks 0-4 (b, a, t the bottom,
     # an inner element and the top): the first failing pair is ranks {1, 4},
@@ -793,16 +583,16 @@ def test_pairwise_subset_laws_match_the_literal_subset_loop(lattice):
     failed = set()
     for seed in range(8):
         rng = random.Random(seed)
-        crisp = laws._OpTables(enumerate_intervals(lattice), CrispInterval.hull,
-                               CrispInterval.intersection)
+        crisp = laws._OpTables(enumerate_intervals(lattice), _HULL, _INTERSECTION)
         for table in (crisp.meet_t, crisp.join_t):
             for pos in rng.sample(range(crisp.n ** 2), crisp.n ** 2 // 8):
                 table[pos // crisp.n][pos % crisp.n] = rng.randrange(crisp.n)
         report = laws._cut_identities(LawReport("cut-identities", "", grades), lattice, tabs,
-                                      crisp, **budget)
-        _assert_matches_references(report, tabs.items,
-                                   _cut_family_references(lattice, tabs.items, grades, crisp),
-                                   failed)
+                                      crisp, plan=plan)
+        assert report.checks == reference.cut_identities(
+            lattice, tabs.items, FuzzyInterval.join, FuzzyInterval.meet, *_table_ops(crisp),
+            reference.planner())
+        failed |= {c.law for c in report.checks if c.status == "fail"}
 
         # corrupted endpoint chains cut outside the crisp table, so they come
         # second; the endpoint laws read nothing else
@@ -813,10 +603,10 @@ def test_pairwise_subset_laws_match_the_literal_subset_loop(lattice):
             fis[k] = _with_ends(fis[k], [(rng.randrange(n), rng.randrange(n))
                                          for _ in fis[k]._levels])
         report = laws._endpoint_lemmas(LawReport("endpoints", "", grades), lattice, fis,
-                                       True, **budget)
-        _assert_matches_references(report, fis, _endpoint_references(lattice, fis, grades),
-                                   failed)
-    assert len(failed) == 6  # the corruption reaches every law
+                                       True, plan=plan)
+        assert report.checks == reference.endpoint_lemmas(lattice, fis, reference.planner())
+        failed |= {c.law for c in report.checks if c.status == "fail"}
+    assert failed >= SUBSET_LAWS  # the corruption reaches every law
 
 
 def test_endpoint_lemmas_make_quadratically_many_lattice_lookups(monkeypatch):
@@ -854,7 +644,6 @@ def test_endpoint_lemmas_make_quadratically_many_lattice_lookups(monkeypatch):
 
 DECIDED_LAWS = ("meet-cut-family-intersection", "join-cut-family-intersection",
                 "paired-lower-meet-supremum", "paired-upper-join-infimum")
-SAMPLED = dict(budget=300, seed=3)
 
 
 def _fold_calls_by_law(monkeypatch):
@@ -908,7 +697,11 @@ def _probe_calls_by_law(monkeypatch):
 
 # laws that an exhaustive run decides from whole rows, probing no more than
 # the first failing tuple
-ROW_LAWS = (*PAIR_LAWS, *TRIPLE_LAWS, "meet-cut-identity", "join-cut-identity",
+ROW_LAWS = ("commutativity-join", "commutativity-meet", "absorption-meet-join",
+            "absorption-join-meet", "order-consistency", "join-least-upper-bound",
+            "meet-greatest-lower-bound", "join-definitional-oracle", "associativity-join",
+            "associativity-meet", "meet-over-join", "join-over-meet",
+            "meet-cut-identity", "join-cut-identity",
             "meet-cut-family-antitone", "meet-cut-family-at-zero",
             "join-cut-family-antitone", "join-cut-family-at-zero")
 
@@ -994,8 +787,6 @@ def test_a_decided_failure_the_probe_passes_is_a_disagreement(chain2):
                       row=differing_at((0, 3)))
 
 
-_HULL, _INTERSECTION = CrispInterval.hull, CrispInterval.intersection
-
 
 def _intersection_or_whole(a, b):
     out = _INTERSECTION(a, b)
@@ -1016,82 +807,19 @@ CUT_FAMILY_FAULTS = {
     "intersection-hull-of-disjoint": (_HULL, _hull_of_disjoint),
 }
 
-# sha256 of json.dumps(report.as_json(), sort_keys=True) for
-# run_suite("cut-identities", ..., {0, 1/2, 1}) under each fault, captured
-# while the intersection rows were still scanned pair by pair
-CUT_FAMILY_FAULT_REPORTS = {
-    ("hull-empty-on-equal-operands", "chain3", "exhaustive"):
-        "8c0874b3d248c22a38ec654922cf41eee88c33633dbb9429947707855e918eb5",
-    ("hull-empty-on-equal-operands", "chain3", "sampled"):
-        "9221cfc0c8c7578e8edb623ab850b604e8c8003d74e9f98e4839eb42eb66bfc9",
-    ("hull-empty-on-equal-operands", "m3", "exhaustive"):
-        "62d8aeac89a2867f1eb8d30c506bd69166ad8ae41563960f93cb5bebc1a69128",
-    ("hull-empty-on-equal-operands", "m3", "sampled"):
-        "e312b08075d82132b634122fd3396ddbb54414853b1b9a9a7e11b98937534de4",
-    ("hull-empty-on-equal-operands", "chain4", "exhaustive"):
-        "8b00555e31bbcd486d6a42a2b2691c87f20c0904a3de7785e8982ccc5b8cd2ac",
-    ("hull-empty-on-equal-operands", "chain4", "sampled"):
-        "1f67effd97178779d22fee4c72e67ec3e0ed9322a2f1d50d70793fa2e4bf7223",
-    ("intersection-hull-of-disjoint", "chain3", "exhaustive"):
-        "131eb035267559e0d378bdd77500346f495ffa08b658e844f21269ddd17b783e",
-    ("intersection-hull-of-disjoint", "chain3", "sampled"):
-        "f5672d1e3567141b415d458a37022b3806af196f88edbb24e4717897bfecdf0a",
-    ("intersection-hull-of-disjoint", "m3", "exhaustive"):
-        "3a6aa4e2ed8f1db30ec9c10481ed176bbe5fe7915ee26c53bc4a655b53c539af",
-    ("intersection-hull-of-disjoint", "m3", "sampled"):
-        "5d6a7a5f508058fbfc68a2232ba77fb165da12ef7bacc8a69bcd72191b4ae0e5",
-    ("intersection-hull-of-disjoint", "chain4", "exhaustive"):
-        "7d512dbe621cf91261497d2a70c52c3fc647b9310bb475c12c7040ddc3cd1a95",
-    ("intersection-hull-of-disjoint", "chain4", "sampled"):
-        "e370139cfcbe112c8698d41936db8a04e948afabaa3cc117d21d249ff31d4422",
-    ("intersection-whole-when-empty", "chain3", "exhaustive"):
-        "d9c1c0e249823d26a173a687accefd08bb9e4a27b8f830e51342b1465e7a84f5",
-    ("intersection-whole-when-empty", "chain3", "sampled"):
-        "1acbda6e804595e43f7a535ded28352b63b30b1d1de6f7b1039076ede06ba047",
-    ("intersection-whole-when-empty", "m3", "exhaustive"):
-        "9e0fd9273cc6947500d1592075939b0d82b6cfc9fd173d5ee48f932a19f871d4",
-    ("intersection-whole-when-empty", "m3", "sampled"):
-        "5d6a7a5f508058fbfc68a2232ba77fb165da12ef7bacc8a69bcd72191b4ae0e5",
-    ("intersection-whole-when-empty", "chain4", "exhaustive"):
-        "282773ff742afd4eaa1aa782c1db490003bfa16afff6d2dc057d3cca29ef5001",
-    ("intersection-whole-when-empty", "chain4", "sampled"):
-        "e370139cfcbe112c8698d41936db8a04e948afabaa3cc117d21d249ff31d4422",
-    ("ops-swapped", "chain3", "exhaustive"):
-        "67f08e3286929885fb7412481fd9e34e7d34b0e378516db7ddb6df29e3945261",
-    ("ops-swapped", "chain3", "sampled"):
-        "b2cbf08d7fc81ba29f9a152bf18e2e9462420ff0df8269b5533c3a3e2149fcb4",
-    ("ops-swapped", "m3", "exhaustive"):
-        "4fe666a47c4a1b7035e78770a4a13ee39cfe08efabbb0fbfc2154f87f30d778b",
-    ("ops-swapped", "m3", "sampled"):
-        "25063e75b07e882efb8336330758511ffd792a8270b9bc63298341393b1f0656",
-    ("ops-swapped", "chain4", "exhaustive"):
-        "ec375886d423c0e28f3c8f79296840503729cd3f3ab06dade3cb2b15e2c424b4",
-    ("ops-swapped", "chain4", "sampled"):
-        "a287220ae498686dd4a0b766375532553753af298ef014e3a9e4c3cc1dbb98bd",
-}
-
-
-def _cut_family_fault_report(monkeypatch, fault, lattice, mode):
+@pytest.mark.parametrize("fault", sorted(CUT_FAMILY_FAULTS))
+def test_cut_family_faults_keep_their_reports(monkeypatch, fault, chain3, diamond):
+    """Faulty crisp ops give the cut-identity reports of the reference, and
+    each intersection row agrees with its antitone row on status,
+    ``checked`` and the failing tuple."""
     hull, intersection = CUT_FAMILY_FAULTS[fault]
     monkeypatch.setattr(CrispInterval, "hull", hull)
     monkeypatch.setattr(CrispInterval, "intersection", intersection)
-    (report,) = run_suite("cut-identities", lattice, GRADES3,
-                          **(SAMPLED if mode == "sampled" else {}))
-    return report
-
-
-@pytest.mark.parametrize("fault", sorted(CUT_FAMILY_FAULTS))
-def test_cut_family_faults_keep_their_reports(monkeypatch, fault, chain3, diamond):
-    """Faulty crisp ops give the cut-family rows the reports they had when
-    every row was probed pair by pair, and each intersection row agrees
-    with its antitone row on status, ``checked`` and the failing tuple."""
-    lattices = {"chain3": chain3, "m3": diamond, "chain4": chain(4)}
     family_failed = False
-    for lat, mode in itertools.product(lattices, ("exhaustive", "sampled")):
-        report = _cut_family_fault_report(monkeypatch, fault, lattices[lat], mode)
-        doc = json.dumps(report.as_json(), sort_keys=True)
-        assert (hashlib.sha256(doc.encode()).hexdigest()
-                == CUT_FAMILY_FAULT_REPORTS[(fault, lat, mode)]), (lat, mode)
+    for lattice, budget in itertools.product((chain3, diamond, chain(4)), ({}, SAMPLED)):
+        (report,) = run_suite("cut-identities", lattice, GRADES3, **budget)
+        assert [report.as_json()] == reference.reports("cut-identities", lattice, GRADES3,
+                                                       **budget), (lattice, budget)
         checks = {c.law: c for c in report.checks}
         for op in ("meet", "join"):
             antitone = checks[f"{op}-cut-family-antitone"]
@@ -1129,108 +857,28 @@ FI_OP_FAULTS = {
                                  else _FI_MEET(a, b), _FI_JOIN),
 }
 
-# sha256 of json.dumps(report.as_json(), sort_keys=True) for
-# run_suite("cut-identities", ..., {0, 1/2, 1}) under each fault, captured
-# while the cut identities were still scanned pair by pair; the
-# meet-lifts-crisp-squares reports, but for chain4 sampled, which draws no
-# crisp square, were captured once the identities read the result's
-# thresholds too, and fail meet-cut-identity at threshold 1/2
-FI_OP_FAULT_REPORTS = {
-    ("meet-gives-the-join", "chain3", "exhaustive"):
-        "365eab5a6d8937c216cf2a65a35119fc55841a7015fed278e69bc23d287991d5",
-    ("meet-gives-the-join", "chain3", "sampled"):
-        "532282dd0e8bd18caddc508243d2e43a8d49cd6a4d6d7b9a4000061b6d83622f",
-    ("meet-gives-the-join", "chain4", "exhaustive"):
-        "f7d6352f104dc56530e11730700bcb045d5724783b2634d8e45734c0aadbf514",
-    ("meet-gives-the-join", "chain4", "sampled"):
-        "eb8cf786c4a393761766875b446aeadda10492f4231866a00fd68336725407f8",
-    ("meet-gives-the-join", "m3", "exhaustive"):
-        "37fdb5ab247e284aae0819fe5c0ac4750744e3dcf0831f15bf94c9fd98315d98",
-    ("meet-gives-the-join", "m3", "sampled"):
-        "26975729e3cfccc693474f0c25ea2b5c8d80d0ea44fd3d9c8a4364670dfa925f",
-    ("meet-lifts-crisp-squares", "chain3", "exhaustive"):
-        "95b6d385df383db4cae9e99bae7222bcbc17fc6ef85096f1f370581c7ae3fce3",
-    ("meet-lifts-crisp-squares", "chain3", "sampled"):
-        "e602245c15c2e414cfbb5a6e887df1c8093197fa2db570118a4b43f13b2485bf",
-    ("meet-lifts-crisp-squares", "chain4", "exhaustive"):
-        "7106e34bdb3636e8fa52d9d621ea3dca678fa2fc89728c5c3dfca3ee34a4ac45",
-    ("meet-lifts-crisp-squares", "chain4", "sampled"):
-        "260e4437f85d7e608085fbc275dbbfa62367401799fcf51f905c076cf8f475a4",
-    ("meet-lifts-crisp-squares", "m3", "exhaustive"):
-        "4437043a0e6855109b4482eee67ab4fc38108b7dc939da0533056cbd6f738717",
-    ("meet-lifts-crisp-squares", "m3", "sampled"):
-        "865773f0ddf9befd2f721756ce35c9190e4701a2ab534acc54c069fbc7b398e1",
-    ("ops-swapped", "chain3", "exhaustive"):
-        "67f08e3286929885fb7412481fd9e34e7d34b0e378516db7ddb6df29e3945261",
-    ("ops-swapped", "chain3", "sampled"):
-        "b2cbf08d7fc81ba29f9a152bf18e2e9462420ff0df8269b5533c3a3e2149fcb4",
-    ("ops-swapped", "chain4", "exhaustive"):
-        "ec375886d423c0e28f3c8f79296840503729cd3f3ab06dade3cb2b15e2c424b4",
-    ("ops-swapped", "chain4", "sampled"):
-        "a287220ae498686dd4a0b766375532553753af298ef014e3a9e4c3cc1dbb98bd",
-    ("ops-swapped", "m3", "exhaustive"):
-        "4fe666a47c4a1b7035e78770a4a13ee39cfe08efabbb0fbfc2154f87f30d778b",
-    ("ops-swapped", "m3", "sampled"):
-        "25063e75b07e882efb8336330758511ffd792a8270b9bc63298341393b1f0656",
-    ("swapped-on-incomparable", "chain3", "exhaustive"):
-        "b6a984539040f816e02ae928018019f384d8d111d0baaab61e7277fbc4a19793",
-    ("swapped-on-incomparable", "chain3", "sampled"):
-        "b2cbf08d7fc81ba29f9a152bf18e2e9462420ff0df8269b5533c3a3e2149fcb4",
-    ("swapped-on-incomparable", "chain4", "exhaustive"):
-        "1ee96193560c4adb89e88f260bc6ee57702335b50fea92bff51a2bfa09de5c02",
-    ("swapped-on-incomparable", "chain4", "sampled"):
-        "a287220ae498686dd4a0b766375532553753af298ef014e3a9e4c3cc1dbb98bd",
-    ("swapped-on-incomparable", "m3", "exhaustive"):
-        "4381d2c9530ff5ab9b266d970fab7d74b3c593cebb6517d9751d286c56b8ffe7",
-    ("swapped-on-incomparable", "m3", "sampled"):
-        "25063e75b07e882efb8336330758511ffd792a8270b9bc63298341393b1f0656",
-}
-
-
 @pytest.mark.parametrize("fault", sorted(FI_OP_FAULTS))
 def test_fuzzy_op_faults_keep_their_cut_identity_reports(monkeypatch, fault, chain3, diamond):
     """Faulty fuzzy-interval ops over a closed table give the cut-identity
-    rows the reports of a scan that probes every pair at the thresholds of
+    reports of the reference, which probes every pair at the thresholds of
     its operands and of its result."""
     meet, join = FI_OP_FAULTS[fault]
     monkeypatch.setattr(FuzzyInterval, "meet", meet)
     monkeypatch.setattr(FuzzyInterval, "join", join)
-    lattices = {"chain3": chain3, "m3": diamond, "chain4": chain(4)}
-    for lat, mode in itertools.product(lattices, ("exhaustive", "sampled")):
-        (report,) = run_suite("cut-identities", lattices[lat], GRADES3,
-                              **(SAMPLED if mode == "sampled" else {}))
-        doc = json.dumps(report.as_json(), sort_keys=True)
-        assert (hashlib.sha256(doc.encode()).hexdigest()
-                == FI_OP_FAULT_REPORTS[(fault, lat, mode)]), (lat, mode)
-
-
-def _cut_identity_scan(fis, op, crisp_op, with_result):
-    """(status, checked, witness) of a pair scan through the public API: the
-    cut of ``op(a, b)`` against ``crisp_op`` of the cuts, at the thresholds
-    of a and b, and of the result when ``with_result``."""
-    cut_interval = cache(FuzzyInterval.cut_interval)
-    cut_mask = cache(lambda fi, p: fi.fuzzy.cut_mask(p))
-
-    def probe(i, j):
-        a, b = fis[i], fis[j]
-        c = op(a, b)
-        grades = {*a.thresholds(), *b.thresholds(), *(c.thresholds() if with_result else ())}
-        for p in sorted(grades):
-            if cut_mask(c, p) != crisp_op(cut_interval(a, p), cut_interval(b, p)).members_mask():
-                return f"threshold {format_grade(p)}"
-        return None
-    return _plain_scan(fis, 2, probe)
+    for lattice, budget in itertools.product((chain3, diamond, chain(4)), ({}, SAMPLED)):
+        (report,) = run_suite("cut-identities", lattice, GRADES3, **budget)
+        assert [report.as_json()] == reference.reports("cut-identities", lattice, GRADES3,
+                                                       **budget), (lattice, budget)
 
 
 def test_cut_identity_rows_match_a_scan_at_every_threshold():
     """Fuzzy-interval ops that are right but on up to three drawn pairs,
     each mapped to a drawn member, keep the table closed.  Half the time the
     member is drawn among those whose cuts agree with the right result at
-    the operands' thresholds.  Both identity checks, decided from rows,
-    equal a public-API scan at the thresholds of the operands and of the
-    result, on status, ``checked`` and witness; and some of these faults
-    show only at a result's threshold, where a scan at the operands'
-    thresholds alone passes or names another pair or threshold."""
+    the operands' thresholds.  The cut-identity checks, decided from rows,
+    equal the reference's, which scans the thresholds of the operands and
+    of the result; and some of these faults show only at a threshold of
+    the result that neither operand has."""
     only_at_results = 0
     for lattice, grades in ((chain(2), GRADES4), (chain(3), GRADES3), (m3(), GRADES3)):
         fis = enumerate_fuzzy_intervals(lattice, grades)
@@ -1255,12 +903,13 @@ def test_cut_identity_rows_match_a_scan_at_every_threshold():
             assert tabs.closure_join is tabs.closure_meet is None
             report = laws._cut_identities(LawReport("cut-identities", "", grades), lattice,
                                           tabs, crisp, plan=laws._planner(laws.DEFAULT_BUDGET, 0))
-            checks = {c.law: c for c in report.checks}
-            for law, op, crisp_op in (("meet-cut-identity", meet, _INTERSECTION),
-                                      ("join-cut-identity", join, _HULL)):
-                got = (checks[law].status, checks[law].checked, checks[law].witness)
-                assert got == _cut_identity_scan(fis, op, crisp_op, True), (lattice, seed, law)
-                only_at_results += got != _cut_identity_scan(fis, op, crisp_op, False)
+            assert report.checks == reference.cut_identities(
+                lattice, fis, join, meet, _HULL, _INTERSECTION, reference.planner()), (lattice, seed)
+            for c in report.checks[:2]:  # the two identities
+                if c.status == "fail":
+                    a, b = (fis[i] for i in c.witness["indices"])
+                    grade = as_grade(c.witness["detail"].split()[-1])
+                    only_at_results += grade not in {*a.thresholds(), *b.thresholds()}
     assert only_at_results
 
 
@@ -1317,54 +966,23 @@ def _lowers_reversed(fis):
     return fis
 
 
-# sha256 of json.dumps of the two paired-* rows of run_suite("endpoints",
-# ..., {0, 1/2, 1}) over an enumeration corrupted by _lowers_reversed,
-# captured while the paired rows were still scanned pair by pair
-PAIRED_CORRUPTION_REPORTS = {
-    ("chain3", "exhaustive"):
-        "0efd30c18298ba0d380f530df6bfffb955932f6dc118c8ea7fa83744c277a5b9",
-    ("chain3", "sampled"):
-        "a97837c9024a56bcdc9cbd9741eb807d85f94197d2015594838b1d7d39afb06c",
-    ("m3", "exhaustive"):
-        "80bbac2da5dbd6396e33c7cee879ffa6a4cc578537b643cd5f05bd7ee0a7bbdb",
-    ("m3", "sampled"):
-        "de7036b21a13fa39595db9a3c7a09edea3004e2165b1133f667d571f0f66fe93",
-    ("chain4", "exhaustive"):
-        "25975cd0f4963d6c9fe392d098dd3dfa2cb1a89786077421ad53cf7f765cbe77",
-    ("chain4", "sampled"):
-        "46cecb4b03b762885bc618004984a1288b0360375d4330ca3c955669b9f1b706",
-}
-
-
 def test_a_non_isotone_lower_falls_back_to_the_pair_scan(monkeypatch, chain3, diamond):
     """One item's lower ends run backwards: the per-item check fails, every
-    pair is scanned as before, and the paired rows keep their reports."""
-    enumerate_clean = laws.enumerate_fuzzy_intervals
-    monkeypatch.setattr(laws, "enumerate_fuzzy_intervals",
-                        lambda *args: _lowers_reversed(enumerate_clean(*args)))
+    pair is scanned, and the endpoint reports are the reference's over the
+    same enumeration."""
+    def corrupted(*args):
+        return _lowers_reversed(enumerate_fuzzy_intervals(*args))
+    monkeypatch.setattr(laws, "enumerate_fuzzy_intervals", corrupted)
+    monkeypatch.setattr(reference, "enumerate_fuzzy_intervals", corrupted)
     calls = _fold_calls_by_law(monkeypatch)
-    lattices = {"chain3": chain3, "m3": diamond, "chain4": chain(4)}
-    for lat, mode in itertools.product(lattices, ("exhaustive", "sampled")):
+    for lattice, budget in itertools.product((chain3, diamond, chain(4)), ({}, SAMPLED)):
         calls.clear()
-        (report,) = run_suite("endpoints", lattices[lat], GRADES3,
-                              **(SAMPLED if mode == "sampled" else {}))
-        paired = [c for c in report.checks if c.law.startswith("paired-")]
+        (report,) = run_suite("endpoints", lattice, GRADES3, **budget)
+        assert [report.as_json()] == reference.reports("endpoints", lattice, GRADES3, **budget)
+        paired = report.checks[2]
         # the sample misses the failing pairs, so only a scan can pass it
-        assert paired[0].status == ("pass" if mode == "sampled" else "fail"), (lat, mode)
-        assert calls["paired-lower-meet-supremum"] == paired[0].checked, (lat, mode)
-        doc = json.dumps([c.as_json() for c in paired], sort_keys=True)
-        assert (hashlib.sha256(doc.encode()).hexdigest()
-                == PAIRED_CORRUPTION_REPORTS[(lat, mode)]), (lat, mode)
-
-
-# sha256 of json.dumps of the checks of _endpoint_lemmas over chain3 and m3 x
-# {0, 1/2, 1}, corrupted by _lowers_reversed, under the plan of
-# _single_rows_miss, captured while the paired rows were decided from every
-# item's row over all grade ranks
-SINGLE_ROWS_MISS_REPORTS = {
-    "chain3": "d97de2c144bb9f382d87169f2fffbecba26c79ce591e78049a600e92737de9f7",
-    "m3": "c9fe4c7cc57ba69afa90805907f5192af6d019aa2e3efe49f3e468dcf0f74a46",
-}
+        assert paired.status == ("pass" if budget else "fail"), (lattice, budget)
+        assert calls["paired-lower-meet-supremum"] == paired.checked, (lattice, budget)
 
 
 def _single_rows_miss(skipped):
@@ -1379,25 +997,26 @@ def _single_rows_miss(skipped):
 
 def test_a_sampled_single_row_does_not_decide_the_paired_rows(chain3, diamond):
     """A single-item row that passed on a sample says nothing about the
-    items it missed: the paired rows are scanned and fail as before."""
-    for lat, lattice in (("chain3", chain3), ("m3", diamond)):
+    items it missed: the paired rows are scanned and fail, as the
+    reference's do over the same plan."""
+    for lattice in (chain3, diamond):
         fis = _lowers_reversed(enumerate_fuzzy_intervals(lattice, GRADES3))
         (skipped,) = [i for i, fi in enumerate(fis) if isinstance(fi, _PlantedEnds)]
-        report = laws._endpoint_lemmas(LawReport("endpoints", lat, GRADES3), lattice, fis, True,
+        report = laws._endpoint_lemmas(LawReport("endpoints", "", GRADES3), lattice, fis, True,
                                        plan=_single_rows_miss(skipped))
         checks = {c.law: c for c in report.checks}
-        assert checks["lower-endpoint-supremum"].status == "pass", lat
-        assert checks["paired-lower-meet-supremum"].status == "fail", lat
-        doc = json.dumps([c.as_json() for c in report.checks], sort_keys=True)
-        assert hashlib.sha256(doc.encode()).hexdigest() == SINGLE_ROWS_MISS_REPORTS[lat], lat
+        assert checks["lower-endpoint-supremum"].status == "pass", lattice
+        assert checks["paired-lower-meet-supremum"].status == "fail", lattice
+        assert report.checks == reference.endpoint_lemmas(lattice, fis,
+                                                          _single_rows_miss(skipped))
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_lattices(), st.sampled_from([GRADES2, GRADES3, GRADES4]), st.data())
 def test_decided_rows_match_the_full_pair_scan_on_random_lattices(case, grades, data):
-    """The four decided rows equal the plain scans of their literal subset
-    references, over up to 14 drawn items: clean, and with crisp op-table
-    entries and a few items' endpoint chains randomly corrupted."""
+    """The cut-identity and endpoint checks equal the reference's, over up
+    to 14 drawn items: clean, and with crisp op-table entries and a few
+    items' endpoint chains randomly corrupted."""
     lattice = lattice_of(case)
     n = len(lattice.elements)
     everything = enumerate_fuzzy_intervals(lattice, grades)
@@ -1405,8 +1024,7 @@ def test_decided_rows_match_the_full_pair_scan_on_random_lattices(case, grades, 
                                 max_size=14, unique=True))
     tabs = laws._OpTables([everything[i] for i in picked], FuzzyInterval.join,
                           FuzzyInterval.meet)
-    crisp = laws._OpTables(enumerate_intervals(lattice), CrispInterval.hull,
-                           CrispInterval.intersection)
+    crisp = laws._OpTables(enumerate_intervals(lattice), _HULL, _INTERSECTION)
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     for table in (crisp.meet_t, crisp.join_t):
         entries = data.draw(st.sampled_from([0, crisp.n, crisp.n ** 2 // 4]))
@@ -1415,9 +1033,9 @@ def test_decided_rows_match_the_full_pair_scan_on_random_lattices(case, grades, 
     plan = laws._planner(laws.DEFAULT_BUDGET, 0)
     report = laws._cut_identities(LawReport("cut-identities", "", grades), lattice, tabs,
                                   crisp, plan=plan)
-    _assert_matches_references(report, tabs.items,
-                               _cut_family_references(lattice, tabs.items, grades, crisp),
-                               set())
+    assert report.checks == reference.cut_identities(
+        lattice, tabs.items, FuzzyInterval.join, FuzzyInterval.meet, *_table_ops(crisp),
+        reference.planner())
 
     fis = tabs.items
     for i in data.draw(st.lists(st.integers(0, len(fis) - 1), max_size=3)):
@@ -1425,9 +1043,7 @@ def test_decided_rows_match_the_full_pair_scan_on_random_lattices(case, grades, 
                                       data.draw(st.integers(0, n - 1))) for _ in fis[i]._levels])
     report = laws._endpoint_lemmas(LawReport("endpoints", "", grades), lattice, fis, True,
                                    plan=plan)
-    references = _endpoint_references(lattice, fis, grades)
-    _assert_matches_references(report, fis, {law: references[law] for law in DECIDED_LAWS[2:]},
-                               set())
+    assert report.checks == reference.endpoint_lemmas(lattice, fis, reference.planner())
 
 
 # laws-exhaustive fixtures at their workload grade count, each with a second
@@ -1507,25 +1123,15 @@ def test_sampled_run_draws_without_randrange(monkeypatch, diamond):
             == PINNED_REPORTS[("m3", "halves", "sampled")])
 
 
-def _interned_by_equality(items, join_op, meet_op):
-    """(join table, meet table, pool) of interning each pair's join, then
-    its meet, by a scan of the pool for an equal member."""
-    pool = list(items)
-
-    def intern(value):
-        for k, member in enumerate(pool):
-            if member == value:
-                return k
-        pool.append(value)
-        return len(pool) - 1
-
-    join_t = [[0] * len(items) for _ in items]
-    meet_t = [[0] * len(items) for _ in items]
-    for i, a in enumerate(items):
-        for j, b in enumerate(items):
-            join_t[i][j] = intern(join_op(a, b))
-            meet_t[i][j] = intern(meet_op(a, b))
-    return join_t, meet_t, pool
+def _assert_interned_like_the_reference(items, join, meet):
+    """``_OpTables`` gives the tables and the pool of the reference's ops,
+    which intern by ``==``, evaluated as it does: each pair's join, then its
+    meet; returns the pool."""
+    tabs, ops = laws._OpTables(items, join, meet), reference.Ops(items, join, meet)
+    tables = [[(ops.join(i, j), ops.meet(i, j)) for j in range(len(items))] for i in range(len(items))]
+    assert [list(zip(*rows)) for rows in zip(tabs.join_t, tabs.meet_t)] == tables
+    assert tabs.pool == ops.pool
+    return ops.pool
 
 
 def test_op_tables_intern_like_an_equality_scan(diamond):
@@ -1538,9 +1144,7 @@ def test_op_tables_intern_like_an_equality_scan(diamond):
     lattice of the same shape."""
     fis = enumerate_fuzzy_intervals(diamond, GRADES4)
     assert len({hash(fi) for fi in fis}) < len(fis)
-    tabs = laws._OpTables(fis, FuzzyInterval.join, FuzzyInterval.meet)
-    expected = _interned_by_equality(fis, FuzzyInterval.join, FuzzyInterval.meet)
-    assert (tabs.join_t, tabs.meet_t, tabs.pool) == expected
+    _assert_interned_like_the_reference(fis, FuzzyInterval.join, FuzzyInterval.meet)
 
     fis = enumerate_fuzzy_intervals(diamond, GRADES3)
     twin = m3()
@@ -1567,18 +1171,13 @@ def test_op_tables_intern_like_an_equality_scan(diamond):
             FuzzySet._from_ranks(renamed, r._chain, r.fuzzy.ranks)),
     }
     for name, remake in remakes.items():
-        join = cache(lambda a, b: remake(a.join(b)))
-        meet = cache(lambda a, b: remake(a.meet(b)))
-        tabs = laws._OpTables(fis, join, meet)
-        join_t, meet_t, pool = _interned_by_equality(fis, join, meet)
-        assert (tabs.join_t, tabs.meet_t, tabs.pool) == (join_t, meet_t, pool), name
+        pool = _assert_interned_like_the_reference(fis, cache(lambda a, b: remake(a.join(b))),
+                                                   cache(lambda a, b: remake(a.meet(b))))
         assert (len(pool) > len(fis)) == (name in ("other grades", "unequal lattice")), name
 
     mixed = [(fresh_chain, equal_lattice)[k % 2](fi) if k % 3 == 1 else fi
              for k, fi in enumerate(fis)]
-    tabs = laws._OpTables(mixed, FuzzyInterval.join, FuzzyInterval.meet)
-    join_t, meet_t, pool = _interned_by_equality(mixed, FuzzyInterval.join, FuzzyInterval.meet)
-    assert (tabs.join_t, tabs.meet_t, tabs.pool) == (join_t, meet_t, pool)
+    pool = _assert_interned_like_the_reference(mixed, FuzzyInterval.join, FuzzyInterval.meet)
     assert len(pool) == len(mixed)  # the collection is closed
 
 
@@ -1703,6 +1302,46 @@ def test_structure_suite(diamond, pentagon):
     assert [(c.law, c.status, c.witness["detail"]) for c in report.checks] == [
         ("cut-boundary-grade-meet", "fail", "threshold 1"),
         ("cut-recovery-from-boundary-grades", "fail", "threshold 1")]
+
+
+# the fixture x grade chain cases that the literal reference recomputes in
+# full, every suite, in tier-1
+REFERENCE_CASES = [("chain2", GRADES4), ("chain3", GRADES3), ("boolean2", GRADES3),
+                   ("m3", GRADES3)]
+
+
+@pytest.mark.parametrize("budget", [{}, SAMPLED], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("fixture, grades", REFERENCE_CASES,
+                         ids=[f"{f}-{len(g)}" for f, g in REFERENCE_CASES])
+def test_reports_equal_the_literal_reference(fixture, grades, budget):
+    """Every report byte of every suite is the one that each law's
+    definition gives (``tests/reference.py``)."""
+    lattice = standard_lattice(fixture)
+    assert ([r.as_json() for r in run_suite("all", lattice, grades, **budget)]
+            == reference.reports("all", lattice, grades, **budget))
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_lattices(), st.sampled_from([GRADES2, GRADES3]), st.sampled_from([2_000, 300]))
+def test_reports_equal_the_literal_reference_on_random_lattices(case, grades, budget):
+    """Up to 60 fuzzy intervals.  At budget 2,000 the pair laws of up to 44
+    items and the triple laws of up to 12 are exhaustive, so read rows; at
+    300 they are sampled."""
+    lattice = lattice_of(case)
+    assume(len(enumerate_fuzzy_intervals(lattice, grades)) <= 60)
+    assert ([r.as_json() for r in run_suite("all", lattice, grades, budget=budget, seed=3)]
+            == reference.reports("all", lattice, grades, budget, 3))
+
+
+def test_the_reference_reads_public_names_only():
+    """The reference imports no ``_``-prefixed name and reads no private
+    attribute, so it shares no route with the code under test."""
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    attrs = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert "render_operand" in names and "cut_interval" in attrs
+    assert [name for name in names + attrs if name.startswith("_")] == []
 
 
 # sha256 of json.dumps([r.as_json() for r in run_suite("all", ...)], sort_keys=True),
