@@ -171,10 +171,10 @@ class _IntervalCodes:
     """Int(L) coded by position: code 0 is the empty interval, and the code
     of ``[lo, hi]`` is its index in ``laws.enumerate_intervals``, which
     lists ``[lo, hi]`` for each ``lo`` and each ``hi`` in its up-set, both
-    ascending.  So the code is ``offset[lo]`` plus the number of elements
-    of ``lo``'s up-set below ``hi``, with ``offset`` the running count of
-    up-set sizes from 1.  Equal lattices share the canonical order, so
-    their codes agree.
+    ascending (the order ``laws._interval_ends`` walks).  So the code is
+    ``offset[lo]`` plus the number of elements of ``lo``'s up-set below
+    ``hi``, with ``offset`` the running count of up-set sizes from 1.
+    Equal lattices share the canonical order, so their codes agree.
 
     ``tables[hull]`` maps ``a * size + b`` to ``(code, marks, needs)`` for
     the hull (``hull``) or the intersection of the intervals coded ``a``

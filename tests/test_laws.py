@@ -34,7 +34,19 @@ from fuzzint.laws import (SUITES, LawReport, check_distributivity,
 
 H = Fraction(1, 2)
 SAMPLED = dict(budget=300, seed=3)
+MODES = {"exhaustive": {}, "sampled": SAMPLED}
 _HULL, _INTERSECTION = CrispInterval.hull, CrispInterval.intersection
+# sha256 of json.dumps(..., sort_keys=True) of fault reports pinned before
+# the literal reference existed, one table per test that reads it, keyed
+# "[fault ]lattice[ mode]"; each test says what its table captured and when
+PINNED_FAULT_REPORTS = json.loads(
+    Path(__file__).with_name("pinned_digests.json").read_text(encoding="utf-8"))
+
+
+def _is_pinned(doc, table, *key):
+    """Whether ``doc`` hashes to the digest pinned under ``key`` in ``table``."""
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return digest == PINNED_FAULT_REPORTS[table][" ".join(key)]
 
 
 # -- independent reference routes ----------------------------------------------
@@ -410,11 +422,15 @@ def test_order_rows_match_pairwise_leq_on_random_lattices(case, grades, data):
 
 def test_order_rows_catch_a_join_that_returns_its_right_operand(monkeypatch, chain3, diamond):
     """The order rows come from the enumerated memberships, not from the ops,
-    so a broken join fails the order laws, as the reference says."""
+    so a broken join fails the order laws, as the reference says, with the
+    reports pinned while the rows came from pairwise ``leq``."""
     monkeypatch.setattr(FuzzyInterval, "join", lambda a, b: b)
-    for lattice, budget in itertools.product((chain3, diamond), ({}, SAMPLED)):
+    for lattice, (mode, budget) in itertools.product((chain3, diamond), MODES.items()):
         (report,) = run_suite("axioms", lattice, GRADES3, **budget)
         assert [report.as_json()] == reference.reports("axioms", lattice, GRADES3, **budget)
+        # pinned: run_suite("axioms", ..., {0, 1/2, 1}) with this join, captured
+        # while the order rows were still built from pairwise FuzzyInterval.leq calls
+        assert _is_pinned(report.as_json(), "right-operand-join-axioms", lattice.name, mode)
         failed = {c.law for c in report.checks if c.status == "fail"}
         assert {"order-consistency", "join-least-upper-bound",
                 "join-definitional-oracle"} <= failed, (lattice, budget)
@@ -807,19 +823,24 @@ CUT_FAMILY_FAULTS = {
     "intersection-hull-of-disjoint": (_HULL, _hull_of_disjoint),
 }
 
+
 @pytest.mark.parametrize("fault", sorted(CUT_FAMILY_FAULTS))
 def test_cut_family_faults_keep_their_reports(monkeypatch, fault, chain3, diamond):
-    """Faulty crisp ops give the cut-identity reports of the reference, and
-    each intersection row agrees with its antitone row on status,
-    ``checked`` and the failing tuple."""
+    """Faulty crisp ops give the cut-identity reports of the reference and
+    the pinned ones, and each intersection row agrees with its antitone row
+    on status, ``checked`` and the failing tuple."""
     hull, intersection = CUT_FAMILY_FAULTS[fault]
     monkeypatch.setattr(CrispInterval, "hull", hull)
     monkeypatch.setattr(CrispInterval, "intersection", intersection)
     family_failed = False
-    for lattice, budget in itertools.product((chain3, diamond, chain(4)), ({}, SAMPLED)):
+    for lattice, (mode, budget) in itertools.product((chain3, diamond, chain(4)),
+                                                     MODES.items()):
         (report,) = run_suite("cut-identities", lattice, GRADES3, **budget)
         assert [report.as_json()] == reference.reports("cut-identities", lattice, GRADES3,
                                                        **budget), (lattice, budget)
+        # pinned: the report under this fault, over {0, 1/2, 1}, captured
+        # while the intersection rows were still scanned pair by pair
+        assert _is_pinned(report.as_json(), "cut-family-faults", fault, lattice.name, mode)
         checks = {c.law: c for c in report.checks}
         for op in ("meet", "join"):
             antitone = checks[f"{op}-cut-family-antitone"]
@@ -857,18 +878,31 @@ FI_OP_FAULTS = {
                                  else _FI_MEET(a, b), _FI_JOIN),
 }
 
+
 @pytest.mark.parametrize("fault", sorted(FI_OP_FAULTS))
 def test_fuzzy_op_faults_keep_their_cut_identity_reports(monkeypatch, fault, chain3, diamond):
     """Faulty fuzzy-interval ops over a closed table give the cut-identity
     reports of the reference, which probes every pair at the thresholds of
-    its operands and of its result."""
+    its operands and of its result, and the pinned ones.  Each fault fails
+    the identity of each op it breaks at threshold 1/2."""
     meet, join = FI_OP_FAULTS[fault]
     monkeypatch.setattr(FuzzyInterval, "meet", meet)
     monkeypatch.setattr(FuzzyInterval, "join", join)
-    for lattice, budget in itertools.product((chain3, diamond, chain(4)), ({}, SAMPLED)):
+    broken = ("meet",) if fault.startswith("meet-") else ("meet", "join")
+    for lattice, (mode, budget) in itertools.product((chain3, diamond, chain(4)),
+                                                     MODES.items()):
         (report,) = run_suite("cut-identities", lattice, GRADES3, **budget)
         assert [report.as_json()] == reference.reports("cut-identities", lattice, GRADES3,
                                                        **budget), (lattice, budget)
+        # pinned: the report under this fault, over {0, 1/2, 1}, captured while
+        # the identities were still scanned pair by pair; those of
+        # meet-lifts-crisp-squares once they read the result's thresholds too
+        assert _is_pinned(report.as_json(), "fuzzy-op-faults", fault, lattice.name, mode)
+        failed = {c.law: c.witness["detail"] for c in report.checks if c.status == "fail"}
+        expected = {f"{op}-cut-identity": "threshold 1/2" for op in broken}
+        if (fault, lattice.name, mode) == ("meet-lifts-crisp-squares", "chain4", "sampled"):
+            expected = {}  # the sample draws no crisp square
+        assert failed == expected, (lattice, mode)
 
 
 def test_cut_identity_rows_match_a_scan_at_every_threshold():
@@ -975,11 +1009,16 @@ def test_a_non_isotone_lower_falls_back_to_the_pair_scan(monkeypatch, chain3, di
     monkeypatch.setattr(laws, "enumerate_fuzzy_intervals", corrupted)
     monkeypatch.setattr(reference, "enumerate_fuzzy_intervals", corrupted)
     calls = _fold_calls_by_law(monkeypatch)
-    for lattice, budget in itertools.product((chain3, diamond, chain(4)), ({}, SAMPLED)):
+    for lattice, (mode, budget) in itertools.product((chain3, diamond, chain(4)),
+                                                     MODES.items()):
         calls.clear()
         (report,) = run_suite("endpoints", lattice, GRADES3, **budget)
         assert [report.as_json()] == reference.reports("endpoints", lattice, GRADES3, **budget)
-        paired = report.checks[2]
+        # pinned: the two paired-* rows, captured while they were still
+        # scanned pair by pair
+        paired_rows = [c.as_json() for c in report.checks if c.law.startswith("paired-")]
+        assert _is_pinned(paired_rows, "paired-corruption", lattice.name, mode)
+        paired = {c.law: c for c in report.checks}["paired-lower-meet-supremum"]
         # the sample misses the failing pairs, so only a scan can pass it
         assert paired.status == ("pass" if budget else "fail"), (lattice, budget)
         assert calls["paired-lower-meet-supremum"] == paired.checked, (lattice, budget)
@@ -1009,6 +1048,9 @@ def test_a_sampled_single_row_does_not_decide_the_paired_rows(chain3, diamond):
         assert checks["paired-lower-meet-supremum"].status == "fail", lattice
         assert report.checks == reference.endpoint_lemmas(lattice, fis,
                                                           _single_rows_miss(skipped))
+        # pinned: captured while the paired rows were decided from every
+        # item's row over all grade ranks
+        assert _is_pinned([c.as_json() for c in report.checks], "single-rows-miss", lattice.name)
 
 
 @settings(max_examples=40, deadline=None)
