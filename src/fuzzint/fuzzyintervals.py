@@ -31,7 +31,7 @@ pointwise maximum: cutwise it is the hull of the operand cuts, the
 smallest fuzzy interval above both operands.  Each op is one pass over
 the grade chain, zipping the operands' codes: it reads each result cut
 from one entry of a per-lattice table keyed by the two operand codes,
-filled entry by entry from the carrier's tables, and checks only that
+filled entry by entry from the carrier's masks, and checks only that
 the result is a nested chain of intervals.  Equality and the hash compare
 codes, so interning an op result derives nothing.
 """

@@ -179,8 +179,9 @@ class _IntervalCodes:
     ``tables[hull]`` maps ``a * size + b`` to ``(code, marks, needs)`` for
     the hull (``hull``) or the intersection of the intervals coded ``a``
     and ``b``, filled one entry at a time by :meth:`fill` from the
-    carrier's tables.  ``marks`` and ``needs`` make containment one mask
-    test: c lies inside d exactly when ``marks(c) & needs(d) == needs(d)``.
+    carrier's up-set and down-set masks.  ``marks`` and ``needs`` make
+    containment one mask test: c lies inside d exactly when ``marks(c) &
+    needs(d) == needs(d)``.
     Over n elements, ``[lo, hi]`` marks ``lo``'s down-set shifted by n and
     ``hi``'s up-set, and needs bits ``n + lo`` and ``hi``; the empty
     interval marks every bit and needs bit 2n, which no other one marks.
@@ -190,14 +191,16 @@ class _IntervalCodes:
     single op pays nothing of order |Int(L)|.
     """
 
-    __slots__ = ("size", "tables", "_offset", "_up", "_down", "_meet", "_join", "_ends",
+    __slots__ = ("size", "tables", "_offset", "_up", "_down", "_by_up", "_by_down", "_ends",
                  "_entries")
 
     def __init__(self, lattice: FiniteLattice):
+        # the carrier's masks and dicts, not its bound methods: the lattice
+        # holds its coding, so those would make a reference cycle
         self._up = lattice._up
         self._down = lattice._down
-        self._meet = lattice._meet
-        self._join = lattice._join
+        self._by_up = lattice._by_up
+        self._by_down = lattice._by_down
         self._offset = list(accumulate(map(int.bit_count, self._up), initial=1))
         self.size = self._offset[-1]
         self.tables = ({}, {})  # intersection, hull
@@ -245,10 +248,12 @@ class _IntervalCodes:
             lo, hi = (a_lo, a_hi) if b_lo is None else (b_lo, b_hi)
             if not hull:
                 lo = hi = None
-        elif hull:
-            lo, hi = self._meet[a_lo][b_lo], self._join[a_hi][b_hi]
+        elif hull:  # a bound is one mask AND and one lookup, as in FiniteLattice.meet_index
+            lo = self._by_down[self._down[a_lo] & self._down[b_lo]]
+            hi = self._by_up[self._up[a_hi] & self._up[b_hi]]
         else:
-            lo, hi = self._join[a_lo][b_lo], self._meet[a_hi][b_hi]
+            lo = self._by_up[self._up[a_lo] & self._up[b_lo]]
+            hi = self._by_down[self._down[a_hi] & self._down[b_hi]]
             if not self._up[lo] >> hi & 1:
                 lo = hi = None
         code = self.code(lo, hi)

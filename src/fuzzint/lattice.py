@@ -2,10 +2,9 @@
 
 A lattice is described by its elements and a list of ``(lower, upper)``
 cover pairs (Hasse edges; redundant transitive edges are tolerated).  The
-partial order is the reflexive-transitive closure of the covers, and the
-constructor materializes full meet/join tables so that every later query
-is a table lookup.  Element subsets are kept as integer bitmasks over the
-canonical element order.
+partial order is the reflexive-transitive closure of the covers.  Element
+subsets are kept as integer bitmasks over the canonical element order, and
+each element's up-set and down-set is one such mask.
 
 One iterative depth-first walk over the covers gives the closure: an
 element's up-set is written as the walk leaves it, and a cover back to an
@@ -15,12 +14,21 @@ an order (``CycleError``).
 The bounds follow the principal-filter characterisation: ``x ⊔ y`` exists
 exactly when the common upper bounds ``↑x ∩ ↑y`` are the up-set of one
 element, which then is the join (dually for meets).  Up-sets are distinct,
-so a dict from up-set mask to element finds each join in one lookup.
+so a dict from up-set mask to element finds each join in one lookup: a
+bound is one mask AND and one lookup, and no n² table is kept.
+
+The constructor checks meets alone.  A finite poset with a top in which
+every pair has a meet is a lattice (the join of x and y is the meet of
+their common upper bounds, which the top makes non-empty; Davey &
+Priestley, *Introduction to Lattices and Order*, 2002, ch. 2), so the
+covers give a lattice exactly when the whole carrier is some element's
+down-set and each pairwise intersection of down-sets is one.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product as _cartesian
+from itertools import combinations, combinations_with_replacement, product as _cartesian, starmap
+from operator import and_, itemgetter, ne
 from typing import Hashable, Iterable, Iterator
 
 from .errors import (CycleError, LatticeMismatch, NotALattice, RouteDisagreement, SizeLimit,
@@ -148,12 +156,15 @@ def _has_covers(lattice, elements, covers) -> bool:
 
 
 class FiniteLattice:
-    """A finite lattice with materialized meet/join tables.
+    """A finite lattice kept as one up-set and one down-set mask per
+    element, with a dict from each mask back to its element; ``x ⊓ y`` is
+    the element whose down-set is ``↓x ∩ ↓y`` (dually ``x ⊔ y``).
 
     Bottom is the element whose up-set is the whole carrier, top dually.
     Covers of a non-lattice raise ``NotALattice`` for the first pair
     ``i ≤ j`` in canonical order that lacks its meet (checked first) or
-    join, naming up to two extremal common bounds as candidates.
+    join, naming up to two extremal common bounds as candidates; only then
+    are all n² bounds computed, to find that pair.
 
     Instances are immutable after construction, but for the Int(L) coding
     that fuzzy intervals fill on first use, and safe to share.  Equality
@@ -161,16 +172,18 @@ class FiniteLattice:
     metadata and do not participate).
     """
 
-    __slots__ = ("name", "elements", "_index", "_up", "_down", "_succ", "_meet", "_join",
+    __slots__ = ("name", "elements", "_index", "_up", "_down", "_succ", "_by_up", "_by_down",
                  "_bottom", "_top", "_all_mask", "_codes")
 
     def __init__(self, elements: Iterable[Element], covers, *, name: str = ""):
         ordered, index, up, succ = order_closure(elements, covers, name=name)
         n = len(ordered)
-        down = [0] * n
-        for i in range(n):
-            for j in iter_bits(up[i]):
-                down[j] |= 1 << i
+        # larger up-sets first is a linear extension, so each down-set is
+        # whole before it is pushed up to the upper ends of its covers
+        down = [1 << i for i in range(n)]
+        for i in sorted(range(n), key=lambda k: -up[k].bit_count()):
+            for j in iter_bits(succ[i]):
+                down[j] |= down[i]
 
         self.name = name
         self.elements = ordered
@@ -178,21 +191,19 @@ class FiniteLattice:
         self._up = up
         self._down = down
         self._succ = succ  # the input cover pairs as bitmasks; covers() keeps the Hasse edges
-        self._all_mask = (1 << n) - 1
+        self._all_mask = all_mask = (1 << n) - 1
         self._codes = None  # Int(L)'s coding, built on first use (intervals._IntervalCodes)
+        self._by_up = by_up = {mask: b for b, mask in enumerate(up)}
+        self._by_down = by_down = {mask: b for b, mask in enumerate(down)}
 
-        # x ⊓ y is the element whose down-set is ↓x ∩ ↓y, if any (dually ⊔)
-        by_up = {mask: b for b, mask in enumerate(up)}
-        by_down = {mask: b for b, mask in enumerate(down)}
-        meet_t = [by_down.get(di & dj) for di in down for dj in down]
-        join_t = [by_up.get(ui & uj) for ui in up for uj in up]
-        if None in meet_t or None in join_t:
-            raise self._missing_bound(meet_t, join_t)
-        self._meet = [meet_t[k:k + n] for k in range(0, n * n, n)]  # _meet[i][j] is i ⊓ j
-        self._join = [join_t[k:k + n] for k in range(0, n * n, n)]
-        # with every pairwise meet, the meet of all elements exists (dually top)
-        self._bottom = by_up[self._all_mask]
-        self._top = by_down[self._all_mask]
+        # a top and every pairwise meet make a lattice (module docstring)
+        meets = starmap(and_, combinations(down, 2))  # ↓x ∩ ↓y for each pair x < y
+        if all_mask not in by_down or not all(map(by_down.__contains__, meets)):
+            raise self._missing_bound([by_down.get(di & dj) for di in down for dj in down],
+                                      [by_up.get(ui & uj) for ui in up for uj in up])
+        # with every pairwise meet, the meet of all elements exists
+        self._bottom = by_up[all_mask]
+        self._top = by_down[all_mask]
 
     def _missing_bound(self, meet_t, join_t) -> NotALattice:
         # the first pair i ≤ j in canonical order missing its meet (then its
@@ -236,10 +247,10 @@ class FiniteLattice:
         return self._up[self.index(x)] >> self.index(y) & 1 == 1
 
     def meet(self, x, y) -> Element:
-        return self.elements[self._meet[self.index(x)][self.index(y)]]
+        return self.elements[self.meet_index(self.index(x), self.index(y))]
 
     def join(self, x, y) -> Element:
-        return self.elements[self._join[self.index(x)][self.index(y)]]
+        return self.elements[self.join_index(self.index(x), self.index(y))]
 
     def meet_set(self, items: Iterable[Element]) -> Element:
         """Greatest lower bound of a finite family; the empty family gives top."""
@@ -272,24 +283,22 @@ class FiniteLattice:
         return self._up[i] >> j & 1 == 1
 
     def meet_index(self, i: int, j: int) -> int:
-        return self._meet[i][j]
+        return self._by_down[self._down[i] & self._down[j]]
 
     def join_index(self, i: int, j: int) -> int:
-        return self._join[i][j]
+        return self._by_up[self._up[i] & self._up[j]]
 
     def meet_indices(self, indices: Iterable[int]) -> int:
-        table = self._meet
-        acc = self._top
+        down, mask = self._down, self._all_mask
         for i in indices:
-            acc = table[acc][i]
-        return acc
+            mask &= down[i]
+        return self._by_down[mask]
 
     def join_indices(self, indices: Iterable[int]) -> int:
-        table = self._join
-        acc = self._bottom
+        up, mask = self._up, self._all_mask
         for i in indices:
-            acc = table[acc][i]
-        return acc
+            mask &= up[i]
+        return self._by_up[mask]
 
     @property
     def all_mask(self) -> int:
@@ -329,44 +338,45 @@ def is_distributive(lattice: FiniteLattice):
     is equivalent to its complete (arbitrary-family) form.
 
     The verdict comes from Birkhoff's representation theorem (Davey &
-    Priestley, *Introduction to Lattices and Order*, 2002, ch. 5): with J(x)
-    the join-irreducibles below x, the map x ↦ J(x) is injective and sends
-    meets to intersections, so the lattice is distributive exactly when
-    J(x ⊔ j) = J(x) ∪ J(j) for every x and every join-irreducible j.  That
-    costs O(n·|J|) mask comparisons after an O(n) scan for the
-    irreducibles.  Only a "no" runs the triple walk, to name the witness:
-    O(n³) at worst, and never on a distributive lattice.  If the walk finds
-    no triple after a "no", the two routes disagree: ``RouteDisagreement``.
+    Priestley, *Introduction to Lattices and Order*, 2002, ch. 5): a finite
+    lattice is distributive exactly when each join-irreducible j is
+    join-prime, that is, j ⊑ x ⊔ y implies j ⊑ x or j ⊑ y.  (Then x ↦ J(x),
+    the join-irreducibles below x, is injective and sends joins to unions
+    and meets to intersections.)  Join-prime says that the elements not
+    above j are closed under joins; being a down-set, they are then the
+    down-set of their join, and only then.  So each j costs one mask
+    complement and one lookup, O(n) in all.  Only a "no" runs the triple
+    walk, to name the witness: O(n³) at worst, and never on a distributive
+    lattice.  If the walk finds no triple after a "no", the two routes
+    disagree: ``RouteDisagreement``.
     """
-    down, join = lattice._down, lattice._join
-    by_down = {mask: b for b, mask in enumerate(down)}
-    # j is join-irreducible when ↓j∖{j} is principal; for ⊥ that set is empty
-    irreducible = [j for j, mask in enumerate(down) if mask ^ 1 << j in by_down]
-    j_mask = sum(1 << j for j in irreducible)
-    low = [mask & j_mask for mask in down]  # J(x) as a bitmask
-    pairs = [(j, low[j]) for j in irreducible]
-    for x, join_x in enumerate(join):
-        low_x = low[x]
-        for j, low_j in pairs:
-            if low[join_x[j]] != low_x | low_j:
-                witness = _first_failing_triple(lattice)
-                if witness is None:
-                    raise RouteDisagreement("distributivity", lattice,
-                                            {"join-irreducibles": False, "triples": True})
-                return False, witness
+    up, by_down, all_mask = lattice._up, lattice._by_down, lattice._all_mask
+    for j, mask in enumerate(lattice._down):
+        # j is join-irreducible when ↓j∖{j} is principal; for ⊥ that set is empty
+        if mask ^ 1 << j in by_down and all_mask & ~up[j] not in by_down:
+            witness = _first_failing_triple(lattice)
+            if witness is None:
+                raise RouteDisagreement("distributivity", lattice,
+                                        {"join-irreducibles": False, "triples": True})
+            return False, witness
     return True, None
 
 
 def _first_failing_triple(lattice: FiniteLattice):
     """The first (x, y, z) in canonical order with x ⊓ (y ⊔ z) ≠ (x ⊓ y) ⊔ (x ⊓ z)."""
-    meet, join = lattice._meet, lattice._join
-    for i, meet_i in enumerate(meet):
-        for j, join_j in enumerate(join):
-            join_ij = join[meet_i[j]]
-            for k, jk in enumerate(join_j):
-                if meet_i[jk] != join_ij[meet_i[k]]:
-                    e = lattice.elements
-                    return e[i], e[j], e[k]
+    up, down, by_up, by_down = lattice._up, lattice._down, lattice._by_up, lattice._by_down
+    join = [[by_up[ui & uj] for uj in up] for ui in up]
+    # itemgetter(*row)(other) is the tuple of other[r] for r in row
+    through_join = [itemgetter(*row) for row in join]
+    for i, di in enumerate(down):
+        meet_i = [by_down[di & dk] for dk in down]  # i ⊓ k for each k, built as the walk goes
+        through_meet_i = itemgetter(*meet_i)
+        for j, through_join_j in enumerate(through_join):
+            left = through_join_j(meet_i)  # i ⊓ (j ⊔ k) for each k
+            right = through_meet_i(join[meet_i[j]])  # (i ⊓ j) ⊔ (i ⊓ k)
+            if left != right:
+                e = lattice.elements
+                return e[i], e[j], e[list(map(ne, left, right)).index(True)]
     return None
 
 

@@ -1,6 +1,7 @@
 import itertools
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from conftest import random_lattices
 from fuzzint import (CycleError, FiniteLattice, NotALattice, RouteDisagreement, SizeLimit,
                      UnknownElement, boolean_lattice, chain, is_distributive, m3, n5,
                      product_lattice, standard_lattice)
+from fuzzint import lattice as lattice_module
 from fuzzint.lattice import MAX_ELEMENTS, order_closure
 
 
@@ -472,30 +474,55 @@ def test_is_distributive_matches_an_element_scan_on_fixtures():
         assert is_distributive(lat) == (witness is None, witness)
 
 
-class _UnreadTable:
-    """Stands in for a table that must not be read."""
-
-    def __getitem__(self, *_):
-        raise AssertionError("the triple walk ran")
-
-    __iter__ = __getitem__
+def _unread_walk(lattice):
+    raise AssertionError("the triple walk ran")
 
 
-def test_is_distributive_decides_without_the_triple_walk():
-    """A distributive verdict reads no meet row; a "no" still names the
-    first failing triple."""
-    for lat in (boolean_lattice(6), chain(64)):
-        lat._meet = _UnreadTable()
-        assert is_distributive(lat) == (True, None)
+def test_is_distributive_decides_without_the_triple_walk(monkeypatch):
+    """A distributive verdict never runs the triple walk; a "no" still names
+    the first failing triple."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice_module, "_first_failing_triple", _unread_walk)
+        for lat in (boolean_lattice(6), chain(64)):
+            assert is_distributive(lat) == (True, None)
     lat = product_lattice(m3(), chain(2))
     assert is_distributive(lat) == (False, _first_distributivity_failure(lat))
 
 
-def test_distributivity_route_disagreement_raises():
-    lat = chain(2)
-    lat._join[0][1] = 0  # 0 ⊔ 1 read as 0: J(0 ⊔ 1) misses 1, yet every triple balances
+def test_distributivity_route_disagreement_raises(monkeypatch):
+    lat = m3()
+    # the criterion says "no" on the diamond, and a walk that finds no triple disagrees
+    monkeypatch.setattr(lattice_module, "_first_failing_triple", lambda lattice: None)
     with pytest.raises(RouteDisagreement) as info:
         is_distributive(lat)
     assert info.value.check == "distributivity"
     assert info.value.operand is lat
     assert info.value.verdicts == {"join-irreducibles": False, "triples": True}
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_lattices(), st.data())
+def test_family_bounds_match_brute_force_on_random_lattices(case, data):
+    """``meet_set``/``join_set`` fold masks; any family, the empty one
+    included, gives the greatest lower (least upper) bound found by a scan."""
+    masks, covers = case
+    labels = [f"e{i}" for i in range(len(masks))]
+    lat = FiniteLattice(labels, covers)
+    family = data.draw(st.lists(st.sampled_from(labels), max_size=len(labels) + 1))
+    lower = [z for z in labels if all(lat.leq(z, x) for x in family)]
+    upper = [z for z in labels if all(lat.leq(x, z) for x in family)]
+    assert [lat.meet_set(family)] == [z for z in lower if all(lat.leq(w, z) for w in lower)]
+    assert [lat.join_set(family)] == [z for z in upper if all(lat.leq(z, w) for w in upper)]
+
+
+def test_a_build_keeps_no_table_of_order_n_squared():
+    """boolean10 has 1,024 elements: n² table rows of ints would hold
+    over 16 MB, its up- and down-set masks with their two dicts under 1 MB."""
+    tracemalloc.start()
+    try:
+        lat = boolean_lattice(10)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == 1024
+    assert retained < 4 * 2 ** 20

@@ -5,7 +5,8 @@
 Runs a fixed list of ``fuzzint`` CLI calls, with ``PYTHONPATH`` set to this
 checkout's ``src``, under the running interpreter and under each PYTHON (a
 path to an interpreter binary).  The list covers every subcommand in text
-and in JSON, one sampled ``laws`` run, and one run under ``python -O``.
+and in JSON, the refusals of a cyclic document and of one that is not a
+lattice, one sampled ``laws`` run, and one run under ``python -O``.
 Every call's exit code, stdout and stderr must equal the running
 interpreter's, byte for byte.  Prints one line per interpreter, and one per
 differing call; exits 1 on any difference or on an interpreter that does
@@ -30,6 +31,8 @@ DOCUMENTS = {
     "n5.json": {"name": "n5", "elements": ["0", "a", "b", "c", "1"],
                 "covers": [["0", "a"], ["a", "b"], ["b", "1"], ["0", "c"], ["c", "1"]]},
     "cyclic.json": {"name": "cyc", "elements": ["x", "y"], "covers": [["x", "y"], ["y", "x"]]},
+    "two-bottoms.json": {"name": "no-meet", "elements": ["0", "a", "b", "c", "1"],
+                         "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"], ["c", "1"]]},
     "left.json": {"lattice": _CHAIN3, "memberships": {"0": "1/2", "1": "1", "2": "1/3"}},
     "right.json": {"lattice": "chain3", "memberships": {"0": "0", "1": "2/3", "2": "1"}},
     "split.json": {"lattice": _CHAIN3, "memberships": {"0": "1", "1": "0", "2": "1"}},
@@ -41,6 +44,7 @@ CALLS: list[list[str]] = [
     *([*args, *fmt] for fmt in ([], ["--format", "json"]) for args in (
         ["validate", "n5.json"],
         ["validate", "cyclic.json"],
+        ["validate", "two-bottoms.json"],
         ["classify", "chain3.json", "left.json"],
         ["classify", "chain3.json", "split.json"],
         ["op", "meet", "chain3.json", "left.json", "right.json", "--cuts"],
