@@ -6,6 +6,8 @@ take meets and joins of fuzzy intervals, and verify the algebraic laws of
 the resulting structures exhaustively at small scale.
 """
 
+import importlib
+
 from .errors import (CycleError, EmptyInterval, FormatError, FuzzintError,
                      GradeSetInvalid, InvalidFamily, InvalidGrade, LatticeMismatch,
                      NotAFuzzyInterval, NotALattice, RouteDisagreement, SizeLimit,
@@ -18,11 +20,21 @@ from .fuzzysets import (CutFamily, FuzzySet, as_grade, equal_by_cuts, format_gra
 from .fuzzyintervals import (Classification, EndpointFunctions, FuzzyInterval,
                              classify, is_fuzzy_convex_sublattice, is_fuzzy_interval,
                              is_fuzzy_sublattice)
-from .laws import (LawCheck, LawReport, check_distributivity, check_lattice_axioms,
-                   enumerate_fuzzy_intervals, enumerate_intervals, run_suite,
-                   validate_grades)
 
 __version__ = "0.1.0"
+
+# the law checker loads on first use, so commands that check no law skip it
+_LAWS_NAMES = frozenset({"LawCheck", "LawReport", "check_distributivity",
+                         "check_lattice_axioms", "enumerate_fuzzy_intervals",
+                         "enumerate_intervals", "run_suite", "validate_grades"})
+
+
+def __getattr__(name: str):
+    if name == "laws" or name in _LAWS_NAMES:
+        laws = importlib.import_module(".laws", __name__)
+        return laws if name == "laws" else getattr(laws, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CycleError", "EmptyInterval", "FormatError", "FuzzintError", "GradeSetInvalid",

@@ -25,8 +25,6 @@ from .formats import (dumps_canonical, fuzzy_set_to_json, load_fuzzy_set,
 from .fuzzyintervals import FuzzyInterval, classify
 from .fuzzysets import format_grade
 from .lattice import format_element, is_distributive, standard_lattice
-from .laws import (DEFAULT_BUDGET, DEFAULT_SEED, SUITES, enumerate_fuzzy_intervals,
-                   enumerate_intervals, run_suite, validate_grades)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -35,6 +33,8 @@ EXIT_USAGE = 2
 
 @functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
+    from .laws import DEFAULT_BUDGET, DEFAULT_SEED, SUITES  # laws loads only when asked for
+
     parser = argparse.ArgumentParser(
         prog="fuzzint",
         description="Fuzzy intervals over finite lattices: validate, classify, "
@@ -172,10 +172,14 @@ def _laws_lattice(args):
 
 
 def _parse_grades(text: str):
+    from .laws import validate_grades
+
     return validate_grades([part.strip() for part in text.split(",") if part.strip()])
 
 
 def _cmd_laws(args) -> int:
+    from .laws import run_suite
+
     lattice = _laws_lattice(args)
     grades = _parse_grades(args.grades)
     if args.budget < 1:
@@ -191,6 +195,8 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .laws import enumerate_fuzzy_intervals, enumerate_intervals
+
     lattice = _laws_lattice(args)
     if args.kind == "intervals":
         intervals = enumerate_intervals(lattice)

@@ -62,7 +62,14 @@ def _build_lattice(fields, build):
 
 
 def lattice_from_json(doc) -> FiniteLattice:
-    return _build_lattice(_lattice_fields(doc), FiniteLattice)
+    fields = _lattice_fields(doc)
+    lattice = _build_lattice(fields, FiniteLattice)
+    name, elements, pairs = fields
+    # a copy of the validated document, so an inline copy of it resolves
+    # to this lattice by one dict comparison (_resolve_lattice)
+    lattice._source = {"name": name, "elements": list(elements),
+                       "covers": list(map(list, pairs))}
+    return lattice
 
 
 def lattice_to_json(lattice: FiniteLattice) -> dict:
@@ -104,6 +111,8 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
         raise FormatError("the lattice field must be a name or an inline lattice object")
     elif lattice is None:
         return lattice_from_json(ref)
+    elif ref == lattice._source:
+        return lattice
     fields = _lattice_fields(ref)
     if _has_covers(lattice, fields[1], fields[2]):
         return lattice
@@ -164,9 +173,13 @@ def dumps_canonical(doc) -> str:
 
 def _read_json(path) -> object:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except (OSError, UnicodeDecodeError):
+        try:  # Path's error names the path normalized ("./a//b" as "a/b")
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an over-long number; too deep a nesting

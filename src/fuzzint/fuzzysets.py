@@ -49,14 +49,20 @@ def as_grade(value) -> Fraction:
     if isinstance(value, (bool, float)):
         raise InvalidGrade(f"refusing {type(value).__name__} grade {value!r}; "
                            "pass a Fraction or a string")
+    plain = False
     if isinstance(value, str):
-        sep, exponent = value.lower().rpartition("e")[1:]
-        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-        if sep and digits.isdecimal() and (len(digits) > len(str(MAX_GRADE_DIGITS))
-                                           or int(digits) > MAX_GRADE_DIGITS):
-            raise InvalidGrade(f"grade {value!r} has an exponent beyond {MAX_GRADE_DIGITS}")
+        # plain ASCII "n" or "n/d" skips Fraction's regex; its refusals ("1/0",
+        # too many digits for int()) raise inside the try, as the regex's do
+        num, bar, den = value.partition("/")
+        plain = num.isdigit() and num.isascii() and (not bar or den.isdigit() and den.isascii())
+        if not plain:
+            sep, exponent = value.lower().rpartition("e")[1:]
+            digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+            if sep and digits.isdecimal() and (len(digits) > len(str(MAX_GRADE_DIGITS))
+                                               or int(digits) > MAX_GRADE_DIGITS):
+                raise InvalidGrade(f"grade {value!r} has an exponent beyond {MAX_GRADE_DIGITS}")
     try:
-        grade = Fraction(value)
+        grade = Fraction(int(num), int(den) if bar else 1) if plain else Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InvalidGrade(f"cannot parse grade {value!r}") from exc
     if abs(grade.numerator) >= _GRADE_BOUND or grade.denominator >= _GRADE_BOUND:
@@ -105,21 +111,22 @@ def _grade_chain(values) -> tuple[tuple, tuple]:
 
 def _merge_chains(a: tuple, b: tuple) -> tuple[tuple, list, list]:
     """The union of two grade chains, and where each rank of ``a`` and of
-    ``b`` lands in it."""
+    ``b`` lands in it.  Grades are compared by their cross products, exact
+    ints, which skips the Python-level ``Fraction.__lt__``."""
     merged: list = []
     pos_a: list = []
     pos_b: list = []
     i = j = 0
     while i < len(a):  # both chains end at grade 1, so they run out together
         x, y = a[i], b[j]
-        from_a = not y < x
-        if from_a:
+        diff = x.numerator * y.denominator - y.numerator * x.denominator  # sign of x - y
+        if diff <= 0:
             pos_a.append(len(merged))
             i += 1
-        if not x < y:
+        if diff >= 0:
             pos_b.append(len(merged))
             j += 1
-        merged.append(x if from_a else y)
+        merged.append(x if diff <= 0 else y)
     return tuple(merged), pos_a, pos_b
 
 

@@ -167,13 +167,13 @@ class FiniteLattice:
     are all n² bounds computed, to find that pair.
 
     Instances are immutable after construction, but for the Int(L) coding
-    that fuzzy intervals fill on first use, and safe to share.  Equality
-    is structural: same element set and same order relation (names are
-    metadata and do not participate).
+    that fuzzy intervals fill on first use and the source document the JSON
+    reader records, and safe to share.  Equality is structural: same element
+    set and same order relation (names are metadata and do not participate).
     """
 
     __slots__ = ("name", "elements", "_index", "_up", "_down", "_succ", "_by_up", "_by_down",
-                 "_bottom", "_top", "_all_mask", "_codes")
+                 "_bottom", "_top", "_all_mask", "_codes", "_source")
 
     def __init__(self, elements: Iterable[Element], covers, *, name: str = ""):
         ordered, index, up, succ = order_closure(elements, covers, name=name)
@@ -193,6 +193,7 @@ class FiniteLattice:
         self._succ = succ  # the input cover pairs as bitmasks; covers() keeps the Hasse edges
         self._all_mask = all_mask = (1 << n) - 1
         self._codes = None  # Int(L)'s coding, built on first use (intervals._IntervalCodes)
+        self._source = None  # the lattice document it was read from (formats.lattice_from_json)
         self._by_up = by_up = {mask: b for b, mask in enumerate(up)}
         self._by_down = by_down = {mask: b for b, mask in enumerate(down)}
 

@@ -506,6 +506,99 @@ def test_console_script_entry_point(m3_file, tmp_path):
     assert "distributive: false" in proc.stdout
 
 
+def test_commands_that_check_no_law_leave_the_law_checker_unloaded():
+    """``fuzzint.laws`` loads on first use; its names stay in ``__all__`` and
+    bind as before."""
+    import os
+    import subprocess
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = ("import sys\n"
+              "import fuzzint, fuzzint.cli, fuzzint.formats\n"
+              "print('fuzzint.laws' in sys.modules)\n"
+              "print(fuzzint.laws.__name__)\n"
+              "names = {}\n"
+              "exec('from fuzzint import *', names)\n"
+              "print([n for n in fuzzint.__all__ if n not in names])\n"
+              "print(fuzzint.run_suite is fuzzint.laws.run_suite is names['run_suite'])\n"
+              "try:\n"
+              "    fuzzint.no_such_name\n"
+              "except AttributeError as exc:\n"
+              "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False", "fuzzint.laws", "[]", "True",
+        "module 'fuzzint' has no attribute 'no_such_name'"]
+
+
+HELP = {
+    "--help": """\
+usage: fuzzint [-h] {validate,classify,op,laws,enumerate} ...
+
+Fuzzy intervals over finite lattices: validate, classify, operate, and verify
+laws.
+
+positional arguments:
+  {validate,classify,op,laws,enumerate}
+    validate            check a lattice document
+    classify            classify a fuzzy set over a lattice
+    op                  meet or join of two fuzzy intervals
+    laws                run law-verification suites
+    enumerate           dump interval or fuzzy-interval enumerations
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "laws --help": """\
+usage: fuzzint laws [-h] [--fixture FIXTURE] [--grades GRADES] [--suite SUITE]
+                    [--budget BUDGET] [--seed SEED] [--format {text,json}]
+                    [lattice]
+
+positional arguments:
+  lattice               lattice JSON file
+
+options:
+  -h, --help            show this help message and exit
+  --fixture FIXTURE     built-in lattice name (chain3, boolean2, m3, n5,
+                        product(chain2,chain3), ...)
+  --grades GRADES       comma-separated grade chain (default: 0,1/2,1)
+  --suite SUITE         one of: axioms, distributivity, cut-identities,
+                        endpoints, structure, crisp-axioms, crisp-
+                        distributivity, all
+  --budget BUDGET       max instances per exhaustive loop before sampling
+  --seed SEED           seed for sampled checking
+  --format {text,json}  output format (default: text)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_text_is_pinned(argv, monkeypatch, capsys):
+    """The parser reads the suite names and defaults from ``laws`` when it is
+    built; the help text at 80 columns keeps its bytes."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv.split()) == 0
+    assert capsys.readouterr() == (HELP[argv], "")
+
+
+@pytest.mark.parametrize("path, text", [
+    ("./missing.json", "[Errno 2] No such file or directory: 'missing.json'"),
+    ("dir//missing.json", "[Errno 2] No such file or directory: 'dir/missing.json'"),
+    ("dir", "[Errno 21] Is a directory: 'dir'"),
+    ("./dir//", "[Errno 21] Is a directory: 'dir'"),
+    ("latin1.json", "'utf-8' codec can't decode byte 0xe9 in position 3: unexpected end of data"),
+])
+def test_read_errors_name_the_normalized_path(path, text, tmp_path, monkeypatch, capsys):
+    """The OS error names the path as ``pathlib`` normalizes it; the message
+    keeps the path as given."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b"caf\xe9")
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read {path}: {text}\n")
+
+
 def test_python_dash_m_runs_without_install():
     import os
     import subprocess

@@ -218,6 +218,34 @@ def test_an_inline_lattice_with_other_covers_resolves_through_the_closure(monkey
     assert len(calls) == 1
 
 
+def test_an_inline_copy_of_the_lattice_document_resolves_without_a_check(monkeypatch):
+    """An operand that repeats the lattice file inline is matched by one
+    comparison with the document the lattice was read from."""
+    lat = lattice_from_json(json.loads(json.dumps(M3_DOC)))
+    memberships = dict.fromkeys(M3_DOC["elements"], "1")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the inline copy was checked field by field")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_lattice_fields", refuse)
+        patch.setattr(formats, "_has_covers", refuse)
+        assert fuzzy_set_from_json({"lattice": M3_DOC, "memberships": memberships},
+                                   lat).lattice is lat
+    renamed = {**M3_DOC, "name": "other"}  # names are metadata: the checked route matches
+    assert fuzzy_set_from_json({"lattice": renamed, "memberships": memberships},
+                               lat).lattice is lat
+
+
+def test_the_lattice_keeps_its_own_copy_of_the_document():
+    doc = json.loads(json.dumps(M3_DOC))
+    lat = lattice_from_json(doc)
+    doc["covers"].append(["a", "b"])  # now a pentagon; the lattice is still m3
+    with pytest.raises(LatticeMismatch):
+        fuzzy_set_from_json({"lattice": doc, "memberships": ALL_ONE}, lat)
+    assert fuzzy_set_from_json({"lattice": M3_DOC, "memberships": ALL_ONE}, lat).lattice is lat
+
+
 @pytest.mark.parametrize("covers, error, text", [
     ([["0", "a"], ["a", "b"], ["b", "c"], ["c", "1"]], LatticeMismatch,
      "the fuzzy set's lattice does not match the provided lattice"),

@@ -3,14 +3,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GRADES3, GRADES4, enumerate_fuzzy_sets
 from fuzzint import (CutFamily, FiniteLattice, FuzzyInterval, FuzzySet, InvalidFamily,
                      InvalidGrade, LatticeMismatch, UnknownElement, as_grade, chain,
                      equal_by_cuts, format_grade, from_cut_family)
-from fuzzint.fuzzysets import _grade_chain, meet_family
+from fuzzint.fuzzysets import MAX_GRADE_DIGITS, _grade_chain, _merge_chains, meet_family
 from fuzzint.laws import check_distributivity, check_lattice_axioms
 
 H = Fraction(1, 2)
@@ -51,6 +51,68 @@ def test_as_grade_refuses_what_format_grade_cannot_render(value, text):
         as_grade(value)
     assert time.perf_counter() - start < 0.2
     assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("1/0", "cannot parse grade '1/0'"),
+    ("1" * 4301 + "/2", "cannot parse grade '" + "1" * 4301 + "/2'"),
+    ("1/", "cannot parse grade '1/'"),
+    ("/2", "cannot parse grade '/2'"),
+    (" 1/2 ", H),
+    ("1_0/20", H),
+    ("\u0661/\u0662", H),  # Arabic-Indic digits
+    ("\uff11/\uff12", H),  # fullwidth digits
+    ("007/120", Fraction(7, 120)),
+    ("3/2", "grade 3/2 lies outside [0, 1]"),
+    ("0/5", Fraction(0)),
+], ids=["zero-denominator", "4301-digits", "no-denominator", "no-numerator", "spaces",
+        "underscore", "arabic-indic", "fullwidth", "leading-zeros", "above-one", "zero"])
+def test_as_grade_keeps_each_string_result(value, expected):
+    """Plain ASCII ``n`` and ``n/d`` skip ``Fraction``'s regex; every string
+    keeps the grade, or the refusal and its text, that the regex route gives."""
+    if isinstance(expected, Fraction):
+        grade = as_grade(value)
+        assert grade == expected and type(grade) is Fraction
+    else:
+        with pytest.raises(InvalidGrade) as exc:
+            as_grade(value)
+        assert str(exc.value) == expected
+
+
+def _regex_route(text: str):
+    """``as_grade`` of a string with every string parsed by ``Fraction(str)``:
+    the grade, or the text of the refusal."""
+    sep, exponent = text.lower().rpartition("e")[1:]
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if sep and digits.isdecimal() and (len(digits) > len(str(MAX_GRADE_DIGITS))
+                                       or int(digits) > MAX_GRADE_DIGITS):
+        return f"grade {text!r} has an exponent beyond {MAX_GRADE_DIGITS}"
+    try:
+        grade = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return f"cannot parse grade {text!r}"
+    if max(abs(grade.numerator), grade.denominator) >= 10 ** MAX_GRADE_DIGITS:
+        return (f"grade has more than {MAX_GRADE_DIGITS} digits "
+                "in its numerator or denominator")
+    if not 0 <= grade <= 1:
+        return f"grade {grade} lies outside [0, 1]"
+    return grade
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from("0123456789\u0661\u0662\uff11\uff15\u00b2/_.eE+- "),
+               max_size=10))
+@example("0/0")
+@example("1/0")
+@example("007/120")
+@example("1e-4300")
+def test_as_grade_matches_the_regex_route_on_every_string(text):
+    try:
+        got = as_grade(text)
+    except InvalidGrade as exc:
+        got = str(exc)
+    expected = _regex_route(text)
+    assert got == expected and type(got) is type(expected)
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -304,6 +366,23 @@ def test_grade_chain_matches_a_sorted_set_of_the_grades(drawn, bad):
     chain, ranks = _grade_chain(values)
     assert (chain, ranks) == expected
     assert all(type(g) is Fraction for g in chain)
+
+
+CHAIN_GRADES = st.sets(st.fractions(0, 1, max_denominator=12)
+                      | st.sampled_from((THIRD, NEAR_THIRD)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CHAIN_GRADES, CHAIN_GRADES)
+def test_merge_chains_matches_a_sorted_union(xs, ys):
+    """The merged chain and where each operand's ranks land in it, also for
+    distinct grades with one float."""
+    a, b = (tuple(sorted({Fraction(0), Fraction(1), *grades})) for grades in (xs, ys))
+    merged, pos_a, pos_b = _merge_chains(a, b)
+    union = sorted(set(a) | set(b))
+    assert list(merged) == union
+    assert pos_a == [union.index(g) for g in a]
+    assert pos_b == [union.index(g) for g in b]
 
 
 def test_cut_family_equality_and_repr(chain3):

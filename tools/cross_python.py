@@ -6,7 +6,11 @@ Runs a fixed list of ``fuzzint`` CLI calls, with ``PYTHONPATH`` set to this
 checkout's ``src``, under the running interpreter and under each PYTHON (a
 path to an interpreter binary).  The list covers every subcommand in text
 and in JSON, the refusals of a cyclic document and of one that is not a
-lattice, one sampled ``laws`` run, and one run under ``python -O``.
+lattice, one sampled ``laws`` run, one run under ``python -O``, the help
+texts, and operands that repeat the lattice file inline and spell one grade
+five ways (plain ``"1/2"`` and four that only ``Fraction``'s parser reads).
+Python 3.10's ``Fraction`` reads no underscores, so there the two calls on
+``"1_0/20"`` exit 2 where later versions accept the grade.
 Every call's exit code, stdout and stderr must equal the running
 interpreter's, byte for byte.  Prints one line per interpreter, and one per
 differing call; exits 1 on any difference or on an interpreter that does
@@ -37,6 +41,10 @@ DOCUMENTS = {
     "right.json": {"lattice": "chain3", "memberships": {"0": "0", "1": "2/3", "2": "1"}},
     "split.json": {"lattice": _CHAIN3, "memberships": {"0": "1", "1": "0", "2": "1"}},
 }
+HALF_SPELLINGS = ("1/2", "0.5", " 1/2 ", "1_0/20", "\u0661/\u0662")  # the last in Arabic-Indic
+DOCUMENTS.update((f"half{i}.json", {"lattice": _CHAIN3,
+                                    "memberships": {"0": "1", "1": spelling, "2": "1/3"}})
+                 for i, spelling in enumerate(HALF_SPELLINGS))
 
 _SAMPLED = ["laws", "--fixture", "m3", "--grades", "0,1/3,2/3,1", "--budget", "300",
             "--seed", "3"]
@@ -57,6 +65,12 @@ CALLS: list[list[str]] = [
     )),
     [*_SAMPLED, "--format", "json"],
     ["-O", *_SAMPLED, "--format", "json"],
+    *(["op", "meet", "chain3.json", "left.json", f"half{i}.json", "--cuts"]
+      for i in range(len(HALF_SPELLINGS))),
+    *(["classify", "chain3.json", f"half{i}.json", "--format", "json"]
+      for i in range(len(HALF_SPELLINGS))),
+    ["--help"],
+    ["laws", "--help"],
 ]
 
 
