@@ -23,14 +23,13 @@ from .fuzzyintervals import (Classification, EndpointFunctions, FuzzyInterval,
 
 __version__ = "0.1.0"
 
-# the law checker loads on first use, so commands that check no law skip it
-_LAWS_NAMES = frozenset({"LawCheck", "LawReport", "check_distributivity",
-                         "check_lattice_axioms", "enumerate_fuzzy_intervals",
-                         "enumerate_intervals", "run_suite", "validate_grades"})
+# ``import fuzzint`` skips the law checker: it loads on first use of ``laws``
+# or of a name in ``__all__`` not bound above (the CLI loads it when it builds
+# its parser).  A name bound here never reaches ``__getattr__``.
 
 
 def __getattr__(name: str):
-    if name == "laws" or name in _LAWS_NAMES:
+    if name == "laws" or name in __all__:
         laws = importlib.import_module(".laws", __name__)
         return laws if name == "laws" else getattr(laws, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import FormatError, FuzzintError, InvalidGrade, LatticeMismatch, UnknownElement
 from .fuzzysets import FuzzySet, as_grade, format_grade
-from .lattice import FiniteLattice, _fixture, _has_covers, format_element, order_closure
+from .lattice import FiniteLattice, _fixture, format_element, order_closure
 
 
 def _require_keys(doc: dict, keys: set[str], what: str) -> None:
@@ -113,10 +113,8 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
         return lattice_from_json(ref)
     elif ref == lattice._source:
         return lattice
-    fields = _lattice_fields(ref)
-    if _has_covers(lattice, fields[1], fields[2]):
-        return lattice
     # else match by order alone; a mismatch builds, so NotALattice comes first
+    fields = _lattice_fields(ref)
     ordered, _, up, _ = _build_lattice(fields, order_closure)
     if ordered == lattice.elements and up == lattice._up:
         return lattice

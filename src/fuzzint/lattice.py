@@ -137,24 +137,6 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
     return ordered, index, up, direct
 
 
-def _has_covers(lattice, elements, covers) -> bool:
-    """Whether ``elements`` are the lattice's elements and ``covers`` give
-    the same cover masks as its input pairs, in any order and with repeats.
-    Then the closure is the lattice's order and no check can fail, so
-    ``order_closure`` need not run.  Anything else is False, an unknown
-    element or a self-cover included."""
-    index = lattice._index
-    if index.keys() != set(elements):
-        return False
-    direct = [0] * len(index)
-    try:
-        for lo, hi in covers:
-            direct[index[lo]] |= 1 << index[hi]
-    except KeyError:
-        return False
-    return direct == lattice._succ
-
-
 class FiniteLattice:
     """A finite lattice kept as one up-set and one down-set mask per
     element, with a dict from each mask back to its element; ``x ⊓ y`` is
@@ -163,8 +145,7 @@ class FiniteLattice:
     Bottom is the element whose up-set is the whole carrier, top dually.
     Covers of a non-lattice raise ``NotALattice`` for the first pair
     ``i ≤ j`` in canonical order that lacks its meet (checked first) or
-    join, naming up to two extremal common bounds as candidates; only then
-    are all n² bounds computed, to find that pair.
+    join, naming up to two extremal common bounds as candidates.
 
     Instances are immutable after construction, but for the Int(L) coding
     that fuzzy intervals fill on first use and the source document the JSON
@@ -200,20 +181,20 @@ class FiniteLattice:
         # a top and every pairwise meet make a lattice (module docstring)
         meets = starmap(and_, combinations(down, 2))  # ↓x ∩ ↓y for each pair x < y
         if all_mask not in by_down or not all(map(by_down.__contains__, meets)):
-            raise self._missing_bound([by_down.get(di & dj) for di in down for dj in down],
-                                      [by_up.get(ui & uj) for ui in up for uj in up])
+            raise self._missing_bound()
         # with every pairwise meet, the meet of all elements exists
         self._bottom = by_up[all_mask]
         self._top = by_down[all_mask]
 
-    def _missing_bound(self, meet_t, join_t) -> NotALattice:
+    def _missing_bound(self) -> NotALattice:
         # the first pair i ≤ j in canonical order missing its meet (then its
-        # join); the candidates are its first two extremal common bounds
+        # join), tested pair by pair; the candidates are its first two
+        # extremal common bounds
         n, up, down = len(self.elements), self._up, self._down
         for i, j in combinations_with_replacement(range(n), 2):
-            for kind, table, common, toward in (("meet", meet_t, down[i] & down[j], up),
-                                                ("join", join_t, up[i] & up[j], down)):
-                if table[i * n + j] is None:
+            for kind, by_mask, common, toward in (("meet", self._by_down, down[i] & down[j], up),
+                                                  ("join", self._by_up, up[i] & up[j], down)):
+                if common not in by_mask:
                     extremal = [b for b in iter_bits(common) if toward[b] & common == 1 << b]
                     cands = tuple(self.elements[b] for b in extremal[:2])
                     return NotALattice(self.elements[i], self.elements[j], kind, cands)

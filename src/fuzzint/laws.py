@@ -373,8 +373,9 @@ class _OpTables:
     ``_cuts`` among the items of that type on those objects; on one chain
     and lattice, equal codes at every rank are exactly equal intervals, so
     a hit is the member an equality lookup finds.  A miss, and any other
-    result, falls through to ``index``, so a member equal on another chain
-    or lattice object, or a result already added to the pool, is found.
+    result, falls through to :meth:`_intern`'s ``index`` lookup, so a
+    member equal on another chain or lattice object, or a result already
+    added to the pool, is found.
     The pool, the tables and the closure witnesses are thus those of an
     equality scan, and a result of ``run_suite``'s ops, all on the shared
     chain, calls neither ``FuzzyInterval.__hash__`` nor ``__eq__`` when it
@@ -406,7 +407,7 @@ class _OpTables:
                           else (None, None))
         by_chain = {x._cuts: i for i, x in enumerate(items)
                     if type(x) is FuzzyInterval and x._chain is chain and x.lattice is lattice}
-        pool, witnesses = self.pool, [None, None]
+        witnesses = [None, None]
         for i, a in enumerate(items):
             slots = ((self.join_t[i], join_op, 0), (self.meet_t[i], meet_op, 1))
             for j, b in enumerate(items):
@@ -416,10 +417,7 @@ class _OpTables:
                            and r._chain is chain and r.lattice is lattice else None)
                     k = by_chain.get(key)
                     if k is None:
-                        k = index.get(r)
-                        if k is None:
-                            k = index[r] = len(pool)
-                            pool.append(r)
+                        k = self._intern(r)
                     row[j] = k
                     if k >= n and witnesses[w] is None:
                         witnesses[w] = (i, j)

@@ -3,7 +3,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import lattice_of, random_lattices
 from fuzzint import (CycleError, FiniteLattice, FormatError, FuzzySet, LatticeMismatch,
                      NotALattice, chain, cli, m3, standard_lattice)
 from fuzzint import formats
@@ -183,25 +186,54 @@ def _inline(covers, elements=DIAMOND):
     _inline([["c", "1"], ["b", "1"], ["a", "1"], ["0", "c"], ["0", "b"], ["0", "a"]]),
     _inline(M3_DOC["covers"] + [["0", "1"]]),
     _inline(M3_DOC["covers"], ["1", "c", "b", "a", "0"]),
-], ids=["covers-reordered", "transitive-edge", "elements-permuted"])
+    _inline(M3_DOC["covers"] + [["0", "a"], ["c", "1"], ["0", "a"]]),
+], ids=["covers-reordered", "transitive-edge", "elements-permuted", "repeated-cover"])
 def test_inline_lattice_with_the_same_order_resolves_to_the_given_lattice(doc):
     lat = m3()
     assert fuzzy_set_from_json(doc, lat).lattice is lat
 
 
-@pytest.mark.parametrize("doc", [
-    _inline([["c", "1"], ["b", "1"], ["a", "1"], ["0", "c"], ["0", "b"], ["0", "a"]]),
-    _inline(M3_DOC["covers"] + [["0", "a"], ["c", "1"], ["0", "a"]]),
-    _inline(M3_DOC["covers"], ["1", "c", "b", "a", "0"]),
-], ids=["covers-reordered", "repeated-cover", "elements-permuted"])
-def test_an_inline_lattice_with_the_given_covers_resolves_without_a_closure(doc, monkeypatch):
-    lat = m3()
+def _inclusion(masks):
+    """The order the masks give element ``e<i>``: pairs (i, j) with masks[i] ⊆ masks[j]."""
+    return {(i, j) for i, a in enumerate(masks) for j, b in enumerate(masks) if a & b == a}
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the inline lattice took the closure route")
 
-    monkeypatch.setattr(formats, "order_closure", refuse)
+def _case_document(masks, covers):
+    labels = [f"e{i}" for i in range(len(masks))]
+    return {"lattice": {"name": "case", "elements": labels, "covers": [list(c) for c in covers]},
+            "memberships": dict.fromkeys(labels, "1")}
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_lattices(), random_lattices(), st.data())
+def test_inline_lattices_resolve_exactly_when_their_inclusion_orders_agree(case, other, data):
+    """A document of the case with shuffled elements and covers, repeats and
+    transitive pairs resolves to the given lattice itself.  A second case
+    resolves exactly when its masks give the same inclusion order as the
+    first's, read from the masks and not from ``order_closure``; else
+    ``LatticeMismatch``.  The second cases are the case relabelled by a
+    drawn permutation, which has its element count, and an unrelated case."""
+    masks, covers = case
+    lat = lattice_of(case)
+    n = len(masks)
+    pairs = sorted(_inclusion(masks) - {(i, i) for i in range(n)})
+    extra = data.draw(st.lists(st.sampled_from(pairs), max_size=4))
+    doc = _case_document(masks, covers)
+    doc["lattice"]["elements"] = data.draw(st.permutations(doc["lattice"]["elements"]))
+    doc["lattice"]["covers"] = data.draw(st.permutations(
+        doc["lattice"]["covers"] + [[f"e{i}", f"e{j}"] for i, j in extra]))
     assert fuzzy_set_from_json(doc, lat).lattice is lat
+
+    perm = data.draw(st.permutations(range(n)))  # element e<i> becomes e<perm[i]>
+    relabelled = ([masks[perm.index(k)] for k in range(n)],
+                  [(f"e{perm[int(lo[1:])]}", f"e{perm[int(hi[1:])]}") for lo, hi in covers])
+    for masks2, covers2 in (relabelled, other):
+        doc2 = _case_document(masks2, covers2)
+        if len(masks2) == n and _inclusion(masks2) == _inclusion(masks):
+            assert fuzzy_set_from_json(doc2, lat).lattice is lat
+        else:
+            with pytest.raises(LatticeMismatch):
+                fuzzy_set_from_json(doc2, lat)
 
 
 def test_an_inline_lattice_with_other_covers_resolves_through_the_closure(monkeypatch):
@@ -229,7 +261,6 @@ def test_an_inline_copy_of_the_lattice_document_resolves_without_a_check(monkeyp
 
     with monkeypatch.context() as patch:
         patch.setattr(formats, "_lattice_fields", refuse)
-        patch.setattr(formats, "_has_covers", refuse)
         assert fuzzy_set_from_json({"lattice": M3_DOC, "memberships": memberships},
                                    lat).lattice is lat
     renamed = {**M3_DOC, "name": "other"}  # names are metadata: the checked route matches

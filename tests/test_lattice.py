@@ -526,3 +526,20 @@ def test_a_build_keeps_no_table_of_order_n_squared():
         tracemalloc.stop()
     assert len(lat) == 1024
     assert retained < 4 * 2 ** 20
+
+
+def test_a_refused_build_keeps_no_table_of_order_n_squared():
+    """chain(1,023) with one more element above its bottom has no top.  The
+    pair that lacks a bound is found by testing the pairs one by one, so
+    naming it keeps no n² table (one of 1,024² entries would hold over 8 MB)."""
+    labels = [str(i).zfill(4) for i in range(1023)]
+    covers = list(zip(labels, labels[1:])) + [("0000", "x")]
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotALattice) as exc:
+            FiniteLattice(labels + ["x"], covers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "elements '0001' and 'x' have no unique least upper bound"
+    assert peak < 4 * 2 ** 20

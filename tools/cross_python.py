@@ -7,8 +7,11 @@ checkout's ``src``, under the running interpreter and under each PYTHON (a
 path to an interpreter binary).  The list covers every subcommand in text
 and in JSON, the refusals of a cyclic document and of one that is not a
 lattice, one sampled ``laws`` run, one run under ``python -O``, the help
-texts, and operands that repeat the lattice file inline and spell one grade
-five ways (plain ``"1/2"`` and four that only ``Fraction``'s parser reads).
+texts, operands that repeat the lattice file inline and spell one grade
+five ways (plain ``"1/2"`` and four that only ``Fraction``'s parser reads),
+and inline lattices that match the lattice file only by their order
+(elements reversed with a transitive cover; covers reordered and repeated)
+or do not match it (another order, not a lattice, a cycle).
 Python 3.10's ``Fraction`` reads no underscores, so there the two calls on
 ``"1_0/20"`` exit 2 where later versions accept the grade.
 Every call's exit code, stdout and stderr must equal the running
@@ -45,6 +48,19 @@ HALF_SPELLINGS = ("1/2", "0.5", " 1/2 ", "1_0/20", "\u0661/\u0662")  # the last 
 DOCUMENTS.update((f"half{i}.json", {"lattice": _CHAIN3,
                                     "memberships": {"0": "1", "1": spelling, "2": "1/3"}})
                  for i, spelling in enumerate(HALF_SPELLINGS))
+# inline chain3 documents that are no verbatim copy of chain3.json, so the
+# order decides: two that match it, and three refusals (exit 2, 1 and 1)
+INLINE_ORDERS = {
+    "reversed": (["2", "1", "0"], [["1", "2"], ["0", "2"], ["0", "1"]]),
+    "repeated": (["0", "1", "2"], [["1", "2"], ["0", "1"], ["1", "2"], ["0", "1"]]),
+    "other-order": (["0", "1", "2"], [["0", "2"], ["2", "1"]]),
+    "not-a-lattice": (["0", "1", "2"], [["0", "1"], ["0", "2"]]),
+    "cycle": (["0", "1", "2"], [["0", "1"], ["1", "2"], ["2", "0"]]),
+}
+DOCUMENTS.update((f"{key}.json", {"lattice": {"name": "c3", "elements": elements,
+                                              "covers": covers},
+                                  "memberships": {"0": "1", "1": "1/2", "2": "0"}})
+                 for key, (elements, covers) in INLINE_ORDERS.items())
 
 _SAMPLED = ["laws", "--fixture", "m3", "--grades", "0,1/3,2/3,1", "--budget", "300",
             "--seed", "3"]
@@ -69,6 +85,9 @@ CALLS: list[list[str]] = [
       for i in range(len(HALF_SPELLINGS))),
     *(["classify", "chain3.json", f"half{i}.json", "--format", "json"]
       for i in range(len(HALF_SPELLINGS))),
+    *(call for key in INLINE_ORDERS for call in (
+        ["op", "meet", "chain3.json", "left.json", f"{key}.json"],
+        ["classify", "chain3.json", f"{key}.json", "--format", "json"])),
     ["--help"],
     ["laws", "--help"],
 ]
