@@ -17,6 +17,7 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import FormatError, FuzzintError, InvalidGrade, LatticeMismatch, UnknownElement
+from .fuzzyintervals import FuzzyInterval
 from .fuzzysets import FuzzySet, as_grade, format_grade
 from .lattice import FiniteLattice, _fixture, format_element, order_closure
 
@@ -72,11 +73,22 @@ def lattice_from_json(doc) -> FiniteLattice:
     return lattice
 
 
+def _element_names(lattice: FiniteLattice):
+    """The rendered elements in canonical order; elements that are all
+    exact strings render as themselves, so the tuple is returned as is."""
+    elements = lattice.elements
+    if set(map(type, elements)) == {str}:
+        return elements
+    return list(map(format_element, elements))  # product elements are tuples
+
+
 def lattice_to_json(lattice: FiniteLattice) -> dict:
-    return {"name": lattice.name,
-            "elements": [format_element(e) for e in lattice.elements],
-            "covers": [[format_element(lo), format_element(hi)]
-                       for lo, hi in lattice.covers()]}
+    names = _element_names(lattice)
+    if names is lattice.elements:
+        covers = list(map(list, lattice.covers()))
+    else:
+        covers = [[format_element(lo), format_element(hi)] for lo, hi in lattice.covers()]
+    return {"name": lattice.name, "elements": list(names), "covers": covers}
 
 
 def _lattice_reference(lattice: FiniteLattice):
@@ -115,7 +127,7 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
         return lattice
     # else match by order alone; a mismatch builds, so NotALattice comes first
     fields = _lattice_fields(ref)
-    ordered, _, up, _ = _build_lattice(fields, order_closure)
+    ordered, _, up, _, _ = _build_lattice(fields, order_closure)
     if ordered == lattice.elements and up == lattice._up:
         return lattice
     _build_lattice(fields, FiniteLattice)
@@ -130,9 +142,8 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
     raw = doc["memberships"]
     if not isinstance(raw, dict):
         raise FormatError("memberships must be an object")
-    index = target._index  # name -> element index, when every element is its own name
-    if not all(map(isinstance, target.elements, repeat(str))):  # product elements are tuples
-        index = {format_element(e): i for i, e in enumerate(target.elements)}
+    names = _element_names(target)
+    index = target._index if names is target.elements else dict(zip(names, range(len(names))))
     values = [None] * len(index)
     parsed = {}  # raw grade -> as_grade result; documents repeat grades
     for key, grade in raw.items():
@@ -157,8 +168,12 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
 
 
 def memberships_to_json(m) -> dict:
-    """Element name → grade string for a fuzzy set or fuzzy interval."""
-    return {format_element(e): format_grade(v) for e, v in zip(m.lattice.elements, m.values)}
+    """Element name → grade string for a fuzzy set or fuzzy interval; each
+    attained grade is rendered once and read by its rank."""
+    fuzzy = m.fuzzy if isinstance(m, FuzzyInterval) else m
+    chain, ranks = fuzzy.chain, fuzzy.ranks
+    grades = {r: format_grade(chain[r]) for r in set(ranks)}
+    return dict(zip(_element_names(fuzzy.lattice), map(grades.__getitem__, ranks)))
 
 
 def fuzzy_set_to_json(m: FuzzySet) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import InvalidFamily, InvalidGrade
@@ -23,7 +24,8 @@ from .lattice import Element, FiniteLattice, _require_same_lattice, format_eleme
 
 GRADE_ZERO = Fraction(0)
 GRADE_ONE = Fraction(1)
-_BOUND_IDS = {GRADE_ZERO: 0, GRADE_ONE: 1}
+_BOUND_IDS = {(0, 1): 0, (1, 1): 1}  # the bounds' (numerator, denominator) pairs
+_NUM_DEN = attrgetter("numerator", "denominator")
 _GRADE_TYPES = {Fraction, int}  # exactly these; bool and float are refused
 # the interpreter's int-to-str limit, which format_grade must meet: 4300 by
 # default, and kept at 4300 when the limit is off (or absent, before Python
@@ -44,7 +46,8 @@ def as_grade(value) -> Fraction:
 
     A grade must render in lowest terms with at most ``MAX_GRADE_DIGITS``
     digits above and below the bar.  A string whose exponent alone exceeds
-    that many is refused before ``Fraction`` computes ten to its power.
+    that many is refused before ``Fraction`` computes ten to its power.  A
+    ``Fraction`` that passes these checks is returned itself.
     """
     if isinstance(value, (bool, float)):
         raise InvalidGrade(f"refusing {type(value).__name__} grade {value!r}; "
@@ -62,7 +65,8 @@ def as_grade(value) -> Fraction:
                                                or int(digits) > MAX_GRADE_DIGITS):
                 raise InvalidGrade(f"grade {value!r} has an exponent beyond {MAX_GRADE_DIGITS}")
     try:
-        grade = Fraction(int(num), int(den) if bar else 1) if plain else Fraction(value)
+        grade = (Fraction(int(num), int(den) if bar else 1) if plain
+                 else value if type(value) is Fraction else Fraction(value))
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InvalidGrade(f"cannot parse grade {value!r}") from exc
     if abs(grade.numerator) >= _GRADE_BOUND or grade.denominator >= _GRADE_BOUND:
@@ -80,28 +84,35 @@ def format_grade(grade: Fraction) -> str:
 def _grade_chain(values) -> tuple[tuple, tuple]:
     """``(chain, ranks)`` for grades in element order.
 
-    Values repeat a few objects, so each distinct object is typed, hashed
-    and checked once.  Ints 0 and 1 land on the ``Fraction`` bounds, and
-    every other distinct grade must be a ``Fraction`` strictly between that
-    renders within ``MAX_GRADE_DIGITS``.  A float or bool is refused even
-    where it equals a bound.  The chain is sorted on the correctly rounded
-    float of each grade, which never reverses the exact order; only a float
-    tie compares the ``Fraction``s.
+    Values repeat a few objects, so each distinct object is typed, keyed
+    and checked once.  Grades are told apart by their ``(numerator,
+    denominator)`` int pairs, not by ``Fraction.__hash__``, a Python-level
+    modular inverse; ints have the pair too, so 0 and 1 land on the
+    ``Fraction`` bounds.  Every other distinct grade must be a ``Fraction``
+    strictly between that renders within ``MAX_GRADE_DIGITS``.  A float or
+    bool is refused even where it equals a bound.  The chain is sorted on
+    the correctly rounded float of each grade, which never reverses the
+    exact order; only a float tie compares the ``Fraction``s.
     """
     objects = dict(zip(map(id, values), values))  # id -> object, first seen first
-    if not set(map(type, objects.values())) <= _GRADE_TYPES:
-        bad = next(v for v in objects.values() if type(v) not in _GRADE_TYPES)
+    distinct = list(objects.values())
+    if not set(map(type, distinct)) <= _GRADE_TYPES:
+        bad = next(v for v in distinct if type(v) not in _GRADE_TYPES)
         raise InvalidGrade(f"grade {bad!r} must be a Fraction in [0, 1]")
-    ids = _BOUND_IDS.copy()  # grade -> first-seen id; a copy keeps the bounds' hashes
-    seen = [ids.setdefault(v, len(ids)) for v in objects.values()]
-    grades = list(ids)
-    for g in grades[2:]:
-        if abs(g.numerator) >= _GRADE_BOUND or g.denominator >= _GRADE_BOUND:
+    ids = _BOUND_IDS.copy()  # (numerator, denominator) -> grade id, first seen first
+    seen = [ids.setdefault(pair, len(ids)) for pair in map(_NUM_DEN, distinct)]
+    grades = [GRADE_ZERO, GRADE_ONE]  # by id; a new id's grade is the object that made it
+    for v, k in zip(distinct, seen):
+        if k == len(grades):
+            grades.append(v)
+    pairs = list(ids)
+    for (num, den), g in zip(pairs[2:], grades[2:]):
+        if abs(num) >= _GRADE_BOUND or den >= _GRADE_BOUND:
             raise InvalidGrade(_TOO_LONG)
-        if not (isinstance(g, Fraction) and 0 < g.numerator < g.denominator):
+        if not (isinstance(g, Fraction) and 0 < num < den):
             raise InvalidGrade(f"grade {g!r} must be a Fraction in [0, 1]")
-    order = sorted(range(len(grades)), key=[(g.numerator / g.denominator, g)
-                                            for g in grades].__getitem__)
+    order = sorted(range(len(grades)), key=[(num / den, g) for (num, den), g
+                                            in zip(pairs, grades)].__getitem__)
     rank_of = [0] * len(grades)
     for r, k in enumerate(order):
         rank_of[k] = r

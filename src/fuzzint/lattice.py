@@ -9,7 +9,8 @@ each element's up-set and down-set is one such mask.
 One iterative depth-first walk over the covers gives the closure: an
 element's up-set is written as the walk leaves it, and a cover back to an
 element still on the walk's path is a cycle, so the covers do not define
-an order (``CycleError``).
+an order (``CycleError``).  The down-sets are pushed along the reverse of
+the order in which the walk leaves the elements, a linear extension.
 
 The bounds follow the principal-filter characterisation: ``x ⊔ y`` exists
 exactly when the common upper bounds ``↑x ∩ ↑y`` are the up-set of one
@@ -75,10 +76,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
-    """``(ordered elements, index, up-masks, cover-masks)``: the validated
-    elements in canonical order, the reflexive-transitive closure of the
-    covers as one up-set bitmask each (equal results mean the same order),
-    and per element the bitmask of its upper ends among the covers.
+    """``(ordered elements, index, up-masks, down-masks, cover-masks)``: the
+    validated elements in canonical order, the reflexive-transitive closure
+    of the covers as one up-set and one down-set bitmask each (equal up-sets
+    mean the same order), and per element the bitmask of its upper ends
+    among the covers.
 
     The walk starts from each element not yet reached, in canonical order,
     and follows each element's covers in input order.  Leaving element i, it
@@ -86,6 +88,11 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
     written by then.  The first cover that reaches an element still on the
     path raises ``CycleError``; its witness is that stretch of the path,
     closed at its start.  A self-cover is refused before the walk.
+
+    The walk leaves each element after every element above it, so the
+    reverse of its finishing order is a linear extension (Davey & Priestley,
+    2002, ch. 2): pushed along it, each down-set is whole before it is ORed
+    into the upper ends of its covers.
     """
     elems = list(elements)
     if not elems:
@@ -93,7 +100,10 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
     _check_size(len(elems))
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate element ids")
-    ordered = tuple(sorted(elems, key=element_sort_key))
+    if set(map(type, elems)) == {str}:  # element_sort_key(e) is (0, e) for each
+        ordered = tuple(sorted(elems))
+    else:
+        ordered = tuple(sorted(elems, key=element_sort_key))
     index = {e: i for i, e in enumerate(ordered)}
     n = len(ordered)
 
@@ -112,6 +122,7 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
             succ[i].append(j)
 
     up = [0] * n  # 0 until the walk reaches i, -1 while i is on its path
+    finished = []
     for root in range(n):
         if up[root]:
             continue
@@ -134,7 +145,13 @@ def order_closure(elements: Iterable[Element], covers, *, name: str = ""):
                 for j in succ[i]:
                     mask |= up[j]
                 up[i] = mask
-    return ordered, index, up, direct
+                finished.append(i)
+    down = [1 << i for i in range(n)]
+    for i in reversed(finished):
+        mask = down[i]
+        for j in succ[i]:
+            down[j] |= mask
+    return ordered, index, up, down, direct
 
 
 class FiniteLattice:
@@ -157,15 +174,8 @@ class FiniteLattice:
                  "_bottom", "_top", "_all_mask", "_codes", "_source")
 
     def __init__(self, elements: Iterable[Element], covers, *, name: str = ""):
-        ordered, index, up, succ = order_closure(elements, covers, name=name)
+        ordered, index, up, down, succ = order_closure(elements, covers, name=name)
         n = len(ordered)
-        # larger up-sets first is a linear extension, so each down-set is
-        # whole before it is pushed up to the upper ends of its covers
-        down = [1 << i for i in range(n)]
-        for i in sorted(range(n), key=lambda k: -up[k].bit_count()):
-            for j in iter_bits(succ[i]):
-                down[j] |= down[i]
-
         self.name = name
         self.elements = ordered
         self._index = index
@@ -327,10 +337,10 @@ def is_distributive(lattice: FiniteLattice):
     and meets to intersections.)  Join-prime says that the elements not
     above j are closed under joins; being a down-set, they are then the
     down-set of their join, and only then.  So each j costs one mask
-    complement and one lookup, O(n) in all.  Only a "no" runs the triple
-    walk, to name the witness: O(n³) at worst, and never on a distributive
-    lattice.  If the walk finds no triple after a "no", the two routes
-    disagree: ``RouteDisagreement``.
+    complement and one lookup, O(n) in all.  Only a "no" searches for the
+    witness triple, row by row: O(n²·|J|) for J the join-irreducibles, and
+    never on a distributive lattice.  If the search finds no triple after a
+    "no", the two routes disagree: ``RouteDisagreement``.
     """
     up, by_down, all_mask = lattice._up, lattice._by_down, lattice._all_mask
     for j, mask in enumerate(lattice._down):
@@ -345,20 +355,42 @@ def is_distributive(lattice: FiniteLattice):
 
 
 def _first_failing_triple(lattice: FiniteLattice):
-    """The first (x, y, z) in canonical order with x ⊓ (y ⊔ z) ≠ (x ⊓ y) ⊔ (x ⊓ z)."""
+    """The first (x, y, z) in canonical order with x ⊓ (y ⊔ z) ≠ (x ⊓ y) ⊔ (x ⊓ z).
+
+    Each z is the join of the join-irreducibles below it, so row x holds a
+    failing triple exactly when y ↦ x ⊓ y breaks some join y ⊔ j with j
+    join-irreducible (if it keeps them all, it keeps y ⊔ j₁ ⊔ … ⊔ jₖ by
+    induction on k).  The rows are tested on those j alone, O(n²·|J|), and
+    only the first failing row is scanned over every y, O(n²), keeping no
+    join row beyond those the tests built.
+    """
     up, down, by_up, by_down = lattice._up, lattice._down, lattice._by_up, lattice._by_down
-    join = [[by_up[ui & uj] for uj in up] for ui in up]
-    # itemgetter(*row)(other) is the tuple of other[r] for r in row
-    through_join = [itemgetter(*row) for row in join]
+    rows: dict = {}  # a -> the join row a ⊔ k for each k, built for the row tests
+
+    def join_row(a):
+        return rows.get(a) or [by_up[up[a] & uk] for uk in up]
+
+    # itemgetter(*r)(other) is the tuple of other[k] for k in r
+    through_join = [(j, itemgetter(*join_row(j)))
+                    for j, dj in enumerate(down) if dj ^ 1 << j in by_down]  # j ∈ J
     for i, di in enumerate(down):
-        meet_i = [by_down[di & dk] for dk in down]  # i ⊓ k for each k, built as the walk goes
+        meet_i = [by_down[di & dk] for dk in down]  # i ⊓ k for each k
         through_meet_i = itemgetter(*meet_i)
-        for j, through_join_j in enumerate(through_join):
-            left = through_join_j(meet_i)  # i ⊓ (j ⊔ k) for each k
-            right = through_meet_i(join[meet_i[j]])  # (i ⊓ j) ⊔ (i ⊓ k)
+        for j, through_join_j in through_join:
+            if meet_i[j] not in rows:
+                rows[meet_i[j]] = join_row(meet_i[j])
+            # i ⊓ (j ⊔ k) against (i ⊓ j) ⊔ (i ⊓ k), for each k
+            if through_join_j(meet_i) != through_meet_i(rows[meet_i[j]]):
+                break
+        else:
+            continue
+        for y in range(len(down)):  # the first failing row, over every y
+            left = itemgetter(*join_row(y))(meet_i)
+            right = through_meet_i(join_row(meet_i[y]))
             if left != right:
                 e = lattice.elements
-                return e[i], e[j], e[list(map(ne, left, right)).index(True)]
+                return e[i], e[y], e[list(map(ne, left, right)).index(True)]
+        return None  # the row tests and the scan disagree
     return None
 
 

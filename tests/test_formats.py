@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattice_of, random_lattices
-from fuzzint import (CycleError, FiniteLattice, FormatError, FuzzySet, LatticeMismatch,
-                     NotALattice, chain, cli, m3, standard_lattice)
+from fuzzint import (CycleError, FiniteLattice, FormatError, FuzzyInterval, FuzzySet,
+                     LatticeMismatch, NotALattice, chain, cli, m3, product_lattice,
+                     standard_lattice)
 from fuzzint import formats
 from fuzzint.formats import (dumps_canonical, fuzzy_set_from_json,
                              fuzzy_set_to_json, lattice_from_json,
@@ -332,6 +333,36 @@ def test_a_fixture_name_of_another_size_is_never_built(monkeypatch):
     with pytest.raises(LatticeMismatch,
                        match="^the fuzzy set's lattice does not match the provided lattice$"):
         fuzzy_set_from_json({**doc, "lattice": "chain4000"}, small)
+
+
+# fuzzy_set_to_json of the meet below, as compact sorted JSON: once under the
+# fixture's name, and once renamed, so the lattice is written inline
+PRODUCT_MEET_MEMBERSHIPS = ('{"(0,0)":"1/3","(0,1)":"1/2","(1,0)":"1/4","(1,1)":"1/4",'
+                            '"(a,0)":"1/3","(a,1)":"2/3","(b,0)":"1/4","(b,1)":"1/4",'
+                            '"(c,0)":"1/4","(c,1)":"1/4"}')
+PRODUCT_MEET_LATTICE = (
+    '{"covers":[["(0,0)","(0,1)"],["(0,0)","(a,0)"],["(0,0)","(b,0)"],["(0,0)","(c,0)"],'
+    '["(0,1)","(a,1)"],["(0,1)","(b,1)"],["(0,1)","(c,1)"],["(1,0)","(1,1)"],'
+    '["(a,0)","(1,0)"],["(a,0)","(a,1)"],["(a,1)","(1,1)"],["(b,0)","(1,0)"],'
+    '["(b,0)","(b,1)"],["(b,1)","(1,1)"],["(c,0)","(1,0)"],["(c,0)","(c,1)"],'
+    '["(c,1)","(1,1)"]],"elements":["(0,0)","(0,1)","(1,0)","(1,1)","(a,0)","(a,1)",'
+    '"(b,0)","(b,1)","(c,0)","(c,1)"],"name":"m3xc2"}')
+
+
+def test_an_op_result_over_a_product_carrier_keeps_its_bytes():
+    """Tuple elements still render as "(x,y)", in the memberships and in an
+    inline lattice's elements and covers."""
+    fixture = product_lattice(m3(), chain(2))
+    renamed = FiniteLattice(fixture.elements, fixture.covers(), name="m3xc2")
+    for lat, lattice_json in ((fixture, '"product(m3,chain2)"'), (renamed, PRODUCT_MEET_LATTICE)):
+        left = {e: 1 if e[0] == "a" else Fraction(1, 2) if e[0] == "0" else Fraction(1, 4)
+                for e in lat}
+        right = {e: 1 if e == ("b", "1") else Fraction(2, 3) if e[1] == "1" else Fraction(1, 3)
+                 for e in lat}
+        meet = FuzzyInterval(FuzzySet(lat, left)).meet(FuzzyInterval(FuzzySet(lat, right)))
+        doc = fuzzy_set_to_json(meet.fuzzy)
+        assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == (
+            f'{{"lattice":{lattice_json},"memberships":{PRODUCT_MEET_MEMBERSHIPS}}}')
 
 
 def test_fixture_name_emitted_for_standard_lattices():

@@ -25,6 +25,15 @@ def test_as_grade_accepts_exact_forms():
     assert format_grade(as_grade("1e-4299")) == "1/1" + "0" * 4299  # the most digits allowed
 
 
+def test_as_grade_returns_a_fraction_itself():
+    """An exact grade is checked, not copied; a bad one is still refused."""
+    grade = Fraction(2, 3)
+    assert as_grade(grade) is grade
+    for bad in (Fraction(3, 2), Fraction(-1, 2)):
+        with pytest.raises(InvalidGrade, match=r"lies outside \[0, 1\]$"):
+            as_grade(bad)
+
+
 def test_as_grade_rejects_floats_and_out_of_range():
     with pytest.raises(InvalidGrade):
         as_grade(0.5)
@@ -333,7 +342,7 @@ def test_the_grade_digit_bound_follows_a_lowered_interpreter_limit(limit, bound)
 THIRD = Fraction(1, 3)
 NEAR_THIRD = Fraction(10 ** 20 + 1, 3 * 10 ** 20)  # another grade with 1/3's float
 GRADE_POOL = (0, 1, Fraction(0), Fraction(1), THIRD, NEAR_THIRD, H, Fraction(2, 3))
-NOT_GRADES = (0.5, 1.0, True, "1/2", Fraction(3, 2), -1, 2)
+NOT_GRADES = (0.5, 1.0, 0.0, True, False, "1/2", Fraction(3, 2), -1, 2)
 
 
 def _reference_chain(values):
@@ -348,6 +357,16 @@ def _reference_chain(values):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(GRADE_POOL), st.booleans()), max_size=12),
        st.none() | st.tuples(st.sampled_from(NOT_GRADES), st.integers(0, 12)))
+# 1/2 built twice; 1/3 and 1/2 share a numerator, as do 1/2 and 1
+@example([(H, True), (H, True), (THIRD, False), (Fraction(1), False)], None)
+# the ints 0 and 1 beside equal Fractions, in both orders
+@example([(0, False), (Fraction(0), True), (1, False), (Fraction(1), True), (H, False)], None)
+@example([(Fraction(1), True), (1, False), (Fraction(0), True), (0, False)], None)
+# a bool or float equal to a bound is refused all the same
+@example([(0, False), (1, False)], (True, 1))
+@example([(Fraction(0), True), (H, False)], (False, 0))
+@example([(1, False), (H, False)], (1.0, 2))
+@example([(Fraction(0), True)], (0.0, 1))
 def test_grade_chain_matches_a_sorted_set_of_the_grades(drawn, bad):
     """Shared objects, equal but distinct ``Fraction``s, the ints 0 and 1, and
     distinct grades with one float all land where a sorted set puts them; a

@@ -168,6 +168,24 @@ def test_covers_match_an_element_scan_on_random_lattices(case, data):
     assert lat.covers() == _hasse_edges(lat)
 
 
+@settings(max_examples=150, deadline=None)
+@given(random_lattices(), st.data())
+def test_down_sets_are_the_transposed_up_sets(case, data):
+    """With the covers shuffled, some listed twice and some transitive pairs
+    added, each element's down-set holds exactly the elements whose up-set
+    holds it, which are the family's subsets of its mask."""
+    masks, covers = case
+    again = data.draw(st.lists(st.sampled_from(covers), max_size=3)) if covers else []
+    lat = FiniteLattice([f"e{i}" for i in range(len(masks))],
+                        data.draw(st.permutations(covers + again)))
+    n = len(masks)
+    for j in range(n):
+        assert lat._down[j] == sum(1 << i for i in range(n) if lat._up[i] >> j & 1)
+    for x, mx in enumerate(masks):
+        below = [lat.index(f"e{y}") for y, my in enumerate(masks) if my & mx == my]
+        assert lat._down[lat.index(f"e{x}")] == sum(1 << i for i in below)
+
+
 def test_m3_structure(diamond):
     for x, y in itertools.combinations(["a", "b", "c"], 2):
         assert diamond.meet(x, y) == "0"
@@ -379,7 +397,7 @@ def test_order_closure_matches_a_warshall_closure(case):
     labels, covers = case
     below = _warshall(labels, covers)
     try:
-        _, index, up, _ = order_closure(labels, covers)
+        _, index, up, _, _ = order_closure(labels, covers)
     except CycleError as exc:
         assert _has_cycle(labels, covers, below)
         cycle = exc.cycle
@@ -464,6 +482,21 @@ def test_is_distributive_matches_an_element_scan(case):
         return
     witness = _first_distributivity_failure(lat)
     assert is_distributive(lat) == (witness is None, witness)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((m3(), n5(), product_lattice(m3(), chain(2)),
+                        product_lattice(chain(2), n5()),
+                        product_lattice(n5(), boolean_lattice(2)))), st.data())
+def test_the_witness_matches_an_element_scan_on_relabelled_lattices(lat, data):
+    """A drawn relabelling moves the canonical order, and with it the first
+    failing triple; in some, its y is not join-irreducible."""
+    labels = data.draw(st.permutations([f"e{k}" for k in range(len(lat))]))
+    rename = dict(zip(lat.elements, labels))
+    relabelled = FiniteLattice(labels, [(rename[lo], rename[hi]) for lo, hi in lat.covers()])
+    witness = _first_distributivity_failure(relabelled)
+    assert witness is not None
+    assert is_distributive(relabelled) == (False, witness)
 
 
 def test_is_distributive_matches_an_element_scan_on_fixtures():

@@ -11,7 +11,10 @@ texts, operands that repeat the lattice file inline and spell one grade
 five ways (plain ``"1/2"`` and four that only ``Fraction``'s parser reads),
 and inline lattices that match the lattice file only by their order
 (elements reversed with a transitive cover; covers reordered and repeated)
-or do not match it (another order, not a lattice, a cycle).
+or do not match it (another order, not a lattice, a cycle).  Three lattice
+files go through ``validate``: one with a longer cycle, one with repeated
+and transitive covers (also fed to ``op``, which emits its Hasse covers), and
+a non-distributive product carrier, whose witness the command prints.
 Python 3.10's ``Fraction`` reads no underscores, so there the two calls on
 ``"1_0/20"`` exit 2 where later versions accept the grade.
 Every call's exit code, stdout and stderr must equal the running
@@ -44,6 +47,27 @@ DOCUMENTS = {
     "right.json": {"lattice": "chain3", "memberships": {"0": "0", "1": "2/3", "2": "1"}},
     "split.json": {"lattice": _CHAIN3, "memberships": {"0": "1", "1": "0", "2": "1"}},
 }
+_N5 = ["0", "a", "b", "c", "1"]
+_N5_COVERS = [["0", "a"], ["a", "b"], ["b", "1"], ["0", "c"], ["c", "1"]]
+DOCUMENTS.update({
+    # the walk meets the cycle b -> c -> d -> b after leaving a
+    "cycle3.json": {"name": "cyc3", "elements": ["d", "c", "b", "a"],
+                    "covers": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "b"]]},
+    # boolean2 with each cover twice and the transitive pair 00 <= 11
+    "transitive.json": {"name": "b2", "elements": ["11", "10", "01", "00"],
+                        "covers": [["00", "11"], ["10", "11"], ["00", "01"], ["01", "11"],
+                                   ["00", "10"], ["10", "11"], ["00", "01"]]},
+    # n5 x chain3 with its elements rendered as pairs
+    "n5xc3.json": {"name": "n5xc3",
+                   "elements": [f"({x},{y})" for x in _N5 for y in "012"],
+                   "covers": [[f"({lo},{y})", f"({hi},{y})"] for lo, hi in _N5_COVERS
+                              for y in "012"]
+                   + [[f"({x},{lo})", f"({x},{hi})"] for x in _N5 for lo, hi in ("01", "12")]},
+    "b2-left.json": {"lattice": "boolean2",
+                     "memberships": {"00": "1/3", "01": "1", "10": "1/3", "11": "1/2"}},
+    "b2-right.json": {"lattice": "boolean2",
+                      "memberships": {"00": "1", "01": "2/3", "10": "0", "11": "0"}},
+})
 HALF_SPELLINGS = ("1/2", "0.5", " 1/2 ", "1_0/20", "\u0661/\u0662")  # the last in Arabic-Indic
 DOCUMENTS.update((f"half{i}.json", {"lattice": _CHAIN3,
                                     "memberships": {"0": "1", "1": spelling, "2": "1/3"}})
@@ -69,6 +93,10 @@ CALLS: list[list[str]] = [
         ["validate", "n5.json"],
         ["validate", "cyclic.json"],
         ["validate", "two-bottoms.json"],
+        ["validate", "cycle3.json"],
+        ["validate", "transitive.json"],
+        ["validate", "n5xc3.json"],
+        ["op", "join", "transitive.json", "b2-left.json", "b2-right.json"],
         ["classify", "chain3.json", "left.json"],
         ["classify", "chain3.json", "split.json"],
         ["op", "meet", "chain3.json", "left.json", "right.json", "--cuts"],
