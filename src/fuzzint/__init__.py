@@ -24,8 +24,9 @@ from .fuzzyintervals import (Classification, EndpointFunctions, FuzzyInterval,
 __version__ = "0.1.0"
 
 # ``import fuzzint`` skips the law checker: it loads on first use of ``laws``
-# or of a name in ``__all__`` not bound above (the CLI loads it when it builds
-# its parser).  A name bound here never reaches ``__getattr__``.
+# or of a name in ``__all__`` not bound above (the CLI loads it only for the
+# ``laws`` and ``enumerate`` commands; its parser reads the suite names and
+# defaults from ``suites``).  A name bound here never reaches ``__getattr__``.
 
 
 def __getattr__(name: str):

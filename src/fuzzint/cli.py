@@ -25,6 +25,7 @@ from .formats import (dumps_canonical, fuzzy_set_to_json, load_fuzzy_set,
 from .fuzzyintervals import FuzzyInterval, classify
 from .fuzzysets import format_grade
 from .lattice import format_element, is_distributive, standard_lattice
+from .suites import DEFAULT_BUDGET, DEFAULT_SEED, SUITES
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -33,13 +34,12 @@ EXIT_USAGE = 2
 
 @functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    from .laws import DEFAULT_BUDGET, DEFAULT_SEED, SUITES  # laws loads only when asked for
-
     parser = argparse.ArgumentParser(
         prog="fuzzint",
         description="Fuzzy intervals over finite lattices: validate, classify, "
                     "operate, and verify laws.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its subparser, read by _parse
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text",
@@ -218,10 +218,27 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list):
+    """``parser.parse_args(argv)``, with argv that starts with a command name
+    handed to that command's subparser alone.
+
+    The full parser hands the rest of such an argv to the same subparser
+    unchanged, and any error or help it prints comes from there; what the
+    full parser adds is the refusal of arguments left over, so an argv that
+    leaves some is parsed again in full.
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

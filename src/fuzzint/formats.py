@@ -136,7 +136,14 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
 
 def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
     """Parse a fuzzy-set document; with ``lattice`` given, the document's
-    lattice must match it."""
+    lattice must match it.
+
+    A document that names each element once with a JSON string or int
+    grade is read in bulk: its grades in element order, ``as_grade`` once
+    per distinct grade.  Any other, or one with a grade ``as_grade``
+    refuses, is scanned in document order, which raises for its first
+    fault (:func:`_memberships_by_scan`).
+    """
     _require_keys(doc, {"lattice", "memberships"}, "a fuzzy-set document")
     target = _resolve_lattice(doc["lattice"], lattice)
     raw = doc["memberships"]
@@ -144,6 +151,21 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
         raise FormatError("memberships must be an object")
     names = _element_names(target)
     index = target._index if names is target.elements else dict(zip(names, range(len(names))))
+    if raw.keys() == index.keys():
+        grades = list(map(raw.__getitem__, index))
+        if set(map(type, grades)) <= {str, int}:  # no float, no bool
+            try:
+                parsed = {grade: as_grade(grade) for grade in set(grades)}
+            except InvalidGrade:
+                pass
+            else:
+                return FuzzySet.from_values(target, map(parsed.__getitem__, grades))
+    return FuzzySet.from_values(target, _memberships_by_scan(raw, index))
+
+
+def _memberships_by_scan(raw: dict, index: dict) -> list:
+    """The grades of ``raw`` in element order, read key by key in document
+    order; the first fault met raises, and a missing element after the scan."""
     values = [None] * len(index)
     parsed = {}  # raw grade -> as_grade result; documents repeat grades
     for key, grade in raw.items():
@@ -164,7 +186,7 @@ def fuzzy_set_from_json(doc, lattice: FiniteLattice | None = None) -> FuzzySet:
     if len(raw) < len(index):  # every key named a distinct element
         missing = [name for name in index if name not in raw]
         raise FormatError("memberships must be total; missing: " + ", ".join(sorted(missing)))
-    return FuzzySet.from_values(target, values)
+    return values
 
 
 def memberships_to_json(m) -> dict:

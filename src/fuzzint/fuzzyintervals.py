@@ -152,26 +152,30 @@ def _endpoint_chain(m: FuzzySet):
     takes whose cut omits an element between its bounds, ``z`` the lowest
     such element index, else None; a rank that no element takes has the
     cut of the rank above.  One pass: bucket the elements by rank, then
-    grow the cuts from the top rank down.
+    grow the cuts from the top rank down, ANDing each new element's
+    down-set and up-set into the masks of the cut's common lower and upper
+    bounds, so that each bound is one lookup.
     """
     lat = m.lattice
+    down, up, by_down, by_up = lat._down, lat._up, lat._by_down, lat._by_up
     members = [[] for _ in m.chain]  # rank -> element indices
     for i, r in enumerate(m.ranks):
         members[r].append(i)
     ends = [(None, None)] * len(members)
     witness = None
     cut = 0
-    lo, hi = lat.index(lat.top), lat.index(lat.bottom)  # bounds of the empty cut
+    lower = upper = lat._all_mask  # the empty cut's bounds: top and bottom
     for r in range(len(members) - 1, -1, -1):  # cuts grow downward
         level = members[r]
         if level:
-            lo = lat.meet_index(lo, lat.meet_indices(level))
-            hi = lat.join_index(hi, lat.join_indices(level))
             for i in level:
+                lower &= down[i]
+                upper &= up[i]
                 cut |= 1 << i
-            outside = lat.between_mask(lo, hi) & ~cut
+            lo, hi = by_down[lower], by_up[upper]
+            outside = up[lo] & down[hi] & ~cut
             if outside:  # keep the lowest failing rank
-                witness = (r, next(iter_bits(outside)))
+                witness = (r, (outside & -outside).bit_length() - 1)
         if cut:
             ends[r] = (lo, hi)
     return tuple(ends), witness

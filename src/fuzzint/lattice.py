@@ -263,11 +263,19 @@ class FiniteLattice:
         Every Hasse edge is an input cover pair, since a longer path of input
         pairs would pass an element strictly between its ends.  So only the
         input pairs are tested, and those with nothing strictly between are
-        kept.
+        kept.  The bits of each pair mask are walked in place, lowest first.
         """
         up, down, e = self._up, self._down, self.elements
-        return tuple((e[i], e[j]) for i, succ in enumerate(self._succ) for j in iter_bits(succ)
-                     if up[i] & down[j] == (1 << i) | (1 << j))
+        edges = []
+        for i, succ in enumerate(self._succ):
+            above = up[i]
+            while succ:
+                bit = succ & -succ
+                j = bit.bit_length() - 1
+                if above & down[j] == 1 << i | bit:
+                    edges.append((e[i], e[j]))
+                succ ^= bit
+        return tuple(edges)
 
     # -- index-level access (hot paths in sibling modules) --------------
 

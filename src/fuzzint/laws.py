@@ -57,10 +57,9 @@ from .fuzzysets import GRADE_ONE, GRADE_ZERO, FuzzySet, as_grade, format_grade
 from .fuzzyintervals import FuzzyInterval
 from .intervals import CrispInterval
 from .lattice import FiniteLattice, is_distributive, iter_bits
+from .suites import DEFAULT_BUDGET, DEFAULT_SEED, SUITES
 
-DEFAULT_BUDGET = 10_000_000
 SAMPLE_SIZE = 50_000  # instances drawn when a loop would exceed the budget
-DEFAULT_SEED = 0
 
 
 # -- reports ----------------------------------------------------------------
@@ -937,10 +936,6 @@ def _interval_structure(report: LawReport, fis: list, *, plan: Callable) -> LawR
 
 
 # -- suite registry ------------------------------------------------------------
-
-
-SUITES = ("axioms", "distributivity", "cut-identities", "endpoints", "structure",
-          "crisp-axioms", "crisp-distributivity")
 
 
 def run_suite(name: str, lattice: FiniteLattice, grades=(0, Fraction(1, 2), 1), *,

@@ -506,20 +506,26 @@ def test_console_script_entry_point(m3_file, tmp_path):
     assert "distributive: false" in proc.stdout
 
 
-def test_commands_that_check_no_law_leave_the_law_checker_unloaded():
-    """``fuzzint.laws`` loads on first use; its names stay in ``__all__`` and
-    bind as before."""
+def test_commands_that_check_no_law_leave_the_law_checker_unloaded(m3_file):
+    """``fuzzint.laws`` loads on first use, and not for a command that checks
+    no law; its names stay in ``__all__`` and bind as before, and the suite
+    names and defaults are the objects the CLI's parser reads."""
     import os
     import subprocess
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    script = ("import sys\n"
+    script = ("import contextlib, io, sys\n"
               "import fuzzint, fuzzint.cli, fuzzint.formats\n"
               "print('fuzzint.laws' in sys.modules)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = fuzzint.cli.main(['validate', {m3_file!r}])\n"
+              "print(code, 'fuzzint.laws' in sys.modules)\n"
               "print(fuzzint.laws.__name__)\n"
               "names = {}\n"
               "exec('from fuzzint import *', names)\n"
               "print([n for n in fuzzint.__all__ if n not in names])\n"
               "print(fuzzint.run_suite is fuzzint.laws.run_suite is names['run_suite'])\n"
+              "print(all(getattr(fuzzint.laws, n) is getattr(fuzzint.cli, n, None)\n"
+              "          for n in ('SUITES', 'DEFAULT_BUDGET', 'DEFAULT_SEED')))\n"
               "try:\n"
               "    fuzzint.no_such_name\n"
               "except AttributeError as exc:\n"
@@ -528,8 +534,38 @@ def test_commands_that_check_no_law_leave_the_law_checker_unloaded():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "False", "fuzzint.laws", "[]", "True",
+        "False", "0 False", "fuzzint.laws", "[]", "True", "True",
         "module 'fuzzint' has no attribute 'no_such_name'"]
+
+
+def test_argv_routed_to_a_command_parser_gives_the_full_parsers_bytes(tmp_path, monkeypatch,
+                                                                       capsys):
+    """Each argv edge case of ``tools/cross_python.py`` gives the exit code,
+    stdout and stderr that the full parser alone gives; a plain command
+    argv skips the full parser."""
+    import importlib.util
+    import os
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "cross_python.py")
+    spec = importlib.util.spec_from_file_location("cross_python", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for name, doc in tool.DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    assert len(tool.ARGV_EDGE_CASES) == 22
+    for argv in tool.ARGV_EDGE_CASES:
+        routed = (main(argv), *capsys.readouterr())
+        with monkeypatch.context() as m:
+            m.setattr(parser, "commands", {})  # no argv reaches a command parser first
+            full = (main(argv), *capsys.readouterr())
+        assert routed == full, argv
+    with monkeypatch.context() as m:
+        m.setattr(type(parser), "parse_args", None)
+        assert main(["validate", "n5.json", "--format=json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lattice"] == "n5"
 
 
 HELP = {

@@ -11,10 +11,12 @@ from fuzzint import (CycleError, FiniteLattice, FormatError, FuzzyInterval, Fuzz
                      LatticeMismatch, NotALattice, chain, cli, m3, product_lattice,
                      standard_lattice)
 from fuzzint import formats
+from fuzzint.errors import InvalidGrade
 from fuzzint.formats import (dumps_canonical, fuzzy_set_from_json,
                              fuzzy_set_to_json, lattice_from_json,
                              lattice_to_json, load_fuzzy_set, load_lattice)
-from fuzzint.lattice import order_closure
+from fuzzint.fuzzysets import as_grade
+from fuzzint.lattice import format_element, order_closure
 
 M3_DOC = {
     "name": "m3",
@@ -118,15 +120,74 @@ NESTED = "product(" * 70 + "m3" + ",m3)" * 70
     ("m3", {"0": 0.5, "zz": "1"},
      "grade for '0' is a JSON float; use a string for an exact value"),
     ("m3", {"0": "1", "a": "1"}, "memberships must be total; missing: 1, b, c"),
+    ("m3", {"0": "1", "a": "1", "b": "1", "c": "1", "zz": "1"},
+     "membership for unknown element 'zz'"),
     ("product(chain2,chain2)", {"(0,0)": "1", "0": "1"}, "membership for unknown element '0'"),
     ("product(chain2,chain2)", {"(0,0)": "1", "(0,1)": "1"},
      "memberships must be total; missing: (1,0), (1,1)"),
 ], ids=["unknown-fixture", "non-ascii-size", "nested", "not-a-name", "memberships-list",
-        "unknown-element", "float-first", "missing", "product-unknown", "product-missing"])
+        "unknown-element", "float-first", "missing", "unknown-for-missing", "product-unknown",
+        "product-missing"])
 def test_fuzzy_set_document_errors_keep_their_message(lattice, memberships, text):
     with pytest.raises(FormatError) as exc:
         fuzzy_set_from_json({"lattice": lattice, "memberships": memberships})
     assert str(exc.value) == text
+
+
+# a fault, as it is placed on a document: a grade that replaces an element's
+# own, or a key of its own (an unknown element), or the removal of an element
+GRADE_FAULTS = {"float": 0.5, "bool": True, "list": ["1"], "unparseable": "1/x",
+                "out-of-range": "3/2", "negative": -1}
+MEMBERSHIP_FAULTS = (*GRADE_FAULTS, "unknown", "missing")
+VALID_GRADES = ("0", "1", "1/2", "2/4", " 1/3", "0.25", 0, 1)
+
+
+def _first_fault_by_scan(raw: dict, names) -> str:
+    """The message for the first fault of ``raw``, read key by key in
+    document order, as the reader's refusals are stated."""
+    for key, grade in raw.items():
+        if key not in names:
+            return f"membership for unknown element {key!r}"
+        if isinstance(grade, float):
+            return f"grade for {key!r} is a JSON float; use a string for an exact value"
+        if not isinstance(grade, (str, int)) or isinstance(grade, bool):
+            return f"grade for {key!r} must be a string"
+        try:
+            as_grade(grade)
+        except InvalidGrade as exc:
+            return f"bad grade for {key!r}: {exc}"
+    return "memberships must be total; missing: " + ", ".join(sorted(set(names) - set(raw)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_lattices().map(lambda case: lattice_to_json(lattice_of(case))),
+                 st.just("product(chain2,chain2)")), st.data())
+def test_a_refused_document_names_its_first_fault_in_document_order(lattice_doc, data):
+    """Documents over a random lattice (or a product fixture, whose names
+    are renderings) with zero, one or two faults at drawn places, in a drawn
+    key order: a faultless one reads each grade by ``as_grade``, and any
+    other raises the message of a document-order scan."""
+    lattice = (standard_lattice(lattice_doc) if isinstance(lattice_doc, str)
+               else lattice_from_json(lattice_doc))
+    names = [format_element(x) for x in lattice.elements]
+    raw = {name: data.draw(st.sampled_from(VALID_GRADES)) for name in names}
+    faults = data.draw(st.lists(st.sampled_from(MEMBERSHIP_FAULTS), max_size=2))
+    for fault in faults:
+        key = data.draw(st.sampled_from(names))
+        if fault == "unknown":
+            raw[f"zz{len(raw)}"] = "1"
+        elif fault == "missing":
+            raw.pop(key, None)
+        else:
+            raw[key] = GRADE_FAULTS[fault]
+    raw = dict(data.draw(st.permutations(list(raw.items()))))
+    doc = {"lattice": lattice_doc, "memberships": raw}
+    if not faults:  # each fault leaves one, even where a second lands on its key
+        assert list(fuzzy_set_from_json(doc).values) == [as_grade(raw[x]) for x in names]
+        return
+    with pytest.raises(FormatError) as exc:
+        fuzzy_set_from_json(doc)
+    assert str(exc.value) == _first_fault_by_scan(raw, names)
 
 
 def test_fuzzy_set_lattice_reference_mismatch():

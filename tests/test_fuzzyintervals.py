@@ -396,6 +396,42 @@ def fuzzy_interval_pairs(draw):
     return pair
 
 
+def _endpoint_chain_by_cuts(m: FuzzySet):
+    """``_endpoint_chain``'s result computed cut by cut, from the lowest
+    rank up, with the public order and bounds: each cut's members by rank,
+    its bounds as folds of pairwise meets and joins, and the elements
+    between them by ``leq``."""
+    lat, e = m.lattice, m.lattice.elements
+    ends, witness = [], None
+    for r in range(len(m.chain)):
+        cut = [i for i, rank in enumerate(m.ranks) if rank >= r]
+        if not cut:
+            ends.append((None, None))
+            continue
+        lo = hi = e[cut[0]]
+        for i in cut[1:]:
+            lo, hi = lat.meet(lo, e[i]), lat.join(hi, e[i])
+        ends.append((lat.index(lo), lat.index(hi)))
+        omitted = [z for z in range(len(e))
+                   if lat.leq(lo, e[z]) and lat.leq(e[z], hi) and z not in cut]
+        if witness is None and omitted and r in m.ranks:
+            witness = (r, omitted[0])
+    return tuple(ends), witness
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_lattices(), st.data())
+def test_endpoint_chain_matches_a_scan_of_each_cut(case, data):
+    """Ends and witness against a per-cut reference, on fuzzy sets whose
+    chain has ranks no element takes (rank 0 and the top rank included)."""
+    lat = lattice_of(case)
+    chain = (Fraction(0), Fraction(1, 4), H, Fraction(3, 4), Fraction(1))
+    ranks = data.draw(st.lists(st.integers(0, len(chain) - 1), min_size=len(lat),
+                               max_size=len(lat)))
+    m = FuzzySet._from_ranks(lat, chain, tuple(ranks))
+    assert _endpoint_chain(m) == _endpoint_chain_by_cuts(m)
+
+
 @settings(max_examples=150, deadline=None)
 @given(fuzzy_interval_pairs())
 def test_op_results_match_their_endpoint_chains_on_random_lattices(pair):

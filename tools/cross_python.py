@@ -11,10 +11,13 @@ texts, operands that repeat the lattice file inline and spell one grade
 five ways (plain ``"1/2"`` and four that only ``Fraction``'s parser reads),
 and inline lattices that match the lattice file only by their order
 (elements reversed with a transitive cover; covers reordered and repeated)
-or do not match it (another order, not a lattice, a cycle).  Three lattice
-files go through ``validate``: one with a longer cycle, one with repeated
-and transitive covers (also fed to ``op``, which emits its Hasse covers), and
-a non-distributive product carrier, whose witness the command prints.
+or do not match it (another order, not a lattice, a cycle), and the argv
+edge cases of the command dispatch (``ARGV_EDGE_CASES``: help and usage
+errors before and after the command, abbreviations, ``--``, arguments left
+over).  Three lattice files go through ``validate``: one with a longer
+cycle, one with repeated and transitive covers (also fed to ``op``, which
+emits its Hasse covers), and a non-distributive product carrier, whose
+witness the command prints.
 Python 3.10's ``Fraction`` reads no underscores, so there the two calls on
 ``"1_0/20"`` exit 2 where later versions accept the grade.
 Every call's exit code, stdout and stderr must equal the running
@@ -86,6 +89,35 @@ DOCUMENTS.update((f"{key}.json", {"lattice": {"name": "c3", "elements": elements
                                   "memberships": {"0": "1", "1": "1/2", "2": "0"}})
                  for key, (elements, covers) in INLINE_ORDERS.items())
 
+# argv that the CLI parses by a command's own subparser, or by the full
+# parser when no command leads or arguments are left over; each must give
+# the bytes of the full parser alone
+_OP = ["chain3.json", "left.json", "right.json"]
+ARGV_EDGE_CASES: list[list[str]] = [
+    [],
+    ["-h"],
+    ["validate"],
+    ["validate", "n5.json", "extra"],
+    ["validate", "n5.json", "-h"],
+    ["validate", "-h", "n5.json"],
+    ["validate", "n5.json", "--format=json"],
+    ["validate", "n5.json", "--form", "json"],
+    ["validate", "--", "n5.json"],
+    ["op", "--", "meet", *_OP],
+    ["validate", "n5.json", "--format"],
+    ["validate", "n5.json", "--bogus"],
+    ["--bogus", "validate", "n5.json"],
+    ["validate", "n5.json", "--cuts"],
+    ["op", "join", *_OP, "--cuts", "--format", "json"],
+    ["op", "frobnicate", *_OP],
+    ["vali", "n5.json"],
+    ["validate", "n5.json", "--format", "json", "--format", "text"],
+    ["--h"],
+    ["validate", "--h"],
+    ["classify", "--help"],
+    ["laws", "--fixture", "chain2", "--format", "json"],
+]
+
 _SAMPLED = ["laws", "--fixture", "m3", "--grades", "0,1/3,2/3,1", "--budget", "300",
             "--seed", "3"]
 CALLS: list[list[str]] = [
@@ -118,6 +150,7 @@ CALLS: list[list[str]] = [
         ["classify", "chain3.json", f"{key}.json", "--format", "json"])),
     ["--help"],
     ["laws", "--help"],
+    *ARGV_EDGE_CASES,
 ]
 
 

@@ -7,8 +7,10 @@ up, runs one untraced pass over the requests of seed S (default 0), so that
 every cache a request fills is warm, then runs the same requests again
 under ``sys.settrace`` with opcode events on, and checks every output of
 both passes.  Prints one JSON line: the workload, the seed, the total
-opcode count of the traced pass, and the functions with the most opcodes,
-as ``[path:qualified name, count]`` (the plain name before Python 3.11).
+opcode count of the traced pass, the functions with the most opcodes, as
+``[path:qualified name, count]`` (the plain name before Python 3.11), and
+the opcodes of each source file, as ``[path, count]`` from the most (a
+standard-library file by its name alone, such as ``argparse.py``).
 Exits 1 when an output is wrong.
 
 A count does not drift with the host's speed, so it compares two trees of
@@ -58,18 +60,11 @@ def count_pass(workload, requests) -> tuple[Counter, list]:
     return counts, outputs
 
 
-def main(argv: list[str]) -> int:
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
-
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=sorted(WORKLOADS))
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    workload = WORKLOADS[args.workload]()
+def measure(name: str, workload, seed: int) -> dict:
+    """The report of one warm pass of ``workload`` over the requests of
+    ``seed``: what ``main`` prints."""
     try:
-        requests = workload.requests(args.seed)
+        requests = workload.requests(seed)
         workload.setup()
         warm = [workload.execute(request) for request in requests]
         counts, traced = count_pass(workload, requests)
@@ -82,10 +77,25 @@ def main(argv: list[str]) -> int:
     by_name: Counter = Counter()
     for code, count in counts.items():
         by_name[_name(code)] += count
-    print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "opcodes": sum(by_name.values()), "wrong": wrong,
-                      "top": by_name.most_common(TOP)}))
-    return 1 if wrong else 0
+    by_file: Counter = Counter()
+    for qualified, count in by_name.items():
+        by_file[qualified.rpartition(":")[0]] += count
+    return {"workload": name, "seed": seed, "opcodes": sum(by_name.values()), "wrong": wrong,
+            "top": by_name.most_common(TOP), "files": by_file.most_common()}
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+
+    report = measure(args.workload, WORKLOADS[args.workload](), args.seed)
+    print(json.dumps(report))
+    return 1 if report["wrong"] else 0
 
 
 if __name__ == "__main__":
