@@ -109,6 +109,8 @@ def convex_violation(m: FuzzySet):
             a = lat.meet_index(i, j)
             b = lat.join_index(i, j)
             bound = min(vals[a], vals[b])
+            if not bound:  # no grade lies below rank 0
+                continue
             for k in iter_bits(lat.between_mask(a, b)):
                 if vals[k] < bound:
                     return (lat.elements[i], lat.elements[j], lat.elements[k])

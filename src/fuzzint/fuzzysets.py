@@ -13,6 +13,7 @@ chains are first put on the union of the two.  ``values``, ``__call__``,
 
 from __future__ import annotations
 
+import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
@@ -34,6 +35,7 @@ MAX_GRADE_DIGITS = min(getattr(sys, "get_int_max_str_digits", int)() or 4300, 43
 _GRADE_BOUND = 10 ** MAX_GRADE_DIGITS  # numerators and denominators stay below it
 _TOO_LONG = (f"grade has more than {MAX_GRADE_DIGITS} digits "
              "in its numerator or denominator")
+_STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")  # one not between two digits
 
 
 def as_grade(value) -> Fraction:
@@ -48,11 +50,17 @@ def as_grade(value) -> Fraction:
     digits above and below the bar.  A string whose exponent alone exceeds
     that many is refused before ``Fraction`` computes ten to its power.  A
     ``Fraction`` that passes these checks is returned itself.
+
+    A string may put an underscore only between two digits, as in
+    ``"1_0/20"``, which is where ``Fraction`` reads one from Python 3.11
+    on.  The underscores are checked and dropped before ``Fraction`` reads
+    the string, so every version accepts the same strings; an underscore
+    anywhere else is refused.
     """
     if isinstance(value, (bool, float)):
         raise InvalidGrade(f"refusing {type(value).__name__} grade {value!r}; "
                            "pass a Fraction or a string")
-    plain = False
+    plain, text = False, value
     if isinstance(value, str):
         # plain ASCII "n" or "n/d" skips Fraction's regex; its refusals ("1/0",
         # too many digits for int()) raise inside the try, as the regex's do
@@ -64,9 +72,13 @@ def as_grade(value) -> Fraction:
             if sep and digits.isdecimal() and (len(digits) > len(str(MAX_GRADE_DIGITS))
                                                or int(digits) > MAX_GRADE_DIGITS):
                 raise InvalidGrade(f"grade {value!r} has an exponent beyond {MAX_GRADE_DIGITS}")
+            if "_" in value:
+                if _STRAY_UNDERSCORE.search(value):
+                    raise InvalidGrade(f"cannot parse grade {value!r}")
+                text = value.replace("_", "")
     try:
         grade = (Fraction(int(num), int(den) if bar else 1) if plain
-                 else value if type(value) is Fraction else Fraction(value))
+                 else value if type(value) is Fraction else Fraction(text))
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InvalidGrade(f"cannot parse grade {value!r}") from exc
     if abs(grade.numerator) >= _GRADE_BOUND or grade.denominator >= _GRADE_BOUND:

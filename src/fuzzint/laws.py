@@ -11,7 +11,8 @@ Loops are exhaustive while the instance count fits the budget (default
 ``random.Random(seed).getrandbits``: the index tuples that per-coordinate
 ``randrange`` calls would give, in the same order (see :func:`_sample`),
 and the check is marked ``sampled(...)``.  Each (count, arity) space is
-drawn once per call and read by every law over it.  The budget caps the
+drawn once per call, its columns (one per coordinate) built beside it, and
+read by every law over it.  The budget caps the
 probes only: the op tables and the closure checks still cover all n²
 pairs.  A budget that is not a positive int (a bool included) is refused
 with ``ValueError``.
@@ -34,10 +35,13 @@ arbitrary collection of distinct members and its ops; only
 ``check_lattice_axioms`` evaluates its ``leq_op`` pairwise.
 
 :func:`_run_law` decides each law by one route: whole rows in exhaustive
-mode, a verdict reused from another law (``*-cut-family-intersection`` and
-``paired-*``; see :func:`_cut_identities` and :func:`_endpoint_lemmas`),
+mode; in sampled mode, the law's two sides over the draw's columns,
+gathered from the op tables at C level with no Python frame per draw; a
+verdict reused from another law (``*-cut-family-intersection`` and
+``paired-*``; see :func:`_cut_identities` and :func:`_endpoint_lemmas`);
 or a scan of the planned instances.  Each gives the status, ``checked``
-and witness that the scan would.
+and witness that the scan would, and the row and column routes probe only
+the first failing tuple, for its detail.
 """
 
 from __future__ import annotations
@@ -249,15 +253,22 @@ def _require_positive(budget: int) -> None:
 
 def _planner(budget: int, seed: int) -> Callable:
     """``plan(count, arity)`` -> (index tuples, mode): all of them while they
-    fit the budget, else the :func:`_sample` of the space, drawn once."""
+    fit the budget, else the :func:`_sample` of the space, drawn once.
+    ``plan.columns(count, arity)`` is that sample by position, one tuple of
+    indices per coordinate, built once beside the draw."""
     draws = min(budget, SAMPLE_SIZE)
-    sample = functools.cache(lambda count, arity: _sample(count, arity, draws, seed))
+
+    @functools.cache
+    def sample(count: int, arity: int):
+        tuples = _sample(count, arity, draws, seed)
+        return tuples, list(zip(*tuples))
 
     def plan(count: int, arity: int):
         total = count ** arity
         if total <= budget:
             return itertools.product(range(count), repeat=arity), "exhaustive"
-        return sample(count, arity), f"sampled({draws} of {total}, seed={seed})"
+        return sample(count, arity)[0], f"sampled({draws} of {total}, seed={seed})"
+    plan.columns = lambda count, arity: sample(count, arity)[1]
     return plan
 
 
@@ -294,9 +305,21 @@ def _record(report: LawReport, items: Sequence, law: str, checked: int, tup, det
                                   asserted, note, mode))
 
 
+def _gather(table, rows, columns) -> list:
+    """``[table[i][j] for i, j in zip(rows, columns)]``, read at C level:
+    no Python frame per pair.  The rows of ``table`` are lists."""
+    return list(map(list.__getitem__, map(table.__getitem__, rows), columns))
+
+
+def _first_difference(lhs: Sequence, rhs: Sequence) -> int:
+    """The first position where two unequal sequences of one length differ."""
+    return list(map(operator.ne, lhs, rhs)).index(True)
+
+
 def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
              probe: Callable, *, plan: Callable, asserted: bool = True, note: str = "",
-             verdict: str | tuple | None = None, row: Callable | None = None) -> str | tuple:
+             verdict: str | tuple | None = None, row: Callable | None = None,
+             sides: Callable | None = None) -> str | tuple:
     """Evaluate ``probe`` over index tuples; record the first failure.
 
     ``probe`` returns None for a pass and a detail (possibly "") for a fail.
@@ -310,6 +333,13 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
       enumeration order; a pass counts every instance, and the first
       differing tuple alone is probed, with its lexicographic position + 1
       as ``checked``.
+    - ``sides``, on a sampled plan with no ``verdict`` given: ``sides``
+      takes the draw's columns, ``plan.columns(n, arity)``, one per
+      coordinate, and gives the two sides of the law as two lists over
+      every draw, equal exactly where the law holds, gathered from the op
+      tables at C level (see :func:`_gather`).  Equal sides pass with
+      every draw counted; otherwise the first differing draw alone is
+      probed, with its position in the draw + 1 as ``checked``.
     - ``verdict``, given when another route has decided the law over this
       plan: ``"pass"`` counts the planned instances without probing them,
       and ``(checked, tup)`` names the first failing tuple and the
@@ -324,14 +354,21 @@ def _run_law(report: LawReport, items: Sequence, law: str, arity: int,
     """
     n = len(items)
     instances, mode = plan(n, arity)
-    if row is not None and mode == "exhaustive":
+    if mode == "exhaustive":
+        if row is not None:
+            verdict = "pass"
+            for key in itertools.product(range(n), repeat=arity - 1):
+                lhs, rhs = row(*key)
+                if lhs != rhs:
+                    tup = key + (_first_difference(lhs, rhs),)
+                    verdict = functools.reduce(lambda acc, i: acc * n + i, tup) + 1, tup
+                    break
+    elif sides is not None and verdict is None:
+        lhs, rhs = sides(*plan.columns(n, arity))
         verdict = "pass"
-        for key in itertools.product(range(n), repeat=arity - 1):
-            lhs, rhs = row(*key)
-            if lhs != rhs:
-                tup = key + (next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b),)
-                verdict = functools.reduce(lambda acc, i: acc * n + i, tup) + 1, tup
-                break
+        if lhs != rhs:
+            k = _first_difference(lhs, rhs)
+            verdict = k + 1, instances[k]
     tup = detail = None
     if verdict == "pass":
         checked = n ** arity if mode == "exhaustive" else len(instances)
@@ -454,6 +491,11 @@ class _OpTables:
         maps = [row.ljust(256, b"\0") for row in rows]
         return bytes, rows, lambda i, s: s.translate(maps[i])
 
+    def op_views(self) -> tuple:
+        """The join and the meet, each as ``(op, table, row_ops(table))``."""
+        return ((self.join, self.join_t, self.row_ops(self.join_t)),
+                (self.meet, self.meet_t, self.row_ops(self.meet_t)))
+
 
 def check_lattice_axioms(collection, join_op, meet_op, leq_op, *,
                          suite: str = "axioms", lattice_name: str = "",
@@ -492,69 +534,75 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
     (upper-bound, lower-bound) bitmask rows of the independent order.
 
     Commutativity and order consistency compare table entries as their
-    probes do, so their rows are exact over any table; absorption and
-    associativity read the table at an op result, so they get rows only
-    when that op stays in the collection.
+    probes do, so their rows and sides are exact over any table;
+    absorption and associativity read the table at an op result, so they
+    get rows and sides only when that op stays in the collection.
 
-    The bound laws and the join oracle get rows over any table too.  A
-    bound row takes, per j, the probe's own test: the common row ``c``
-    holds the result k, and no bound of ``c`` lies outside ``rows[k]``.
-    ``c`` has bits below n only, so a result outside the collection fails
-    the first test, as the probe fails it, and ``rows[k]`` is read only
-    inside.  The oracle row holds, per j, the meet-fold of the common upper
-    bounds, in the probe's bit order and with its exit when the fold
-    leaves the collection, or None for no bound or that exit; it equals the
-    join's index exactly where the probe passes, since a fold inside the
-    collection never equals an index outside.  Each distinct mask is
-    folded once per call, for the rows and the probes alike.
+    The bound laws and the join oracle get rows and sides over any table
+    too.  A bound row takes, per j, the probe's own test: the common row
+    ``c`` holds the result k, and no bound of ``c`` lies outside
+    ``rows[k]``.  ``c`` has bits below n only, so a result outside the
+    collection fails the first test, as the probe fails it, and ``rows[k]``
+    is read only inside.  The oracle row holds, per j, the meet-fold of the
+    common upper bounds, in the probe's bit order and with its exit when
+    the fold leaves the collection, or None for no bound or that exit; it
+    equals the join's index exactly where the probe passes, since a fold
+    inside the collection never equals an index outside.  Each distinct
+    mask is folded once per call, for the rows, the sides and the probes
+    alike.  The sides of each law hold, per drawn tuple, what its row holds
+    per last index.
     """
-    items, J, M = tabs.items, tabs.join, tabs.meet
-    n, jt, mt = tabs.n, tabs.join_t, tabs.meet_t
-    join_ops, meet_ops = tabs.row_ops(jt), tabs.row_ops(mt)
+    items, n, jt, mt = tabs.items, tabs.n, tabs.join_t, tabs.meet_t
+    join, meet = tabs.op_views()
     leq_rows, down_rows = rows
 
     _record(report, items, "closure-join", n * n, tabs.closure_join, None)
     _record(report, items, "closure-meet", n * n, tabs.closure_meet, None)
-    run = lambda law, arity, probe, row=None: _run_law(  # noqa: E731
-        report, items, law, arity, probe, plan=plan, row=row)
+    run = lambda law, arity, probe, row=None, sides=None: _run_law(  # noqa: E731
+        report, items, law, arity, probe, plan=plan, row=row, sides=sides)
 
-    def commutativity(table, ops):
-        """(probe, row); the rows are row i and column i of ``table``."""
-        seq, rows, _ = ops
+    def commutativity(op):
+        """(probe, row, sides); the rows are row i and column i of the table."""
+        _, table, (seq, rows, _) = op
         return (lambda i, j: None if table[i][j] == table[j][i] else "",
-                lambda i: (rows[i], seq(map(operator.itemgetter(i), table))))
+                lambda i: (rows[i], seq(map(operator.itemgetter(i), table))),
+                lambda I, J: (_gather(table, I, J), _gather(table, J, I)))
 
-    run("commutativity-join", 2, *commutativity(jt, join_ops))
-    run("commutativity-meet", 2, *commutativity(mt, meet_ops))
+    run("commutativity-join", 2, *commutativity(join))
+    run("commutativity-meet", 2, *commutativity(meet))
     run("idempotence-join", 1, lambda i: None if jt[i][i] == i else "")
     run("idempotence-meet", 1, lambda i: None if mt[i][i] == i else "")
 
-    def assoc(op, ops, closed):
-        """(probe, row); the rows are a(b c) and (a b)c over every c."""
-        _, rows, compose = ops
+    def assoc(op, closed):
+        """(probe, row, sides); the rows are a(b c) and (a b)c over every c."""
+        op, table, (_, rows, compose) = op
 
         def row(i, j):
             return compose(i, rows[j]), rows[rows[i][j]]
+
+        def sides(I, J, K):
+            return _gather(table, I, _gather(table, J, K)), _gather(table, _gather(table, I, J), K)
         return (lambda i, j, k: None if op(i, op(j, k)) == op(op(i, j), k) else "",
-                row if closed else None)
+                *((row, sides) if closed else (None, None)))
 
-    run("associativity-join", 3, *assoc(J, join_ops, tabs.closure_join is None))
-    run("associativity-meet", 3, *assoc(M, meet_ops, tabs.closure_meet is None))
+    run("associativity-join", 3, *assoc(join, tabs.closure_join is None))
+    run("associativity-meet", 3, *assoc(meet, tabs.closure_meet is None))
 
-    def absorption(outer, inner, outer_ops, inner_ops, closed):
-        """(probe, row) for outer(a, inner(a, b)) == a; the rows are
+    def absorption(outer, inner, closed):
+        """(probe, row, sides) for outer(a, inner(a, b)) == a; the rows are
         outer(a, inner(a, b)) over every b and a repeated."""
-        seq, _, compose = outer_ops
-        inner_rows = inner_ops[1]
+        (outer, outer_t, (seq, _, compose)), (inner, inner_t, (_, inner_rows, _)) = outer, inner
 
         def row(i):
             return compose(i, inner_rows[i]), seq((i,)) * n
-        return lambda i, j: None if outer(i, inner(i, j)) == i else "", row if closed else None
 
-    run("absorption-meet-join", 2,
-        *absorption(M, J, meet_ops, join_ops, tabs.closure_join is None))
-    run("absorption-join-meet", 2,
-        *absorption(J, M, join_ops, meet_ops, tabs.closure_meet is None))
+        def sides(I, J):
+            return _gather(outer_t, I, _gather(inner_t, I, J)), list(I)
+        return (lambda i, j: None if outer(i, inner(i, j)) == i else "",
+                *((row, sides) if closed else (None, None)))
+
+    run("absorption-meet-join", 2, *absorption(meet, join, tabs.closure_join is None))
+    run("absorption-join-meet", 2, *absorption(join, meet, tabs.closure_meet is None))
 
     def order_consistency(i, j):
         ordered = leq_rows[i] >> j & 1 == 1
@@ -567,14 +615,20 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
         return (list(zip(map(i.__eq__, mt[i]), map(int.__eq__, jt[i], range(n)))),
                 list(zip(ordered, ordered)))
 
-    run("order-consistency", 2, order_consistency, order_row)
+    def order_sides(I, J):
+        """Per drawn (i, j), what ``order_row(i)`` holds at j."""
+        ordered = list(map((1).__and__, map(int.__rshift__, map(leq_rows.__getitem__, I), J)))
+        return (list(zip(map(int.__eq__, _gather(mt, I, J), I),
+                         map(int.__eq__, _gather(jt, I, J), J))), list(zip(ordered, ordered)))
+
+    run("order-consistency", 2, order_consistency, order_row, order_sides)
 
     every = [True] * n
 
     def nearest_bound(rows, table, op, bound, nearer):
-        """(probe, row) that ``table`` gives each pair its nearest common
-        ``bound`` (least upper, greatest lower), ``rows[i]`` holding the
-        bounds of i; a result outside the collection is in no row."""
+        """(probe, row, sides) that ``table`` gives each pair its nearest
+        common ``bound`` (least upper, greatest lower), ``rows[i]`` holding
+        the bounds of i; a result outside the collection is in no row."""
         def probe(i, j):
             common = rows[i] & rows[j]
             k = table[i][j]
@@ -590,7 +644,12 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
             ri = rows[i]
             return ([(c := ri & rj) >> k & 1 and not c & ~rows[k]
                      for rj, k in zip(rows, table[i])], every)
-        return probe, row
+
+        def sides(I, J):
+            """Per drawn (i, j), what ``row(i)`` holds at j."""
+            return ([(c := rows[i] & rows[j]) >> k & 1 and not c & ~rows[k]
+                     for i, j, k in zip(I, J, _gather(table, I, J))], [True] * len(I))
+        return probe, row, sides
 
     run("join-least-upper-bound", 2,
         *nearest_bound(leq_rows, jt, "join", "upper bound", "smaller"))
@@ -627,7 +686,12 @@ def _lattice_axioms(report: LawReport, tabs: _OpTables, rows: tuple, *,
         ri = leq_rows[i]
         return [folds[c] if (c := ri & rj) in folds else fold(c) for rj in leq_rows], jt[i]
 
-    run("join-definitional-oracle", 2, join_oracle, oracle_row)
+    def oracle_sides(I, J):
+        """Per drawn (i, j), what ``oracle_row(i)`` holds at j."""
+        return ([folds[c] if (c := leq_rows[i] & leq_rows[j]) in folds else fold(c)
+                 for i, j in zip(I, J)], _gather(jt, I, J))
+
+    run("join-definitional-oracle", 2, join_oracle, oracle_row, oracle_sides)
 
     return report
 
@@ -658,24 +722,28 @@ def _distributivity(report: LawReport, tabs: _OpTables, *, asserted: bool,
     """
     note = ("" if asserted else
             "hypothesis not met (reference lattice not distributive); finding only")
-    items, J, M = tabs.items, tabs.join, tabs.meet
-    closed = tabs.closure_join is None and tabs.closure_meet is None
+    items, closed = tabs.items, tabs.closure_join is None and tabs.closure_meet is None
+    join, meet = tabs.op_views()
 
-    join_ops, meet_ops = tabs.row_ops(tabs.join_t), tabs.row_ops(tabs.meet_t)
-
-    def law(outer, inner, outer_ops, inner_ops):
-        """(probe, row) for outer(a, inner(b, c)) == inner(outer(a, b), outer(a, c))."""
-        (_, outer_rows, outer_of), (_, inner_rows, inner_of) = outer_ops, inner_ops
+    def law(outer, inner):
+        """(probe, row, sides) for outer(a, inner(b, c)) == inner(outer(a, b),
+        outer(a, c)), each op an :meth:`_OpTables.op_views` entry."""
+        (outer, ot, (_, outer_rows, outer_of)), (inner, it, (_, inner_rows, inner_of)) = outer, inner
 
         def row(i, j):
             a_outer = outer_rows[i]
             return outer_of(i, inner_rows[j]), inner_of(a_outer[j], a_outer)
-        return (lambda i, j, k: None if outer(i, inner(j, k)) == inner(outer(i, j), outer(i, k))
-                else "", row if closed else None)
 
-    for name, (probe, row) in (("meet-over-join", law(M, J, meet_ops, join_ops)),
-                               ("join-over-meet", law(J, M, join_ops, meet_ops))):
-        _run_law(report, items, name, 3, probe, plan=plan, asserted=asserted, note=note, row=row)
+        def sides(I, J, K):
+            return (_gather(ot, I, _gather(it, J, K)),
+                    _gather(it, _gather(ot, I, J), _gather(ot, I, K)))
+        return (lambda i, j, k: None if outer(i, inner(j, k)) == inner(outer(i, j), outer(i, k))
+                else "", *((row, sides) if closed else (None, None)))
+
+    for name, (probe, row, sides) in (("meet-over-join", law(meet, join)),
+                                      ("join-over-meet", law(join, meet))):
+        _run_law(report, items, name, 3, probe, plan=plan, asserted=asserted, note=note, row=row,
+                 sides=sides)
     return report
 
 
@@ -738,13 +806,15 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
     only its failing tuple, for its ``P = {r, s}``.
 
     The other laws' rows read, per item i and grade rank r, the masks of
-    op(cut_i, cut_j) at r over every j, built on first read.  Every item's
+    op(cut_i, cut_j) at r over every j, built on first read; their sides
+    read the same masks over the drawn pairs, one column per rank, built
+    once per draw and crisp table for all six laws.  Every item's
     thresholds include the top rank, and between two of them its cut equals
     the cut at the next one up.  So between two points of a threshold
     union, each cut it covers is constant, and a law over that union holds
-    at every rank exactly when it holds at the union's points: rows over
-    every rank are exact for the antitone and at-zero laws over the
-    operands' thresholds, and, comparing the result's cut too, for the
+    at every rank exactly when it holds at the union's points: rows and
+    sides over every rank are exact for the antitone and at-zero laws over
+    the operands' thresholds, and, comparing the result's cut too, for the
     identities over the operands' and the result's thresholds.
     """
     chain, fis = report.grades, tabs.items
@@ -762,19 +832,28 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
         for r in iter_bits(ranks[i] | ranks[j] | also):
             yield r, crisp_masks[table[ci[r]][cj[r]]]
 
-    def mask_rows(table):
-        """``rows(i)``: per grade rank r, the masks of op(cut_i, cut_j) at r
-        over every j; built on first read, so only on an exhaustive plan."""
-        columns = list(zip(*cuts))  # by grade rank, every item's cut
+    def masks_of(table):
+        """``(rows, columns)``, the masks of op(cut_i, cut_j) per grade rank
+        r: ``rows(i)`` over every j, and ``columns(I, J)`` over the drawn
+        pairs ``zip(I, J)``, each built on first read, so rows only on an
+        exhaustive plan and columns once per draw, for every law here."""
+        by_rank = list(zip(*cuts))  # by grade rank, every item's cut
 
         @functools.cache
         def rows(i):
             return [list(map(crisp_masks.__getitem__, map(table[c].__getitem__, column)))
-                    for c, column in zip(cuts[i], columns)]
-        return rows
+                    for c, column in zip(cuts[i], by_rank)]
 
-    def identity(table, fi_table, rows):
-        """(probe, row); the probe reads the result's thresholds too."""
+        @functools.cache
+        def columns(I, J):
+            return [list(map(crisp_masks.__getitem__,
+                             _gather(table, map(column.__getitem__, I),
+                                     map(column.__getitem__, J))))
+                    for column in by_rank]
+        return rows, columns
+
+    def identity(table, fi_table, rows, columns):
+        """(probe, row, sides); the probe reads the result's thresholds too."""
         def probe(i, j):
             k = fi_table[i][j]
             cut_masks = pointwise[k]
@@ -783,12 +862,14 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
                     return f"threshold {format_grade(chain[r])}"
             return None
 
-        def row(i):
-            return list(map(pointwise.__getitem__, fi_table[i])), list(zip(*rows(i)))
-        return probe, row
+        def compare(results, masks):
+            """Each result's cut masks against the op's, per pair."""
+            return list(map(pointwise.__getitem__, results)), list(zip(*masks))
+        return (probe, lambda i: compare(fi_table[i], rows(i)),
+                lambda I, J: compare(_gather(fi_table, I, J), columns(I, J)))
 
-    def family_laws(table, rows):
-        """(probe, row) of the antitone and the at-zero law, and the
+    def family_laws(table, rows, columns):
+        """(probe, row, sides) of the antitone and the at-zero law, and the
         intersection probe."""
         def antitone(i, j):
             masks = [mask for _, mask in family(i, j, table)]
@@ -797,9 +878,8 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
                     return "family grows with the threshold"
             return None
 
-        def antitone_row(i):
-            """Per j, higher & lower against higher over consecutive ranks."""
-            masks = rows(i)
+        def nested(masks):
+            """Per pair, higher & lower against higher over consecutive ranks."""
             kept = [map(int.__and__, higher, lower) for lower, higher in zip(masks, masks[1:])]
             return list(zip(*kept)), list(zip(*masks[1:]))
 
@@ -811,16 +891,18 @@ def _cut_identities(report: LawReport, lattice: FiniteLattice, tabs: _OpTables,
             pairs, which is complete (see :func:`_first_failing_pair`)."""
             return _first_failing_pair(chain, family(i, j, table), int.__and__)
 
-        return ((antitone, antitone_row), (at_zero, lambda i: (rows(i)[0], [full] * n)),
+        return ((antitone, lambda i: nested(rows(i)), lambda I, J: nested(columns(I, J))),
+                (at_zero, lambda i: (rows(i)[0], [full] * n),
+                 lambda I, J: (columns(I, J)[0], [full] * len(I))),
                 closed_under_intersection)
 
-    run = lambda law, probe, row=None, verdict=None: _run_law(  # noqa: E731
-        report, fis, law, 2, probe, plan=plan, row=row, verdict=verdict)
-    rows = {"meet": mask_rows(crisp.meet_t), "join": mask_rows(crisp.join_t)}
-    run("meet-cut-identity", *identity(crisp.meet_t, tabs.meet_t, rows["meet"]))
-    run("join-cut-identity", *identity(crisp.join_t, tabs.join_t, rows["join"]))
+    run = lambda law, probe, row=None, sides=None, verdict=None: _run_law(  # noqa: E731
+        report, fis, law, 2, probe, plan=plan, row=row, sides=sides, verdict=verdict)
+    masks = {"meet": masks_of(crisp.meet_t), "join": masks_of(crisp.join_t)}
+    run("meet-cut-identity", *identity(crisp.meet_t, tabs.meet_t, *masks["meet"]))
+    run("join-cut-identity", *identity(crisp.join_t, tabs.join_t, *masks["join"]))
     for op_name, table in (("meet", crisp.meet_t), ("join", crisp.join_t)):
-        antitone, at_zero, closed = family_laws(table, rows[op_name])
+        antitone, at_zero, closed = family_laws(table, *masks[op_name])
         antitone_verdict = run(f"{op_name}-cut-family-antitone", *antitone)
         run(f"{op_name}-cut-family-at-zero", *at_zero)
         run(f"{op_name}-cut-family-intersection", closed, verdict=antitone_verdict)

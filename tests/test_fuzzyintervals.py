@@ -20,6 +20,7 @@ from fuzzint import fuzzyintervals
 from fuzzint.fuzzyintervals import (_endpoint_chain, convex_violation,
                                     interval_cut_violation, sublattice_violation)
 from fuzzint.intervals import _IntervalCodes
+from fuzzint.lattice import iter_bits
 from fuzzint.laws import enumerate_fuzzy_intervals, enumerate_intervals
 
 H = Fraction(1, 2)
@@ -104,6 +105,48 @@ def test_classify_matches_the_full_ladder(chain3, b2, diamond, pentagon):
             labels[got.label] += 1
     # every rung that finite carriers can reach is exercised
     assert set(labels) == {"fuzzy-interval", "fuzzy-sublattice", "none"}
+
+
+def _convex_violation_walking_every_segment(m: FuzzySet):
+    """``convex_violation`` as it was before it skipped the segments whose
+    bound is rank 0: every z of every [x⊓y, x⊔y] is read."""
+    pair = sublattice_violation(m)
+    if pair is not None:
+        return pair
+    lat, vals = m.lattice, m.ranks
+    n = len(lat.elements)
+    for i in range(n):
+        for j in range(i, n):
+            a = lat.meet_index(i, j)
+            b = lat.join_index(i, j)
+            bound = min(vals[a], vals[b])
+            for k in iter_bits(lat.between_mask(a, b)):
+                if vals[k] < bound:
+                    return (lat.elements[i], lat.elements[j], lat.elements[k])
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_lattices(), st.booleans(), st.data())
+def test_convex_violation_matches_a_walk_of_every_segment(case, accepted, data):
+    """The witness, or None, equals the full walk's: on fuzzy sets with
+    drawn grades, mostly rejected, and on fuzzy intervals drawn cut by cut,
+    all accepted."""
+    lat = lattice_of(case)
+    if accepted:
+        values, cut = [Fraction(0)] * len(lat), CrispInterval.whole(lat)
+        for grade in GRADES4[1:]:
+            cut = cut & data.draw(st.sampled_from(enumerate_intervals(lat)))
+            for x in cut.members():
+                values[lat.index(x)] = grade
+    else:
+        values = data.draw(st.lists(st.sampled_from(GRADES4), min_size=len(lat),
+                                    max_size=len(lat)))
+    m = FuzzySet.from_values(lat, values)
+    witness = convex_violation(m)
+    assert witness == _convex_violation_walking_every_segment(m)
+    if accepted:
+        assert witness is None
 
 
 def test_convex_equals_interval_on_finite_carriers(diamond, pentagon):

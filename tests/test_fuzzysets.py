@@ -10,6 +10,7 @@ from conftest import GRADES3, GRADES4, enumerate_fuzzy_sets
 from fuzzint import (CutFamily, FiniteLattice, FuzzyInterval, FuzzySet, InvalidFamily,
                      InvalidGrade, LatticeMismatch, UnknownElement, as_grade, chain,
                      equal_by_cuts, format_grade, from_cut_family)
+from fuzzint import fuzzysets
 from fuzzint.fuzzysets import MAX_GRADE_DIGITS, _grade_chain, _merge_chains, meet_family
 from fuzzint.laws import check_distributivity, check_lattice_axioms
 
@@ -122,6 +123,55 @@ def test_as_grade_matches_the_regex_route_on_every_string(text):
         got = str(exc)
     expected = _regex_route(text)
     assert got == expected and type(got) is type(expected)
+
+
+@st.composite
+def underscored_grades(draw):
+    """``(text, grade)``: a grade in [0, 1] written ``n/d`` or ``0.ddd`` in
+    ASCII digits, with one to four underscores drawn into any positions,
+    a repeated position giving two in a row."""
+    den = draw(st.integers(1, 10 ** 6))
+    num = draw(st.integers(0, den))
+    if draw(st.booleans()):
+        text, grade = f"{num}/{den}", Fraction(num, den)
+    else:
+        digits = draw(st.text("0123456789", min_size=1, max_size=8))
+        text, grade = f"0.{digits}", Fraction(int(digits), 10 ** len(digits))
+    chars = list(text)
+    for pos in sorted(draw(st.lists(st.integers(0, len(text)), min_size=1, max_size=4)),
+                      reverse=True):
+        chars.insert(pos, "_")
+    return "".join(chars), grade
+
+
+@settings(max_examples=300, deadline=None)
+@given(underscored_grades())
+@example(("1_0/20", H))
+@example(("1__0/20", H))
+def test_as_grade_reads_an_underscore_only_between_two_digits(case):
+    """The stated grammar, not the running ``Fraction``: a string whose
+    every underscore has a digit on either side reads as the grade written
+    without them, on every Python version; any other is refused."""
+    text, grade = case
+    between_digits = all(0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit()
+                         for i, ch in enumerate(text) if ch == "_")
+    if between_digits:
+        assert as_grade(text) == grade
+    else:
+        with pytest.raises(InvalidGrade) as exc:
+            as_grade(text)
+        assert str(exc.value) == f"cannot parse grade {text!r}"
+
+
+def test_as_grade_hands_fraction_no_underscore(monkeypatch):
+    """``Fraction`` before Python 3.11 reads no underscores, so ``as_grade``
+    drops them first: here under a ``Fraction`` that refuses them."""
+    def fraction(*args):
+        if any(isinstance(arg, str) and "_" in arg for arg in args):
+            raise ValueError("no underscores before Python 3.11")
+        return Fraction(*args)
+    monkeypatch.setattr(fuzzysets, "Fraction", fraction)
+    assert [as_grade(text) for text in ("1_0/20", "0.2_5", "2_5e-2")] == [H] + [Fraction(1, 4)] * 2
 
 
 @pytest.mark.parametrize("value", [True, False])

@@ -711,8 +711,8 @@ def _probe_calls_by_law(monkeypatch):
     return calls
 
 
-# laws that an exhaustive run decides from whole rows, probing no more than
-# the first failing tuple
+# laws that an exhaustive run decides from whole rows and a sampled run from
+# the columns of its draw, probing no more than the first failing tuple
 ROW_LAWS = ("commutativity-join", "commutativity-meet", "absorption-meet-join",
             "absorption-join-meet", "order-consistency", "join-least-upper-bound",
             "meet-greatest-lower-bound", "join-definitional-oracle", "associativity-join",
@@ -723,23 +723,22 @@ ROW_LAWS = ("commutativity-join", "commutativity-meet", "absorption-meet-join",
 
 
 def test_row_decided_laws_probe_only_a_witness(monkeypatch, chain3):
-    """Over chain3 x {0,1/2,1} a sampled run probes every drawn instance of
-    a row-decided law up to its first failure.  An exhaustive run probes no
-    instance of one that passes and one tuple of each that fails: the
-    distributive laws, over the fuzzy and the crisp intervals (criterion
-    7).  So is an identity that fails only at a result's threshold,
-    between those of its operands."""
+    """Over chain3 x {0,1/2,1} every table is closed, so each law here is
+    decided from rows over an exhaustive plan and from the draw's columns
+    over a sampled one.  Either way a run probes no instance of a law that
+    passes and one tuple of each that fails: the distributive laws, over
+    the fuzzy and the crisp intervals (criterion 7).  So is an identity
+    that fails only at a result's threshold, between those of its
+    operands."""
     calls = _probe_calls_by_law(monkeypatch)
     for budget in (SAMPLED, {}):
         calls.clear()
         expected = Counter()
         for c in (c for r in run_suite("all", chain3, GRADES3, **budget) for c in r.checks):
-            if c.law in DECIDED_LAWS or c.law in ROW_LAWS and c.mode == "exhaustive":
+            if c.law in DECIDED_LAWS or c.law in ROW_LAWS:
                 expected[c.law] += c.status == "fail"
-            elif c.law in ROW_LAWS:
-                expected[c.law] += c.checked
         assert {law: calls[law] for law in expected} == expected, budget
-    assert sum(expected.values()) == 4  # the two distributive laws, over both collections
+        assert sum(expected.values()) == 4, budget  # the distributive laws, both collections
 
     monkeypatch.setattr(FuzzyInterval, "meet", FI_OP_FAULTS["meet-lifts-crisp-squares"][0])
     calls.clear()
@@ -759,7 +758,10 @@ def test_a_decided_failure_the_probe_passes_is_a_disagreement(chain2):
 
     Rows decide a law only over an exhaustive plan: there the first
     differing tuple alone is probed, and ``checked`` is its lexicographic
-    position + 1; a sampled plan never reads a row and scans its draws."""
+    position + 1; a sampled plan never reads a row and scans its draws.
+    Sides decide one only over a sampled plan with no verdict given: there
+    the first differing draw alone is probed, and ``checked`` is its
+    position in the draw + 1."""
     items = enumerate_intervals(chain2)
     report = LawReport("crisp", "chain2")
     exhaustive = laws._planner(laws.DEFAULT_BUDGET, 0)
@@ -801,6 +803,36 @@ def test_a_decided_failure_the_probe_passes_is_a_disagreement(chain2):
     with pytest.raises(RouteDisagreement, match="some-law"):
         laws._run_law(report, items, "some-law", 2, probe, plan=exhaustive,
                       row=differing_at((0, 3)))
+
+    draws = sampled(4, 2)[0]
+
+    def differing_on(*bad):
+        """Sides over the draw's columns that differ at each tuple in ``bad``."""
+        def sides(I, J):
+            assert list(zip(I, J)) == draws
+            return [0] * len(I), [int(tup in bad) for tup in zip(I, J)]
+        return sides
+
+    failing = [tup for tup in draws if probe(*tup) is not None]
+    passing = [tup for tup in draws if probe(*tup) is None]
+    assert failing and passing  # the five draws hit (2, 1) and miss some other pair
+    probed.clear()
+    got = laws._run_law(report, items, "some-law", 2, probe, plan=sampled,
+                        sides=differing_on(failing[0], draws[-1]))
+    assert got == (draws.index(failing[0]) + 1, failing[0]) == _verdict_of(report.checks[-1])
+    assert probed == [failing[0]]
+    assert laws._run_law(report, items, "some-law", 2, probe, plan=sampled,
+                         sides=differing_on()) == "pass"
+    assert (report.checks[-1].checked, probed) == (5, [failing[0]])
+    with pytest.raises(RouteDisagreement, match="some-law"):
+        laws._run_law(report, items, "some-law", 2, probe, plan=sampled,
+                      sides=differing_on(passing[0]))
+    # an exhaustive plan never reads the sides, and a given verdict wins over them
+    probed.clear()
+    laws._run_law(report, items, "some-law", 2, probe, plan=exhaustive, sides=unread_row)
+    assert (report.checks[-1].checked, probed[-1]) == (2 * 4 + 1 + 1, (2, 1))
+    assert laws._run_law(report, items, "some-law", 2, probe, plan=sampled, verdict="pass",
+                         sides=unread_row) == "pass"
 
 
 
@@ -903,6 +935,53 @@ def test_fuzzy_op_faults_keep_their_cut_identity_reports(monkeypatch, fault, cha
         if (fault, lattice.name, mode) == ("meet-lifts-crisp-squares", "chain4", "sampled"):
             expected = {}  # the sample draws no crisp square
         assert failed == expected, (lattice, mode)
+
+
+def test_sampled_columns_match_a_scan_under_every_fault(monkeypatch, chain3, diamond):
+    """Over a sampled plan the laws with sides are decided from the draw's
+    columns; each report equals the one a scan of the draw with no sides
+    gives.  Under each fault of the fuzzy-interval ops and of the crisp
+    ops, and none, over chain3 and m3 x {0,1/2,1} at a budget of 300; and
+    over the ints under max and min with drawn faults in 60 entries per
+    op, closed, and with some results outside the collection."""
+    run_law = laws._run_law
+    rng = random.Random(0)
+    n = 40
+    closed = {op: _planted(op, n, {(rng.randrange(n), rng.randrange(n)): rng.randrange(n)
+                                   for _ in range(60)}) for op in (max, min)}
+    leaving = {op: _planted(op, n + 1, {(rng.randrange(n), rng.randrange(n)): n
+                                        for _ in range(20)}) for op in (max, min)}
+    faults = ([("fi", fault) for fault in sorted(FI_OP_FAULTS)]
+              + [("crisp", fault) for fault in sorted(CUT_FAMILY_FAULTS)] + [(None, None)])
+    reports = []
+    for scan in (False, True):
+        if scan:  # the same laws with no sides given, so each draw is scanned
+            monkeypatch.setattr(laws, "_run_law",
+                                lambda *args, sides=None, **kw: run_law(*args, **kw))
+        got = []
+        for kind, fault in faults:
+            with monkeypatch.context() as m:
+                if kind == "fi":
+                    m.setattr(FuzzyInterval, "meet", FI_OP_FAULTS[fault][0])
+                    m.setattr(FuzzyInterval, "join", FI_OP_FAULTS[fault][1])
+                elif kind == "crisp":
+                    m.setattr(CrispInterval, "hull", CUT_FAMILY_FAULTS[fault][0])
+                    m.setattr(CrispInterval, "intersection", CUT_FAMILY_FAULTS[fault][1])
+                got += [r.as_json() for lattice in (chain3, diamond)
+                        for r in run_suite("all", lattice, GRADES3, **SAMPLED)]
+        for ops in (closed, leaving):
+            got += [check(range(n), ops[max], ops[min], *leq, budget=300).as_json()
+                    for check, *leq in ((check_lattice_axioms, int.__le__),
+                                        (check_distributivity,))]
+        reports.append(got)
+    columns, scanned = reports
+    assert columns == scanned
+    failed = Counter(c["law"] for r in columns for c in r["checks"]
+                     if c["status"] == "fail" and c.get("mode", "").startswith("sampled"))
+    # no fault here makes the intersection of two whole carriers smaller
+    assert set(ROW_LAWS) - {"meet-cut-family-at-zero"} <= set(failed)
+    assert {c["law"] for c in columns[-2]["checks"]
+            if c["status"] == "fail"} >= {"closure-join", "closure-meet"}
 
 
 def test_cut_identity_rows_match_a_scan_at_every_threshold():

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcodes.py"
@@ -74,3 +76,22 @@ def test_opcodes_counts_a_wrong_output_in_both_passes():
     report = tool.measure("stub", stub, 0)
     assert report["wrong"] == 2  # the warm pass and the traced pass
     assert stub.calls == ["setup", "cleanup"]
+
+
+def test_opcodes_main_lists_the_top_n_functions(monkeypatch, capsys):
+    """``--top N`` lists the N functions with the most opcodes; without it
+    the list stops at ``TOP``, here lowered below the stub's function count."""
+    tool = _tool()
+    monkeypatch.setattr(tool, "TOP", 4)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main prepends perfbench/
+    monkeypatch.setitem(sys.modules, "workloads",
+                        types.SimpleNamespace(WORKLOADS={"stub": StubWorkload}))
+
+    def counts(*flags):
+        assert tool.main(["stub", *flags]) == 0
+        return [count for _, count in json.loads(capsys.readouterr().out)["top"]]
+
+    every = counts("--top", "1000")
+    assert 4 < len(every) < 1000 and every == sorted(every, reverse=True)
+    assert counts() == every[:4]
+    assert counts("--top", "2") == every[:2]

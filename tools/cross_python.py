@@ -18,8 +18,9 @@ over).  Three lattice files go through ``validate``: one with a longer
 cycle, one with repeated and transitive covers (also fed to ``op``, which
 emits its Hasse covers), and a non-distributive product carrier, whose
 witness the command prints.
-Python 3.10's ``Fraction`` reads no underscores, so there the two calls on
-``"1_0/20"`` exit 2 where later versions accept the grade.
+``as_grade`` drops an underscore between two digits before ``Fraction``
+reads a grade, so the two calls on ``"1_0/20"`` read 1/2 on Python 3.10
+too, whose ``Fraction`` reads no underscores.
 Every call's exit code, stdout and stderr must equal the running
 interpreter's, byte for byte.  Prints one line per interpreter, and one per
 differing call; exits 1 on any difference or on an interpreter that does

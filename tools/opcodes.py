@@ -1,16 +1,17 @@
 """Count the bytecodes that one warm pass of a benchmark workload executes.
 
-    python3 tools/opcodes.py WORKLOAD [--seed S]
+    python3 tools/opcodes.py WORKLOAD [--seed S] [--top N]
 
 WORKLOAD is one of ``perfbench/workloads.py``'s workloads.  The tool sets it
 up, runs one untraced pass over the requests of seed S (default 0), so that
 every cache a request fills is warm, then runs the same requests again
 under ``sys.settrace`` with opcode events on, and checks every output of
 both passes.  Prints one JSON line: the workload, the seed, the total
-opcode count of the traced pass, the functions with the most opcodes, as
-``[path:qualified name, count]`` (the plain name before Python 3.11), and
-the opcodes of each source file, as ``[path, count]`` from the most (a
-standard-library file by its name alone, such as ``argparse.py``).
+opcode count of the traced pass, the N functions with the most opcodes
+(default 15), as ``[path:qualified name, count]`` (the plain name before
+Python 3.11), and the opcodes of each source file, as ``[path, count]``
+from the most (a standard-library file by its name alone, such as
+``argparse.py``).
 Exits 1 when an output is wrong.
 
 A count does not drift with the host's speed, so it compares two trees of
@@ -60,9 +61,9 @@ def count_pass(workload, requests) -> tuple[Counter, list]:
     return counts, outputs
 
 
-def measure(name: str, workload, seed: int) -> dict:
+def measure(name: str, workload, seed: int, top: int = TOP) -> dict:
     """The report of one warm pass of ``workload`` over the requests of
-    ``seed``: what ``main`` prints."""
+    ``seed``, with its ``top`` functions: what ``main`` prints."""
     try:
         requests = workload.requests(seed)
         workload.setup()
@@ -81,7 +82,7 @@ def measure(name: str, workload, seed: int) -> dict:
     for qualified, count in by_name.items():
         by_file[qualified.rpartition(":")[0]] += count
     return {"workload": name, "seed": seed, "opcodes": sum(by_name.values()), "wrong": wrong,
-            "top": by_name.most_common(TOP), "files": by_file.most_common()}
+            "top": by_name.most_common(top), "files": by_file.most_common()}
 
 
 def main(argv: list[str]) -> int:
@@ -91,9 +92,11 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--top", type=int, default=TOP, metavar="N",
+                        help=f"how many functions to list (default {TOP})")
     args = parser.parse_args(argv)
 
-    report = measure(args.workload, WORKLOADS[args.workload](), args.seed)
+    report = measure(args.workload, WORKLOADS[args.workload](), args.seed, args.top)
     print(json.dumps(report))
     return 1 if report["wrong"] else 0
 
