@@ -92,11 +92,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text_lines) -> None:
+def _lines(payload: dict, indent: str = "") -> list[str]:
+    """``payload`` as ``key: value`` text lines: a bool as ``true`` or
+    ``false``, a list as ``(a, b, c)``."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, list):
+            value = "(" + ", ".join(value) + ")"
+        lines.append(f"{indent}{key}: {value}")
+    return lines
+
+
+def _emit(args, payload: dict, text_lines=None) -> None:
+    """``payload`` as JSON, or as ``text_lines``, by default the payload's own."""
     if args.format == "json":
         sys.stdout.write(dumps_canonical(payload))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(_lines(payload) if text_lines is None else text_lines))
 
 
 def _cmd_validate(args) -> int:
@@ -106,34 +120,27 @@ def _cmd_validate(args) -> int:
                "bottom": format_element(lattice.bottom),
                "top": format_element(lattice.top),
                "distributive": distributive}
-    lines = [f"lattice: {lattice.name}", f"elements: {len(lattice.elements)}",
-             f"bottom: {payload['bottom']}", f"top: {payload['top']}",
-             f"distributive: {'true' if distributive else 'false'}"]
     if witness is not None:
-        rendered = [format_element(e) for e in witness]
-        payload["witness"] = rendered
-        lines.append("witness: (" + ", ".join(rendered) + ")")
-    _emit(args, payload, lines)
+        payload["witness"] = [format_element(e) for e in witness]
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _witness_json(witness) -> list:
-    return [format_grade(part) if isinstance(part, Fraction) else format_element(part)
-            for part in witness]
+def _classification(fuzzy) -> dict:
+    """The payload of ``classify``: the label and, unless ``fuzzy`` is a
+    fuzzy interval, the class it fails and the witness."""
+    result = classify(fuzzy)
+    payload = {"classification": result.label}
+    if result.failed is not None:
+        payload["failed"] = result.failed
+        payload["witness"] = [format_grade(part) if isinstance(part, Fraction)
+                              else format_element(part) for part in result.witness]
+    return payload
 
 
 def _cmd_classify(args) -> int:
     lattice = load_lattice(args.lattice)
-    fuzzy = load_fuzzy_set(args.fuzzyset, lattice)
-    result = classify(fuzzy)
-    payload = {"classification": result.label}
-    lines = [f"classification: {result.label}"]
-    if result.failed is not None:
-        payload["failed"] = result.failed
-        payload["witness"] = _witness_json(result.witness)
-        lines.append(f"failed: {result.failed}")
-        lines.append("witness: (" + ", ".join(payload["witness"]) + ")")
-    _emit(args, payload, lines)
+    _emit(args, _classification(load_fuzzy_set(args.fuzzyset, lattice)))
     return EXIT_OK
 
 
@@ -145,11 +152,8 @@ def _cmd_op(args) -> int:
         try:
             operands.append(FuzzyInterval(fuzzy))
         except NotAFuzzyInterval:
-            result = classify(fuzzy)  # only to explain the rejection
-            print(f"error: {path} is not a fuzzy interval", file=sys.stderr)
-            print(f"  classification: {result.label}", file=sys.stderr)
-            print(f"  failed: {result.failed}", file=sys.stderr)
-            print("  witness: (" + ", ".join(_witness_json(result.witness)) + ")",
+            explained = _lines(_classification(fuzzy), "  ")  # only to explain the rejection
+            print(f"error: {path} is not a fuzzy interval", *explained, sep="\n",
                   file=sys.stderr)
             return EXIT_DOMAIN
     left, right = operands

@@ -51,19 +51,34 @@ from .lattice import Element, FiniteLattice, _require_same_lattice, format_eleme
 # -- violation searches (one per implementation route) ---------------------
 
 
+def _bounded_pairs(lat: FiniteLattice, members):
+    """``(i, j, i⊓j, i⊔j)`` for each pair ``i <= j`` of the ascending
+    element indices ``members``, by ``i`` and then ``j``.  Each bound is one
+    mask AND and one lookup of the carrier's principal ideals or filters."""
+    down, up, by_down, by_up = lat._down, lat._up, lat._by_down, lat._by_up
+    for pos, i in enumerate(members):
+        below, above = down[i], up[i]
+        for j in members[pos:]:  # every check is symmetric in (x, y)
+            yield i, j, by_down[below & down[j]], by_up[above & up[j]]
+
+
+def _routes_agree(check: str, m: FuzzySet, verdicts: dict) -> bool:
+    """The verdict that every route in ``verdicts`` (route name -> verdict)
+    gave on ``m``; :class:`RouteDisagreement` naming ``check`` if they differ."""
+    if len(set(verdicts.values())) > 1:
+        raise RouteDisagreement(check, m, verdicts)
+    return next(iter(verdicts.values()))
+
+
 def sublattice_violation(m: FuzzySet):
     """First pair (x, y) with M(x⊓y) ∧ M(x⊔y) < M(x) ∧ M(y), else None.
 
     Pointwise route: no cuts are materialized.
     """
     lat, vals = m.lattice, m.ranks
-    n = len(lat.elements)
-    for i in range(n):
-        for j in range(i, n):  # the condition is symmetric in (x, y)
-            a = lat.meet_index(i, j)
-            b = lat.join_index(i, j)
-            if min(vals[a], vals[b]) < min(vals[i], vals[j]):
-                return (lat.elements[i], lat.elements[j])
+    for i, j, a, b in _bounded_pairs(lat, range(len(vals))):
+        if min(vals[a], vals[b]) < min(vals[i], vals[j]):
+            return (lat.elements[i], lat.elements[j])
     return None
 
 
@@ -72,22 +87,16 @@ def sublattice_cut_violation(m: FuzzySet):
     lat = m.lattice
     for p in m.thresholds():
         mask = m.cut_mask(p)
-        members = list(iter_bits(mask))
-        for pos, i in enumerate(members):
-            for j in members[pos:]:
-                if not mask >> lat.meet_index(i, j) & 1 or not mask >> lat.join_index(i, j) & 1:
-                    return (p, lat.elements[i], lat.elements[j])
+        for i, j, a, b in _bounded_pairs(lat, list(iter_bits(mask))):
+            if not mask >> a & 1 or not mask >> b & 1:
+                return (p, lat.elements[i], lat.elements[j])
     return None
 
 
 def is_fuzzy_sublattice(m: FuzzySet) -> bool:
     """Every cut is a sublattice; both routes are evaluated and must agree."""
-    by_points = sublattice_violation(m) is None
-    by_cuts = sublattice_cut_violation(m) is None
-    if by_points != by_cuts:
-        raise RouteDisagreement("fuzzy-sublattice", m,
-                                {"pointwise": by_points, "cut-based": by_cuts})
-    return by_points
+    return _routes_agree("fuzzy-sublattice", m, {"pointwise": sublattice_violation(m) is None,
+                                                 "cut-based": sublattice_cut_violation(m) is None})
 
 
 def convex_violation(m: FuzzySet):
@@ -103,17 +112,13 @@ def convex_violation(m: FuzzySet):
     if pair is not None:
         return pair
     lat, vals = m.lattice, m.ranks
-    n = len(lat.elements)
-    for i in range(n):
-        for j in range(i, n):
-            a = lat.meet_index(i, j)
-            b = lat.join_index(i, j)
-            bound = min(vals[a], vals[b])
-            if not bound:  # no grade lies below rank 0
-                continue
-            for k in iter_bits(lat.between_mask(a, b)):
-                if vals[k] < bound:
-                    return (lat.elements[i], lat.elements[j], lat.elements[k])
+    for i, j, a, b in _bounded_pairs(lat, range(len(vals))):
+        bound = min(vals[a], vals[b])
+        if not bound:  # no grade lies below rank 0
+            continue
+        for k in iter_bits(lat.between_mask(a, b)):
+            if vals[k] < bound:
+                return (lat.elements[i], lat.elements[j], lat.elements[k])
     return None
 
 
@@ -122,26 +127,19 @@ def convex_cut_violation(m: FuzzySet):
     lat = m.lattice
     for p in m.thresholds():
         mask = m.cut_mask(p)
-        members = list(iter_bits(mask))
-        for pos, i in enumerate(members):
-            for j in members[pos:]:
-                segment = lat.between_mask(lat.meet_index(i, j), lat.join_index(i, j))
-                outside = segment & ~mask
-                if outside:
-                    z = next(iter_bits(outside))
-                    e = lat.elements
-                    return (p, e[i], e[j], e[z])
+        for i, j, a, b in _bounded_pairs(lat, list(iter_bits(mask))):
+            outside = lat.between_mask(a, b) & ~mask
+            if outside:
+                e = lat.elements
+                return (p, e[i], e[j], e[next(iter_bits(outside))])
     return None
 
 
 def is_fuzzy_convex_sublattice(m: FuzzySet) -> bool:
     """Every cut is a convex sublattice; both routes must agree."""
-    by_points = convex_violation(m) is None
-    by_cuts = convex_cut_violation(m) is None
-    if by_points != by_cuts:
-        raise RouteDisagreement("fuzzy-convex-sublattice", m,
-                                {"pointwise": by_points, "cut-based": by_cuts})
-    return by_points
+    return _routes_agree("fuzzy-convex-sublattice", m,
+                         {"pointwise": convex_violation(m) is None,
+                          "cut-based": convex_cut_violation(m) is None})
 
 
 def _endpoint_chain(m: FuzzySet):
@@ -204,13 +202,9 @@ def is_fuzzy_interval(m: FuzzySet) -> bool:
     convexity and route (c) cut-based convexity; on a finite carrier a cut
     is an interval exactly when it is a convex sublattice.
     """
-    a = interval_cut_violation(m) is None
-    b = convex_violation(m) is None
-    c = convex_cut_violation(m) is None
-    if not a == b == c:
-        raise RouteDisagreement("fuzzy-interval", m, {"cut-shape": a, "pointwise-convexity": b,
-                                                      "cut-convexity": c})
-    return a
+    return _routes_agree("fuzzy-interval", m, {"cut-shape": interval_cut_violation(m) is None,
+                                               "pointwise-convexity": convex_violation(m) is None,
+                                               "cut-convexity": convex_cut_violation(m) is None})
 
 
 @dataclass(frozen=True)
@@ -233,9 +227,7 @@ def classify(m: FuzzySet) -> Classification:
     if interval_cut_violation(m) is None:
         return Classification("fuzzy-interval")
     witness = convex_violation(m)  # a sublattice pair first, else a convexity triple
-    if witness is None:
-        raise RouteDisagreement("fuzzy-interval", m,
-                                {"cut-shape": False, "pointwise-convexity": True})
+    _routes_agree("fuzzy-interval", m, {"cut-shape": False, "pointwise-convexity": witness is None})
     if len(witness) == 2:
         return Classification("none", "fuzzy-sublattice", witness)
     return Classification("fuzzy-sublattice", "fuzzy-convex-sublattice", witness)

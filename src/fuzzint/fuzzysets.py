@@ -35,7 +35,8 @@ MAX_GRADE_DIGITS = min(getattr(sys, "get_int_max_str_digits", int)() or 4300, 43
 _GRADE_BOUND = 10 ** MAX_GRADE_DIGITS  # numerators and denominators stay below it
 _TOO_LONG = (f"grade has more than {MAX_GRADE_DIGITS} digits "
              "in its numerator or denominator")
-_STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")  # one not between two digits
+# an underscore not between two digits, or a space beside the bar
+_UNREAD = re.compile(r"(?<!\d)_|_(?!\d)|\s/|/\s")
 
 
 def as_grade(value) -> Fraction:
@@ -53,9 +54,11 @@ def as_grade(value) -> Fraction:
 
     A string may put an underscore only between two digits, as in
     ``"1_0/20"``, which is where ``Fraction`` reads one from Python 3.11
-    on.  The underscores are checked and dropped before ``Fraction`` reads
-    the string, so every version accepts the same strings; an underscore
-    anywhere else is refused.
+    on, and no space beside the ``/``, as in ``"1 /2"``, which
+    ``Fraction`` reads from Python 3.12 on.  Both are checked before
+    ``Fraction`` reads the string, and the underscores dropped, so every
+    version accepts the same strings; spaces around the whole grade stay
+    allowed.
     """
     if isinstance(value, (bool, float)):
         raise InvalidGrade(f"refusing {type(value).__name__} grade {value!r}; "
@@ -72,10 +75,9 @@ def as_grade(value) -> Fraction:
             if sep and digits.isdecimal() and (len(digits) > len(str(MAX_GRADE_DIGITS))
                                                or int(digits) > MAX_GRADE_DIGITS):
                 raise InvalidGrade(f"grade {value!r} has an exponent beyond {MAX_GRADE_DIGITS}")
-            if "_" in value:
-                if _STRAY_UNDERSCORE.search(value):
-                    raise InvalidGrade(f"cannot parse grade {value!r}")
-                text = value.replace("_", "")
+            if _UNREAD.search(value):
+                raise InvalidGrade(f"cannot parse grade {value!r}")
+            text = value.replace("_", "")
     try:
         grade = (Fraction(int(num), int(den) if bar else 1) if plain
                  else value if type(value) is Fraction else Fraction(text))
@@ -285,17 +287,6 @@ class FuzzySet:
         body = ", ".join(f"{format_element(e)}: {format_grade(v)}"
                          for e, v in zip(self.lattice.elements, self.values))
         return "{" + body + "}"
-
-
-def meet_family(lattice: FiniteLattice, sets: Iterable[FuzzySet]) -> FuzzySet:
-    """Pointwise infimum; the empty family yields the constant-1 set."""
-    acc = None
-    for m in sets:
-        _require_same_lattice(lattice, m.lattice)
-        acc = m if acc is None else acc.meet(m)
-    if acc is None:
-        return FuzzySet.constant(lattice, GRADE_ONE)
-    return FuzzySet._from_ranks(lattice, acc.chain, acc.ranks)
 
 
 def equal_by_cuts(m: FuzzySet, n: FuzzySet) -> bool:

@@ -17,10 +17,10 @@ from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet, Inva
                      is_fuzzy_convex_sublattice, is_fuzzy_interval, is_fuzzy_sublattice,
                      standard_lattice)
 from fuzzint import fuzzyintervals
-from fuzzint.fuzzyintervals import (_endpoint_chain, convex_violation,
-                                    interval_cut_violation, sublattice_violation)
+from fuzzint.fuzzyintervals import (_endpoint_chain, convex_cut_violation, convex_violation,
+                                    interval_cut_violation, sublattice_cut_violation,
+                                    sublattice_violation)
 from fuzzint.intervals import _IntervalCodes
-from fuzzint.lattice import iter_bits
 from fuzzint.laws import enumerate_fuzzy_intervals, enumerate_intervals
 
 H = Fraction(1, 2)
@@ -107,31 +107,43 @@ def test_classify_matches_the_full_ladder(chain3, b2, diamond, pentagon):
     assert set(labels) == {"fuzzy-interval", "fuzzy-sublattice", "none"}
 
 
-def _convex_violation_walking_every_segment(m: FuzzySet):
-    """``convex_violation`` as it was before it skipped the segments whose
-    bound is rank 0: every z of every [x⊓y, x⊔y] is read."""
-    pair = sublattice_violation(m)
-    if pair is not None:
-        return pair
-    lat, vals = m.lattice, m.ranks
-    n = len(lat.elements)
-    for i in range(n):
-        for j in range(i, n):
-            a = lat.meet_index(i, j)
-            b = lat.join_index(i, j)
-            bound = min(vals[a], vals[b])
-            for k in iter_bits(lat.between_mask(a, b)):
-                if vals[k] < bound:
-                    return (lat.elements[i], lat.elements[j], lat.elements[k])
-    return None
+def _literal_scans(m: FuzzySet):
+    """The four scans written out over the public ``meet``, ``join`` and
+    ``between``: each pair x, y of a canonical list with x first, every z of
+    every segment [x⊓y, x⊔y] read.  Pointwise sublattice, pointwise
+    convexity (the sublattice pair first), then both per cut."""
+    lat = m.lattice
+
+    def pairs(members):
+        return [(x, y, lat.meet(x, y), lat.join(x, y))
+                for k, x in enumerate(members) for y in members[k:]]
+
+    def per_cut(failure):
+        for p in m.thresholds():
+            cut = m.cut(p)
+            for x, y, lo, hi in pairs([x for x in lat.elements if x in cut]):
+                found = failure(cut, x, y, lo, hi)
+                if found:
+                    return (p, *found)
+        return None
+
+    every = pairs(lat.elements)
+    sub = next(((x, y) for x, y, lo, hi in every if min(m(lo), m(hi)) < min(m(x), m(y))), None)
+    convex = sub or next(((x, y, z) for x, y, lo, hi in every for z in lat.between(lo, hi)
+                          if m(z) < min(m(lo), m(hi))), None)
+    sub_cut = per_cut(lambda cut, x, y, lo, hi: (x, y) if lo not in cut or hi not in cut else None)
+    convex_cut = per_cut(lambda cut, x, y, lo, hi: next(
+        ((x, y, z) for z in lat.between(lo, hi) if z not in cut), None))
+    return sub, convex, sub_cut, convex_cut
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_lattices(), st.booleans(), st.data())
-def test_convex_violation_matches_a_walk_of_every_segment(case, accepted, data):
-    """The witness, or None, equals the full walk's: on fuzzy sets with
-    drawn grades, mostly rejected, and on fuzzy intervals drawn cut by cut,
-    all accepted."""
+def test_the_four_scans_match_literal_scans(case, accepted, data):
+    """Each scan's witness, or None, equals its literal scan's: on fuzzy sets
+    with drawn grades, mostly rejected, and on fuzzy intervals drawn cut by
+    cut, all accepted.  The pointwise convexity scan skips the segments
+    whose bound is rank 0; its literal scan reads them all."""
     lat = lattice_of(case)
     if accepted:
         values, cut = [Fraction(0)] * len(lat), CrispInterval.whole(lat)
@@ -143,10 +155,11 @@ def test_convex_violation_matches_a_walk_of_every_segment(case, accepted, data):
         values = data.draw(st.lists(st.sampled_from(GRADES4), min_size=len(lat),
                                     max_size=len(lat)))
     m = FuzzySet.from_values(lat, values)
-    witness = convex_violation(m)
-    assert witness == _convex_violation_walking_every_segment(m)
+    expected = _literal_scans(m)
+    assert (sublattice_violation(m), convex_violation(m), sublattice_cut_violation(m),
+            convex_cut_violation(m)) == expected
     if accepted:
-        assert witness is None
+        assert expected == (None,) * 4
 
 
 def test_convex_equals_interval_on_finite_carriers(diamond, pentagon):

