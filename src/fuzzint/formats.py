@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import FormatError, FuzzintError, InvalidGrade, LatticeMismatch, UnknownElement
 from .fuzzyintervals import FuzzyInterval
 from .fuzzysets import FuzzySet, as_grade, format_grade
-from .lattice import FiniteLattice, _fixture, format_element, order_closure
+from .lattice import FiniteLattice, _fixture, format_element
 
 
 def _require_keys(doc: dict, keys: set[str], what: str) -> None:
@@ -53,18 +53,17 @@ def _lattice_fields(doc) -> tuple:
     return name, elements, list(map(tuple, covers))
 
 
-def _build_lattice(fields, build):
-    # ``build`` is FiniteLattice or order_closure; both take the same fields
+def _build_lattice(fields) -> FiniteLattice:
     name, elements, pairs = fields
     try:
-        return build(elements, pairs, name=name)
+        return FiniteLattice(elements, pairs, name=name)
     except UnknownElement as exc:
         raise FormatError(f"cover refers to an undeclared element: {exc}") from exc
 
 
 def lattice_from_json(doc) -> FiniteLattice:
     fields = _lattice_fields(doc)
-    lattice = _build_lattice(fields, FiniteLattice)
+    lattice = _build_lattice(fields)
     name, elements, pairs = fields
     # a copy of the validated document, so an inline copy of it resolves
     # to this lattice by one dict comparison (_resolve_lattice)
@@ -125,12 +124,9 @@ def _resolve_lattice(ref, lattice: FiniteLattice | None) -> FiniteLattice:
         return lattice_from_json(ref)
     elif ref == lattice._source:
         return lattice
-    # else match by order alone; a mismatch builds, so NotALattice comes first
-    fields = _lattice_fields(ref)
-    ordered, _, up, _, _ = _build_lattice(fields, order_closure)
-    if ordered == lattice.elements and up == lattice._up:
+    # else build it, so a document that is no lattice raises before the comparison
+    if _build_lattice(_lattice_fields(ref)) == lattice:
         return lattice
-    _build_lattice(fields, FiniteLattice)
     raise LatticeMismatch("the fuzzy set's lattice does not match the provided lattice")
 
 

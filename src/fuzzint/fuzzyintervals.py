@@ -24,16 +24,18 @@ it, bucketing the elements by grade rank, then codes them; it keeps the
 fuzzy set too.
 
 Op results skip that scan and build no fuzzy set: they are stored as
-their cut chains alone, and their memberships are derived from the
-decoded cut ends on first read.  Meet is the pointwise minimum, and
-cutwise the intersection of the operand cuts.  Join is *not* the
-pointwise maximum: cutwise it is the hull of the operand cuts, the
-smallest fuzzy interval above both operands.  Each op is one pass over
-the grade chain, zipping the operands' codes: it reads each result cut
-from one entry of a per-lattice table keyed by the two operand codes,
-filled entry by entry from the carrier's masks, and checks only that
-the result is a nested chain of intervals.  Equality and the hash compare
-codes, so interning an op result derives nothing.
+their cut chains alone, and their memberships are derived on first read
+from the member masks of the decoded cuts, by the rule M(x) = max{p : x ∈
+M_p} that :meth:`~fuzzint.fuzzysets.FuzzySet._from_cut_masks` alone
+writes out.  Meet is the pointwise minimum, and cutwise the intersection
+of the operand cuts.  Join is *not* the pointwise maximum: cutwise it is
+the hull of the operand cuts, the smallest fuzzy interval above both
+operands.  Each op is one pass over the grade chain, zipping the
+operands' codes: it reads each result cut from one entry of a
+per-lattice table keyed by the two operand codes, filled entry by entry
+from the carrier's masks, and checks only that the result is a nested
+chain of intervals.  Equality and the hash compare codes, so interning
+an op result derives nothing.
 """
 
 from __future__ import annotations
@@ -308,7 +310,7 @@ class FuzzyInterval:
     only their results' cut chains, in one pass over the grade chain that
     reads one table entry per rank and checks that the cuts nest; a
     result's membership function, ``fuzzy``, is derived from its decoded
-    cut ends on first read.  ``thresholds``, ``cut_interval`` and
+    cuts' member masks on first read.  ``thresholds``, ``cut_interval`` and
     ``endpoint_functions`` decode the cut chain, and equality and the hash
     compare it, so they derive nothing.
     """
@@ -339,23 +341,14 @@ class FuzzyInterval:
 
     @property
     def fuzzy(self) -> FuzzySet:
-        """The membership function.  An op result derives it on first read:
-        each element gets the largest rank whose cut contains it, filled
-        from the top rank down."""
+        """The membership function.  An op result derives it on first read,
+        from its cuts' member masks (:meth:`FuzzySet._from_cut_masks`)."""
         fuzzy = self._fuzzy
         if fuzzy is None:
             lat = self.lattice
-            ends, cuts = _IntervalCodes.of(lat).ends, self._cuts
-            ranks = [0] * len(lat.elements)
-            cut = 0
-            for r in range(len(cuts) - 1, -1, -1):
-                lo, hi = ends(cuts[r])
-                if lo is not None:  # cuts grow downward
-                    mask = lat.between_mask(lo, hi)
-                    for i in iter_bits(mask & ~cut):  # only the elements new at this rank
-                        ranks[i] = r
-                    cut = mask
-            fuzzy = self._fuzzy = FuzzySet._from_ranks(lat, self._chain, tuple(ranks))
+            ends, between = _IntervalCodes.of(lat).ends, lat.between_mask
+            masks = [code and between(*ends(code)) for code in self._cuts]
+            fuzzy = self._fuzzy = FuzzySet._from_cut_masks(lat, self._chain, masks)
         return fuzzy
 
     @property

@@ -196,16 +196,32 @@ class FuzzySet:
         return self
 
     @classmethod
+    def _from_cut_masks(cls, lattice: FiniteLattice, chain: tuple, masks) -> "FuzzySet":
+        """The fuzzy set whose cut at ``chain[r]`` is ``masks[r]``, by
+        M(x) = max{p : x ∈ M_p}: each element gets the highest rank whose
+        mask holds it.  Trusted: ``masks`` holds one member mask per rank,
+        the whole carrier at rank 0 and each containing the next.  Filled
+        from the top rank down, writing only the elements new at each rank."""
+        ranks = [0] * len(lattice.elements)
+        cut = 0
+        for r in range(len(masks) - 1, 0, -1):  # cuts grow downward
+            mask = masks[r]
+            for i in iter_bits(mask & ~cut):
+                ranks[i] = r
+            cut = mask
+        return cls._from_ranks(lattice, chain, tuple(ranks))
+
+    @classmethod
     def constant(cls, lattice: FiniteLattice, grade) -> "FuzzySet":
         return cls.from_values(lattice, (as_grade(grade),) * len(lattice.elements))
 
     @classmethod
     def characteristic(cls, lattice: FiniteLattice, members: Iterable[Element]) -> "FuzzySet":
         """The {0,1}-valued indicator of a subset."""
-        ranks = [0] * len(lattice.elements)
+        mask = 0
         for element in members:
-            ranks[lattice.index(element)] = 1
-        return cls._from_ranks(lattice, (GRADE_ZERO, GRADE_ONE), tuple(ranks))
+            mask |= 1 << lattice.index(element)
+        return cls._from_cut_masks(lattice, (GRADE_ZERO, GRADE_ONE), (lattice.all_mask, mask))
 
     @property
     def values(self) -> tuple[Fraction, ...]:

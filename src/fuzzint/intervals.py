@@ -186,13 +186,11 @@ class _IntervalCodes:
     ``hi``'s up-set, and needs bits ``n + lo`` and ``hi``; the empty
     interval marks every bit and needs bit 2n, which no other one marks.
 
-    Entries with one code are one tuple, and the ends of each code are kept
-    as it is encoded or decoded.  Set-up is O(n), so a lattice that takes a
-    single op pays nothing of order |Int(L)|.
+    The ends of each code are kept as it is encoded or decoded.  Set-up is
+    O(n), so a lattice that takes a single op pays nothing of order |Int(L)|.
     """
 
-    __slots__ = ("size", "tables", "_offset", "_up", "_down", "_by_up", "_by_down", "_ends",
-                 "_entries")
+    __slots__ = ("size", "tables", "_offset", "_up", "_down", "_by_up", "_by_down", "_ends")
 
     def __init__(self, lattice: FiniteLattice):
         # the carrier's masks and dicts, not its bound methods: the lattice
@@ -205,7 +203,6 @@ class _IntervalCodes:
         self.size = self._offset[-1]
         self.tables = ({}, {})  # intersection, hull
         self._ends = {0: (None, None)}
-        self._entries = {0: (0, -1, 1 << 2 * len(self._up))}
 
     @staticmethod
     def of(lattice: FiniteLattice) -> "_IntervalCodes":
@@ -242,7 +239,9 @@ class _IntervalCodes:
 
         The hull ``[a_lo ⊓ b_lo, a_hi ⊔ b_hi]`` is never crossed, and the
         empty interval is its identity; the intersection ``[a_lo ⊔ b_lo,
-        a_hi ⊓ b_hi]`` is empty where that is crossed or an operand is."""
+        a_hi ⊓ b_hi]`` is empty where that is crossed or an operand is.
+        Each entry is built where it is filled, ``(0, -1, 1 << 2n)`` for
+        the empty interval."""
         (a_lo, a_hi), (b_lo, b_hi) = self.ends(a), self.ends(b)
         if a_lo is None or b_lo is None:  # the hull is the other interval, the intersection empty
             lo, hi = (a_lo, a_hi) if b_lo is None else (b_lo, b_hi)
@@ -256,11 +255,8 @@ class _IntervalCodes:
             hi = self._by_down[self._down[a_hi] & self._down[b_hi]]
             if not self._up[lo] >> hi & 1:
                 lo = hi = None
-        code = self.code(lo, hi)
-        entry = self._entries.get(code)
-        if entry is None:
-            n = len(self._up)
-            entry = self._entries[code] = (code, self._down[lo] << n | self._up[hi],
-                                           1 << n + lo | 1 << hi)
+        n = len(self._up)
+        entry = ((0, -1, 1 << 2 * n) if lo is None else
+                 (self.code(lo, hi), self._down[lo] << n | self._up[hi], 1 << n + lo | 1 << hi))
         self.tables[hull][a * self.size + b] = entry
         return entry

@@ -213,15 +213,16 @@ def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInter
 
     Generated as antitone chains of crisp intervals, as member masks: one
     per grade, each containing the next, the one at grade 0 the whole
-    carrier; the membership of an element is the largest grade whose
-    interval contains it.  The intervals inside an interval mask ``m`` are
-    the empty one, then those of :func:`_interval_ends`: the order of
-    :func:`enumerate_intervals`, read from the carrier's up-sets, so Int(L)
-    is never built.  Cuts of the result at the chosen grades recover
-    exactly the chain, so the construction is a bijection onto the
-    grade-valued fuzzy intervals, in lexicographic order of the chains.
-    Every result stores its grades as ranks into one shared chain, the
-    validated ``grades``, so the ops between them compare ints.
+    carrier; :meth:`FuzzySet._from_cut_masks` gives each element the
+    largest grade whose interval contains it.  The intervals inside an
+    interval mask ``m`` are the empty one, then those of
+    :func:`_interval_ends`: the order of :func:`enumerate_intervals`, read
+    from the carrier's up-sets, so Int(L) is never built.  Cuts of the
+    result at the chosen grades recover exactly the chain, so the
+    construction is a bijection onto the grade-valued fuzzy intervals, in
+    lexicographic order of the chains.  Every result stores its grades as
+    ranks into one shared chain, the validated ``grades``, so the ops
+    between them compare ints.
     """
     chain = validate_grades(grades)
     between = lattice.between_mask
@@ -233,14 +234,7 @@ def enumerate_fuzzy_intervals(lattice: FiniteLattice, grades) -> list[FuzzyInter
     chains = [(lattice.all_mask,)]  # every chain starts at the whole carrier
     for _ in chain[1:]:  # extending each chain in turn keeps depth-first order
         chains = [c + (m,) for c in chains for m in inside(c[-1])]
-    out: list[FuzzyInterval] = []
-    for c in chains:
-        ranks = [0] * len(lattice.elements)
-        for rank in range(1, len(c)):  # ascending: last write wins
-            for b in iter_bits(c[rank]):
-                ranks[b] = rank
-        out.append(FuzzyInterval(FuzzySet._from_ranks(lattice, chain, tuple(ranks))))
-    return out
+    return [FuzzyInterval(FuzzySet._from_cut_masks(lattice, chain, c)) for c in chains]
 
 
 # -- instance planning -------------------------------------------------------

@@ -16,7 +16,7 @@ from fuzzint.formats import (dumps_canonical, fuzzy_set_from_json,
                              fuzzy_set_to_json, lattice_from_json,
                              lattice_to_json, load_fuzzy_set, load_lattice)
 from fuzzint.fuzzysets import as_grade
-from fuzzint.lattice import format_element, order_closure
+from fuzzint.lattice import format_element
 
 M3_DOC = {
     "name": "m3",
@@ -298,20 +298,6 @@ def test_inline_lattices_resolve_exactly_when_their_inclusion_orders_agree(case,
                 fuzzy_set_from_json(doc2, lat)
 
 
-def test_an_inline_lattice_with_other_covers_resolves_through_the_closure(monkeypatch):
-    lat = m3()
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return order_closure(*args, **kwargs)
-
-    monkeypatch.setattr(formats, "order_closure", counting)
-    doc = _inline(M3_DOC["covers"] + [["0", "1"]])  # a transitive edge m3() was not built with
-    assert fuzzy_set_from_json(doc, lat).lattice is lat
-    assert len(calls) == 1
-
-
 def test_an_inline_copy_of_the_lattice_document_resolves_without_a_check(monkeypatch):
     """An operand that repeats the lattice file inline is matched by one
     comparison with the document the lattice was read from."""
@@ -358,11 +344,11 @@ def test_inline_lattice_rejections_keep_their_type_and_text(covers, error, text)
 @pytest.mark.parametrize("command", ["classify", "op"])
 def test_matching_inline_documents_build_one_lattice_per_request(
         command, tmp_path, monkeypatch, capsys):
-    lat_path, fs_path = tmp_path / "lat.json", tmp_path / "fs.json"
+    """An operand that repeats the lattice file verbatim builds no lattice
+    of its own.  One with the elements reordered gives the same output,
+    and each operand document of it builds its lattice to compare."""
+    lat_path = tmp_path / "lat.json"
     lat_path.write_text(json.dumps({**M3_DOC, "name": "diamond"}))
-    fs_path.write_text(json.dumps(_inline(M3_DOC["covers"], DIAMOND[::-1])))
-    argv = (["classify", str(lat_path), str(fs_path)] if command == "classify"
-            else ["op", "meet", str(lat_path), str(fs_path), str(fs_path)])
     builds = []
     init = FiniteLattice.__init__
 
@@ -371,9 +357,20 @@ def test_matching_inline_documents_build_one_lattice_per_request(
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(FiniteLattice, "__init__", counting_init)
-    assert cli.main(argv) == 0
-    assert builds == ["diamond"]
-    assert capsys.readouterr().err == ""
+    outputs = []
+    for elements, operand_builds in ((DIAMOND, 0), (DIAMOND[::-1], 1)):
+        fs_path = tmp_path / f"fs{operand_builds}.json"
+        fs_path.write_text(json.dumps(_inline(M3_DOC["covers"], elements)))
+        operands = [str(fs_path)] * (1 if command == "classify" else 2)
+        argv = (["classify", str(lat_path), *operands] if command == "classify"
+                else ["op", "meet", str(lat_path), *operands])
+        builds.clear()
+        assert cli.main(argv) == 0
+        assert builds == ["diamond"] * (1 + operand_builds * len(operands))
+        out, err = capsys.readouterr()
+        assert err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_a_fixture_name_of_another_size_is_never_built(monkeypatch):

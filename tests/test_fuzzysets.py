@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRADES3, GRADES4, enumerate_fuzzy_sets
+from conftest import GRADES3, GRADES4, enumerate_fuzzy_sets, lattice_of, random_lattices
 from fuzzint import (CutFamily, FiniteLattice, FuzzyInterval, FuzzySet, InvalidFamily,
                      InvalidGrade, LatticeMismatch, UnknownElement, as_grade, chain,
                      equal_by_cuts, format_grade, from_cut_family)
@@ -469,6 +469,26 @@ def test_merge_chains_matches_a_sorted_union(xs, ys):
     assert list(merged) == union
     assert pos_a == [union.index(g) for g in a]
     assert pos_b == [union.index(g) for g in b]
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_lattices(), CHAIN_GRADES, st.data())
+def test_a_set_built_from_cut_masks_has_those_cuts(case, grades, data):
+    """Nested member masks, some repeated and the top ones empty, are the
+    built set's cuts at their grades; its thresholds are rank 0, the top
+    rank and each rank whose mask differs from the one above."""
+    lat = lattice_of(case)
+    chain = tuple(sorted({Fraction(0), Fraction(1), *grades}))
+    empty_from = data.draw(st.integers(1, len(chain)))  # the ranks from here up are empty
+    masks = [lat.all_mask]
+    for r in range(1, len(chain)):
+        keep = 0 if r >= empty_from else data.draw(st.just(-1) | st.integers(0, lat.all_mask))
+        masks.append(masks[-1] & keep)  # -1 repeats the mask below
+    m = FuzzySet._from_cut_masks(lat, chain, masks)
+    assert [m.cut_mask(p) for p in chain] == masks
+    top = len(chain) - 1
+    assert m.thresholds() == tuple(chain[r] for r in range(len(chain))
+                                   if r in (0, top) or masks[r] != masks[r + 1])
 
 
 def test_cut_family_equality_and_repr(chain3):
